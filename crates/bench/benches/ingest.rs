@@ -4,15 +4,17 @@
 //! Both paths run the same two-pass engine; the difference measured here
 //! is the source side — seeded regeneration ([`SpecSource`]) against a
 //! fully buffered edge list ([`EdgeListBuilder`]) — i.e. the CPU price
-//! paid for halving peak ingestion memory. A second group measures the
-//! file-reader path end to end over in-memory bytes, and a third pits
-//! the binary snapshot loaders against the text parse on a ≥1M-edge
-//! graph (with an in-bench ≥10× regression assertion).
+//! paid for halving peak ingestion memory. A second group races the
+//! sequential generator replay against its partitioned replay (pool
+//! tasks jumping the RNG to their edge ranges), alone and inside a build.
+//! A third measures the file-reader path end to end over in-memory bytes,
+//! and a fourth pits the binary snapshot loaders against the text parse
+//! on a ≥1M-edge graph (with an in-bench ≥10× regression assertion).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pgc_graph::gen::{GraphSpec, SpecSource};
 use pgc_graph::io::{read_edge_list, write_edge_list};
-use pgc_graph::stream::{build_compact, build_compact_with_stats, EdgeSource};
+use pgc_graph::stream::{build_compact, build_compact_with_stats, ChunkFn, EdgeSource};
 use pgc_graph::{EdgeListBuilder, GraphView as _};
 use std::hint::black_box;
 
@@ -63,6 +65,70 @@ fn ingest(c: &mut Criterion) {
     assert!(stats.build_bytes_peak < stats.arc_list_baseline_bytes());
 }
 
+/// A source that hides its partitions, so the builder takes the
+/// sequential one-part replay path (each chunk still fanned out).
+struct Sequential<'a>(&'a SpecSource);
+
+impl EdgeSource for Sequential<'_> {
+    fn num_vertices(&self) -> usize {
+        EdgeSource::<()>::num_vertices(self.0)
+    }
+
+    fn replay(&self, emit: &mut ChunkFn<'_>) -> std::io::Result<()> {
+        self.0.replay(emit)
+    }
+}
+
+/// Sequential vs partitioned generator replay on the same R-MAT stream:
+/// the replay alone (one pass into a counting closure, or every
+/// partition run as a pool task) and the whole two-pass build.
+fn ingest_partitioned(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ingest/rmat-replay");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    let spec = GraphSpec::Rmat {
+        scale: 16,
+        edge_factor: 16,
+    };
+    let src = SpecSource::new(spec, 1);
+    let raw = EdgeSource::<()>::edge_hint(&src).expect("generator hints are exact");
+    group.throughput(Throughput::Elements(raw as u64));
+    group.bench_function("replay/sequential", |b| {
+        b.iter(|| {
+            let mut pairs = 0usize;
+            src.replay(&mut |chunk, _: &[()]| pairs += chunk.len())
+                .unwrap();
+            black_box(pairs)
+        })
+    });
+    let parts = EdgeSource::<()>::parts(&src).min(4 * pgc_par::current_width());
+    group.bench_function("replay/partitioned", |b| {
+        b.iter(|| {
+            pgc_par::map_reduce_chunks(
+                parts,
+                1,
+                |range| {
+                    let mut pairs = 0usize;
+                    for part in range {
+                        src.replay_part(part, parts, &mut |chunk, _: &[()]| pairs += chunk.len())
+                            .unwrap();
+                    }
+                    pairs
+                },
+                |a, b| a + b,
+            )
+        })
+    });
+    group.bench_function("build/sequential", |b| {
+        b.iter(|| black_box(build_compact(&Sequential(&src)).unwrap().m()))
+    });
+    group.bench_function("build/partitioned", |b| {
+        b.iter(|| black_box(build_compact(&src).unwrap().m()))
+    });
+    group.finish();
+}
+
 fn ingest_reader(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest/edge-list-text");
     group.sample_size(10);
@@ -94,7 +160,7 @@ fn ingest_reader(c: &mut Criterion) {
             0
         }
 
-        fn replay(&self, emit: &mut pgc_graph::stream::ChunkFn<'_>) -> std::io::Result<()> {
+        fn replay(&self, emit: &mut ChunkFn<'_>) -> std::io::Result<()> {
             use std::io::BufRead;
             let mut sink = pgc_graph::EdgeSink::new(emit);
             for line in self.0.lines() {
@@ -195,5 +261,11 @@ fn ingest_snapshot(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, ingest, ingest_reader, ingest_snapshot);
+criterion_group!(
+    benches,
+    ingest,
+    ingest_partitioned,
+    ingest_reader,
+    ingest_snapshot
+);
 criterion_main!(benches);

@@ -137,9 +137,10 @@ impl EdgeListBuilder {
 }
 
 /// The trivial buffered source: replays the in-memory edge list (and its
-/// lock-step weights buffer) as zero-copy chunk slices. Kept so the
-/// push-style builder API rides the same construction engine as the true
-/// streaming producers.
+/// lock-step weights buffer) as zero-copy chunk slices, partitioned by
+/// slice ranges (every id was checked against `n` on insertion). Kept so
+/// the push-style builder API rides the same construction engine as the
+/// true streaming producers.
 impl<W: EdgeWeight> EdgeSource<W> for EdgeListBuilder<W> {
     fn num_vertices(&self) -> usize {
         self.n
@@ -155,10 +156,23 @@ impl<W: EdgeWeight> EdgeSource<W> for EdgeListBuilder<W> {
     }
 
     fn replay(&self, emit: &mut ChunkFn<'_, W>) -> std::io::Result<()> {
-        for (chunk, wchunk) in self
-            .edges
+        self.replay_part(0, 1, emit)
+    }
+
+    fn parts(&self) -> usize {
+        self.edges.len().div_ceil(CHUNK_EDGES).max(1)
+    }
+
+    fn replay_part(
+        &self,
+        part: usize,
+        parts: usize,
+        emit: &mut ChunkFn<'_, W>,
+    ) -> std::io::Result<()> {
+        let r = stream::part_range(self.edges.len(), part, parts);
+        for (chunk, wchunk) in self.edges[r.clone()]
             .chunks(CHUNK_EDGES)
-            .zip(self.weights.chunks(CHUNK_EDGES))
+            .zip(self.weights[r].chunks(CHUNK_EDGES))
         {
             emit(chunk, wchunk);
         }

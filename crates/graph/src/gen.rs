@@ -13,15 +13,29 @@
 //! [`EdgeSource`] by *re-running* the seeded generator on every replay, so
 //! [`generate`] feeds the two-pass builder ([`crate::stream`]) without
 //! ever buffering the edge list. Regeneration trades a second pass of
-//! (cheap) RNG work for ~8 bytes per raw edge of peak memory.
+//! RNG work for ~8 bytes per raw edge of peak memory.
+//!
+//! That RNG work runs on every core. R-MAT draws exactly `scale` values
+//! per edge, Erdős–Rényi two and k-out one, and SplitMix64's state is a
+//! Weyl sequence, so [`SplitMix64::advance`] jumps to any edge's draws in
+//! O(1): these three families split a replay into edge-index ranges
+//! ([`EdgeSource::replay_part`], about one partition per
+//! [`CHUNK_EDGES`] edges) that reproduce the sequential stream pair for
+//! pair, weights included (they hash the global edge index). The
+//! builder replays the partitions concurrently. Barabási–Albert (each
+//! draw reads the endpoint list built so far) and the planted coloring
+//! (rejection sampling: edge `e`'s draws depend on earlier rejections)
+//! stay one sequential partition, as do the deterministic families.
 
 use crate::compact::CompactCsr;
 use crate::stream::{
-    build_compact_with_stats, build_weighted_with_stats, BuildStats, ChunkFn, EdgeSink, EdgeSource,
+    build_compact_with_stats, build_weighted_with_stats, part_range, BuildStats, ChunkFn, EdgeSink,
+    EdgeSource, CHUNK_EDGES,
 };
 use crate::weight::EdgeWeight;
 use crate::weighted::WeightedCsr;
 use pgc_primitives::{hash_mix, SplitMix64};
+use std::ops::Range;
 
 /// A recipe for a synthetic graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -176,6 +190,23 @@ impl SpecSource {
     }
 }
 
+impl SpecSource {
+    /// The raw edge count of a family whose edge `e` is a pure function
+    /// of `(seed, e)` — a fixed number of draws per edge, so any edge range
+    /// starts with one [`SplitMix64::advance`]. `None` for the stateful
+    /// (Barabási–Albert) and rejection-sampled (planted coloring)
+    /// generators, and for the deterministic families, which are cheap
+    /// enough to replay whole.
+    fn partitioned_edges(&self) -> Option<usize> {
+        match self.spec {
+            GraphSpec::Rmat { .. } | GraphSpec::ErdosRenyi { .. } | GraphSpec::KOut { .. } => {
+                Some(self.spec.raw_edge_hint())
+            }
+            _ => None,
+        }
+    }
+}
+
 impl<W: EdgeWeight> EdgeSource<W> for SpecSource {
     fn num_vertices(&self) -> usize {
         self.spec.n()
@@ -183,6 +214,11 @@ impl<W: EdgeWeight> EdgeSource<W> for SpecSource {
 
     fn edge_hint(&self) -> Option<usize> {
         Some(self.spec.raw_edge_hint())
+    }
+
+    fn parts(&self) -> usize {
+        self.partitioned_edges()
+            .map_or(1, |m| m.div_ceil(CHUNK_EDGES).max(1))
     }
 
     fn buffered_bytes(&self) -> usize {
@@ -197,16 +233,33 @@ impl<W: EdgeWeight> EdgeSource<W> for SpecSource {
     }
 
     fn replay(&self, emit: &mut ChunkFn<'_, W>) -> std::io::Result<()> {
+        self.replay_part(0, 1, emit)
+    }
+
+    fn replay_part(
+        &self,
+        part: usize,
+        parts: usize,
+        emit: &mut ChunkFn<'_, W>,
+    ) -> std::io::Result<()> {
+        let edges = match self.partitioned_edges() {
+            Some(m) => part_range(m, part, parts),
+            // Sequential families replay whole, as partition 0.
+            None if part == 0 => 0..self.spec.raw_edge_hint(),
+            None => return Ok(()),
+        };
         let mut sink = EdgeSink::new(emit);
         if W::IS_UNIT {
             // The unweighted fast path: no weight hashing at all.
-            emit_edges(&self.spec, self.seed, &mut |u, v| {
+            emit_edges(&self.spec, self.seed, edges, &mut |u, v| {
                 sink.push_weighted(u, v, W::default());
             });
         } else {
+            // Weights hash the *global* emission index, so a partition's
+            // weights equal the whole replay's at the same positions.
             let wseed = hash_mix(self.seed ^ WEIGHT_STREAM_SALT);
-            let mut i = 0u64;
-            emit_edges(&self.spec, self.seed, &mut |u, v| {
+            let mut i = edges.start as u64;
+            emit_edges(&self.spec, self.seed, edges, &mut |u, v| {
                 sink.push_weighted(u, v, W::from_f64(seeded_weight(wseed, i)));
                 i += 1;
             });
@@ -271,19 +324,22 @@ pub fn generate_weighted_with_stats<W: EdgeWeight>(
         .expect("generator replay cannot fail")
 }
 
-/// Run one seeded generation, pushing every raw edge into `push`.
-fn emit_edges(spec: &GraphSpec, seed: u64, push: &mut impl FnMut(u32, u32)) {
+/// Run one seeded generation, pushing raw edges `edges` (by global edge
+/// index) into `push`. Only the partitionable families (see
+/// [`SpecSource::partitioned_edges`]) honor the range; the others are
+/// only ever asked for everything and emit their whole stream.
+fn emit_edges(spec: &GraphSpec, seed: u64, edges: Range<usize>, push: &mut impl FnMut(u32, u32)) {
     match *spec {
-        GraphSpec::ErdosRenyi { n, m } => erdos_renyi(n, m, seed, push),
+        GraphSpec::ErdosRenyi { n, .. } => erdos_renyi(n, seed, edges, push),
         GraphSpec::BarabasiAlbert { n, attach } => barabasi_albert(n, attach, seed, push),
-        GraphSpec::Rmat { scale, edge_factor } => rmat(scale, edge_factor, seed, push),
+        GraphSpec::Rmat { scale, .. } => rmat(scale, seed, edges, push),
         GraphSpec::Grid2d { rows, cols } => grid2d(rows, cols, push),
         GraphSpec::RingOfCliques {
             cliques,
             clique_size,
         } => ring_of_cliques(cliques, clique_size, push),
         GraphSpec::PlantedColoring { n, k, m } => planted_coloring(n, k, m, seed, push),
-        GraphSpec::KOut { n, k } => k_out(n, k, seed, push),
+        GraphSpec::KOut { n, k } => k_out(n, k, seed, edges, push),
         GraphSpec::Complete { n } => complete(n, push),
         GraphSpec::Path { n } => path(n, push),
         GraphSpec::Cycle { n } => cycle(n, push),
@@ -292,12 +348,14 @@ fn emit_edges(spec: &GraphSpec, seed: u64, push: &mut impl FnMut(u32, u32)) {
     }
 }
 
-fn erdos_renyi(n: usize, m: usize, seed: u64, push: &mut impl FnMut(u32, u32)) {
+/// Edges `edges` of `G(n, m)`: two draws per edge.
+fn erdos_renyi(n: usize, seed: u64, edges: Range<usize>, push: &mut impl FnMut(u32, u32)) {
     let mut rng = SplitMix64::new(seed ^ 0xE2D0);
     if n < 2 {
         return;
     }
-    for _ in 0..m {
+    rng.advance((edges.start as u64).wrapping_mul(2));
+    for _ in edges {
         let u = rng.below(n as u32);
         let v = rng.below(n as u32);
         push(u, v);
@@ -338,24 +396,21 @@ fn barabasi_albert(n: usize, attach: usize, seed: u64, push: &mut impl FnMut(u32
     }
 }
 
-fn rmat(scale: u32, edge_factor: usize, seed: u64, push: &mut impl FnMut(u32, u32)) {
-    let n = 1usize << scale;
-    let m = n * edge_factor;
+/// Edges `edges` of R-MAT: `scale` draws per edge, one quadrant each.
+fn rmat(scale: u32, seed: u64, edges: Range<usize>, push: &mut impl FnMut(u32, u32)) {
     let (a, bb, c) = (0.57, 0.19, 0.19);
+    let (ab, abc) = (a + bb, a + bb + c);
     let mut rng = SplitMix64::new(seed ^ 0x50A7);
-    for _ in 0..m {
+    rng.advance((edges.start as u64).wrapping_mul(scale as u64));
+    for _ in edges {
         let (mut u, mut v) = (0u32, 0u32);
         for _ in 0..scale {
+            // Quadrants [0,a) → (0,0), [a,a+b) → (0,1), [a+b,a+b+c) →
+            // (1,0), rest → (1,1), as branch-free comparisons (the
+            // quadrant is a coin flip the predictor cannot learn).
             let r = rng.f64();
-            let (ubit, vbit) = if r < a {
-                (0, 0)
-            } else if r < a + bb {
-                (0, 1)
-            } else if r < a + bb + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let ubit = (r >= ab) as u32;
+            let vbit = (((r >= a) & (r < ab)) | (r >= abc)) as u32;
             u = (u << 1) | ubit;
             v = (v << 1) | vbit;
         }
@@ -414,19 +469,20 @@ fn planted_coloring(n: usize, k: u32, m: usize, seed: u64, push: &mut impl FnMut
     }
 }
 
-fn k_out(n: usize, k: usize, seed: u64, push: &mut impl FnMut(u32, u32)) {
+/// Edges `edges` of k-out: edge `e` is vertex `e / k`'s draw, one each.
+fn k_out(n: usize, k: usize, seed: u64, edges: Range<usize>, push: &mut impl FnMut(u32, u32)) {
     let mut rng = SplitMix64::new(seed ^ 0x0C07);
     if n < 2 {
         return;
     }
-    for v in 0..n as u32 {
-        for _ in 0..k {
-            let mut u = rng.below(n as u32);
-            if u == v {
-                u = (u + 1) % n as u32;
-            }
-            push(v, u);
+    rng.advance(edges.start as u64);
+    for e in edges {
+        let v = (e / k) as u32;
+        let mut u = rng.below(n as u32);
+        if u == v {
+            u = (u + 1) % n as u32;
         }
+        push(v, u);
     }
 }
 

@@ -31,7 +31,9 @@
 //! intra/halo degree count against those boundaries, then **one scatter
 //! replay per shard** — so only a single shard's scatter arrays are ever
 //! live at once and peak build memory is `O(n + 2m/S + halo)` instead of
-//! `O(n + 2m)`. With [`ShardOptions::spill_dir`] set, each finished shard
+//! `O(n + 2m)`. Every replay goes through the monolithic builder's
+//! driver, so partitionable sources replay in parallel here too. With
+//! [`ShardOptions::spill_dir`] set, each finished shard
 //! is serialized to `shard-NNNN.pgcs`, dropped, and `mmap`-reopened
 //! ([`MappedSnapshot`]), so even the *finished* local CSRs live in the
 //! page cache rather than the heap; halos always stay resident. One
@@ -41,7 +43,9 @@
 
 use crate::compact::CompactCsr;
 use crate::snapshot::{write_weighted_snapshot, MappedSnapshot, SNAPSHOT_EXT};
-use crate::stream::{as_atomic_u32s, grow_counts, BuildStats, EdgeSource, Peak, SharedMut};
+use crate::stream::{
+    as_atomic_u32s, count_degrees, par_replay, BuildStats, EdgeSource, Peak, SharedMut,
+};
 use crate::view::{GraphMemory, GraphView, WeightedView};
 use crate::weight::EdgeWeight;
 use crate::weighted::WeightedCsr;
@@ -605,42 +609,8 @@ fn build_raw_sharded<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
 
     // ---- replay 1: global degree count (discovers n, picks bounds) ---
     let count_span = pgc_obs::span!("ingest.count");
-    let declared = src.num_vertices();
-    let mut counts: Vec<u32> = vec![0; declared];
-    peak.alloc(counts.capacity() * 4);
-    let mut n = declared;
-    let mut raw_edges = 0usize;
-    let mut malformed = false;
-    src.replay(&mut |chunk, wchunk| {
-        raw_edges += chunk.len();
-        if !W::IS_UNIT && wchunk.len() != chunk.len() {
-            malformed = true;
-            return;
-        }
-        if let Some(mx) = chunk.iter().map(|&(u, v)| u.max(v)).max() {
-            let need = mx as usize + 1;
-            n = n.max(need);
-            if counts.len() < need {
-                grow_counts(&mut counts, need, &mut peak);
-            }
-        }
-        let counts = as_atomic_u32s(&mut counts);
-        for_each_chunk(chunk.len(), |r| {
-            for &(u, v) in &chunk[r] {
-                if u != v {
-                    counts[u as usize].fetch_add(1, Ordering::Relaxed);
-                    counts[v as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-    })?;
-    if malformed {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "weighted EdgeSource emitted a weights chunk shorter or longer than its pair chunk",
-        ));
-    }
-    counts.truncate(n);
+    let (counts, raw_edges) = count_degrees(src, &mut peak)?;
+    let n = counts.len();
     let total = reduce_sum_u64(&counts, |&c| c as u64) as usize;
     let boundaries = arc_balanced_boundaries(&counts, total, opts.num_shards);
     let counts_bytes = counts.capacity() * 4;
@@ -659,27 +629,29 @@ fn build_raw_sharded<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
         let intra_at = as_atomic_u32s(&mut intra);
         let halo_at = as_atomic_u32s(&mut halo_cnt);
         let (boundaries, diverged) = (&boundaries, &diverged);
-        src.replay(&mut |chunk, _| {
-            for_each_chunk(chunk.len(), |r| {
-                for &(u, v) in &chunk[r] {
-                    if u == v {
-                        continue;
-                    }
-                    let (ui, vi) = (u as usize, v as usize);
-                    if ui >= n || vi >= n {
-                        diverged.store(true, Ordering::Relaxed);
-                        continue;
-                    }
-                    let same = boundaries.partition_point(|&b| b <= u)
-                        == boundaries.partition_point(|&b| b <= v);
-                    let tgt = if same { &intra_at } else { &halo_at };
-                    tgt[ui].fetch_add(1, Ordering::Relaxed);
-                    tgt[vi].fetch_add(1, Ordering::Relaxed);
+        par_replay(src, |chunk, _: &[W]| {
+            for &(u, v) in chunk {
+                if u == v {
+                    continue;
                 }
-            });
+                let (ui, vi) = (u as usize, v as usize);
+                if ui >= n || vi >= n {
+                    diverged.store(true, Ordering::Relaxed);
+                    continue;
+                }
+                let same = boundaries.partition_point(|&b| b <= u)
+                    == boundaries.partition_point(|&b| b <= v);
+                let tgt = if same { &intra_at } else { &halo_at };
+                tgt[ui].fetch_add(1, Ordering::Relaxed);
+                tgt[vi].fetch_add(1, Ordering::Relaxed);
+            }
         })?;
     }
-    if diverged.load(Ordering::Relaxed) {
+    // The shard scatters are checked against this split, so the split
+    // itself must account for every arc replay 1 counted.
+    let split_total =
+        reduce_sum_u64(&intra, |&c| c as u64) + reduce_sum_u64(&halo_cnt, |&c| c as u64);
+    if diverged.load(Ordering::Relaxed) || split_total != total as u64 {
         return Err(diverged_err());
     }
     drop(split_span);
@@ -720,58 +692,50 @@ fn build_raw_sharded<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
             let loc_w = SharedMut(loc_wts.as_mut_ptr());
             let halo_w = SharedMut(halo_wts.as_mut_ptr());
             let (loc_cur, halo_cur, diverged) = (&loc_cur, &halo_cur, &diverged);
-            src.replay(&mut |chunk, wchunk| {
-                if !W::IS_UNIT && wchunk.len() != chunk.len() {
-                    diverged.store(true, Ordering::Relaxed);
-                    return;
-                }
-                let (loc_w, halo_w) = (&loc_w, &halo_w);
-                for_each_chunk(chunk.len(), |r| {
-                    for i in r {
-                        let (u, v) = chunk[i];
-                        if u == v {
-                            continue;
-                        }
-                        if u as usize >= n || v as usize >= n {
+            let (loc_w, halo_w) = (&loc_w, &halo_w);
+            par_replay(src, |chunk, wchunk: &[W]| {
+                for (i, &(u, v)) in chunk.iter().enumerate() {
+                    if u == v {
+                        continue;
+                    }
+                    if u as usize >= n || v as usize >= n {
+                        diverged.store(true, Ordering::Relaxed);
+                        continue;
+                    }
+                    let u_in = u >= base && u < end;
+                    let v_in = v >= base && v < end;
+                    if u_in && v_in {
+                        let su = loc_cur[(u - base) as usize].fetch_add(1, Ordering::Relaxed);
+                        let sv = loc_cur[(v - base) as usize].fetch_add(1, Ordering::Relaxed);
+                        if su >= loc_total || sv >= loc_total {
                             diverged.store(true, Ordering::Relaxed);
                             continue;
                         }
-                        let u_in = u >= base && u < end;
-                        let v_in = v >= base && v < end;
-                        if u_in && v_in {
-                            let su = loc_cur[(u - base) as usize].fetch_add(1, Ordering::Relaxed);
-                            let sv = loc_cur[(v - base) as usize].fetch_add(1, Ordering::Relaxed);
-                            if su >= loc_total || sv >= loc_total {
-                                diverged.store(true, Ordering::Relaxed);
-                                continue;
-                            }
-                            loc_slots[su].store(v - base, Ordering::Relaxed);
-                            loc_slots[sv].store(u - base, Ordering::Relaxed);
-                            if !W::IS_UNIT {
-                                // SAFETY: slots claimed by this iteration's
-                                // unique cursor bumps.
-                                unsafe {
-                                    loc_w.write(su, wchunk[i]);
-                                    loc_w.write(sv, wchunk[i]);
-                                }
-                            }
-                        } else if u_in || v_in {
-                            let (own, other) = if u_in { (u, v) } else { (v, u) };
-                            let so =
-                                halo_cur[(own - base) as usize].fetch_add(1, Ordering::Relaxed);
-                            if so >= halo_total {
-                                diverged.store(true, Ordering::Relaxed);
-                                continue;
-                            }
-                            halo_slots[so].store(other, Ordering::Relaxed);
-                            if !W::IS_UNIT {
-                                // SAFETY: slot claimed by this iteration's
-                                // unique cursor bump.
-                                unsafe { halo_w.write(so, wchunk[i]) };
+                        loc_slots[su].store(v - base, Ordering::Relaxed);
+                        loc_slots[sv].store(u - base, Ordering::Relaxed);
+                        if !W::IS_UNIT {
+                            // SAFETY: slots claimed by this iteration's
+                            // unique cursor bumps.
+                            unsafe {
+                                loc_w.write(su, wchunk[i]);
+                                loc_w.write(sv, wchunk[i]);
                             }
                         }
+                    } else if u_in || v_in {
+                        let (own, other) = if u_in { (u, v) } else { (v, u) };
+                        let so = halo_cur[(own - base) as usize].fetch_add(1, Ordering::Relaxed);
+                        if so >= halo_total {
+                            diverged.store(true, Ordering::Relaxed);
+                            continue;
+                        }
+                        halo_slots[so].store(other, Ordering::Relaxed);
+                        if !W::IS_UNIT {
+                            // SAFETY: slot claimed by this iteration's
+                            // unique cursor bump.
+                            unsafe { halo_w.write(so, wchunk[i]) };
+                        }
                     }
-                });
+                }
             })?;
         }
         let cursors_short = (0..sn).any(|lv| {
@@ -972,6 +936,27 @@ mod tests {
         assert_eq!(GraphView::min_degree(&sh), 0);
         let sh = build_sharded(&src, &ShardOptions::resident(9)).unwrap();
         assert_eq!(sh.n(), 5, "more shards than vertices");
+    }
+
+    #[test]
+    fn hostile_partitions_are_errors_not_panics() {
+        use crate::stream::tests::{Breach, Hostile};
+        for (breach, msg) in [
+            (Breach::IdOutOfRange, "num_vertices"),
+            (Breach::ShortAfterFirst, "diverged"),
+            (Breach::WeightsShort, "weights chunk"),
+        ] {
+            for (width, shards) in [(1, 2), (2, 3), (8, 1)] {
+                let src = Hostile::new(breach);
+                let Err(err) = pgc_par::install(width, || {
+                    build_sharded_weighted::<f32, _>(&src, &ShardOptions::resident(shards))
+                }) else {
+                    panic!("{breach:?} built a graph");
+                };
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{breach:?}");
+                assert!(err.to_string().contains(msg), "{breach:?}: {err}");
+            }
+        }
     }
 
     #[test]

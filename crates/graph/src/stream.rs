@@ -8,12 +8,14 @@
 //! twice — an 8-byte `(u32, u32)` list plus a 16-byte symmetrized `u64`
 //! arc array — before sorting; ~24 bytes per raw edge of transient
 //! allocation, more than the finished CSR itself. The streaming engine
-//! replaces that with two replays of the source:
+//! replaces that with two replays of the source, each run by one driver
+//! over the `pgc-par` pool:
 //!
 //! ```text
 //!            ┌───────────── pass 1 (count) ─────────────┐
-//!  EdgeSource ──chunks──▶ parallel degree count (atomics, self-loops
-//!                         dropped, n grown to max id + 1)
+//!  EdgeSource ──replay──▶ parallel degree count (atomics, self-loops
+//!                         dropped; one part: n grown to max id + 1,
+//!                         several parts: n = num_vertices())
 //!                              │
 //!                              ▼
 //!                 parallel exclusive prefix sum
@@ -21,7 +23,7 @@
 //!                  u32 offsets while the arc total fits)
 //!                              │
 //!            ┌───────────── pass 2 (scatter) ───────────┐
-//!  EdgeSource ──chunks──▶ atomic per-vertex cursors scatter each arc —
+//!  EdgeSource ──replay──▶ atomic per-vertex cursors scatter each arc —
 //!                         and, for weighted payloads, its weight into a
 //!                         neighbor-parallel weights array — directly
 //!                         into place
@@ -30,7 +32,17 @@
 //!                 per-vertex parallel sort + in-place dedup
 //!                 (weights co-permuted, duplicates keep the max;
 //!                  compaction pass only if duplicates existed)
+//!
+//!  each "replay" above:
+//!    parts() = 1  ─▶ one sequential replay; each chunk fanned out
+//!                    with for_each_chunk
+//!    parts() = P  ─▶ min(P, 4 × width) replay_part calls run as pool
+//!                    tasks, each processing its own chunks
 //! ```
+//!
+//! Both passes see the same multiset of pairs whatever the partitioning
+//! and schedule, and the per-vertex sort erases scatter order, so the
+//! finished arrays are identical at every width and partition count.
 //!
 //! The whole engine is generic over an edge payload `W:`
 //! [`EdgeWeight`]: sources replay `(u, v)` chunks *plus* a parallel
@@ -51,10 +63,11 @@
 //!
 //! Every producer in the workspace builds through this engine: the
 //! generators replay by seeded regeneration ([`crate::gen::SpecSource`],
-//! including replay-exact seeded weights), the readers by re-scanning
-//! their file ([`crate::io::EdgeListSource`] and friends), and
-//! [`EdgeListBuilder`](crate::EdgeListBuilder) acts as the trivial
-//! buffered source for API compatibility.
+//! including replay-exact seeded weights; R-MAT, Erdős–Rényi and k-out
+//! partition by jumping their RNG ahead), the readers by re-scanning
+//! their file ([`crate::io::EdgeListSource`] and friends, one partition),
+//! and [`EdgeListBuilder`](crate::EdgeListBuilder) acts as the trivial
+//! buffered source (partitioned by slice ranges) for API compatibility.
 
 use crate::compact::{CompactCsr, Offsets};
 use crate::csr::CsrGraph;
@@ -92,11 +105,18 @@ pub type ChunkFn<'a, W = ()> = dyn FnMut(&[(u32, u32)], &[W]) + 'a;
 /// duplicates permitted; loops are dropped and duplicates merged by
 /// [`EdgeWeight::merge_parallel`] — the max — while the builder also
 /// materializes the reverse direction of every arc, carrying the same
-/// weight both ways). The builder consumes it with **two sequential
-/// replays** — one to count degrees, one to scatter neighbors and
-/// weights — so implementations must yield the *identical* sequence on
-/// every [`replay`](Self::replay) call: buffered slices, a seeded
-/// generator re-run, or a second scan of a file all qualify.
+/// weight both ways). The builder consumes it with **two replays** — one
+/// to count degrees, one to scatter neighbors and weights — so
+/// implementations must yield the *identical* sequence on every
+/// [`replay`](Self::replay) call: buffered slices, a seeded generator
+/// re-run, or a second scan of a file all qualify.
+///
+/// A replay is sequential unless the source can split it: a source with
+/// [`parts`](Self::parts)` > 1` is replayed as that many (capped by the
+/// pool width) concurrent [`replay_part`](Self::replay_part) calls, whose
+/// in-order concatenation must equal `replay()`. Seeded generators jump
+/// their RNG to each partition's first edge, buffered lists hand out
+/// slice ranges; file readers keep the default single partition.
 ///
 /// One documented limit: raw (pre-dedup) incident pairs are counted per
 /// vertex in `u32`, so a single vertex appearing in ≥ 2³² raw pairs
@@ -143,6 +163,42 @@ pub trait EdgeSource<W: EdgeWeight = ()>: Sync {
     /// same sequence. Implementations that produce edges one at a time
     /// can wrap `emit` in an [`EdgeSink`] to get the chunking for free.
     fn replay(&self, emit: &mut ChunkFn<'_, W>) -> io::Result<()>;
+
+    /// How many independent pieces [`replay_part`](Self::replay_part)
+    /// can usefully split one replay into — a property of the input
+    /// (typically its raw edge count over [`CHUNK_EDGES`]), not a tuning
+    /// knob. The builder replays at most `min(parts(), 4 × pool width)`
+    /// partitions concurrently; `1` (the default) keeps the sequential
+    /// replay with chunk-parallel processing.
+    fn parts(&self) -> usize {
+        1
+    }
+
+    /// Stream partition `part` of `parts` (`part < parts`, for *any*
+    /// `parts ≥ 1`, not just [`parts()`](Self::parts)). The contract:
+    /// concatenating partitions `0..parts` in order yields exactly the
+    /// pairs and weights of [`replay`](Self::replay), and a source whose
+    /// `parts()` exceeds 1 emits only ids below
+    /// [`num_vertices`](Self::num_vertices) — concurrent partitions
+    /// cannot grow `n`, so the builder rejects such an id with
+    /// `InvalidData`. The default replays everything as partition 0 and
+    /// leaves the others empty, which meets the contract for any source.
+    fn replay_part(&self, part: usize, parts: usize, emit: &mut ChunkFn<'_, W>) -> io::Result<()> {
+        debug_assert!(part < parts);
+        if part == 0 {
+            self.replay(emit)
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// The index range partition `part` of `parts` covers in a sequence of
+/// `len` items: consecutive, in order, near-equal, and tiling `0..len`
+/// for any `parts ≥ 1` (partitions beyond `len` come out empty).
+pub(crate) fn part_range(len: usize, part: usize, parts: usize) -> std::ops::Range<usize> {
+    let at = |p: usize| (len as u128 * p as u128 / parts as u128) as usize;
+    at(part)..at(part + 1)
 }
 
 /// Chunking adapter for [`EdgeSource::replay`] implementations: push
@@ -484,45 +540,7 @@ fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
 
     // ---- pass 1: parallel degree count, discovering n ----------------
     let count_span = pgc_obs::span!("ingest.count");
-    let declared = src.num_vertices();
-    let mut counts: Vec<u32> = vec![0; declared]; // zeroed pages, no init pass
-    peak.alloc(counts.capacity() * 4);
-    let mut n = declared;
-    let mut raw_edges = 0usize;
-    let mut malformed = false;
-    src.replay(&mut |chunk, wchunk| {
-        raw_edges += chunk.len();
-        if !W::IS_UNIT && wchunk.len() != chunk.len() {
-            malformed = true;
-            return;
-        }
-        if let Some(mx) = chunk.iter().map(|&(u, v)| u.max(v)).max() {
-            let need = mx as usize + 1;
-            n = n.max(need);
-            if counts.len() < need {
-                grow_counts(&mut counts, need, &mut peak);
-            }
-        }
-        let counts = as_atomic_u32s(&mut counts);
-        for_each_chunk(chunk.len(), |r| {
-            for &(u, v) in &chunk[r] {
-                if u != v {
-                    counts[u as usize].fetch_add(1, Ordering::Relaxed);
-                    counts[v as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-    })?;
-    if malformed {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "weighted EdgeSource emitted a weights chunk shorter or longer than its pair chunk",
-        ));
-    }
-
-    // Geometric growth may have overshot: only `0..n` are real vertices
-    // (the tail is all-zero by construction).
-    counts.truncate(n);
+    let (counts, raw_edges) = count_degrees(src, &mut peak)?;
     let total = reduce_sum_u64(&counts, |&c| c as u64) as usize;
     drop(count_span);
 
@@ -541,16 +559,169 @@ fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     Ok((raw, weights, stats))
 }
 
-/// Grow the count array to at least `need` entries (geometric, so
-/// id-discovering sources pay amortized O(n) for growth; accounting
-/// tracks the capacity actually reserved).
-pub(crate) fn grow_counts(counts: &mut Vec<u32>, need: usize, peak: &mut Peak) {
-    if counts.len() >= need {
-        return;
+/// Partitions the replay driver runs per pool strand: a few more than
+/// one, so uneven partitions (hub-heavy ranges, a preempted worker)
+/// still balance by stealing.
+const PARTS_PER_WORKER: usize = 4;
+
+fn weights_chunk_err() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "weighted EdgeSource emitted a weights chunk shorter or longer than its pair chunk",
+    )
+}
+
+/// The replay driver behind every builder pass, here and in
+/// [`crate::sharded`]: replays `src` once over the `pgc-par` pool and
+/// hands each raw pair to `body` exactly once — in sub-slices of the
+/// source's chunks, with the matching weights (possibly empty when
+/// `W::IS_UNIT`), concurrently. Returns the raw pair count.
+///
+/// A one-part source replays sequentially and each chunk fans out with
+/// `for_each_chunk`; before that, `grow` sees the whole chunk with
+/// exclusive access to `state` (the count pass grows `n` there). A
+/// source with more [`parts`](EdgeSource::parts) replays
+/// `min(parts, 4 × width)` partitions as pool tasks and never calls
+/// `grow`, so `body` must reject ids `state` cannot hold. A weights chunk
+/// whose length differs from its pair chunk is `InvalidData` on both
+/// paths.
+fn replay_with<W, S, T>(
+    src: &S,
+    state: &mut T,
+    mut grow: impl FnMut(&mut T, &[(u32, u32)]),
+    body: impl Fn(&T, &[(u32, u32)], &[W]) + Sync,
+) -> io::Result<usize>
+where
+    W: EdgeWeight,
+    S: EdgeSource<W> + ?Sized,
+    T: Sync,
+{
+    let parts = src.parts().min(PARTS_PER_WORKER * pgc_par::current_width());
+    if parts <= 1 {
+        let mut raw = 0usize;
+        let mut malformed = false;
+        src.replay(&mut |chunk, wchunk| {
+            if !W::IS_UNIT && wchunk.len() != chunk.len() {
+                malformed = true;
+                return;
+            }
+            raw += chunk.len();
+            grow(state, chunk);
+            let state = &*state;
+            for_each_chunk(chunk.len(), |r| {
+                let weights = if W::IS_UNIT { &[] } else { &wchunk[r.clone()] };
+                body(state, &chunk[r], weights);
+            });
+        })?;
+        return if malformed {
+            Err(weights_chunk_err())
+        } else {
+            Ok(raw)
+        };
     }
-    let old_cap = counts.capacity();
-    counts.resize(need.max(counts.len() * 2), 0);
-    peak.alloc((counts.capacity() - old_cap) * 4);
+    let state = &*state;
+    pgc_par::map_reduce_chunks(
+        parts,
+        1,
+        |range| {
+            let mut raw = 0usize;
+            for part in range {
+                let mut malformed = false;
+                src.replay_part(part, parts, &mut |chunk, wchunk| {
+                    if !W::IS_UNIT && wchunk.len() != chunk.len() {
+                        malformed = true;
+                        return;
+                    }
+                    raw += chunk.len();
+                    body(state, chunk, wchunk);
+                })?;
+                if malformed {
+                    return Err(weights_chunk_err());
+                }
+            }
+            Ok(raw)
+        },
+        |a, b| Ok(a? + b?),
+    )
+    .unwrap_or(Ok(0))
+}
+
+/// [`replay_with`] for the passes whose arrays are sized up front.
+pub(crate) fn par_replay<W, S>(
+    src: &S,
+    body: impl Fn(&[(u32, u32)], &[W]) + Sync,
+) -> io::Result<usize>
+where
+    W: EdgeWeight,
+    S: EdgeSource<W> + ?Sized,
+{
+    replay_with(
+        src,
+        &mut (),
+        |_, _| {},
+        |_, pairs, weights| body(pairs, weights),
+    )
+}
+
+/// Pass 1, shared with the sharded builder: each vertex's count of raw
+/// non-loop incident pairs, sized to the discovered `n`, plus the raw
+/// pair count. A one-part source may grow `n` past `num_vertices()`
+/// (geometrically, so id-discovering sources pay amortized O(n), and the
+/// accounting tracks the capacity actually reserved). A partitioned
+/// source may not — its parts count concurrently into the declared array
+/// — so an out-of-range id from it is `InvalidData`.
+pub(crate) fn count_degrees<W, S>(src: &S, peak: &mut Peak) -> io::Result<(Vec<u32>, usize)>
+where
+    W: EdgeWeight,
+    S: EdgeSource<W> + ?Sized,
+{
+    let declared = src.num_vertices();
+    let mut counts: Vec<AtomicU32> = (0..declared).map(|_| AtomicU32::new(0)).collect();
+    peak.alloc(counts.capacity() * 4);
+    let mut n = declared;
+    let out_of_range = AtomicBool::new(false);
+    let raw = replay_with(
+        src,
+        &mut counts,
+        |counts, chunk| {
+            let Some(mx) = chunk.iter().map(|&(u, v)| u.max(v)).max() else {
+                return;
+            };
+            let need = mx as usize + 1;
+            n = n.max(need);
+            if counts.len() < need {
+                let old_cap = counts.capacity();
+                counts.resize_with(need.max(counts.len() * 2), || AtomicU32::new(0));
+                peak.alloc((counts.capacity() - old_cap) * 4);
+            }
+        },
+        |counts, chunk, _| {
+            for &(u, v) in chunk {
+                let (ui, vi) = (u as usize, v as usize);
+                if ui.max(vi) >= counts.len() {
+                    out_of_range.store(true, Ordering::Relaxed);
+                } else if u != v {
+                    counts[ui].fetch_add(1, Ordering::Relaxed);
+                    counts[vi].fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        },
+    )?;
+    if out_of_range.load(Ordering::Relaxed) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "partitioned EdgeSource emitted a vertex id >= num_vertices()",
+        ));
+    }
+    // Back to plain words, in place (same allocation); geometric growth
+    // may have overshot, and only `0..n` are real vertices (the tail is
+    // all-zero by construction).
+    let cap = counts.capacity();
+    let mut counts: Vec<u32> = counts.into_iter().map(AtomicU32::into_inner).collect();
+    peak.free(cap * 4);
+    peak.alloc(counts.capacity() * 4);
+    counts.truncate(n);
+    Ok((counts, raw))
 }
 
 /// Pass 2 at a fixed offset width: prefix-sum the counts, replay the
@@ -594,46 +765,38 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
         let cursors = O::as_cursors(&mut cursor_words);
         let slots = as_atomic_u32s(&mut neighbors);
         let wslots = SharedMut(weights.as_mut_ptr());
-        let diverged = &diverged;
-        src.replay(&mut |chunk, wchunk| {
-            if !W::IS_UNIT && wchunk.len() != chunk.len() {
-                diverged.store(true, Ordering::Relaxed);
-                return;
-            }
-            let wslots = &wslots;
-            for_each_chunk(chunk.len(), |r| {
-                for i in r {
-                    let (u, v) = chunk[i];
-                    if u == v {
-                        continue;
-                    }
-                    let (ui, vi) = (u as usize, v as usize);
-                    // A pass-2 replay that grew (file appended to between
-                    // the two scans) can present ids or arcs pass 1 never
-                    // counted; skip them and report divergence instead of
-                    // panicking on the slice bounds.
-                    if ui >= n || vi >= n {
-                        diverged.store(true, Ordering::Relaxed);
-                        continue;
-                    }
-                    let (su, sv) = (cursors[ui].bump(), cursors[vi].bump());
-                    if su >= total || sv >= total {
-                        diverged.store(true, Ordering::Relaxed);
-                        continue;
-                    }
-                    slots[su].store(v, Ordering::Relaxed);
-                    slots[sv].store(u, Ordering::Relaxed);
-                    if !W::IS_UNIT {
-                        // SAFETY: `su`/`sv` were claimed by exactly this
-                        // iteration's cursor bumps; no other writer can
-                        // hold the same slot.
-                        unsafe {
-                            wslots.write(su, wchunk[i]);
-                            wslots.write(sv, wchunk[i]);
-                        }
+        let (wslots, diverged) = (&wslots, &diverged);
+        par_replay(src, |chunk, wchunk: &[W]| {
+            for (i, &(u, v)) in chunk.iter().enumerate() {
+                if u == v {
+                    continue;
+                }
+                let (ui, vi) = (u as usize, v as usize);
+                // A pass-2 replay that grew (file appended to between
+                // the two scans) can present ids or arcs pass 1 never
+                // counted; skip them and report divergence instead of
+                // panicking on the slice bounds.
+                if ui >= n || vi >= n {
+                    diverged.store(true, Ordering::Relaxed);
+                    continue;
+                }
+                let (su, sv) = (cursors[ui].bump(), cursors[vi].bump());
+                if su >= total || sv >= total {
+                    diverged.store(true, Ordering::Relaxed);
+                    continue;
+                }
+                slots[su].store(v, Ordering::Relaxed);
+                slots[sv].store(u, Ordering::Relaxed);
+                if !W::IS_UNIT {
+                    // SAFETY: `su`/`sv` were claimed by exactly this
+                    // iteration's cursor bumps; no other writer can hold
+                    // the same slot.
+                    unsafe {
+                        wslots.write(su, wchunk[i]);
+                        wslots.write(sv, wchunk[i]);
                     }
                 }
-            });
+            }
         })?;
     }
     // A source whose second replay differs from the first (a file edited
@@ -821,8 +984,111 @@ fn compact_lists<O: ScatterWord, F: ScatterWord, W: EdgeWeight>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// How [`Hostile`]'s partition 2 breaks the partition contract.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Breach {
+        /// Emits an id ≥ `num_vertices()`.
+        IdOutOfRange,
+        /// Emits one pair fewer on every replay after the first.
+        ShortAfterFirst,
+        /// Emits one weight fewer than pairs.
+        WeightsShort,
+    }
+
+    /// A weighted source of four partitions over 8 vertices (a cycle),
+    /// honest except for partition 2.
+    pub(crate) struct Hostile {
+        pub(crate) breach: Breach,
+        pub(crate) calls: AtomicUsize,
+    }
+
+    impl Hostile {
+        pub(crate) fn new(breach: Breach) -> Self {
+            Self {
+                breach,
+                calls: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl EdgeSource<f32> for Hostile {
+        fn num_vertices(&self) -> usize {
+            8
+        }
+
+        fn parts(&self) -> usize {
+            4
+        }
+
+        fn replay(&self, emit: &mut ChunkFn<'_, f32>) -> io::Result<()> {
+            (0..4).try_for_each(|p| self.replay_part(p, 4, emit))
+        }
+
+        fn replay_part(
+            &self,
+            part: usize,
+            parts: usize,
+            emit: &mut ChunkFn<'_, f32>,
+        ) -> io::Result<()> {
+            for block in part_range(4, part, parts) {
+                let b = block as u32;
+                let mut pairs = vec![(2 * b, 2 * b + 1), (2 * b + 1, (2 * b + 2) % 8)];
+                let mut weights = vec![1.0; 2];
+                if block == 2 {
+                    match self.breach {
+                        Breach::IdOutOfRange => {
+                            pairs.push((5, 9));
+                            weights.push(1.0);
+                        }
+                        Breach::ShortAfterFirst => {
+                            if self.calls.fetch_add(1, Ordering::Relaxed) > 0 {
+                                pairs.pop();
+                                weights.pop();
+                            }
+                        }
+                        Breach::WeightsShort => {
+                            weights.pop();
+                        }
+                    }
+                }
+                emit(&pairs, &weights);
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn hostile_partitions_are_errors_not_panics() {
+        for (breach, msg) in [
+            (Breach::IdOutOfRange, "num_vertices"),
+            (Breach::ShortAfterFirst, "diverged"),
+            (Breach::WeightsShort, "weights chunk"),
+        ] {
+            for width in [1, 2, 8] {
+                let src = Hostile::new(breach);
+                let err = pgc_par::install(width, || build_weighted(&src)).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{breach:?}");
+                assert!(err.to_string().contains(msg), "{breach:?}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn part_ranges_tile_in_order() {
+        for (len, parts) in [(0, 1), (10, 1), (10, 3), (7, 7), (3, 8), (1 << 20, 64)] {
+            let mut next = 0;
+            for p in 0..parts {
+                let r = part_range(len, p, parts);
+                assert_eq!(r.start, next, "len {len} parts {parts}");
+                assert!(r.len() <= len.div_ceil(parts));
+                next = r.end;
+            }
+            assert_eq!(next, len);
+        }
+    }
 
     /// Minimal in-memory source over a pair slice.
     struct VecSource {

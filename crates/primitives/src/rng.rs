@@ -32,6 +32,10 @@ pub fn hash3(seed: u64, a: u64, b: u64) -> u64 {
     hash_mix(x ^ b.wrapping_mul(0x9FB2_1C65_1E98_DF25))
 }
 
+/// SplitMix64's Weyl increment γ: the state after `k` draws is
+/// `seed + k·γ (mod 2⁶⁴)`.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A tiny, fast sequential PRNG (SplitMix64). Each instance is an
 /// independent stream determined entirely by its seed.
 #[derive(Clone, Debug)]
@@ -47,10 +51,20 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
+    /// Skip the next `k` outputs in O(1): the state is a Weyl sequence
+    /// (Steele, Lea & Flood, OOPSLA'14), so `advance(k)` leaves the
+    /// generator exactly where `k` calls of [`next_u64`](Self::next_u64)
+    /// would. This is what lets a seeded stream start at any index —
+    /// e.g. a generator replaying only its edges `lo..hi`.
+    #[inline]
+    pub fn advance(&mut self, k: u64) {
+        self.state = self.state.wrapping_add(k.wrapping_mul(GOLDEN_GAMMA));
+    }
+
     /// Next 64 uniformly random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         let z = self.state;
         let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -149,6 +163,31 @@ mod tests {
         let mut b = SplitMix64::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
+    }
+
+    #[test]
+    fn advance_equals_repeated_draws() {
+        // Seeds just below 2⁶⁴ make the very first step wrap the state.
+        for seed in [0, 42, u64::MAX - 3, u64::MAX - GOLDEN_GAMMA / 2] {
+            for k in [0u64, 1, 7, 1 << 20] {
+                let mut stepped = SplitMix64::new(seed);
+                for _ in 0..k {
+                    stepped.next_u64();
+                }
+                let mut jumped = SplitMix64::new(seed);
+                jumped.advance(k);
+                assert_eq!(jumped.next_u64(), stepped.next_u64(), "seed {seed} k {k}");
+            }
+            // 2⁴⁰ draws are too many to step one by one; 2²⁰ jumps of
+            // 2²⁰ each (the step just checked) are not.
+            let mut composed = SplitMix64::new(seed);
+            for _ in 0..1u64 << 20 {
+                composed.advance(1 << 20);
+            }
+            let mut jumped = SplitMix64::new(seed);
+            jumped.advance(1 << 40);
+            assert_eq!(jumped.next_u64(), composed.next_u64(), "seed {seed} k 2^40");
+        }
     }
 
     #[test]

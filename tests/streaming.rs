@@ -18,15 +18,26 @@
 //!    the arc-list baseline the old path paid,
 //! 5. the file-backed readers (two sequential scans) equal the in-memory
 //!    compatibility readers.
+//!
+//! and it pins the partitioned replay down two more:
+//!
+//! 6. for every partitioning source, the in-order concatenation of
+//!    `replay_part(p, P)` equals `replay()` pair for pair and weight for
+//!    weight at any `P`, and the raw R-MAT stream keeps its recorded
+//!    digest,
+//! 7. partitioned parallel builds equal a build from the same stream
+//!    replayed sequentially, at several pool widths.
 
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, verify, Algorithm, Params};
 use pgc::graph::builder::from_edges;
 use pgc::graph::gen::{generate, generate_with_stats, GraphSpec, SpecSource};
 use pgc::graph::stream::{
-    build_compact_with_offset_limit, build_compact_with_stats, build_legacy, EdgeSource,
+    build_compact, build_compact_with_offset_limit, build_compact_with_stats, build_legacy,
+    build_weighted, ChunkFn, EdgeSource,
 };
-use pgc::graph::{CompactCsr, EdgeListBuilder, GraphView};
+use pgc::graph::{CompactCsr, EdgeListBuilder, EdgeWeight, GraphView, WeightedCsr};
+use pgc_harness::experiments::with_threads;
 use proptest::prelude::*;
 
 /// The retired arc-list pipeline, kept as the oracle: materialize both
@@ -241,4 +252,156 @@ fn path_readers_equal_buffered_readers() {
     let via_path = io::read_dimacs_col_path(&dimacs).unwrap();
     assert_eq!(via_path, io::read_dimacs_col(&col[..]).unwrap());
     assert_eq!(via_path, g, "declared n preserved through streaming");
+}
+
+/// Everything `src` emits, as flat pair and weight lists: one `replay()`
+/// (`parts = None`) or the partitions `0..P` of `replay_part` in order.
+fn emitted<W: EdgeWeight, S: EdgeSource<W>>(
+    src: &S,
+    parts: Option<usize>,
+) -> (Vec<(u32, u32)>, Vec<W>) {
+    let (mut pairs, mut weights) = (Vec::new(), Vec::new());
+    let mut emit = |c: &[(u32, u32)], w: &[W]| {
+        pairs.extend_from_slice(c);
+        weights.extend_from_slice(w);
+    };
+    match parts {
+        None => src.replay(&mut emit).unwrap(),
+        Some(p) => {
+            for part in 0..p {
+                src.replay_part(part, p, &mut emit).unwrap();
+            }
+        }
+    }
+    (pairs, weights)
+}
+
+/// Assert the partitions of `src` concatenate to its replay at
+/// P ∈ {1, 2, 3, 7, 64, > m}, for unit and `f32` payloads.
+fn assert_parts_concatenate<S: EdgeSource + EdgeSource<f32>>(src: &S, what: &str) {
+    let (pairs, _) = emitted::<(), _>(src, None);
+    let (wpairs, weights) = emitted::<f32, _>(src, None);
+    assert!(!pairs.is_empty(), "{what}: empty stream proves nothing");
+    assert_eq!(pairs, wpairs, "{what}: weighted replay changed the pairs");
+    assert_eq!(weights.len(), pairs.len(), "{what}");
+    let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for p in [1, 2, 3, 7, 64, pairs.len() + 5] {
+        assert_eq!(emitted::<(), _>(src, Some(p)).0, pairs, "{what}: P = {p}");
+        let (pp, pw) = emitted::<f32, _>(src, Some(p));
+        assert_eq!(pp, pairs, "{what}: weighted P = {p}");
+        assert_eq!(bits(&pw), bits(&weights), "{what}: weights at P = {p}");
+    }
+}
+
+/// (6a) Generator partitions jump the RNG to their first edge and
+/// reproduce the sequential stream, weights hashed by global index.
+#[test]
+fn generator_partitions_concatenate_to_replay() {
+    for spec in [
+        GraphSpec::Rmat {
+            scale: 9,
+            edge_factor: 5,
+        },
+        GraphSpec::ErdosRenyi { n: 700, m: 2_500 },
+        GraphSpec::KOut { n: 450, k: 5 },
+    ] {
+        let src = SpecSource::new(spec.clone(), 31);
+        assert_parts_concatenate(&src, &format!("{spec:?}"));
+    }
+    // Sequential families stay whole: partition 0 carries everything.
+    let ba = SpecSource::new(GraphSpec::BarabasiAlbert { n: 300, attach: 4 }, 2);
+    assert_eq!(EdgeSource::<()>::parts(&ba), 1);
+    assert_parts_concatenate(&ba, "BA");
+}
+
+/// (6b) The buffered builder partitions by slice ranges.
+#[test]
+fn edge_list_builder_partitions_concatenate_to_replay() {
+    let src = SpecSource::new(GraphSpec::ErdosRenyi { n: 300, m: 2_000 }, 4);
+    let (pairs, weights) = emitted::<f32, _>(&src, None);
+    let mut b = EdgeListBuilder::<f32>::with_capacity(300, pairs.len());
+    b.extend_weighted_edges(pairs.iter().zip(&weights).map(|(&(u, v), &w)| (u, v, w)));
+    let (bw_pairs, bw) = emitted::<f32, _>(&b, None);
+    assert_eq!((bw_pairs, bw), (pairs.clone(), weights));
+    for p in [1, 2, 3, 7, 64, pairs.len() + 5] {
+        let (pp, pw) = emitted::<f32, _>(&b, Some(p));
+        assert_eq!(pp, pairs, "P = {p}");
+        assert_eq!(pw.len(), pairs.len(), "P = {p}");
+    }
+    let mut u = EdgeListBuilder::new(300);
+    u.extend_edges(pairs.iter().copied());
+    for p in [1, 2, 7, pairs.len() + 5] {
+        assert_eq!(emitted::<(), _>(&u, Some(p)).0, pairs, "unit P = {p}");
+    }
+}
+
+/// (6c) The raw R-MAT 14/8 seed-7 pair stream, FNV-1a over each pair's
+/// little-endian `u32`s, as recorded before partitioned replay and the
+/// branch-free quadrant kernel existed: neither may change a single pair.
+#[test]
+fn rmat_pair_stream_digest_is_pinned() {
+    let src = SpecSource::new(
+        GraphSpec::Rmat {
+            scale: 14,
+            edge_factor: 8,
+        },
+        7,
+    );
+    let fnv = |pairs: &[(u32, u32)]| {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(u, v) in pairs {
+            for b in u.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    };
+    let (pairs, _) = emitted::<(), _>(&src, None);
+    assert_eq!(pairs.len(), 131_072);
+    assert_eq!(fnv(&pairs), 0xb41b_87d5_2f61_8786);
+    assert_eq!(
+        fnv(&emitted::<(), _>(&src, Some(7)).0),
+        0xb41b_87d5_2f61_8786
+    );
+}
+
+/// A source that hides its partitions: the builder replays it on the
+/// sequential one-part path — the oracle for partitioned builds.
+struct Sequential<'a>(&'a SpecSource);
+
+impl<W: EdgeWeight> EdgeSource<W> for Sequential<'_> {
+    fn num_vertices(&self) -> usize {
+        EdgeSource::<W>::num_vertices(self.0)
+    }
+
+    fn replay(&self, emit: &mut ChunkFn<'_, W>) -> std::io::Result<()> {
+        self.0.replay(emit)
+    }
+}
+
+/// (7) Partitioned builds of an R-MAT 16/16 source equal the sequential
+/// oracle, unweighted and `f32`-weighted, at widths 1, 2 and 8.
+#[test]
+fn partitioned_builds_equal_sequential_oracle() {
+    let spec = GraphSpec::Rmat {
+        scale: 16,
+        edge_factor: 16,
+    };
+    let src = SpecSource::new(spec, 5);
+    assert!(
+        EdgeSource::<()>::parts(&src) > 8,
+        "the source must partition"
+    );
+    let oracle = with_threads(1, || build_compact(&Sequential(&src)).unwrap());
+    let woracle: WeightedCsr<f32> = with_threads(1, || build_weighted(&Sequential(&src)).unwrap());
+    for t in [1, 2, 8] {
+        let (g, wg) = with_threads(t, || {
+            (
+                build_compact(&src).unwrap(),
+                build_weighted::<f32, _>(&src).unwrap(),
+            )
+        });
+        assert!(g == oracle, "unweighted build differs at width {t}");
+        assert!(wg == woracle, "weighted build differs at width {t}");
+    }
 }
