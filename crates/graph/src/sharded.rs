@@ -33,8 +33,8 @@
 //! live at once and peak build memory is `O(n + 2m/S + halo)` instead of
 //! `O(n + 2m)`. Every replay goes through the monolithic builder's
 //! driver, so partitionable sources replay in parallel here too. With
-//! [`ShardOptions::spill_dir`] set, each finished shard
-//! is serialized to `shard-NNNN.pgcs`, dropped, and `mmap`-reopened
+//! [`ShardOptions::spill_dir`] set, each finished shard is serialized to
+//! `shard-NNNN.pgcs`, dropped, and `mmap`-reopened
 //! ([`MappedSnapshot`]), so even the *finished* local CSRs live in the
 //! page cache rather than the heap; halos always stay resident. One
 //! [`Peak`](crate::stream) ledger threads through every phase, so
