@@ -9,7 +9,7 @@
 //! The tracer is generic over [`GraphView`]: element widths come from the
 //! representation's [`memory_footprint`](GraphView::memory_footprint), so
 //! e.g. [`CompactCsr`](pgc_graph::CompactCsr)'s 4-byte offsets occupy half
-//! the cache lines of the legacy 8-byte layout — the simulator makes the
+//! the cache lines of its 8-byte wide fallback — the simulator makes the
 //! compact representation's bandwidth saving directly measurable.
 //!
 //! Regions (spaced far apart so they never alias by accident):
@@ -300,7 +300,8 @@ pub fn simulate_with_config<G: GraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgc_graph::gen::{generate, GraphSpec};
+    use pgc_graph::gen::{generate, GraphSpec, SpecSource};
+    use pgc_graph::stream::build_compact_with_offset_limit;
 
     #[test]
     fn reports_are_well_formed() {
@@ -340,19 +341,17 @@ mod tests {
     fn compact_offsets_never_miss_more() {
         // Same abstract graph, two offset widths: the 4-byte layout packs
         // twice the offsets per line, so its offset-stream misses (and
-        // hence total misses on the same trace) cannot exceed the legacy
-        // 8-byte layout's.
-        let compact = generate(
-            &GraphSpec::ErdosRenyi {
-                n: 30_000,
-                m: 60_000,
-            },
-            4,
-        );
-        let legacy = compact.to_legacy();
+        // hence total misses on the same trace) cannot exceed the wide
+        // 8-byte fallback's.
+        let spec = GraphSpec::ErdosRenyi {
+            n: 30_000,
+            m: 60_000,
+        };
+        let compact = generate(&spec, 4);
+        let (wide, _) = build_compact_with_offset_limit(&SpecSource::new(spec, 4), 0).unwrap();
         assert_eq!(compact.memory_footprint().offset_width, 4);
         assert_eq!(
-            legacy.memory_footprint().offset_width,
+            wide.memory_footprint().offset_width,
             std::mem::size_of::<usize>()
         );
         let small = CacheConfig {
@@ -362,13 +361,13 @@ mod tests {
         };
         let params = Params::default();
         let rc = simulate_with_config(&compact, Algorithm::GreedyFf, &params, small);
-        let rl = simulate_with_config(&legacy, Algorithm::GreedyFf, &params, small);
-        assert_eq!(rc.stats.accesses, rl.stats.accesses, "same trace length");
+        let rw = simulate_with_config(&wide, Algorithm::GreedyFf, &params, small);
+        assert_eq!(rc.stats.accesses, rw.stats.accesses, "same trace length");
         assert!(
-            rc.stats.misses <= rl.stats.misses,
-            "compact {} > legacy {}",
+            rc.stats.misses <= rw.stats.misses,
+            "compact {} > wide {}",
             rc.stats.misses,
-            rl.stats.misses
+            rw.stats.misses
         );
     }
 

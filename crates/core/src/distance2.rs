@@ -195,7 +195,7 @@ pub fn speculative_d2<G: GraphView>(g: &G, seed: u64) -> D2Outcome {
 mod tests {
     use super::*;
     use pgc_graph::gen::{generate, GraphSpec};
-    use pgc_graph::CsrGraph;
+    use pgc_graph::CompactCsr;
 
     #[test]
     fn greedy_d2_proper_and_bounded() {
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = CsrGraph::empty(0);
+        let g = CompactCsr::empty(0);
         assert!(is_proper_d2(&g, &[]));
         let out = speculative_d2(&g, 0);
         assert!(out.colors.is_empty());

@@ -16,7 +16,8 @@
 //! * [`jp_color_levels`] — level-synchronous: colors the current frontier,
 //!   then the released set, round by round. Returns the round count, which
 //!   equals the longest `Gρ` path length + 1 — the measured "depth" used by
-//!   the Table III experiment.
+//!   the Table III experiment. It is the one-shard case of the
+//!   shard-parallel level loop [`jp_color_levels_sharded`].
 //!
 //! JP with a fixed ρ is *schedule-deterministic*: each vertex's color is a
 //! function of its predecessors' colors only, so both engines (and any
@@ -137,11 +138,7 @@ pub fn jp_color_with_counts<G: GraphView>(g: &G, rho: &[u64], counts: &[u32]) ->
     debug_assert_eq!(counts, &predecessor_counts(g, rho)[..], "bad fused counts");
     let counters = JoinCounters::from_values(counts);
     let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let roots: Vec<u32> = g
-        .vertices()
-        .into_par_iter()
-        .filter(|&v| counts[v as usize] == 0)
-        .collect();
+    let roots = roots(counts);
 
     struct Ctx<'a, G: GraphView> {
         g: &'a G,
@@ -193,51 +190,39 @@ pub fn jp_color_with_counts<G: GraphView>(g: &G, rho: &[u64], counts: &[u32]) ->
     colors.into_iter().map(|c| c.into_inner()).collect()
 }
 
-/// Level-synchronous JP. Returns `(colors, rounds)`; `rounds` equals the
-/// number of levels of `Gρ`, i.e. the longest directed path length + 1 —
-/// the quantity bounded by Lemma 7 for ρ = ⟨ρ_ADG, ρ_R⟩.
-pub fn jp_color_levels<G: GraphView>(g: &G, rho: &[u64]) -> (Vec<u32>, u32) {
-    assert_eq!(rho.len(), g.n());
-    let counts = predecessor_counts(g, rho);
-    let counters = JoinCounters::from_values(&counts);
-    let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let mut frontier: Vec<u32> = g
-        .vertices()
+/// The sources of `Gρ`: vertices with no predecessor, in id order.
+fn roots(counts: &[u32]) -> Vec<u32> {
+    (0..counts.len() as u32)
         .into_par_iter()
         .filter(|&v| counts[v as usize] == 0)
-        .collect();
-    let mut rounds = 0u32;
-    while !frontier.is_empty() {
-        rounds += 1;
-        let _round = pgc_obs::span!("jp.round");
-        // Color the whole frontier in parallel (its predecessors are all in
-        // earlier levels, so any order within the round gives the same
-        // coloring). The cache-aware schedule sorts the round into degree
-        // buckets / ascending ids and prefetches the adjacency a few slots
-        // ahead of the one being colored.
-        crate::schedule::bucket_by_degree(g, &mut frontier);
-        let round = &frontier[..];
-        (0..round.len()).into_par_iter().for_each_init(
-            || FixedBitmap::new(0),
-            |scratch, i| {
-                crate::schedule::prefetch_ahead(g, round, i);
-                let v = round[i];
-                let c = get_color(g, rho, &colors, v, scratch);
-                colors[v as usize].store(c, AtOrd::Relaxed);
-            },
-        );
-        // Release the next level.
-        let counters_ref = &counters;
-        frontier = frontier
-            .par_iter()
-            .flat_map_iter(|&v| {
-                let rv = rho[v as usize];
-                g.neighbors(v)
-                    .filter(move |&u| rho[u as usize] < rv && counters_ref.join(u as usize))
-            })
-            .collect();
-    }
-    (colors.into_iter().map(|c| c.into_inner()).collect(), rounds)
+        .collect()
+}
+
+/// One level step of `Gρ`: join every successor of the finished
+/// `frontier` and return those whose last predecessor this was — the
+/// next level. Shared by the level loop and [`dag_longest_path`].
+fn release_next<G: GraphView>(
+    g: &G,
+    rho: &[u64],
+    counters: &JoinCounters,
+    frontier: &[u32],
+) -> Vec<u32> {
+    frontier
+        .par_iter()
+        .flat_map_iter(|&v| {
+            let rv = rho[v as usize];
+            g.neighbors(v)
+                .filter(move |&u| rho[u as usize] < rv && counters.join(u as usize))
+        })
+        .collect()
+}
+
+/// Level-synchronous JP. Returns `(colors, rounds)`; `rounds` equals the
+/// number of levels of `Gρ`, i.e. the longest directed path length + 1 —
+/// the quantity bounded by Lemma 7 for ρ = ⟨ρ_ADG, ρ_R⟩. The one-shard
+/// case of [`jp_color_levels_sharded`].
+pub fn jp_color_levels<G: GraphView>(g: &G, rho: &[u64]) -> (Vec<u32>, u32) {
+    jp_color_levels_sharded(g, rho, &[0, g.n() as u32])
 }
 
 /// Shard-parallel level-synchronous JP over a vertex-range sharding
@@ -250,8 +235,11 @@ pub fn jp_color_levels<G: GraphView>(g: &G, rho: &[u64]) -> (Vec<u32>, u32) {
 /// every cross-shard (halo) arc sees its endpoint's committed color, and
 /// the release scan runs on globally consistent state. Works on *any*
 /// [`GraphView`] (the bounds need not match the representation's physical
-/// layout), and is bit-identical to [`jp_color_levels`] because each
-/// vertex's color is a function of earlier-round colors only.
+/// layout), and is bit-identical to the asynchronous [`jp_color`] because
+/// each vertex's color is a function of its predecessors' colors only.
+/// Every round colors its sub-rounds in the cache-aware order: degree
+/// buckets / ascending ids, with the adjacency prefetched a few slots
+/// ahead of the vertex being colored.
 pub fn jp_color_levels_sharded<G: GraphView>(
     g: &G,
     rho: &[u64],
@@ -266,11 +254,7 @@ pub fn jp_color_levels_sharded<G: GraphView>(
     let counts = predecessor_counts(g, rho);
     let counters = JoinCounters::from_values(&counts);
     let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let mut frontier: Vec<u32> = g
-        .vertices()
-        .into_par_iter()
-        .filter(|&v| counts[v as usize] == 0)
-        .collect();
+    let mut frontier = roots(&counts);
     let mut rounds = 0u32;
     while !frontier.is_empty() {
         rounds += 1;
@@ -299,15 +283,7 @@ pub fn jp_color_levels_sharded<G: GraphView>(
         });
         // Implicit barrier above = halo color exchange; release the next
         // level against fully committed colors.
-        let counters_ref = &counters;
-        frontier = frontier
-            .par_iter()
-            .flat_map_iter(|&v| {
-                let rv = rho[v as usize];
-                g.neighbors(v)
-                    .filter(move |&u| rho[u as usize] < rv && counters_ref.join(u as usize))
-            })
-            .collect();
+        frontier = release_next(g, rho, &counters, &frontier);
     }
     (colors.into_iter().map(|c| c.into_inner()).collect(), rounds)
 }
@@ -319,23 +295,11 @@ pub fn jp_color_levels_sharded<G: GraphView>(
 pub fn dag_longest_path<G: GraphView>(g: &G, rho: &[u64]) -> u32 {
     let counts = predecessor_counts(g, rho);
     let counters = JoinCounters::from_values(&counts);
-    let mut frontier: Vec<u32> = g
-        .vertices()
-        .into_par_iter()
-        .filter(|&v| counts[v as usize] == 0)
-        .collect();
+    let mut frontier = roots(&counts);
     let mut levels = 0u32;
     while !frontier.is_empty() {
         levels += 1;
-        let counters_ref = &counters;
-        frontier = frontier
-            .par_iter()
-            .flat_map_iter(|&v| {
-                let rv = rho[v as usize];
-                g.neighbors(v)
-                    .filter(move |&u| rho[u as usize] < rv && counters_ref.join(u as usize))
-            })
-            .collect();
+        frontier = release_next(g, rho, &counters, &frontier);
     }
     levels
 }
@@ -346,7 +310,7 @@ mod tests {
     use crate::verify::{assert_proper, num_colors};
     use pgc_graph::builder::from_edges;
     use pgc_graph::gen::{generate, GraphSpec};
-    use pgc_graph::CsrGraph;
+    use pgc_graph::CompactCsr;
     use pgc_order::{compute, OrderingKind};
     use pgc_primitives::random_permutation;
 
@@ -426,7 +390,8 @@ mod tests {
             6,
         );
         let rho = random_rho(g.n(), 9);
-        let (mono, mono_rounds) = jp_color_levels(&g, &rho);
+        let mono = jp_color(&g, &rho);
+        let mono_rounds = dag_longest_path(&g, &rho);
         let n = g.n() as u32;
         for bounds in [
             vec![0, n],
@@ -477,7 +442,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = CsrGraph::empty(0);
+        let g = CompactCsr::empty(0);
         assert!(jp_color(&g, &[]).is_empty());
         let (c, r) = jp_color_levels(&g, &[]);
         assert!(c.is_empty());
@@ -486,7 +451,7 @@ mod tests {
 
     #[test]
     fn isolated_vertices_all_get_color_zero() {
-        let g = CsrGraph::empty(10);
+        let g = CompactCsr::empty(10);
         let rho = random_rho(10, 1);
         let colors = jp_color(&g, &rho);
         assert!(colors.iter().all(|&c| c == 0));

@@ -505,7 +505,7 @@ mod tests {
     fn view_partition_coloring_is_bit_identical_to_slice_path() {
         // Regression pin for the DEC-ADG `level_view` recursion: coloring a
         // sequence of partitions through `InducedView`s must reproduce the
-        // legacy full-adjacency slice path bit for bit — same colors, same
+        // original full-adjacency slice path bit for bit — same colors, same
         // rounds, same retries — for both the random and first-fit engines.
         use pgc_primitives::random_permutation;
         let g = generate(

@@ -183,7 +183,7 @@ mod tests {
     use super::*;
     use crate::verify::{assert_proper, num_colors};
     use pgc_graph::gen::{generate, GraphSpec};
-    use pgc_graph::CsrGraph;
+    use pgc_graph::CompactCsr;
 
     fn prio(n: usize, seed: u64) -> Vec<u64> {
         random_permutation(n, seed)
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn empty_graph_zero_rounds() {
-        let g = CsrGraph::empty(0);
+        let g = CompactCsr::empty(0);
         let out = itr(&g, &[], 0, 0);
         assert_eq!(out.rounds, 0);
         assert!(out.colors.is_empty());

@@ -16,14 +16,13 @@
 //! skip the buffer entirely.
 
 use crate::compact::CompactCsr;
-use crate::csr::CsrGraph;
 use crate::stream::{self, ChunkFn, EdgeSource, CHUNK_EDGES};
 use crate::weight::EdgeWeight;
 use crate::weighted::WeightedCsr;
 
 /// Accumulates raw (optionally weighted) edges and builds a
-/// [`CompactCsr`], [`WeightedCsr`], or legacy [`CsrGraph`] through the
-/// streaming two-pass engine.
+/// [`CompactCsr`] or [`WeightedCsr`] through the streaming two-pass
+/// engine.
 #[derive(Clone, Debug)]
 pub struct EdgeListBuilder<W: EdgeWeight = ()> {
     n: usize,
@@ -127,13 +126,6 @@ impl EdgeListBuilder {
     pub fn build(self) -> CompactCsr {
         stream::build_compact(&self).expect("in-memory replay cannot fail")
     }
-
-    /// Build the legacy machine-word-offset [`CsrGraph`] from the same
-    /// two-pass engine (bit-identical adjacency, used by the equivalence
-    /// suite).
-    pub fn build_legacy(self) -> CsrGraph {
-        stream::build_legacy(&self).expect("in-memory replay cannot fail")
-    }
 }
 
 /// The trivial buffered source: replays the in-memory edge list (and its
@@ -193,13 +185,6 @@ pub fn from_weighted_edges<W: EdgeWeight>(n: usize, edges: &[(u32, u32, W)]) -> 
     let mut b = EdgeListBuilder::with_capacity(n, edges.len());
     b.extend_weighted_edges(edges.iter().copied());
     b.build_weighted()
-}
-
-/// [`from_edges`] producing the legacy [`CsrGraph`] representation.
-pub fn from_edges_legacy(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
-    let mut b = EdgeListBuilder::with_capacity(n, edges.len());
-    b.extend_edges(edges.iter().copied());
-    b.build_legacy()
 }
 
 #[cfg(test)]

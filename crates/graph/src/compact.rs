@@ -3,14 +3,13 @@
 //!
 //! The paper stores a graph as "n sorted arrays with neighbors of each
 //! vertex (2m words) and offsets to each array (n words)" (§II-A) with
-//! 32-bit words. The legacy [`CsrGraph`] spends 8-byte
-//! `usize` offsets — double the paper's n-term. [`CompactCsr`] stores
-//! offsets as `u32` whenever `2m < u32::MAX` (every graph that fits the
-//! `u32` vertex-id space in practice), halving offset memory and the
-//! offset-stream bandwidth of the peel/color hot loops, with a transparent
-//! wide (`usize`) fallback for huge graphs.
+//! 32-bit words. [`CompactCsr`] stores offsets as `u32` whenever
+//! `2m < u32::MAX` (every graph that fits the `u32` vertex-id space in
+//! practice) — half the bytes of machine-word offsets, and half the
+//! offset-stream bandwidth of the peel/color hot loops — with a
+//! transparent wide (`usize`) fallback for huge graphs.
 
-use crate::csr::{degree_extremes, validate_csr_arrays, CsrGraph};
+use crate::csr::{degree_extremes, validate_csr_arrays};
 use crate::view::{GraphMemory, GraphView, UnitWeights, WeightedView};
 use rayon::prelude::*;
 
@@ -25,6 +24,15 @@ pub(crate) enum Offsets {
 }
 
 impl Offsets {
+    /// Narrow machine-word offsets to `u32` when the total fits.
+    pub(crate) fn narrow(offsets: Vec<usize>) -> Self {
+        if offsets.last().copied().unwrap_or(0) < u32::MAX as usize {
+            Offsets::Small(offsets.into_iter().map(|o| o as u32).collect())
+        } else {
+            Offsets::Wide(offsets)
+        }
+    }
+
     #[inline]
     pub(crate) fn get(&self, i: usize) -> usize {
         match self {
@@ -53,10 +61,10 @@ impl Offsets {
 /// by [`EdgeListBuilder`](crate::EdgeListBuilder), the generators, and the
 /// readers.
 ///
-/// Invariants are those of [`CsrGraph`]: offsets
-/// non-decreasing starting at 0, adjacencies strictly ascending, no
-/// self-loops, symmetric edges. Δ and δ are computed once at construction,
-/// so [`max_degree`](GraphView::max_degree) /
+/// Invariants: offsets non-decreasing starting at 0, adjacencies
+/// strictly ascending, no self-loops, symmetric edges. Δ and δ are
+/// computed once at construction, so
+/// [`max_degree`](GraphView::max_degree) /
 /// [`min_degree`](GraphView::min_degree) are O(1).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompactCsr {
@@ -70,12 +78,7 @@ impl CompactCsr {
     /// Construct from raw CSR arrays (offsets narrowed to `u32` when they
     /// fit). Debug builds validate the invariants.
     pub fn from_raw(offsets: Vec<usize>, neighbors: Vec<u32>) -> Self {
-        let offsets = if neighbors.len() < u32::MAX as usize {
-            Offsets::Small(offsets.into_iter().map(|o| o as u32).collect())
-        } else {
-            Offsets::Wide(offsets)
-        };
-        Self::from_offsets(offsets, neighbors)
+        Self::from_offsets(Offsets::narrow(offsets), neighbors)
     }
 
     /// Construct from an already-width-resolved offset array — the entry
@@ -106,19 +109,6 @@ impl CompactCsr {
             max_deg: 0,
             min_deg: 0,
         }
-    }
-
-    /// Convert from the legacy `usize`-offset representation.
-    pub fn from_legacy(g: &CsrGraph) -> Self {
-        Self::from_raw(g.raw_offsets().to_vec(), g.raw_neighbors().to_vec())
-    }
-
-    /// Widen back into the legacy representation (equivalence testing).
-    pub fn to_legacy(&self) -> CsrGraph {
-        let offsets: Vec<usize> = (0..self.offsets.len())
-            .map(|i| self.offsets.get(i))
-            .collect();
-        CsrGraph::from_raw(offsets, self.neighbors.clone())
     }
 
     /// Number of vertices `n`.
@@ -350,16 +340,6 @@ mod tests {
             wide.edges().collect::<Vec<_>>(),
             small.edges().collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn legacy_roundtrip() {
-        let g = from_edges(6, &[(0, 3), (3, 5), (1, 2), (2, 4), (0, 5)]);
-        let legacy = g.to_legacy();
-        assert_eq!(legacy.n(), g.n());
-        assert_eq!(legacy.m(), g.m());
-        let back = CompactCsr::from_legacy(&legacy);
-        assert_eq!(back, g);
     }
 
     #[test]

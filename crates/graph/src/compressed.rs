@@ -170,14 +170,6 @@ impl<T> SharedMut<T> {
     }
 }
 
-pub(crate) fn narrow_offsets(offsets: Vec<usize>) -> Offsets {
-    if offsets.last().copied().unwrap_or(0) < u32::MAX as usize {
-        Offsets::Small(offsets.into_iter().map(|o| o as u32).collect())
-    } else {
-        Offsets::Wide(offsets)
-    }
-}
-
 impl CompressedCsr<()> {
     /// Losslessly encode an unweighted graph (parallel two-pass: measure
     /// per-vertex encoded lengths, prefix-sum, scatter-encode into
@@ -249,7 +241,7 @@ impl<W: EdgeWeight> CompressedCsr<W> {
             + std::mem::size_of_val(weights.as_slice());
         let graph = CompressedCsr {
             offsets: g.raw_offsets().clone(),
-            byte_offsets: narrow_offsets(byte_offsets),
+            byte_offsets: Offsets::narrow(byte_offsets),
             arena: Arena::Owned(arena),
             weights,
             max_deg: g.max_degree(),

@@ -1,13 +1,16 @@
-//! Compressed Sparse Row graphs (§II-A).
+//! Compressed Sparse Row invariants (§II-A).
 //!
 //! The paper stores `G` "using CSR, the standard graph representation that
 //! consists of n sorted arrays with neighbors of each vertex (2m words) and
 //! offsets to each array (n words)". Vertices are `u32` ids `0..n` (the
 //! paper's `1..n` shifted to 0-based); the id order is the total order `≺`
-//! used to sort neighborhoods.
-
-use crate::view::{GraphMemory, GraphView, UnitWeights, WeightedView};
-use rayon::prelude::*;
+//! used to sort neighborhoods. Every CSR-shaped representation
+//! ([`crate::CompactCsr`] and the layouts built on it) shares the checks
+//! below, so the invariants are spelled once:
+//! * `offsets.len() == n + 1`, `offsets[0] == 0`, non-decreasing,
+//! * each neighbor list is strictly increasing (sorted, no duplicates),
+//! * no self-loops,
+//! * symmetry: `u ∈ N(v) ⇔ v ∈ N(u)`.
 
 /// Cached degree extremes `(Δ, δ)` from an offsets accessor — shared by
 /// every CSR-shaped representation so the construction-time caching
@@ -85,322 +88,51 @@ pub(crate) fn validate_csr_arrays(
     Ok(())
 }
 
-/// An immutable, undirected, simple graph in CSR form with machine-word
-/// offsets — the legacy layout kept for representation-equivalence testing
-/// ([`crate::CompactCsr`] is the default).
-///
-/// Invariants (enforced by [`crate::builder::EdgeListBuilder`] and checked
-/// by [`CsrGraph::validate`]):
-/// * `offsets.len() == n + 1`, `offsets[0] == 0`, non-decreasing,
-/// * each neighbor list is strictly increasing (sorted, no duplicates),
-/// * no self-loops,
-/// * symmetry: `u ∈ N(v) ⇔ v ∈ N(u)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CsrGraph {
-    offsets: Vec<usize>,
-    neighbors: Vec<u32>,
-    max_deg: u32,
-    min_deg: u32,
-}
-
-impl CsrGraph {
-    /// Construct from raw CSR arrays (Δ and δ are cached here, making
-    /// [`max_degree`](Self::max_degree) / [`min_degree`](Self::min_degree)
-    /// O(1)). Debug builds validate the invariants.
-    pub fn from_raw(offsets: Vec<usize>, neighbors: Vec<u32>) -> Self {
-        let n = offsets.len().saturating_sub(1);
-        let (max_deg, min_deg) = degree_extremes(n, |i| offsets[i]);
-        let g = Self {
-            offsets,
-            neighbors,
-            max_deg,
-            min_deg,
-        };
-        #[cfg(debug_assertions)]
-        if let Err(e) = g.validate() {
-            panic!("invalid CSR: {e}");
-        }
-        g
-    }
-
-    /// The empty graph on `n` isolated vertices.
-    pub fn empty(n: usize) -> Self {
-        Self {
-            offsets: vec![0; n + 1],
-            neighbors: Vec::new(),
-            max_deg: 0,
-            min_deg: 0,
-        }
-    }
-
-    /// Number of vertices `n`.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of undirected edges `m` (half the stored directed arcs).
-    #[inline]
-    pub fn m(&self) -> usize {
-        self.neighbors.len() / 2
-    }
-
-    /// Number of stored directed arcs (`2m`).
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    /// Degree of vertex `v`.
-    #[inline]
-    pub fn degree(&self, v: u32) -> u32 {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as u32
-    }
-
-    /// Sorted neighbor slice of vertex `v`.
-    #[inline]
-    pub fn neighbors(&self, v: u32) -> &[u32] {
-        &self.neighbors[self.offsets[v as usize]..self.offsets[v as usize + 1]]
-    }
-
-    /// True if `{u, v}` is an edge (binary search in the sorted list).
-    pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
-    }
-
-    /// Maximum degree Δ (cached at construction).
-    #[inline]
-    pub fn max_degree(&self) -> u32 {
-        self.max_deg
-    }
-
-    /// Minimum degree δ (cached at construction).
-    #[inline]
-    pub fn min_degree(&self) -> u32 {
-        self.min_deg
-    }
-
-    /// Average degree δ̂ = 2m / n.
-    pub fn avg_degree(&self) -> f64 {
-        if self.n() == 0 {
-            0.0
-        } else {
-            self.num_arcs() as f64 / self.n() as f64
-        }
-    }
-
-    /// All vertex ids.
-    #[inline]
-    pub fn vertices(&self) -> std::ops::Range<u32> {
-        0..self.n() as u32
-    }
-
-    /// Iterate undirected edges `(u, v)` with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.vertices().flat_map(move |u| {
-            self.neighbors(u)
-                .iter()
-                .copied()
-                .filter(move |&v| u < v)
-                .map(move |v| (u, v))
-        })
-    }
-
-    /// The raw offsets array (read-only; used by the cache simulator to map
-    /// traversals onto addresses).
-    #[inline]
-    pub fn raw_offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// The raw neighbor array (read-only).
-    #[inline]
-    pub fn raw_neighbors(&self) -> &[u32] {
-        &self.neighbors
-    }
-
-    /// Check all CSR invariants; returns a description of the first
-    /// violation, if any.
-    pub fn validate(&self) -> Result<(), String> {
-        validate_csr_arrays(self.offsets.len(), |i| self.offsets[i], &self.neighbors)
-    }
-
-    /// Degree array `D = [deg(v_1) … deg(v_n)]` (Alg. 1, line 4; parallel).
-    pub fn degree_array(&self) -> Vec<u32> {
-        self.vertices()
-            .into_par_iter()
-            .map(|v| self.degree(v))
-            .collect()
-    }
-}
-
-impl GraphView for CsrGraph {
-    type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, u32>>;
-
-    #[inline]
-    fn n(&self) -> usize {
-        CsrGraph::n(self)
-    }
-
-    #[inline]
-    fn num_arcs(&self) -> usize {
-        CsrGraph::num_arcs(self)
-    }
-
-    #[inline]
-    fn degree(&self, v: u32) -> u32 {
-        CsrGraph::degree(self, v)
-    }
-
-    #[inline]
-    fn neighbors(&self, v: u32) -> Self::Neighbors<'_> {
-        CsrGraph::neighbors(self, v).iter().copied()
-    }
-
-    #[inline]
-    fn max_degree(&self) -> u32 {
-        self.max_deg
-    }
-
-    #[inline]
-    fn min_degree(&self) -> u32 {
-        self.min_deg
-    }
-
-    fn degree_array(&self) -> Vec<u32> {
-        CsrGraph::degree_array(self)
-    }
-
-    fn has_edge(&self, u: u32, v: u32) -> bool {
-        CsrGraph::has_edge(self, u, v)
-    }
-
-    #[inline]
-    fn prefetch_neighbors(&self, v: u32) {
-        let nbrs = CsrGraph::neighbors(self, v);
-        if let Some(first) = nbrs.first() {
-            crate::view::prefetch_read(first);
-        }
-    }
-
-    fn memory_footprint(&self) -> GraphMemory {
-        GraphMemory {
-            offset_width: std::mem::size_of::<usize>(),
-            offset_count: self.offsets.len(),
-            neighbor_width: std::mem::size_of::<u32>(),
-            neighbor_count: self.neighbors.len(),
-            encoded_bytes: 0,
-            encoded_mapped_bytes: 0,
-            aux_bytes: 0,
-            weight_bytes: 0,
-        }
-    }
-}
-
-/// Legacy CSR as a unit-weighted view (see the [`crate::CompactCsr`] impl
-/// rationale in [`crate::compact`]).
-impl WeightedView for CsrGraph {
-    type Weight = ();
-    type WeightedNeighbors<'a> = UnitWeights<<Self as GraphView>::Neighbors<'a>>;
-
-    #[inline]
-    fn weighted_neighbors(&self, v: u32) -> Self::WeightedNeighbors<'_> {
-        UnitWeights(GraphView::neighbors(self, v))
-    }
-
-    fn edge_weight(&self, u: u32, v: u32) -> Option<()> {
-        self.has_edge(u, v).then_some(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::EdgeListBuilder;
 
-    fn triangle() -> CsrGraph {
-        let mut b = EdgeListBuilder::new(3);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        b.add_edge(0, 2);
-        b.build_legacy()
+    fn validate(offsets: &[usize], neighbors: &[u32]) -> Result<(), String> {
+        validate_csr_arrays(offsets.len(), |i| offsets[i], neighbors)
     }
 
     #[test]
     fn empty_graph() {
-        let g = CsrGraph::empty(5);
-        assert_eq!(g.n(), 5);
-        assert_eq!(g.m(), 0);
-        assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.avg_degree(), 0.0);
-        assert!(g.validate().is_ok());
+        let offsets = [0; 6];
+        assert!(validate(&offsets, &[]).is_ok());
+        assert_eq!(degree_extremes(5, |i| offsets[i]), (0, 0));
     }
 
     #[test]
     fn zero_vertex_graph() {
-        let g = CsrGraph::empty(0);
-        assert_eq!(g.n(), 0);
-        assert_eq!(g.avg_degree(), 0.0);
-        assert_eq!(g.edges().count(), 0);
+        assert!(validate(&[0], &[]).is_ok());
+        assert_eq!(degree_extremes(0, |_| 0), (0, 0));
+        assert!(validate(&[], &[]).is_err());
     }
 
     #[test]
     fn triangle_basics() {
-        let g = triangle();
-        assert_eq!(g.n(), 3);
-        assert_eq!(g.m(), 3);
-        assert_eq!(g.degree(0), 2);
-        assert_eq!(g.neighbors(1), &[0, 2]);
-        assert!(g.has_edge(0, 2));
-        assert!(!g.has_edge(0, 0));
-        assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.min_degree(), 2);
-        assert!((g.avg_degree() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edges_iterator_each_edge_once() {
-        let g = triangle();
-        let es: Vec<_> = g.edges().collect();
-        assert_eq!(es, vec![(0, 1), (0, 2), (1, 2)]);
-    }
-
-    #[test]
-    fn degree_array_matches() {
-        let g = triangle();
-        assert_eq!(g.degree_array(), vec![2, 2, 2]);
+        let offsets = [0, 2, 4, 6];
+        assert!(validate(&offsets, &[1, 2, 0, 2, 0, 1]).is_ok());
+        assert_eq!(degree_extremes(3, |i| offsets[i]), (2, 2));
+        // A path 0–1–2 has Δ = 2 and δ = 1.
+        let path = [0, 1, 3, 4];
+        assert!(validate(&path, &[1, 0, 2, 1]).is_ok());
+        assert_eq!(degree_extremes(3, |i| path[i]), (2, 1));
     }
 
     #[test]
     fn validate_catches_asymmetry() {
-        let g = CsrGraph {
-            offsets: vec![0, 1, 1],
-            neighbors: vec![1],
-            max_deg: 0,
-            min_deg: 0,
-        };
-        assert!(g.validate().is_err());
+        assert!(validate(&[0, 1, 1], &[1]).is_err());
     }
 
     #[test]
     fn validate_catches_self_loop() {
-        let g = CsrGraph {
-            offsets: vec![0, 1],
-            neighbors: vec![0],
-            max_deg: 0,
-            min_deg: 0,
-        };
-        assert!(g.validate().is_err());
+        assert!(validate(&[0, 1], &[0]).is_err());
     }
 
     #[test]
     fn validate_catches_unsorted() {
-        let g = CsrGraph {
-            offsets: vec![0, 2, 3, 5],
-            neighbors: vec![2, 1, 0, 0, 1],
-            max_deg: 0,
-            min_deg: 0,
-        };
-        assert!(g.validate().is_err());
+        assert!(validate(&[0, 2, 3, 5], &[2, 1, 0, 0, 1]).is_err());
     }
 }

@@ -125,13 +125,13 @@ pub fn max_forward_degree<G: GraphView>(g: &G, removal_pos: &[u32]) -> u32 {
 mod tests {
     use super::*;
     use crate::builder::from_edges;
-    use crate::csr::CsrGraph;
+    use crate::compact::CompactCsr;
 
     #[test]
     fn empty_and_isolated() {
-        let g = CsrGraph::empty(0);
+        let g = CompactCsr::empty(0);
         assert_eq!(degeneracy(&g).degeneracy, 0);
-        let g = CsrGraph::empty(7);
+        let g = CompactCsr::empty(7);
         let info = degeneracy(&g);
         assert_eq!(info.degeneracy, 0);
         assert_eq!(info.removal_order.len(), 7);

@@ -12,12 +12,13 @@
 //!   weighted-neighbor iteration,
 //! * [`compact`] — [`CompactCsr`], the default representation: the paper's
 //!   CSR (§II-A) with `u32` offsets whenever `2m < u32::MAX` (half the
-//!   offset memory of the legacy layout) and a transparent wide fallback,
+//!   offset memory of machine-word offsets) and a transparent wide
+//!   fallback,
 //! * [`weighted`] — [`WeightedCsr`], the weights-augmented default:
 //!   struct-of-arrays (a `CompactCsr` plus one neighbor-parallel weights
 //!   array), so unweighted traversals never touch weight bytes,
-//! * [`csr`] — the legacy machine-word-offset [`CsrGraph`], kept as the
-//!   equivalence-test baseline,
+//! * [`sharded`] — [`ShardedCsr`], arc-balanced vertex-range shards plus
+//!   a halo of cross-shard arcs, composed behind the same views,
 //! * [`induced`] — [`InducedView`], a zero-copy induced-subgraph view
 //!   (vertex mask + remap) over any other view,
 //! * [`stream`] — the [`EdgeSource`] trait (re-playable chunked arc
@@ -46,7 +47,7 @@
 pub mod builder;
 pub mod compact;
 pub mod compressed;
-pub mod csr;
+mod csr;
 pub mod degeneracy;
 pub mod gen;
 pub mod induced;
@@ -62,7 +63,6 @@ pub mod weighted;
 pub use builder::EdgeListBuilder;
 pub use compact::CompactCsr;
 pub use compressed::CompressedCsr;
-pub use csr::CsrGraph;
 pub use degeneracy::{degeneracy, DegeneracyInfo};
 pub use induced::InducedView;
 pub use sharded::{

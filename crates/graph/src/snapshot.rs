@@ -938,8 +938,7 @@ pub fn load_compressed_snapshot<W: EdgeWeight>(path: &Path) -> std::io::Result<C
     if (0..n).any(|i| get(i) > get(i + 1)) || get(n) != arcs {
         return Err(bad("snapshot offsets are not monotone".into()));
     }
-    let byte_offsets =
-        crate::compressed::narrow_offsets(read_byte_offsets(bytes, &header, &layout)?);
+    let byte_offsets = Offsets::narrow(read_byte_offsets(bytes, &header, &layout)?);
     let weights: Vec<W> = if W::IS_UNIT {
         vec![W::default(); arcs]
     } else {

@@ -1,7 +1,7 @@
 //! Streaming two-pass CSR construction: the [`EdgeSource`] trait and the
 //! parallel builder that turns any re-playable arc stream into a
-//! [`CompactCsr`], a [`WeightedCsr`], or a legacy [`CsrGraph`] **without
-//! materializing an arc list**.
+//! [`CompactCsr`] or a [`WeightedCsr`] **without materializing an arc
+//! list**.
 //!
 //! The paper targets graphs where memory, not compute, binds (§II-A's
 //! word-budget accounting). The old build path buffered every input edge
@@ -70,7 +70,6 @@
 //! buffered source (partitioned by slice ranges) for API compatibility.
 
 use crate::compact::{CompactCsr, Offsets};
-use crate::csr::CsrGraph;
 use crate::weight::EdgeWeight;
 use crate::weighted::WeightedCsr;
 use pgc_par::for_each_chunk;
@@ -310,8 +309,7 @@ pub fn build_compact<S: EdgeSource + ?Sized>(src: &S) -> io::Result<CompactCsr> 
 pub fn build_compact_with_stats<S: EdgeSource + ?Sized>(
     src: &S,
 ) -> io::Result<(CompactCsr, BuildStats)> {
-    let (raw, _unit_weights, stats) = build_raw::<(), S>(src, u32::MAX as usize)?;
-    Ok((raw.into_compact(), stats))
+    build_compact_with_offset_limit(src, u32::MAX as usize)
 }
 
 /// Build a [`WeightedCsr`] from a weighted source through the same
@@ -329,35 +327,20 @@ pub fn build_weighted<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
 pub fn build_weighted_with_stats<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     src: &S,
 ) -> io::Result<(WeightedCsr<W>, BuildStats)> {
-    let (raw, weights, stats) = build_raw::<W, S>(src, u32::MAX as usize)?;
-    Ok((WeightedCsr::from_parts(raw.into_compact(), weights), stats))
+    build_weighted_with_offset_limit(src, u32::MAX as usize)
 }
 
-/// Build the legacy machine-word-offset [`CsrGraph`] through the same
-/// two-pass engine (bit-identical adjacency, used by the equivalence
-/// suite).
-pub fn build_legacy<S: EdgeSource + ?Sized>(src: &S) -> io::Result<CsrGraph> {
-    build_legacy_with_stats(src).map(|(g, _)| g)
-}
-
-/// [`build_legacy`] returning the [`BuildStats`] instrumentation too.
-pub fn build_legacy_with_stats<S: EdgeSource + ?Sized>(
-    src: &S,
-) -> io::Result<(CsrGraph, BuildStats)> {
-    let (raw, _unit_weights, stats) = build_raw::<(), S>(src, u32::MAX as usize)?;
-    Ok((raw.into_legacy(), stats))
-}
-
-/// Test hook: run the builder with an artificially small `u32` offset
-/// limit, forcing the wide-offset fallback on small graphs so the
+/// [`build_compact_with_stats`] with an explicit `u32` offset limit. The
+/// builders pass `u32::MAX`; tests pass a small limit (0 always goes
+/// wide), forcing the 8-byte fallback on small graphs so the
 /// `u32 → usize` boundary is exercisable without 4-billion-arc inputs.
 #[doc(hidden)]
 pub fn build_compact_with_offset_limit<S: EdgeSource + ?Sized>(
     src: &S,
     u32_limit: usize,
 ) -> io::Result<(CompactCsr, BuildStats)> {
-    let (raw, _unit_weights, stats) = build_raw::<(), S>(src, u32_limit)?;
-    Ok((raw.into_compact(), stats))
+    let (g, _unit_weights, stats) = build_raw::<(), S>(src, u32_limit)?;
+    Ok((g, stats))
 }
 
 /// Weighted sibling of [`build_compact_with_offset_limit`].
@@ -366,8 +349,8 @@ pub fn build_weighted_with_offset_limit<W: EdgeWeight, S: EdgeSource<W> + ?Sized
     src: &S,
     u32_limit: usize,
 ) -> io::Result<(WeightedCsr<W>, BuildStats)> {
-    let (raw, weights, stats) = build_raw::<W, S>(src, u32_limit)?;
-    Ok((WeightedCsr::from_parts(raw.into_compact(), weights), stats))
+    let (g, weights, stats) = build_raw::<W, S>(src, u32_limit)?;
+    Ok((WeightedCsr::from_parts(g, weights), stats))
 }
 
 // ---------------------------------------------------------------------
@@ -375,39 +358,7 @@ pub fn build_weighted_with_offset_limit<W: EdgeWeight, S: EdgeSource<W> + ?Sized
 // ---------------------------------------------------------------------
 
 /// Width-resolved CSR arrays as produced by the engine.
-enum RawCsr {
-    Small {
-        offsets: Vec<u32>,
-        neighbors: Vec<u32>,
-    },
-    Wide {
-        offsets: Vec<usize>,
-        neighbors: Vec<u32>,
-    },
-}
-
-impl RawCsr {
-    fn into_compact(self) -> CompactCsr {
-        match self {
-            RawCsr::Small { offsets, neighbors } => {
-                CompactCsr::from_offsets(Offsets::Small(offsets), neighbors)
-            }
-            RawCsr::Wide { offsets, neighbors } => {
-                CompactCsr::from_offsets(Offsets::Wide(offsets), neighbors)
-            }
-        }
-    }
-
-    fn into_legacy(self) -> CsrGraph {
-        match self {
-            RawCsr::Small { offsets, neighbors } => {
-                let wide: Vec<usize> = offsets.iter().map(|&o| o as usize).collect();
-                CsrGraph::from_raw(wide, neighbors)
-            }
-            RawCsr::Wide { offsets, neighbors } => CsrGraph::from_raw(offsets, neighbors),
-        }
-    }
-}
+type RawCsr = (Offsets, Vec<u32>);
 
 /// Running high-water mark of build-side allocations. Shared with the
 /// sharded builder ([`crate::sharded`]), which threads **one** `Peak`
@@ -455,14 +406,14 @@ impl Cursor for AtomicUsize {
     }
 }
 
-/// Ties an offset width to its cursor type and to the `RawCsr` variant it
-/// packs into.
+/// Ties an offset width to its cursor type and to the [`Offsets`]
+/// variant it packs into.
 trait ScatterWord: OffsetWord {
     type Cursor: Cursor;
     /// View a mutable word buffer as atomic cursors (no copy; see
     /// [`as_atomic_u32s`] for the layout argument).
     fn as_cursors(words: &mut [Self]) -> &[Self::Cursor];
-    fn pack(offsets: Vec<Self>, neighbors: Vec<u32>) -> RawCsr;
+    fn pack(offsets: Vec<Self>) -> Offsets;
 }
 
 impl ScatterWord for u32 {
@@ -472,8 +423,8 @@ impl ScatterWord for u32 {
         as_atomic_u32s(words)
     }
 
-    fn pack(offsets: Vec<Self>, neighbors: Vec<u32>) -> RawCsr {
-        RawCsr::Small { offsets, neighbors }
+    fn pack(offsets: Vec<Self>) -> Offsets {
+        Offsets::Small(offsets)
     }
 }
 
@@ -486,8 +437,8 @@ impl ScatterWord for usize {
         unsafe { std::slice::from_raw_parts(words.as_mut_ptr() as *const AtomicUsize, words.len()) }
     }
 
-    fn pack(offsets: Vec<Self>, neighbors: Vec<u32>) -> RawCsr {
-        RawCsr::Wide { offsets, neighbors }
+    fn pack(offsets: Vec<Self>) -> Offsets {
+        Offsets::Wide(offsets)
     }
 }
 
@@ -528,12 +479,12 @@ impl<T> SharedMut<T> {
 /// The engine: two replays, no arc list. `u32_limit` is the largest arc
 /// total the `u32` offset width may address (the real boundary is
 /// `u32::MAX`; tests shrink it to reach the wide path cheaply). Returns
-/// the structural arrays plus the neighbor-parallel weights array (empty
-/// logical content for `W = ()`, which allocates nothing).
+/// the graph plus the neighbor-parallel weights array (empty logical
+/// content for `W = ()`, which allocates nothing).
 fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     src: &S,
     u32_limit: usize,
-) -> io::Result<(RawCsr, Vec<W>, BuildStats)> {
+) -> io::Result<(CompactCsr, Vec<W>, BuildStats)> {
     let t0 = Instant::now();
     let mut peak = Peak::default();
     peak.alloc(src.buffered_bytes());
@@ -545,7 +496,7 @@ fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     drop(count_span);
 
     // ---- prefix sum + pass 2 at the narrowest width that fits --------
-    let (raw, weights, mut stats) = if total < u32_limit {
+    let ((offsets, neighbors), weights, mut stats) = if total < u32_limit {
         scatter::<u32, W, S>(src, counts, total, u32_limit, &mut peak)?
     } else {
         scatter::<usize, W, S>(src, counts, total, u32_limit, &mut peak)?
@@ -556,7 +507,7 @@ fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     stats.weight_width = std::mem::size_of::<W>();
     stats.build_bytes_peak = peak.peak;
     stats.ingest = t0.elapsed();
-    Ok((raw, weights, stats))
+    Ok((CompactCsr::from_offsets(offsets, neighbors), weights, stats))
 }
 
 /// Partitions the replay driver runs per pool strand: a few more than
@@ -924,7 +875,7 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
         // No duplicates anywhere: the scatter arrays are already the
         // final neighbor/weight arrays and the pass-1 offsets are exact.
         peak.free(n * 4);
-        return Ok((O::pack(offsets, neighbors), weights, stats));
+        return Ok(((O::pack(offsets), neighbors), weights, stats));
     }
 
     // ---- compaction: close the gaps dedup left -----------------------
@@ -980,7 +931,7 @@ fn compact_lists<O: ScatterWord, F: ScatterWord, W: EdgeWeight>(
             }
         });
     }
-    (F::pack(fin_offsets, fin), fin_weights)
+    ((F::pack(fin_offsets), fin), fin_weights)
 }
 
 #[cfg(test)]
@@ -1088,6 +1039,13 @@ pub(crate) mod tests {
             }
             assert_eq!(next, len);
         }
+    }
+
+    /// Width-independent CSR arrays: offsets read through `arc_range`.
+    fn csr_arrays(g: &CompactCsr) -> (Vec<usize>, &[u32]) {
+        let mut offsets: Vec<usize> = g.vertices().map(|v| g.arc_range(v).start).collect();
+        offsets.push(g.num_arcs());
+        (offsets, g.raw_neighbors())
     }
 
     /// Minimal in-memory source over a pair slice.
@@ -1199,15 +1157,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn legacy_and_compact_share_arrays() {
-        let pairs = vec![(0, 3), (3, 1), (2, 0), (1, 2), (0, 3)];
-        let src = VecSource { n: 4, pairs };
-        let c = build_compact(&src).unwrap();
-        let l = build_legacy(&src).unwrap();
-        assert_eq!(c.to_legacy(), l);
-    }
-
-    #[test]
     fn forced_wide_matches_small() {
         let pairs: Vec<(u32, u32)> = (0..40u32).map(|i| (i % 7, (i * 3 + 1) % 7)).collect();
         let src = VecSource { n: 7, pairs };
@@ -1215,7 +1164,7 @@ pub(crate) mod tests {
         assert_eq!(small.offset_width(), 4);
         let (wide, _) = build_compact_with_offset_limit(&src, 1).unwrap();
         assert_eq!(wide.offset_width(), std::mem::size_of::<usize>());
-        assert_eq!(wide.to_legacy(), small.to_legacy());
+        assert_eq!(csr_arrays(&wide), csr_arrays(&small));
     }
 
     #[test]
@@ -1296,7 +1245,7 @@ pub(crate) mod tests {
             wide.structure().offset_width(),
             std::mem::size_of::<usize>()
         );
-        assert_eq!(wide.structure().to_legacy(), small.structure().to_legacy());
+        assert_eq!(csr_arrays(wide.structure()), csr_arrays(small.structure()));
         for v in 0..9u32 {
             assert_eq!(wide.neighbor_weights(v), small.neighbor_weights(v));
         }

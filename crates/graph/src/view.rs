@@ -147,10 +147,14 @@ impl GraphMemory {
 /// `Sync` is a supertrait: all hot loops traverse the graph from many
 /// threads at once.
 ///
-/// Implementations: [`crate::CsrGraph`] (legacy `usize`-offset CSR),
-/// [`crate::CompactCsr`] (the default; 4-byte offsets when `2m <
-/// u32::MAX`), [`crate::InducedView`] (zero-copy induced subgraph of any
-/// other view).
+/// Implementations: [`crate::CompactCsr`] (the default; 4-byte offsets
+/// when `2m < u32::MAX`, machine-word offsets otherwise),
+/// [`crate::CompressedCsr`] (delta-varint block-encoded adjacencies),
+/// [`crate::ShardedCsr`] (vertex-range shards plus a cross-shard halo),
+/// [`crate::WeightedCsr`] (a `CompactCsr` plus a weights array),
+/// [`crate::MappedSnapshot`] (zero-copy over an `mmap`ed snapshot) and
+/// [`crate::InducedView`] (zero-copy induced subgraph of any other
+/// view).
 pub trait GraphView: Sync {
     /// Iterator over the sorted neighbor ids of one vertex.
     type Neighbors<'a>: Iterator<Item = u32> + 'a
@@ -236,20 +240,9 @@ pub trait GraphView: Sync {
         }
     }
 
-    /// Storage footprint of this representation. The default assumes the
-    /// legacy layout: machine-word offsets, 4-byte neighbors, no weights.
-    fn memory_footprint(&self) -> GraphMemory {
-        GraphMemory {
-            offset_width: std::mem::size_of::<usize>(),
-            offset_count: self.n() + 1,
-            neighbor_width: 4,
-            neighbor_count: self.num_arcs(),
-            encoded_bytes: 0,
-            encoded_mapped_bytes: 0,
-            aux_bytes: 0,
-            weight_bytes: 0,
-        }
-    }
+    /// Storage footprint of this representation: offset and neighbor
+    /// widths and counts, encoded, auxiliary and weight bytes.
+    fn memory_footprint(&self) -> GraphMemory;
 
     /// Per-thread scratch bytes a traversal of this view needs beyond the
     /// stored arrays — 0 for slice-backed CSR layouts, nonzero for

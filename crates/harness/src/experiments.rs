@@ -343,10 +343,13 @@ fn scaling_algorithms() -> Vec<Algorithm> {
 /// Each row reports its speedup over the single-thread baseline of the
 /// same (graph, algorithm) pair — the paper's scaling axis. With
 /// `cfg.shards` set (`--shards` / `PGC_SHARDS`), the workloads are built
-/// as [`pgc_graph::ShardedCsr`]s and the shard-parallel round loops carry
-/// the runs; with `cfg.compressed` (`--compressed` / `PGC_COMPRESSED`)
-/// they are built as [`pgc_graph::CompressedCsr`]s and the same generic
-/// loops decode delta-varint blocks on the fly. The trailing
+/// as [`pgc_graph::ShardedCsr`]s and the generic `run()` registry loops
+/// color them through the three-segment (halo-below / local /
+/// halo-above) neighbor walk — not the shard-parallel loops, which
+/// [`sharded_jp_scaling`] measures; with `cfg.compressed`
+/// (`--compressed` / `PGC_COMPRESSED`) they are built as
+/// [`pgc_graph::CompressedCsr`]s and the same generic loops decode
+/// delta-varint blocks on the fly. The trailing
 /// `shards`/`halo_MiB`/`encoded_MiB`/`ratio` columns say which
 /// representation each row measured (sharding wins when both are set).
 pub fn fig2_strong(cfg: &ExpConfig) -> Table {
@@ -531,8 +534,10 @@ fn strong_rows<G: GraphView>(
 
 /// Fig. 2 (left): weak scaling on Kronecker graphs — edges/vertex grows
 /// with the thread count ("1+1 … 32+32" in the paper). With `cfg.shards`
-/// set, each Kronecker workload is built as a [`pgc_graph::ShardedCsr`];
-/// with `cfg.compressed`, as a [`pgc_graph::CompressedCsr`]. The trailing
+/// set, each Kronecker workload is built as a [`pgc_graph::ShardedCsr`]
+/// and colored by the generic `run()` registry loops over its
+/// three-segment neighbor walk (as in [`fig2_strong`]); with
+/// `cfg.compressed`, as a [`pgc_graph::CompressedCsr`]. The trailing
 /// `shards`/`halo_MiB`/`encoded_MiB`/`ratio` columns say which
 /// representation the row measured (sharding wins when both are set).
 pub fn fig2_weak(cfg: &ExpConfig) -> Table {
@@ -1434,11 +1439,17 @@ mod tests {
     }
 
     #[test]
-    fn colorsum_is_deterministic() {
-        let a = colorsum(&smoke_cfg());
-        let b = colorsum(&smoke_cfg());
-        assert!(!a.rows.is_empty());
-        assert_eq!(a.to_csv(), b.to_csv(), "colorsum must be run-to-run stable");
+    fn colorsum_matches_pinned_fixture() {
+        // `pgc colorsum --scale 0 --csv`: default seed, smoke scale.
+        let cfg = ExpConfig {
+            scale: 0,
+            ..ExpConfig::default()
+        };
+        assert_eq!(
+            colorsum(&cfg).to_csv(),
+            include_str!("../../../tests/fixtures/colorsum-scale0.csv"),
+            "colorsum moved off the pinned digest"
+        );
     }
 
     #[test]

@@ -138,7 +138,7 @@ mod tests {
     use crate::max_back_degree;
     use pgc_graph::degeneracy::degeneracy;
     use pgc_graph::gen::{generate, GraphSpec};
-    use pgc_graph::CsrGraph;
+    use pgc_graph::CompactCsr;
 
     #[test]
     fn sll_covers_all_vertices() {
@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn empty_graph_ok() {
-        let g = CsrGraph::empty(0);
+        let g = CompactCsr::empty(0);
         let o = smallest_log_last(&g, 0);
         assert_eq!(o.rho.len(), 0);
     }

@@ -126,9 +126,9 @@ impl OffsetWord for usize {
 /// `offsets[n]`. Returns `(offsets, total)`.
 ///
 /// This is the single offsets-from-degrees engine behind every CSR
-/// construction path in the workspace (`CompactCsr` and the legacy
-/// `CsrGraph`, buffered and streaming alike), generic over the offset
-/// width so the `u32` fast path never materializes machine-word offsets.
+/// construction path in the workspace (`CompactCsr` at both offset
+/// widths, buffered and streaming alike), generic over the offset width
+/// so the `u32` fast path never materializes machine-word offsets.
 /// Same blocked scan as [`prefix_sum_exclusive`]: `O(n)` work,
 /// `O(log n)` depth.
 pub fn offsets_from_counts<W: OffsetWord>(counts: &[u32]) -> (Vec<W>, usize) {

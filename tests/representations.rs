@@ -5,8 +5,8 @@
 //! any two representations of the same abstract graph. This suite pins
 //! that down three ways:
 //!
-//! 1. all 21 algorithms agree between [`CompactCsr`] (u32 offsets, the
-//!    default) and the legacy machine-word [`CsrGraph`],
+//! 1. all 21 algorithms agree between [`CompactCsr`]'s u32 offsets (the
+//!    default) and its machine-word fallback for `2m ≥ u32::MAX`,
 //! 2. [`InducedView`] agrees with a materialized induced subgraph on
 //!    degrees, edges, and the colorings computed through it,
 //! 3. a size check proves the compact layout really spends 4 bytes per
@@ -14,10 +14,11 @@
 
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, verify, Algorithm, Params};
-use pgc::graph::builder::{from_edges, from_edges_legacy};
-use pgc::graph::gen::{generate, GraphSpec};
+use pgc::graph::builder::{from_edges, EdgeListBuilder};
+use pgc::graph::gen::{generate, GraphSpec, SpecSource};
+use pgc::graph::stream::build_compact_with_offset_limit;
 use pgc::graph::transform::induced_subgraph;
-use pgc::graph::{CompactCsr, CsrGraph, GraphView, InducedView};
+use pgc::graph::{CompactCsr, EdgeSource, GraphView, InducedView};
 use proptest::prelude::*;
 
 /// Strategy: raw edge list + vertex count (dedup happens in the builder).
@@ -28,33 +29,40 @@ fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u
     })
 }
 
-fn both_representations(n: usize, edges: &[(u32, u32)]) -> (CompactCsr, CsrGraph) {
-    (from_edges(n, edges), from_edges_legacy(n, edges))
+/// The same source built twice: 4-byte offsets and forced 8-byte ones.
+fn small_and_wide(src: &impl EdgeSource) -> (CompactCsr, CompactCsr) {
+    let (small, _) = build_compact_with_offset_limit(src, u32::MAX as usize).unwrap();
+    let (wide, _) = build_compact_with_offset_limit(src, 0).unwrap();
+    assert_eq!(small.offset_width(), 4);
+    assert_eq!(wide.offset_width(), std::mem::size_of::<usize>());
+    (small, wide)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// (a) All 21 algorithms give bit-identical colorings on `CompactCsr`
-    /// vs the legacy representation.
+    /// with 4-byte vs 8-byte offsets.
     #[test]
     fn all_algorithms_identical_across_representations(
         (n, edges) in arb_edges(40, 160),
         seed in 0u64..500,
     ) {
-        let (compact, legacy) = both_representations(n, &edges);
-        prop_assert_eq!(compact.n(), legacy.n());
-        prop_assert_eq!(compact.m(), legacy.m());
+        let mut b = EdgeListBuilder::with_capacity(n, edges.len());
+        b.extend_edges(edges.iter().copied());
+        let (small, wide) = small_and_wide(&b);
+        prop_assert_eq!(small.n(), wide.n());
+        prop_assert_eq!(small.m(), wide.m());
         let params = Params { seed, ..Params::default() };
         for algo in Algorithm::all() {
-            let c = run(&compact, algo, &params);
-            let l = run(&legacy, algo, &params);
-            verify::assert_proper(&compact, &c.colors);
+            let s = run(&small, algo, &params);
+            let w = run(&wide, algo, &params);
+            verify::assert_proper(&small, &s.colors);
             prop_assert_eq!(
-                &c.colors, &l.colors,
-                "{} differs between CompactCsr and CsrGraph", algo.name()
+                &s.colors, &w.colors,
+                "{} differs between small and wide offsets", algo.name()
             );
-            prop_assert_eq!(c.num_colors, l.num_colors);
+            prop_assert_eq!(s.num_colors, w.num_colors);
         }
     }
 
@@ -104,7 +112,7 @@ proptest! {
 }
 
 /// (a) at realistic scale: the full algorithm registry on generated suite
-/// proxies, compact vs legacy, exact color vectors.
+/// proxies, small vs wide offsets, exact color vectors.
 #[test]
 fn generated_graphs_identical_across_representations() {
     let params = Params::default();
@@ -122,12 +130,11 @@ fn generated_graphs_identical_across_representations() {
     .iter()
     .enumerate()
     {
-        let compact = generate(spec, i as u64);
-        let legacy = compact.to_legacy();
+        let (small, wide) = small_and_wide(&SpecSource::new(spec.clone(), i as u64));
         for algo in Algorithm::all() {
-            let c = run(&compact, algo, &params);
-            let l = run(&legacy, algo, &params);
-            assert_eq!(c.colors, l.colors, "{} on {spec:?}", algo.name());
+            let s = run(&small, algo, &params);
+            let w = run(&wide, algo, &params);
+            assert_eq!(s.colors, w.colors, "{} on {spec:?}", algo.name());
         }
     }
 }
@@ -151,10 +158,15 @@ fn compact_offsets_are_four_bytes() {
     assert_eq!(fp.offset_count, g.n() + 1);
     assert_eq!(fp.offset_bytes(), 4 * (g.n() + 1));
     assert_eq!(fp.neighbor_bytes(), 4 * g.num_arcs());
-    // Half the legacy offset memory.
-    let legacy_fp = g.to_legacy().memory_footprint();
-    assert_eq!(legacy_fp.offset_bytes(), 2 * fp.offset_bytes());
-    assert_eq!(legacy_fp.neighbor_bytes(), fp.neighbor_bytes());
+    // Half the offset memory of the wide fallback.
+    let spec = GraphSpec::Rmat {
+        scale: 10,
+        edge_factor: 8,
+    };
+    let (wide, _) = build_compact_with_offset_limit(&SpecSource::new(spec, 1), 0).unwrap();
+    let wide_fp = wide.memory_footprint();
+    assert_eq!(wide_fp.offset_bytes(), 2 * fp.offset_bytes());
+    assert_eq!(wide_fp.neighbor_bytes(), fp.neighbor_bytes());
 }
 
 /// Zero-copy recursion: mining's k-core and densest-subgraph views nest

@@ -130,8 +130,9 @@ fn all_algorithms_bit_identical_on_sharded_graph() {
 }
 
 /// Contract 2: the shard-parallel JP level loop (halo color-exchange
-/// barrier between rounds) reproduces the monolithic level loop at
-/// 1/2/4 shards. Thread widths come from the CI `PGC_THREADS` matrix.
+/// barrier between rounds) reproduces the asynchronous JP engine's
+/// colors, in as many rounds as `Gρ` has levels, at 1/2/4 shards. Thread
+/// widths come from the CI `PGC_THREADS` matrix.
 #[test]
 fn sharded_jp_rounds_bit_identical_at_1_2_4_shards() {
     let spec = GraphSpec::Rmat {
@@ -140,7 +141,8 @@ fn sharded_jp_rounds_bit_identical_at_1_2_4_shards() {
     };
     let (mono, _) = generate_with_stats(&spec, 21);
     let ord = adg(&mono, &AdgOptions::default());
-    let (base_colors, base_rounds) = pgc::color::jp::jp_color_levels(&mono, &ord.rho);
+    let base_colors = pgc::color::jp::jp_color(&mono, &ord.rho);
+    let base_rounds = pgc::color::jp::dag_longest_path(&mono, &ord.rho);
     for shards in [1usize, 2, 4] {
         let (sharded, _) = generate_sharded_with_stats(&spec, 21, &ShardOptions::resident(shards));
         let bounds = sharded.boundaries().to_vec();

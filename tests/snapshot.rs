@@ -16,15 +16,18 @@
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, verify, Algorithm, Params};
 use pgc::graph::builder::{from_edges, from_weighted_edges};
-use pgc::graph::gen::{generate, GraphSpec};
+use pgc::graph::gen::{generate, GraphSpec, SpecSource};
 use pgc::graph::snapshot::{
-    is_snapshot, load_snapshot, load_snapshot_bytes, load_weighted_snapshot_bytes, write_snapshot,
-    write_snapshot_to, write_weighted_snapshot_to, MappedSnapshot, SNAPSHOT_EXT,
+    inspect_snapshot, is_snapshot, load_compressed_snapshot, load_snapshot, load_snapshot_bytes,
+    load_weighted_snapshot_bytes, write_snapshot, write_snapshot_compressed, write_snapshot_to,
+    write_weighted_snapshot_to, MappedSnapshot, SNAPSHOT_EXT,
 };
+use pgc::graph::stream::build_compact_with_offset_limit;
 use pgc::graph::{CompactCsr, GraphView, WeightedView};
 use pgc::mining;
 use proptest::prelude::*;
 use std::io::ErrorKind;
+use std::path::{Path, PathBuf};
 
 /// Strategy: raw edge list + vertex count (dedup happens in the builder).
 fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -49,10 +52,10 @@ fn assert_same_graph<A: GraphView, B: GraphView>(a: &A, b: &B) {
     }
 }
 
-/// Write a graph to a uniquely named temp snapshot, run `f` on the path,
-/// then clean up (also on panic, via a drop guard).
-fn with_snapshot_file<R>(g: &CompactCsr, tag: &str, f: impl FnOnce(&std::path::Path) -> R) -> R {
-    struct Cleanup(std::path::PathBuf);
+/// Run `f` on a uniquely named temp snapshot path, then remove the file
+/// (also on panic, via a drop guard).
+fn with_temp_path<R>(tag: &str, f: impl FnOnce(&Path) -> R) -> R {
+    struct Cleanup(PathBuf);
     impl Drop for Cleanup {
         fn drop(&mut self) {
             let _ = std::fs::remove_file(&self.0);
@@ -63,8 +66,16 @@ fn with_snapshot_file<R>(g: &CompactCsr, tag: &str, f: impl FnOnce(&std::path::P
         std::process::id()
     ));
     let guard = Cleanup(path);
-    write_snapshot(g, &guard.0).expect("write snapshot");
     f(&guard.0)
+}
+
+/// Write a graph to a uniquely named temp snapshot, run `f` on the path,
+/// then clean up.
+fn with_snapshot_file<R>(g: &CompactCsr, tag: &str, f: impl FnOnce(&Path) -> R) -> R {
+    with_temp_path(tag, |path| {
+        write_snapshot(g, path).expect("write snapshot");
+        f(path)
+    })
 }
 
 proptest! {
@@ -172,6 +183,59 @@ fn all_algorithms_identical_on_snapshot_loaded_graphs() {
                     algo.name()
                 );
                 assert_eq!(a.num_colors, b.num_colors);
+            }
+        });
+    }
+}
+
+/// `g` has `small`'s structure, and every non-speculative algorithm
+/// colors it exactly as it colors `small`.
+fn assert_colors_like<G: GraphView>(small: &CompactCsr, g: &G, what: &str) {
+    assert_same_graph(small, g);
+    let params = Params::default();
+    for algo in Algorithm::all().into_iter().filter(|a| !a.is_speculative()) {
+        let (a, b) = (run(small, algo, &params), run(g, algo, &params));
+        assert_eq!(a.colors, b.colors, "{} differs on {what}", algo.name());
+    }
+}
+
+/// The 8-byte offset path end to end: a graph built with wide offsets is
+/// written as v1 and v2, keeps 8-byte offsets on disk, and every reopened
+/// copy colors exactly like the 4-byte build.
+#[test]
+fn wide_offsets_survive_v1_and_v2_snapshots() {
+    let spec = GraphSpec::Rmat {
+        scale: 9,
+        edge_factor: 8,
+    };
+    let small = generate(&spec, 3);
+    let (wide, _) = build_compact_with_offset_limit(&SpecSource::new(spec, 3), 0).unwrap();
+    assert_eq!(wide.offset_width(), 8);
+    type Write = fn(&CompactCsr, &Path) -> std::io::Result<u64>;
+    for (version, write) in [
+        (1u16, write_snapshot as Write),
+        (2, write_snapshot_compressed),
+    ] {
+        with_temp_path(&format!("wide-v{version}"), |path| {
+            write(&wide, path).unwrap();
+            let info = inspect_snapshot(path).unwrap();
+            assert_eq!(info.version, version);
+            assert_eq!(info.offset_width, 8, "v{version} keeps 8-byte offsets");
+            let loaded = load_snapshot(path).unwrap();
+            assert_eq!(loaded.offset_width(), 8);
+            assert_colors_like(&small, &loaded, "load_snapshot");
+            let z = load_compressed_snapshot::<()>(path).unwrap();
+            assert_colors_like(&small, &z, "load_compressed_snapshot");
+            // v2 neighbors are an encoded arena: only v1 maps in place.
+            match MappedSnapshot::<()>::open(path) {
+                Ok(mapped) => {
+                    assert_eq!(version, 1);
+                    assert_colors_like(&small, &mapped, "MappedSnapshot");
+                }
+                Err(e) => {
+                    assert_eq!(version, 2, "v1 must map: {e}");
+                    assert_eq!(e.kind(), ErrorKind::InvalidData);
+                }
             }
         });
     }

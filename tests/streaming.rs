@@ -33,8 +33,8 @@ use pgc::color::{run, verify, Algorithm, Params};
 use pgc::graph::builder::from_edges;
 use pgc::graph::gen::{generate, generate_with_stats, GraphSpec, SpecSource};
 use pgc::graph::stream::{
-    build_compact, build_compact_with_offset_limit, build_compact_with_stats, build_legacy,
-    build_weighted, ChunkFn, EdgeSource,
+    build_compact, build_compact_with_offset_limit, build_compact_with_stats, build_weighted,
+    ChunkFn, EdgeSource,
 };
 use pgc::graph::{CompactCsr, EdgeListBuilder, EdgeWeight, GraphView, WeightedCsr};
 use pgc_harness::experiments::with_threads;
@@ -73,17 +73,24 @@ fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u
     })
 }
 
+/// Offsets read through `arc_range`, so 4- and 8-byte layouts compare
+/// as the same arrays.
+fn csr_offsets(g: &CompactCsr) -> Vec<usize> {
+    let mut offsets: Vec<usize> = g.vertices().map(|v| g.arc_range(v).start).collect();
+    offsets.push(g.num_arcs());
+    offsets
+}
+
 fn assert_arrays_match(g: &CompactCsr, offsets: &[usize], neighbors: &[u32]) {
-    let legacy = g.to_legacy();
-    assert_eq!(legacy.raw_offsets(), offsets, "offsets differ");
-    assert_eq!(legacy.raw_neighbors(), neighbors, "neighbors differ");
+    assert_eq!(csr_offsets(g), offsets, "offsets differ");
+    assert_eq!(g.raw_neighbors(), neighbors, "neighbors differ");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// (1) Streaming build ≡ the arc-list oracle ≡ `build_legacy`, down
-    /// to the exact offset/neighbor arrays and the cached Δ/δ.
+    /// (1) Streaming build ≡ the arc-list oracle at both offset widths,
+    /// down to the exact offset/neighbor arrays and the cached Δ/δ.
     #[test]
     fn streaming_build_is_bit_identical_to_arc_list_oracle(
         (n, edges) in arb_edges(48, 200),
@@ -95,16 +102,16 @@ proptest! {
 
         let mut b = EdgeListBuilder::with_capacity(n, edges.len());
         b.extend_edges(edges.iter().copied());
-        let legacy = b.build_legacy();
-        prop_assert_eq!(legacy.raw_offsets(), &ref_offsets[..]);
-        prop_assert_eq!(legacy.raw_neighbors(), &ref_neighbors[..]);
+        let (wide, _) = build_compact_with_offset_limit(&b, 0).unwrap();
+        prop_assert_eq!(wide.offset_width(), std::mem::size_of::<usize>());
+        assert_arrays_match(&wide, &ref_offsets, &ref_neighbors);
 
         // Cached degree extremes agree with a rescan of the oracle arrays.
         let degs: Vec<usize> = (0..n).map(|v| ref_offsets[v + 1] - ref_offsets[v]).collect();
         prop_assert_eq!(g.max_degree() as usize, degs.iter().copied().max().unwrap_or(0));
         prop_assert_eq!(g.min_degree() as usize, degs.iter().copied().min().unwrap_or(0));
-        prop_assert_eq!(legacy.max_degree(), g.max_degree());
-        prop_assert_eq!(legacy.min_degree(), g.min_degree());
+        prop_assert_eq!(wide.max_degree(), g.max_degree());
+        prop_assert_eq!(wide.min_degree(), g.min_degree());
     }
 
     /// (2) The wide-offset fallback (forced via a tiny `u32` limit, as if
@@ -121,7 +128,8 @@ proptest! {
         if small.num_arcs() >= limit {
             prop_assert_eq!(wide.offset_width(), std::mem::size_of::<usize>());
         }
-        prop_assert_eq!(wide.to_legacy(), small.to_legacy());
+        prop_assert_eq!(csr_offsets(&wide), csr_offsets(&small));
+        prop_assert_eq!(wide.raw_neighbors(), small.raw_neighbors());
         prop_assert_eq!(wide.max_degree(), small.max_degree());
         prop_assert_eq!(wide.min_degree(), small.min_degree());
     }
@@ -145,7 +153,7 @@ proptest! {
 
 /// (3b) All 21 algorithms produce bit-identical colorings on a
 /// streaming-built graph vs its `EdgeListBuilder`-built twin (and the
-/// legacy representation built through the same engine).
+/// wide-offset build of the same source).
 #[test]
 fn all_algorithms_identical_on_streaming_vs_buffered_builds() {
     let params = Params::default();
@@ -172,16 +180,16 @@ fn all_algorithms_identical_on_streaming_vs_buffered_builds() {
             }
         })
         .unwrap();
-        let legacy = build_legacy(&src).unwrap();
+        let (wide, _) = build_compact_with_offset_limit(&src, 0).unwrap();
         let buffered = b.build();
         assert_eq!(streamed, buffered, "{spec:?}");
         for algo in Algorithm::all() {
             let s = run(&streamed, algo, &params);
             let f = run(&buffered, algo, &params);
-            let l = run(&legacy, algo, &params);
+            let w = run(&wide, algo, &params);
             verify::assert_proper(&streamed, &s.colors);
             assert_eq!(s.colors, f.colors, "{} on {spec:?}", algo.name());
-            assert_eq!(s.colors, l.colors, "{} legacy on {spec:?}", algo.name());
+            assert_eq!(s.colors, w.colors, "{} wide on {spec:?}", algo.name());
         }
     }
 }

@@ -19,7 +19,9 @@ use parallel_graph_coloring as pgc;
 use pgc::color::{run, Algorithm, Params};
 use pgc::graph::builder::{from_edges, EdgeListBuilder};
 use pgc::graph::gen::{generate, generate_weighted, GraphSpec};
-use pgc::graph::stream::{build_weighted_with_stats, ChunkFn, EdgeSource};
+use pgc::graph::stream::{
+    build_weighted_with_offset_limit, build_weighted_with_stats, ChunkFn, EdgeSource,
+};
 use pgc::graph::{GraphView, WeightedCsr, WeightedView};
 use pgc::mining::{greedy_weighted_matching, verify_matching};
 use proptest::prelude::*;
@@ -78,13 +80,11 @@ fn reference_weighted(n: usize, edges: &[(u32, u32, u32)]) -> (Vec<usize>, Vec<u
 
 fn assert_weighted_arrays(g: &WeightedCsr<u32>, n: usize, edges: &[(u32, u32, u32)]) {
     let (ref_offsets, ref_neighbors, ref_weights) = reference_weighted(n, edges);
-    let legacy = g.structure().to_legacy();
-    assert_eq!(legacy.raw_offsets(), &ref_offsets[..], "offsets differ");
-    assert_eq!(
-        legacy.raw_neighbors(),
-        &ref_neighbors[..],
-        "neighbors differ"
-    );
+    let s = g.structure();
+    let mut offsets: Vec<usize> = s.vertices().map(|v| s.arc_range(v).start).collect();
+    offsets.push(s.num_arcs());
+    assert_eq!(offsets, ref_offsets, "offsets differ");
+    assert_eq!(s.raw_neighbors(), &ref_neighbors[..], "neighbors differ");
     assert_eq!(g.raw_weights(), &ref_weights[..], "weights differ");
 }
 
@@ -104,8 +104,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// (1a) Weighted streaming build ≡ buffered oracle on offsets,
-    /// neighbors, and weights — through both the chunked streaming
-    /// source and the buffered builder.
+    /// neighbors, and weights — through the chunked streaming source at
+    /// both offset widths and through the buffered builder.
     #[test]
     fn weighted_streaming_build_matches_buffered_oracle(
         (n, edges) in arb_weighted_edges(40, 160),
@@ -115,6 +115,9 @@ proptest! {
         assert_weighted_arrays(&g, n, &edges);
         prop_assert!(g.validate().is_ok());
         prop_assert_eq!(stats.weight_width, 4);
+        let (wide, _) = build_weighted_with_offset_limit(&src, 0).unwrap();
+        prop_assert_eq!(wide.structure().offset_width(), std::mem::size_of::<usize>());
+        assert_weighted_arrays(&wide, n, &edges);
 
         let mut b = EdgeListBuilder::<u32>::with_capacity(n, edges.len());
         b.extend_weighted_edges(edges.iter().copied());
