@@ -1185,14 +1185,16 @@ fn timed_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, std::time::Durati
 /// algorithm) color array, with no timing columns, so two runs of the
 /// same binary — or of the obs and no-op builds — must produce
 /// byte-identical output. CI diffs exactly that to prove the recorder
-/// never changes a coloring. Speculative algorithms are excluded: their
-/// conflict resolution is schedule-dependent by design, so their colorings
-/// (while always proper) are not run-to-run stable.
+/// never changes a coloring. All 21 algorithms are digested, the
+/// speculative ones included: every speculative phase is bulk-synchronous
+/// (draws are seeded per round and vertex, conflicts are decided on the
+/// whole round's tentative colors), so their colorings do not depend on
+/// the schedule or the pool width either.
 pub fn colorsum(cfg: &ExpConfig) -> Table {
     let params = cfg.params();
     let mut t = Table::new(&["graph", "algorithm", "colors", "fnv64"]);
     for (sg, g, _) in load_suite(cfg) {
-        for algo in Algorithm::all().into_iter().filter(|a| !a.is_speculative()) {
+        for algo in Algorithm::all() {
             let r = run(&g, algo, &params);
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for &c in &r.colors {
