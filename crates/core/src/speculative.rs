@@ -136,30 +136,25 @@ pub fn itr<G: GraphView>(g: &G, priority: &[u64], batch: usize, _seed: u64) -> I
         // Phase 2: conflict detection. v keeps its color unless some
         // neighbor in the same batch picked the same color with higher
         // priority (priorities are a total order, so exactly the conflict
-        // losers retry).
+        // losers retry). Winners commit in the same pass: the check reads
+        // only `tent` and `priority`, never `colors`.
         let losers: Vec<u32> = cur
             .par_iter()
             .copied()
             .filter(|&v| {
                 let cv = tent[v as usize].load(AtOrd::Relaxed);
                 let pv = priority[v as usize];
-                g.neighbors(v).any(|u| {
+                let lost = g.neighbors(v).any(|u| {
                     tent[u as usize].load(AtOrd::Relaxed) == cv && priority[u as usize] > pv
-                })
+                });
+                if !lost {
+                    colors[v as usize].store(cv, AtOrd::Relaxed);
+                }
+                lost
             })
             .collect();
 
-        // Phase 3: commit winners, clear tentative marks.
-        cur.par_iter().for_each(|&v| {
-            let cv = tent[v as usize].load(AtOrd::Relaxed);
-            let pv = priority[v as usize];
-            let lost = g
-                .neighbors(v)
-                .any(|u| tent[u as usize].load(AtOrd::Relaxed) == cv && priority[u as usize] > pv);
-            if !lost {
-                colors[v as usize].store(cv, AtOrd::Relaxed);
-            }
-        });
+        // Phase 3: clear tentative marks.
         cur.par_iter().for_each(|&v| {
             tent[v as usize].store(UNCOLORED, AtOrd::Relaxed);
         });
