@@ -17,15 +17,26 @@
 //! ITR's deterministic first-fit draw — the §IV-C recipe showing ADG can
 //! upgrade an existing speculative heuristic (\[40\]) to a
 //! `2(1+ε)d + 1` quality guarantee while staying fast in practice.
+//!
+//! Every variant runs the same driver: one
+//! [`ConstraintAdjacency`] per run, whose row for `v` holds only the
+//! `deg_ℓ(v) ≤ k·d` neighbors in `v`'s own or higher partitions (built by
+//! two sweeps of the host graph, whatever its representation), then one
+//! [`SimColEngine`] call per partition. SIM-COL's conflict scans therefore
+//! touch only intra-partition adjacency (≤ `deg_ℓ`), never the full host
+//! row. The coloring is bit-identical to scanning full host rows: bitmap
+//! bits are only ever set, so skipping a re-absorb changes nothing, and
+//! vertices outside the partition always carry `tent == UNCOLORED`, which
+//! no draw can equal (see [`crate::simcol`]).
 
 use crate::colorer::{Colorer, Instrumentation};
-use crate::simcol::{palette_layout, SimColEngine};
+use crate::simcol::{palette_layout, ConstraintAdjacency, SimColEngine, SimColStats};
 use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
 use pgc_graph::GraphView;
 use pgc_order::adg::{adg, AdgOptions};
-use pgc_order::ThresholdRule;
+use pgc_order::{Levels, ThresholdRule};
 use pgc_primitives::bitmap::AtomicBitmap;
-use pgc_primitives::random_permutation;
+use pgc_primitives::{offsets_from_counts, random_permutation};
 use rayon::prelude::*;
 use std::sync::atomic::AtomicU32;
 
@@ -61,20 +72,6 @@ impl<G: GraphView> Colorer<G> for Dec {
     }
 }
 
-/// `deg_ℓ(v)` (§IV-B): the number of neighbors of `v` in its own or any
-/// higher partition — the only neighbors that can ever constrain `v`'s
-/// color. Bounded by `k·d` because the ranks form a partial k-approximate
-/// degeneracy ordering.
-pub fn constraint_degrees<G: GraphView>(g: &G, rank: &[u32]) -> Vec<u32> {
-    g.vertices()
-        .into_par_iter()
-        .map(|v| {
-            let rv = rank[v as usize];
-            g.neighbors(v).filter(|&u| rank[u as usize] >= rv).count() as u32
-        })
-        .collect()
-}
-
 fn adg_options_for(params: &Params, rule: ThresholdRule, epsilon: f64) -> AdgOptions {
     AdgOptions {
         epsilon,
@@ -86,6 +83,53 @@ fn adg_options_for(params: &Params, rule: ThresholdRule, epsilon: f64) -> AdgOpt
         fuse_rank: true,
         seed: params.seed,
     }
+}
+
+/// Alg. 4 lines 9–19, shared by every DEC variant: build the run's
+/// [`ConstraintAdjacency`] (two host sweeps; its row lengths are `deg_ℓ`),
+/// lay out palettes and bitmaps from `deg_ℓ` with `layout`, then color
+/// the partitions from the highest rank down with `color(engine, R(ℓ),
+/// rounds so far)`. Returns (colors, rounds, conflicts).
+fn color_partitions<G: GraphView>(
+    g: &G,
+    levels: &Levels,
+    seed: u64,
+    layout: impl FnOnce(&[u32]) -> (Vec<u32>, Vec<usize>),
+    color: impl Fn(&SimColEngine<'_>, &[u32], u64) -> SimColStats,
+) -> (Vec<u32>, u32, u64) {
+    let n = g.n();
+    let adj = {
+        let _constraints = pgc_obs::span!("dec.constraints");
+        ConstraintAdjacency::build(g, &levels.rank)
+    };
+    let (palette, bv_offset) = layout(&adj.degrees());
+    let bv = AtomicBitmap::new(*bv_offset.last().unwrap_or(&0));
+    let uncolored = || -> Vec<AtomicU32> {
+        (0..n)
+            .into_par_iter()
+            .map(|_| AtomicU32::new(UNCOLORED))
+            .collect()
+    };
+    let (colors, tent) = (uncolored(), uncolored());
+    let engine = SimColEngine {
+        adj: &adj,
+        colors: &colors,
+        tent: &tent,
+        bv: &bv,
+        bv_offset: &bv_offset,
+        palette: &palette,
+        seed,
+    };
+    let mut rounds = 0u32;
+    let mut conflicts = 0u64;
+    for l in (0..levels.num_levels()).rev() {
+        let _partition = pgc_obs::span!("dec.partition");
+        let stats = color(&engine, levels.level(l), u64::from(rounds));
+        rounds += stats.rounds;
+        conflicts += stats.retries;
+    }
+    let colors: Vec<u32> = colors.into_iter().map(|c| c.into_inner()).collect();
+    (colors, rounds, conflicts)
 }
 
 /// DEC-ADG / DEC-ADG-M. `rule` selects the average-degree (ε/12-accurate)
@@ -110,44 +154,16 @@ pub fn dec_adg<G: GraphView>(
     let levels = ord.levels.expect("ADG always produces levels");
     instr.record_rounds(ord.stats.iterations, 0);
 
+    // Alg. 4 line 11: bitmaps of ⌈(1+µ)·deg_ℓ(v)⌉(+1) bits; SIM-COL line 7
+    // draws from exactly that palette.
     let (colors, rounds, conflicts) = instr.coloring(|| {
-        let n = g.n();
-        let deg_l = constraint_degrees(g, &levels.rank);
-        // Alg. 4 line 11: bitmaps of ⌈(1+µ)·deg_ℓ(v)⌉(+1) bits; SIM-COL
-        // line 7 draws from exactly that palette.
-        let (palette, bv_offset) = palette_layout(&deg_l, mu);
-        let bv = AtomicBitmap::new(*bv_offset.last().unwrap_or(&0) as usize);
-        let colors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-        let tent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-        let engine = SimColEngine {
+        color_partitions(
             g,
-            colors: &colors,
-            tent: &tent,
-            bv: &bv,
-            bv_offset: &bv_offset,
-            palette: &palette,
-            seed: params.seed ^ 0xDEC,
-        };
-
-        // Alg. 4 lines 12–19: color partitions from the highest rank down.
-        let mut rounds = 0u32;
-        let mut conflicts = 0u64;
-        let mut round_base = 0u64;
-        for l in (0..levels.num_levels()).rev() {
-            let _partition = pgc_obs::span!("dec.partition");
-            // Recurse on the zero-copy partition view: SIM-COL's conflict
-            // scans then touch only intra-partition adjacency (≤ deg_ℓ)
-            // instead of the full host adjacency. Bit-identical to the
-            // slice path (see `color_partition_random_view`).
-            let view = levels.level_view(g, l);
-            let stats = engine.color_partition_random_view(&view, round_base);
-            pgc_obs::counter!("conflicts", stats.retries);
-            rounds += stats.rounds;
-            conflicts += stats.retries;
-            round_base += stats.rounds as u64;
-        }
-        let colors: Vec<u32> = colors.into_iter().map(|c| c.into_inner()).collect();
-        (colors, rounds, conflicts)
+            &levels,
+            params.seed ^ 0xDEC,
+            |deg_l| palette_layout(deg_l, mu),
+            |engine, members, round_base| engine.color_partition_random(members, round_base),
+        )
     });
     instr.record_rounds(rounds, conflicts);
     ColoringRun::new(algo, colors, instr)
@@ -168,49 +184,25 @@ pub fn dec_adg_itr<G: GraphView>(g: &G, params: &Params) -> ColoringRun {
     let levels = ord.levels.expect("ADG always produces levels");
     instr.record_rounds(ord.stats.iterations, 0);
 
+    // Conflict winners by random priority (a total order guarantees
+    // progress of the deterministic first-fit draw).
     let (colors, rounds, conflicts) = instr.coloring(|| {
-        let n = g.n();
-        let deg_l = constraint_degrees(g, &levels.rank);
-        // First-fit never needs more than deg_ℓ(v)+1 candidates.
-        let palette: Vec<u32> = deg_l.iter().map(|&d| d + 1).collect();
-        let mut bv_offset = Vec::with_capacity(n + 1);
-        let mut acc = 0u64;
-        bv_offset.push(0);
-        for &p in &palette {
-            acc += p as u64;
-            bv_offset.push(acc);
-        }
-        let bv = AtomicBitmap::new(acc as usize);
-        let colors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-        let tent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-        let engine = SimColEngine {
-            g,
-            colors: &colors,
-            tent: &tent,
-            bv: &bv,
-            bv_offset: &bv_offset,
-            palette: &palette,
-            seed: params.seed ^ 0x17,
-        };
-        // Conflict winners by random priority (a total order guarantees
-        // progress of the deterministic first-fit draw).
-        let priority: Vec<u64> = random_permutation(n, params.seed ^ 0xABC)
+        let priority: Vec<u64> = random_permutation(g.n(), params.seed ^ 0xABC)
             .into_iter()
             .map(|p| p as u64)
             .collect();
-
-        let mut rounds = 0u32;
-        let mut conflicts = 0u64;
-        for l in (0..levels.num_levels()).rev() {
-            let _partition = pgc_obs::span!("dec.partition");
-            let view = levels.level_view(g, l);
-            let stats = engine.color_partition_first_fit_view(&view, &priority);
-            pgc_obs::counter!("conflicts", stats.retries);
-            rounds += stats.rounds;
-            conflicts += stats.retries;
-        }
-        let colors: Vec<u32> = colors.into_iter().map(|c| c.into_inner()).collect();
-        (colors, rounds, conflicts)
+        color_partitions(
+            g,
+            &levels,
+            params.seed ^ 0x17,
+            // First-fit never needs more than deg_ℓ(v)+1 candidates.
+            |deg_l| {
+                let palette: Vec<u32> = deg_l.par_iter().map(|&d| d + 1).collect();
+                let (bv_offset, _) = offsets_from_counts::<usize>(&palette);
+                (palette, bv_offset)
+            },
+            |engine, members, _| engine.color_partition_first_fit(members, &priority),
+        )
     });
     instr.record_rounds(rounds, conflicts);
     ColoringRun::new(Algorithm::DecAdgItr, colors, instr)
@@ -325,20 +317,49 @@ mod tests {
     }
 
     #[test]
-    fn constraint_degrees_bounded_by_kd() {
-        // The §IV-B key fact: deg_ℓ(v) ≤ 2(1+ε/12)·d for all v.
-        let g = generate(&GraphSpec::BarabasiAlbert { n: 1000, attach: 7 }, 5);
+    fn constraint_adjacency_matches_rank_filtered_host_rows() {
+        // Oracle: each row is the host row filtered by rank — equal ranks
+        // first, then higher ranks, each in host order — and its length
+        // deg_ℓ(v) obeys the §IV-B bound ⌈2(1+ε/12)·d⌉. The arrays do not
+        // depend on the host representation.
+        use pgc_graph::gen::SpecSource;
+        use pgc_graph::sharded::{build_sharded, ShardOptions};
+        use pgc_graph::stream::build_compact_with_offset_limit;
+        use pgc_graph::CompressedCsr;
+        let spec = GraphSpec::BarabasiAlbert { n: 1000, attach: 7 };
+        let g = generate(&spec, 5);
         let d = degeneracy(&g).degeneracy;
         let eps: f64 = 6.0;
-        let params = Params::default();
         let ord = adg(
             &g,
-            &adg_options_for(&params, ThresholdRule::Average, eps / 12.0),
+            &adg_options_for(&Params::default(), ThresholdRule::Average, eps / 12.0),
         );
-        let levels = ord.levels.unwrap();
-        let deg_l = constraint_degrees(&g, &levels.rank);
+        let rank = ord.levels.unwrap().rank;
+        let adj = ConstraintAdjacency::build(&g, &rank);
+        assert_eq!(adj.n(), g.n());
         let bound = (2.0 * (1.0 + eps / 12.0) * d as f64).ceil() as u32;
-        assert!(deg_l.iter().all(|&x| x <= bound));
+        let deg_l = adj.degrees();
+        for v in g.vertices() {
+            let rv = rank[v as usize];
+            let with = |keep: fn(u32, u32) -> bool| -> Vec<u32> {
+                GraphView::neighbors(&g, v)
+                    .filter(|&u| keep(rank[u as usize], rv))
+                    .collect()
+            };
+            assert_eq!(adj.same_level(v), with(|ru, rv| ru == rv), "v={v}");
+            assert_eq!(adj.higher_level(v), with(|ru, rv| ru > rv), "v={v}");
+            assert_eq!(adj.degree(v), deg_l[v as usize]);
+            assert!(adj.degree(v) <= bound, "deg_ℓ({v}) > ⌈kd⌉ = {bound}");
+        }
+
+        let src = SpecSource::new(spec, 5);
+        let (wide, _) = build_compact_with_offset_limit(&src, 0).unwrap();
+        assert_eq!(wide.offset_width(), 8);
+        assert_eq!(ConstraintAdjacency::build(&wide, &rank), adj);
+        let compressed = CompressedCsr::from_compact(&g);
+        assert_eq!(ConstraintAdjacency::build(&compressed, &rank), adj);
+        let sharded = build_sharded(&src, &ShardOptions::resident(3)).unwrap();
+        assert_eq!(ConstraintAdjacency::build(&sharded, &rank), adj);
     }
 
     #[test]

@@ -17,16 +17,39 @@
 //! per-vertex allocations, and it makes all three phases freely parallel
 //! (bits are only ever set, never cleared).
 //!
+//! The engine never reads the host graph. It runs over a
+//! [`ConstraintAdjacency`], built once per run by two host sweeps: each
+//! vertex's row holds only the `deg_ℓ(v)` neighbors that can constrain it,
+//! its same-partition neighbors first and its higher-partition neighbors
+//! after. Each scan then touches only the part it needs:
+//!
+//! * entry absorb reads the higher part — lower partitions are still
+//!   uncolored, and the vertex's own partition has not drawn yet;
+//! * the conflict check reads the same part, once per round, and commits
+//!   winners in the same pass (it reads only `tent`, `priority` and `B_v`,
+//!   never `colors`);
+//! * loser absorb reads the same part — higher neighbors were absorbed on
+//!   entry, lower ones are still uncolored.
+//!
+//! The output is bit-identical to scanning the full host adjacency each
+//! time: bitmap bits are only ever set, so a skipped re-absorb changes no
+//! bit; non-members always carry `tent == UNCOLORED`, which no draw can
+//! equal; and the loser set of each round, hence the round and conflict
+//! counts, are the same.
+//!
 //! The engine also hosts the **first-fit** variant (smallest color not in
 //! `B_v`, asymmetric conflict resolution) that §IV-C plugs into DEC-ADG to
-//! form DEC-ADG-ITR.
+//! form DEC-ADG-ITR. Standalone SIM-COL is the one-partition case: every
+//! rank 0, so every row is all same-partition neighbors.
 
 use crate::colorer::{Colorer, Instrumentation};
 use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
-use pgc_graph::{GraphView, InducedView};
+use pgc_graph::{GraphView, Offsets};
 use pgc_primitives::bitmap::AtomicBitmap;
+use pgc_primitives::offsets_from_counts;
 use pgc_primitives::rng::uniform_at;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering as AtOrd};
 
 /// [`Colorer`] for standalone SIM-COL (Alg. 5) on the whole graph, with
@@ -46,11 +69,135 @@ impl<G: GraphView> Colorer<G> for SimCol {
     }
 }
 
-/// Shared state for coloring partitions of one graph (any
-/// [`GraphView`] representation).
-pub struct SimColEngine<'a, G: GraphView> {
-    /// The host graph.
-    pub g: &'a G,
+/// Most vertices one task of the fill sweep handles.
+const FILL_GRAIN: usize = 512;
+
+/// The rank-oriented constraint adjacency of one DEC run (§IV-B): for each
+/// vertex `v`, the `deg_ℓ(v)` neighbors that can ever constrain its color —
+/// those of equal rank, then those of higher rank, each group in host
+/// order. Lower-rank neighbors are colored after `v` and never appear.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConstraintAdjacency {
+    /// Row offsets into `targets`, `n + 1` entries.
+    offsets: Offsets,
+    /// `same[v]` = length of the equal-rank prefix of `v`'s row.
+    same: Vec<u32>,
+    /// All rows, concatenated.
+    targets: Vec<u32>,
+}
+
+impl ConstraintAdjacency {
+    /// Build from the host graph and per-vertex ranks with two parallel
+    /// sweeps of `g`: a count sweep (row lengths `deg_ℓ` and splits), then
+    /// a fill sweep in which every vertex writes only its own row.
+    pub fn build<G: GraphView>(g: &G, rank: &[u32]) -> Self {
+        let n = g.n();
+        assert_eq!(rank.len(), n, "one rank per vertex");
+        let mut deg = vec![0u32; n];
+        let mut same = vec![0u32; n];
+        deg.par_iter_mut()
+            .zip(same.par_iter_mut())
+            .enumerate()
+            .for_each(|(v, (d, s))| {
+                let rv = rank[v];
+                let (mut eq, mut hi) = (0u32, 0u32);
+                for u in g.neighbors(v as u32) {
+                    let ru = rank[u as usize];
+                    eq += u32::from(ru == rv);
+                    hi += u32::from(ru > rv);
+                }
+                *d = eq + hi;
+                *s = eq;
+            });
+        let (offsets, total) = offsets_from_counts::<usize>(&deg);
+        drop(deg);
+
+        let mut targets = vec![0u32; total];
+        fill_rows(g, rank, &offsets, &same, 0..n, &mut targets);
+        Self {
+            offsets: Offsets::narrow(offsets),
+            same,
+            targets,
+        }
+    }
+
+    /// Number of vertices.
+    pub fn n(&self) -> usize {
+        self.same.len()
+    }
+
+    /// `deg_ℓ(v)`: the length of `v`'s row.
+    #[inline]
+    pub fn degree(&self, v: u32) -> u32 {
+        (self.offsets.get(v as usize + 1) - self.offsets.get(v as usize)) as u32
+    }
+
+    /// `deg_ℓ` of every vertex (the palette sizing input).
+    pub fn degrees(&self) -> Vec<u32> {
+        (0..self.n() as u32)
+            .into_par_iter()
+            .map(|v| self.degree(v))
+            .collect()
+    }
+
+    /// Neighbors of `v` with the same rank, in host order.
+    #[inline]
+    pub fn same_level(&self, v: u32) -> &[u32] {
+        let lo = self.offsets.get(v as usize);
+        &self.targets[lo..lo + self.same[v as usize] as usize]
+    }
+
+    /// Neighbors of `v` with a higher rank, in host order.
+    #[inline]
+    pub fn higher_level(&self, v: u32) -> &[u32] {
+        let lo = self.offsets.get(v as usize) + self.same[v as usize] as usize;
+        &self.targets[lo..self.offsets.get(v as usize + 1)]
+    }
+}
+
+/// The fill sweep over the vertices `vs`, whose rows make up `out`:
+/// halved (splitting `out` at the row boundary) until a piece is at most
+/// [`FILL_GRAIN`] vertices, so every piece writes only its own rows and
+/// pieces run in parallel without atomics.
+fn fill_rows<G: GraphView>(
+    g: &G,
+    rank: &[u32],
+    offsets: &[usize],
+    same: &[u32],
+    vs: Range<usize>,
+    out: &mut [u32],
+) {
+    if vs.len() > FILL_GRAIN {
+        let mid = vs.start + vs.len() / 2;
+        let (lo, hi) = out.split_at_mut(offsets[mid] - offsets[vs.start]);
+        rayon::join(
+            || fill_rows(g, rank, offsets, same, vs.start..mid, lo),
+            || fill_rows(g, rank, offsets, same, mid..vs.end, hi),
+        );
+        return;
+    }
+    let base = offsets[vs.start];
+    for v in vs {
+        let rv = rank[v];
+        let mut eq = offsets[v] - base;
+        let mut hi = eq + same[v] as usize;
+        for u in g.neighbors(v as u32) {
+            let ru = rank[u as usize];
+            if ru == rv {
+                out[eq] = u;
+                eq += 1;
+            } else if ru > rv {
+                out[hi] = u;
+                hi += 1;
+            }
+        }
+    }
+}
+
+/// Shared state for coloring the partitions of one run.
+pub struct SimColEngine<'a> {
+    /// The run's constraint adjacency; partitions are its rank classes.
+    pub adj: &'a ConstraintAdjacency,
     /// Fixed (committed) colors; `UNCOLORED` until a vertex is done.
     pub colors: &'a [AtomicU32],
     /// Per-round tentative draws; `UNCOLORED` outside phase windows, which
@@ -59,7 +206,7 @@ pub struct SimColEngine<'a, G: GraphView> {
     /// Concatenated forbidden-color bitmaps `B_v`.
     pub bv: &'a AtomicBitmap,
     /// `bv_offset[v]` = first bit of `B_v`; length `n + 1`.
-    pub bv_offset: &'a [u64],
+    pub bv_offset: &'a [usize],
     /// Palette size (number of candidate colors) per vertex, ≥ 1.
     pub palette: &'a [u32],
     /// RNG seed; draws are `hash(seed, global_round, vertex)`.
@@ -75,13 +222,10 @@ pub struct SimColStats {
     pub retries: u64,
 }
 
-impl<'a, G: GraphView> SimColEngine<'a, G> {
+impl SimColEngine<'_> {
     #[inline]
     fn bv_contains(&self, v: u32, c: u32) -> bool {
-        c < self.palette[v as usize]
-            && self
-                .bv
-                .get(self.bv_offset[v as usize] as usize + c as usize)
+        c < self.palette[v as usize] && self.bv.get(self.bv_offset[v as usize] + c as usize)
     }
 
     /// Record color `c` as forbidden for `v`; colors beyond the palette are
@@ -90,16 +234,15 @@ impl<'a, G: GraphView> SimColEngine<'a, G> {
     #[inline]
     fn bv_insert(&self, v: u32, c: u32) {
         if c < self.palette[v as usize] {
-            self.bv
-                .set(self.bv_offset[v as usize] as usize + c as usize);
+            self.bv.set(self.bv_offset[v as usize] + c as usize);
         }
     }
 
-    /// Absorb the fixed colors of all already-colored neighbors of `v` into
-    /// `B_v` (Alg. 4 lines 16–18 before the call, and Alg. 5 part 3 inside
-    /// the round loop — both are the same pull-style scan).
-    fn absorb_fixed_neighbors(&self, v: u32) {
-        for u in self.g.neighbors(v) {
+    /// Absorb the fixed colors of the already-colored vertices of `from`
+    /// into `B_v` (Alg. 4 lines 16–18 on entry, Alg. 5 part 3 inside the
+    /// round loop).
+    fn absorb(&self, v: u32, from: &[u32]) {
+        for &u in from {
             let c = self.colors[u as usize].load(AtOrd::Relaxed);
             if c != UNCOLORED {
                 self.bv_insert(v, c);
@@ -107,59 +250,103 @@ impl<'a, G: GraphView> SimColEngine<'a, G> {
         }
     }
 
-    /// Color the vertices of `members` with random draws (Alg. 5).
+    /// Whether an active same-partition neighbor of `v` holds `draw`
+    /// (`and` further filters the neighbor). Neighbors outside the current
+    /// round carry `tent == UNCOLORED`, which no draw equals: draws are
+    /// `< palette ≤ n`.
+    #[inline]
+    fn clashes(&self, v: u32, draw: u32, and: impl Fn(u32) -> bool) -> bool {
+        self.adj
+            .same_level(v)
+            .iter()
+            .any(|&u| self.tent[u as usize].load(AtOrd::Relaxed) == draw && and(u))
+    }
+
+    /// Color the partition `members` with random draws (Alg. 5).
     ///
     /// `round_base` offsets the RNG stream so successive partitions of a
-    /// DEC-ADG run use disjoint randomness. All `members` must currently be
-    /// uncolored and have correct `B_v` contents for *higher* partitions
-    /// (the engine absorbs them itself on entry).
+    /// DEC-ADG run use disjoint randomness. All `members` must share one
+    /// rank, be uncolored, and every higher rank must already be colored.
     pub fn color_partition_random(&self, members: &[u32], round_base: u64) -> SimColStats {
+        self.rounds(
+            members,
+            |v, round| {
+                let id = round_base + u64::from(round);
+                uniform_at(self.seed, id, v as u64, self.palette[v as usize])
+            },
+            // Symmetric rule: both endpoints of a clash retry.
+            |v, draw| self.bv_contains(v, draw) || self.clashes(v, draw, |_| true),
+        )
+    }
+
+    /// First-fit variant (§IV-C): draws are the smallest color not in
+    /// `B_v`; conflicts are resolved asymmetrically — the higher-`priority`
+    /// endpoint commits, the loser records the winner's color and retries.
+    /// Same preconditions as
+    /// [`color_partition_random`](Self::color_partition_random).
+    pub fn color_partition_first_fit(&self, members: &[u32], priority: &[u64]) -> SimColStats {
+        self.rounds(
+            members,
+            |v, _| {
+                let base = self.bv_offset[v as usize];
+                let pal = self.palette[v as usize] as usize;
+                let mut c = 0usize;
+                while c < pal && self.bv.get(base + c) {
+                    c += 1;
+                }
+                debug_assert!(c < pal, "palette must contain a free color");
+                c as u32
+            },
+            // Priority decides the winner, so progress is guaranteed even
+            // though draws are deterministic (the symmetric rule would
+            // livelock here).
+            |v, draw| {
+                let pv = priority[v as usize];
+                self.clashes(v, draw, |u| priority[u as usize] > pv)
+            },
+        )
+    }
+
+    /// The round loop shared by both draws: `draw(v, round)` picks a
+    /// tentative color, `lost(v, draw)` decides whether it must retry.
+    fn rounds(
+        &self,
+        members: &[u32],
+        draw: impl Fn(u32, u32) -> u32 + Sync,
+        lost: impl Fn(u32, u32) -> bool + Sync,
+    ) -> SimColStats {
         // Entry absorption (Alg. 4 lines 16–18).
         members
             .par_iter()
-            .for_each(|&v| self.absorb_fixed_neighbors(v));
+            .for_each(|&v| self.absorb(v, self.adj.higher_level(v)));
 
+        let lost = &lost;
         let mut active: Vec<u32> = members.to_vec();
         let mut stats = SimColStats::default();
         while !active.is_empty() {
-            let round_id = round_base + stats.rounds as u64;
+            let _round = pgc_obs::span!("dec.round");
+            pgc_obs::counter!("active", active.len() as u64);
+            let round = stats.rounds;
             stats.rounds += 1;
 
-            // Part 1: every active vertex draws uniformly from its palette.
+            // Part 1: every active vertex draws.
             active.par_iter().for_each(|&v| {
-                let draw = uniform_at(self.seed, round_id, v as u64, self.palette[v as usize]);
-                self.tent[v as usize].store(draw, AtOrd::Relaxed);
+                self.tent[v as usize].store(draw(v, round), AtOrd::Relaxed);
             });
 
-            // Part 2: a draw dies if an active neighbor drew the same color
-            // (symmetric — both retry) or if it is forbidden by B_v.
-            // Inactive neighbors have tent == UNCOLORED which never equals
-            // a draw (draws are < palette ≤ n).
+            // Part 2: keep the losers, commit the winners.
             let losers: Vec<u32> = active
                 .par_iter()
                 .copied()
                 .filter(|&v| {
-                    let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                    self.bv_contains(v, draw)
-                        || self
-                            .g
-                            .neighbors(v)
-                            .any(|u| self.tent[u as usize].load(AtOrd::Relaxed) == draw)
+                    let d = self.tent[v as usize].load(AtOrd::Relaxed);
+                    let lose = lost(v, d);
+                    if !lose {
+                        self.colors[v as usize].store(d, AtOrd::Relaxed);
+                    }
+                    lose
                 })
                 .collect();
-
-            // Commit survivors, then clear their tentative marks.
-            active.par_iter().for_each(|&v| {
-                let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                let lost = self.bv_contains(v, draw)
-                    || self
-                        .g
-                        .neighbors(v)
-                        .any(|u| self.tent[u as usize].load(AtOrd::Relaxed) == draw);
-                if !lost {
-                    self.colors[v as usize].store(draw, AtOrd::Relaxed);
-                }
-            });
             active.par_iter().for_each(|&v| {
                 self.tent[v as usize].store(UNCOLORED, AtOrd::Relaxed);
             });
@@ -167,210 +354,9 @@ impl<'a, G: GraphView> SimColEngine<'a, G> {
             // Part 3: losers absorb the freshly fixed neighbor colors.
             losers
                 .par_iter()
-                .for_each(|&v| self.absorb_fixed_neighbors(v));
+                .for_each(|&v| self.absorb(v, self.adj.same_level(v)));
 
-            stats.retries += losers.len() as u64;
-            active = losers;
-        }
-        stats
-    }
-
-    /// [`color_partition_random`](Self::color_partition_random) driven
-    /// through a zero-copy [`InducedView`] of the partition — the Alg. 4
-    /// line 13 recursion on `R(ℓ)` without materializing `G[R(ℓ)]`.
-    ///
-    /// The payoff is in phase 2: conflict scans walk only intra-partition
-    /// adjacency (bounded by `deg_ℓ(v)`) instead of the full host
-    /// adjacency. The result is **bit-identical** to the slice path: draws
-    /// are keyed on original ids, and any neighbor outside the partition
-    /// has `tent == UNCOLORED` (which no draw can equal, palettes being
-    /// ≤ n), so dropping non-members from the scan cannot change a round's
-    /// loser set.
-    pub fn color_partition_random_view(
-        &self,
-        view: &InducedView<'_, G>,
-        round_base: u64,
-    ) -> SimColStats {
-        debug_assert!(
-            std::ptr::eq(view.base(), self.g),
-            "view must wrap the engine's host graph"
-        );
-        // Entry absorption still scans the *full* adjacency: the fixed
-        // colors live in higher partitions, outside the view.
-        view.members()
-            .par_iter()
-            .for_each(|&v| self.absorb_fixed_neighbors(v));
-
-        // Active vertices tracked as view-local ids.
-        let mut active: Vec<u32> = (0..view.n() as u32).collect();
-        let mut stats = SimColStats::default();
-        while !active.is_empty() {
-            let round_id = round_base + stats.rounds as u64;
-            stats.rounds += 1;
-
-            active.par_iter().for_each(|&l| {
-                let v = view.original_id(l);
-                let draw = uniform_at(self.seed, round_id, v as u64, self.palette[v as usize]);
-                self.tent[v as usize].store(draw, AtOrd::Relaxed);
-            });
-
-            let lost = |l: u32| {
-                let v = view.original_id(l);
-                let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                self.bv_contains(v, draw)
-                    || view.neighbors(l).any(|ul| {
-                        self.tent[view.original_id(ul) as usize].load(AtOrd::Relaxed) == draw
-                    })
-            };
-            let losers: Vec<u32> = active.par_iter().copied().filter(|&l| lost(l)).collect();
-
-            active.par_iter().for_each(|&l| {
-                if !lost(l) {
-                    let v = view.original_id(l);
-                    let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                    self.colors[v as usize].store(draw, AtOrd::Relaxed);
-                }
-            });
-            active.par_iter().for_each(|&l| {
-                self.tent[view.original_id(l) as usize].store(UNCOLORED, AtOrd::Relaxed);
-            });
-
-            losers
-                .par_iter()
-                .for_each(|&l| self.absorb_fixed_neighbors(view.original_id(l)));
-
-            stats.retries += losers.len() as u64;
-            active = losers;
-        }
-        stats
-    }
-
-    /// First-fit variant (§IV-C): draws are the smallest color not in
-    /// `B_v`; conflicts are resolved asymmetrically — the higher-`priority`
-    /// endpoint commits, the loser records the winner's color and retries.
-    pub fn color_partition_first_fit(&self, members: &[u32], priority: &[u64]) -> SimColStats {
-        members
-            .par_iter()
-            .for_each(|&v| self.absorb_fixed_neighbors(v));
-
-        let mut active: Vec<u32> = members.to_vec();
-        let mut stats = SimColStats::default();
-        while !active.is_empty() {
-            stats.rounds += 1;
-
-            // Part 1: deterministic smallest free color w.r.t. B_v.
-            active.par_iter().for_each(|&v| {
-                let base = self.bv_offset[v as usize] as usize;
-                let pal = self.palette[v as usize] as usize;
-                let mut c = 0usize;
-                while c < pal && self.bv.get(base + c) {
-                    c += 1;
-                }
-                debug_assert!(c < pal, "palette must contain a free color");
-                self.tent[v as usize].store(c as u32, AtOrd::Relaxed);
-            });
-
-            // Part 2: asymmetric conflicts — priority decides the winner,
-            // so progress is guaranteed even though choices are
-            // deterministic (the symmetric rule would livelock here).
-            let losers: Vec<u32> = active
-                .par_iter()
-                .copied()
-                .filter(|&v| {
-                    let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                    let pv = priority[v as usize];
-                    self.g.neighbors(v).any(|u| {
-                        self.tent[u as usize].load(AtOrd::Relaxed) == draw
-                            && priority[u as usize] > pv
-                    })
-                })
-                .collect();
-
-            active.par_iter().for_each(|&v| {
-                let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                let pv = priority[v as usize];
-                let lost = self.g.neighbors(v).any(|u| {
-                    self.tent[u as usize].load(AtOrd::Relaxed) == draw && priority[u as usize] > pv
-                });
-                if !lost {
-                    self.colors[v as usize].store(draw, AtOrd::Relaxed);
-                }
-            });
-            active.par_iter().for_each(|&v| {
-                self.tent[v as usize].store(UNCOLORED, AtOrd::Relaxed);
-            });
-            losers
-                .par_iter()
-                .for_each(|&v| self.absorb_fixed_neighbors(v));
-
-            stats.retries += losers.len() as u64;
-            active = losers;
-        }
-        stats
-    }
-
-    /// [`color_partition_first_fit`](Self::color_partition_first_fit)
-    /// through a zero-copy [`InducedView`] of the partition, with the same
-    /// bit-identity argument as
-    /// [`color_partition_random_view`](Self::color_partition_random_view):
-    /// non-members always carry `tent == UNCOLORED`, so the asymmetric
-    /// conflict scan over intra-partition neighbors resolves every round
-    /// exactly as the full-adjacency scan did.
-    pub fn color_partition_first_fit_view(
-        &self,
-        view: &InducedView<'_, G>,
-        priority: &[u64],
-    ) -> SimColStats {
-        debug_assert!(
-            std::ptr::eq(view.base(), self.g),
-            "view must wrap the engine's host graph"
-        );
-        view.members()
-            .par_iter()
-            .for_each(|&v| self.absorb_fixed_neighbors(v));
-
-        let mut active: Vec<u32> = (0..view.n() as u32).collect();
-        let mut stats = SimColStats::default();
-        while !active.is_empty() {
-            stats.rounds += 1;
-
-            active.par_iter().for_each(|&l| {
-                let v = view.original_id(l);
-                let base = self.bv_offset[v as usize] as usize;
-                let pal = self.palette[v as usize] as usize;
-                let mut c = 0usize;
-                while c < pal && self.bv.get(base + c) {
-                    c += 1;
-                }
-                debug_assert!(c < pal, "palette must contain a free color");
-                self.tent[v as usize].store(c as u32, AtOrd::Relaxed);
-            });
-
-            let lost = |l: u32| {
-                let v = view.original_id(l);
-                let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                let pv = priority[v as usize];
-                view.neighbors(l).any(|ul| {
-                    let u = view.original_id(ul);
-                    self.tent[u as usize].load(AtOrd::Relaxed) == draw && priority[u as usize] > pv
-                })
-            };
-            let losers: Vec<u32> = active.par_iter().copied().filter(|&l| lost(l)).collect();
-
-            active.par_iter().for_each(|&l| {
-                if !lost(l) {
-                    let v = view.original_id(l);
-                    let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                    self.colors[v as usize].store(draw, AtOrd::Relaxed);
-                }
-            });
-            active.par_iter().for_each(|&l| {
-                self.tent[view.original_id(l) as usize].store(UNCOLORED, AtOrd::Relaxed);
-            });
-            losers
-                .par_iter()
-                .for_each(|&l| self.absorb_fixed_neighbors(view.original_id(l)));
-
+            pgc_obs::counter!("conflicts", losers.len() as u64);
             stats.retries += losers.len() as u64;
             active = losers;
         }
@@ -382,18 +368,12 @@ impl<'a, G: GraphView> SimColEngine<'a, G> {
 /// is the number of neighbors that may ever constrain `v` (full degree for
 /// standalone SIM-COL, `deg_ℓ(v)` inside DEC-ADG); `headroom` is the
 /// multiplicative slack: palettes are `max(1, ⌈(1+headroom)·deg⌉)`.
-pub fn palette_layout(constraint_deg: &[u32], headroom: f64) -> (Vec<u32>, Vec<u64>) {
+pub fn palette_layout(constraint_deg: &[u32], headroom: f64) -> (Vec<u32>, Vec<usize>) {
     let palette: Vec<u32> = constraint_deg
-        .iter()
+        .par_iter()
         .map(|&d| (((1.0 + headroom) * d as f64).ceil() as u32).max(1))
         .collect();
-    let mut offsets = Vec::with_capacity(palette.len() + 1);
-    let mut acc = 0u64;
-    offsets.push(0);
-    for &p in &palette {
-        acc += p as u64;
-        offsets.push(acc);
-    }
+    let (offsets, _) = offsets_from_counts::<usize>(&palette);
     (palette, offsets)
 }
 
@@ -403,13 +383,14 @@ pub fn palette_layout(constraint_deg: &[u32], headroom: f64) -> (Vec<u32>, Vec<u
 pub fn sim_col<G: GraphView>(g: &G, mu: f64, seed: u64) -> (Vec<u32>, SimColStats) {
     assert!(mu > 0.0, "SIM-COL requires mu > 0");
     let n = g.n();
-    let deg = g.degree_array();
-    let (palette, bv_offset) = palette_layout(&deg, mu);
-    let bv = AtomicBitmap::new(*bv_offset.last().unwrap_or(&0) as usize);
+    // One partition: every rank 0, so each row is the full adjacency.
+    let adj = ConstraintAdjacency::build(g, &vec![0; n]);
+    let (palette, bv_offset) = palette_layout(&adj.degrees(), mu);
+    let bv = AtomicBitmap::new(*bv_offset.last().unwrap_or(&0));
     let colors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
     let tent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
     let engine = SimColEngine {
-        g,
+        adj: &adj,
         colors: &colors,
         tent: &tent,
         bv: &bv,
@@ -502,11 +483,12 @@ mod tests {
     }
 
     #[test]
-    fn view_partition_coloring_is_bit_identical_to_slice_path() {
-        // Regression pin for the DEC-ADG `level_view` recursion: coloring a
-        // sequence of partitions through `InducedView`s must reproduce the
-        // original full-adjacency slice path bit for bit — same colors, same
-        // rounds, same retries — for both the random and first-fit engines.
+    fn partition_engines_pinned_on_ring_of_cliques() {
+        // Pin of (colors, rounds, retries) for both draws over three
+        // partitions of one graph, recorded from the earlier engine that
+        // scanned full host rows. Partition `r` holds `v % 3 == r` and is
+        // colored r-th, so its rank is `2 - r`. Palettes come from the full
+        // degree, as that engine sized them.
         use pgc_primitives::random_permutation;
         let g = generate(
             &GraphSpec::RingOfCliques {
@@ -516,8 +498,9 @@ mod tests {
             4,
         );
         let n = g.n();
-        let deg = g.degree_array();
-        let (palette, bv_offset) = palette_layout(&deg, 0.4);
+        let rank: Vec<u32> = (0..n as u32).map(|v| 2 - v % 3).collect();
+        let adj = ConstraintAdjacency::build(&g, &rank);
+        let (palette, bv_offset) = palette_layout(&g.degree_array(), 0.4);
         let groups: Vec<Vec<u32>> = (0..3)
             .map(|r| (0..n as u32).filter(|v| v % 3 == r).collect())
             .collect();
@@ -526,12 +509,12 @@ mod tests {
             .map(u64::from)
             .collect();
 
-        let run = |use_view: bool, first_fit: bool| -> (Vec<u32>, SimColStats) {
-            let bv = AtomicBitmap::new(*bv_offset.last().unwrap() as usize);
+        let run = |first_fit: bool| -> (Vec<u32>, SimColStats) {
+            let bv = AtomicBitmap::new(*bv_offset.last().unwrap());
             let colors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
             let tent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
             let engine = SimColEngine {
-                g: &g,
+                adj: &adj,
                 colors: &colors,
                 tent: &tent,
                 bv: &bv,
@@ -542,17 +525,10 @@ mod tests {
             let mut total = SimColStats::default();
             let mut round_base = 0u64;
             for members in &groups {
-                let stats = match (use_view, first_fit) {
-                    (false, false) => engine.color_partition_random(members, round_base),
-                    (true, false) => {
-                        let view = pgc_graph::InducedView::new(&g, members);
-                        engine.color_partition_random_view(&view, round_base)
-                    }
-                    (false, true) => engine.color_partition_first_fit(members, &priority),
-                    (true, true) => {
-                        let view = pgc_graph::InducedView::new(&g, members);
-                        engine.color_partition_first_fit_view(&view, &priority)
-                    }
+                let stats = if first_fit {
+                    engine.color_partition_first_fit(members, &priority)
+                } else {
+                    engine.color_partition_random(members, round_base)
                 };
                 total.rounds += stats.rounds;
                 total.retries += stats.retries;
@@ -560,12 +536,29 @@ mod tests {
             }
             (colors.into_iter().map(|c| c.into_inner()).collect(), total)
         };
+        let fnv = |colors: &[u32]| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &c in colors {
+                for b in c.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            h
+        };
 
-        for first_fit in [false, true] {
-            let (slice_colors, slice_stats) = run(false, first_fit);
-            let (view_colors, view_stats) = run(true, first_fit);
-            assert_eq!(slice_colors, view_colors, "first_fit={first_fit}");
-            assert_eq!(slice_stats, view_stats, "first_fit={first_fit}");
+        for (first_fit, k, digest, rounds, retries) in [
+            (false, 17, 0x40e4_ea1f_c900_8c30, 22, 122),
+            (true, 12, 0x4daf_0896_e2e7_3045, 12, 180),
+        ] {
+            let (colors, stats) = run(first_fit);
+            assert_proper(&g, &colors);
+            assert_eq!(num_colors(&colors), k, "first_fit={first_fit}");
+            assert_eq!(fnv(&colors), digest, "first_fit={first_fit}");
+            assert_eq!(
+                stats,
+                SimColStats { rounds, retries },
+                "first_fit={first_fit}"
+            );
         }
     }
 

@@ -13,28 +13,30 @@ use crate::csr::{degree_extremes, validate_csr_arrays};
 use crate::view::{GraphMemory, GraphView, UnitWeights, WeightedView};
 use rayon::prelude::*;
 
-/// The offset array, at the narrowest width that can address `2m`
-/// neighbor slots.
+/// A CSR offset array, at the narrowest width that can address its
+/// total: [`CompactCsr`]'s row offsets, [`CompressedCsr`](crate::CompressedCsr)'s
+/// byte offsets, and any other per-vertex row index built on a graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Offsets {
-    /// 4-byte offsets: valid while `2m < u32::MAX`.
+pub enum Offsets {
+    /// 4-byte offsets: valid while the total is `< u32::MAX`.
     Small(Vec<u32>),
-    /// Machine-word fallback for graphs with `2m ≥ u32::MAX` arcs.
+    /// Machine-word fallback for totals `≥ u32::MAX`.
     Wide(Vec<usize>),
 }
 
 impl Offsets {
     /// Narrow machine-word offsets to `u32` when the total fits.
-    pub(crate) fn narrow(offsets: Vec<usize>) -> Self {
+    pub fn narrow(offsets: Vec<usize>) -> Self {
         if offsets.last().copied().unwrap_or(0) < u32::MAX as usize {
-            Offsets::Small(offsets.into_iter().map(|o| o as u32).collect())
+            Offsets::Small(offsets.par_iter().map(|&o| o as u32).collect())
         } else {
             Offsets::Wide(offsets)
         }
     }
 
+    /// Offset `i`, widened to `usize`.
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> usize {
+    pub fn get(&self, i: usize) -> usize {
         match self {
             Offsets::Small(o) => o[i] as usize,
             Offsets::Wide(o) => o[i],

@@ -61,7 +61,7 @@ pub mod weight;
 pub mod weighted;
 
 pub use builder::EdgeListBuilder;
-pub use compact::CompactCsr;
+pub use compact::{CompactCsr, Offsets};
 pub use compressed::CompressedCsr;
 pub use degeneracy::{degeneracy, DegeneracyInfo};
 pub use induced::InducedView;

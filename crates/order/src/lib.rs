@@ -62,12 +62,6 @@ impl Levels {
         &self.seq[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// Zero-copy [`InducedView`] of partition `R(i)` — the low-degree
-    /// subgraph DEC-ADG colors at level `i`, without materializing it.
-    pub fn level_view<'g, G: GraphView>(&self, g: &'g G, i: usize) -> InducedView<'g, G> {
-        InducedView::new(g, self.level(i))
-    }
-
     /// Zero-copy [`InducedView`] of the suffix `U_ℓ = ∪_{i ≥ ℓ} R(i)` —
     /// the still-active subgraph at the start of peeling iteration `ℓ`
     /// (the candidate subgraphs of Charikar-style densest-subgraph
@@ -321,9 +315,11 @@ mod tests {
         use pgc_graph::GraphView as _;
         let mut total = 0usize;
         for i in 0..levels.num_levels() {
-            let view = levels.level_view(&g, i);
-            assert_eq!(view.n(), levels.level(i).len());
-            total += view.n();
+            let level = levels.level(i);
+            assert!(level.iter().all(|&v| levels.rank[v as usize] == i as u32));
+            let view = levels.suffix_view(&g, i);
+            assert_eq!(view.n(), g.n() - levels.offsets[i]);
+            total += level.len();
         }
         assert_eq!(total, g.n());
         // The full suffix is the whole graph, zero-copy.
