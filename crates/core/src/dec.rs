@@ -85,12 +85,13 @@ fn adg_options_for(params: &Params, rule: ThresholdRule, epsilon: f64) -> AdgOpt
     }
 }
 
-/// Alg. 4 lines 9–19, shared by every DEC variant: build the run's
-/// [`ConstraintAdjacency`] (two host sweeps; its row lengths are `deg_ℓ`),
-/// lay out palettes and bitmaps from `deg_ℓ` with `layout`, then color
-/// the partitions from the highest rank down with `color(engine, R(ℓ),
-/// rounds so far)`. Returns (colors, rounds, conflicts).
-fn color_partitions<G: GraphView>(
+/// Alg. 4 lines 9–19, shared by every DEC variant and by standalone
+/// SIM-COL (one level): build the run's [`ConstraintAdjacency`] (two host
+/// sweeps; its row lengths are `deg_ℓ`), lay out palettes and bitmaps from
+/// `deg_ℓ` with `layout`, then color the partitions from the highest rank
+/// down with `color(engine, R(ℓ), rounds so far)`. Returns (colors,
+/// rounds, conflicts).
+pub(crate) fn color_partitions<G: GraphView>(
     g: &G,
     levels: &Levels,
     seed: u64,

@@ -45,6 +45,7 @@
 use crate::colorer::{Colorer, Instrumentation};
 use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
 use pgc_graph::{GraphView, Offsets};
+use pgc_order::Levels;
 use pgc_primitives::bitmap::AtomicBitmap;
 use pgc_primitives::offsets_from_counts;
 use pgc_primitives::rng::uniform_at;
@@ -253,7 +254,7 @@ impl SimColEngine<'_> {
     /// Whether an active same-partition neighbor of `v` holds `draw`
     /// (`and` further filters the neighbor). Neighbors outside the current
     /// round carry `tent == UNCOLORED`, which no draw equals: draws are
-    /// `< palette ≤ n`.
+    /// `< palette`, far below `u32::MAX`.
     #[inline]
     fn clashes(&self, v: u32, draw: u32, and: impl Fn(u32) -> bool) -> bool {
         self.adj
@@ -378,29 +379,25 @@ pub fn palette_layout(constraint_deg: &[u32], headroom: f64) -> (Vec<u32>, Vec<u
 }
 
 /// Standalone SIM-COL: color an entire graph with `⌈(1+µ)Δ⌉` colors w.h.p.
-/// in O(log n) rounds (Lemmas 10–11). Primarily a test vehicle; DEC-ADG
-/// calls the engine per partition instead.
+/// in O(log n) rounds (Lemmas 10–11). This is DEC-ADG's driver on one
+/// partition: every rank 0, so each constraint row is the full adjacency
+/// and palettes are sized by the full degree.
 pub fn sim_col<G: GraphView>(g: &G, mu: f64, seed: u64) -> (Vec<u32>, SimColStats) {
     assert!(mu > 0.0, "SIM-COL requires mu > 0");
     let n = g.n();
-    // One partition: every rank 0, so each row is the full adjacency.
-    let adj = ConstraintAdjacency::build(g, &vec![0; n]);
-    let (palette, bv_offset) = palette_layout(&adj.degrees(), mu);
-    let bv = AtomicBitmap::new(*bv_offset.last().unwrap_or(&0));
-    let colors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let tent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let engine = SimColEngine {
-        adj: &adj,
-        colors: &colors,
-        tent: &tent,
-        bv: &bv,
-        bv_offset: &bv_offset,
-        palette: &palette,
-        seed,
+    let one_level = Levels {
+        rank: vec![0; n],
+        seq: g.vertices().collect(),
+        offsets: vec![0, n],
     };
-    let members: Vec<u32> = g.vertices().collect();
-    let stats = engine.color_partition_random(&members, 0);
-    (colors.into_iter().map(|c| c.into_inner()).collect(), stats)
+    let (colors, rounds, retries) = crate::dec::color_partitions(
+        g,
+        &one_level,
+        seed,
+        |deg| palette_layout(deg, mu),
+        |engine, members, round_base| engine.color_partition_random(members, round_base),
+    );
+    (colors, SimColStats { rounds, retries })
 }
 
 #[cfg(test)]
