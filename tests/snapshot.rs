@@ -19,11 +19,12 @@ use pgc::graph::builder::{from_edges, from_weighted_edges};
 use pgc::graph::gen::{generate, GraphSpec, SpecSource};
 use pgc::graph::snapshot::{
     inspect_snapshot, is_snapshot, load_compressed_snapshot, load_snapshot, load_snapshot_bytes,
-    load_weighted_snapshot_bytes, write_snapshot, write_snapshot_compressed, write_snapshot_to,
-    write_weighted_snapshot_to, MappedSnapshot, SNAPSHOT_EXT,
+    load_weighted_snapshot_bytes, write_compressed_snapshot_to, write_snapshot,
+    write_snapshot_compressed, write_snapshot_to, write_weighted_snapshot_to, MappedSnapshot,
+    SNAPSHOT_EXT,
 };
-use pgc::graph::stream::build_compact_with_offset_limit;
-use pgc::graph::{CompactCsr, GraphView, WeightedView};
+use pgc::graph::stream::{build_compact_with_offset_limit, build_weighted_with_offset_limit};
+use pgc::graph::{CompactCsr, CompressedCsr, GraphView, WeightedView};
 use pgc::mining;
 use proptest::prelude::*;
 use std::io::ErrorKind;
@@ -345,4 +346,74 @@ fn pinned_v1_fixture_stays_byte_identical_and_loads() {
         assert_eq!(a.colors, b.colors, "{algo:?} diverged on the v1 fixture");
         verify::assert_proper(&loaded, &b.colors);
     }
+}
+
+/// Backward-compat pin for the compressed format:
+/// `tests/fixtures/tiny-v2.pgcs` is the committed v2 snapshot of the same
+/// Petersen graph (`pgc snapshot tiny.mtx tiny-v2.pgcs --compress`). The
+/// v2 writer must keep producing those exact bytes, and the pinned file
+/// must keep loading through the decoding and zero-copy arena loaders.
+#[test]
+fn pinned_v2_fixture_stays_byte_identical_and_loads() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let g = pgc::graph::io::read_matrix_market_path(&dir.join("tiny.mtx")).unwrap();
+
+    let mut fresh = Vec::new();
+    write_compressed_snapshot_to(&CompressedCsr::from_compact(&g), &mut fresh).unwrap();
+    let pinned = std::fs::read(dir.join("tiny-v2.pgcs")).unwrap();
+    assert_eq!(
+        fresh, pinned,
+        "v2 snapshot writer no longer byte-identical to the pinned fixture"
+    );
+
+    let path = dir.join("tiny-v2.pgcs");
+    assert_eq!(inspect_snapshot(&path).unwrap().version, 2);
+    let loaded = load_snapshot(&path).unwrap();
+    assert_same_graph(&g, &loaded);
+    let z = load_compressed_snapshot::<()>(&path).unwrap();
+    assert_same_graph(&g, &z);
+
+    let params = Params::default();
+    for algo in Algorithm::all() {
+        let a = run(&g, algo, &params);
+        let b = run(&z, algo, &params);
+        assert_eq!(a.colors, b.colors, "{algo:?} diverged on the v2 fixture");
+        verify::assert_proper(&z, &b.colors);
+    }
+}
+
+/// 64-bit FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Weighted pin: `tiny.mtx` is a pattern file, so the fixtures carry no
+/// weights section. These digests pin the v1 and v2 bytes of a small
+/// `f64`-weighted generated graph, at both offset widths, so the weights
+/// section and the 8-byte offset encoding cannot drift either.
+#[test]
+fn pinned_weighted_snapshot_digests() {
+    let src = SpecSource::new(GraphSpec::ErdosRenyi { n: 60, m: 240 }, 5);
+    let mut digests = Vec::new();
+    for limit in [u32::MAX as usize, 0] {
+        let (g, _) = build_weighted_with_offset_limit::<f64, _>(&src, limit).unwrap();
+        let mut v1 = Vec::new();
+        write_weighted_snapshot_to(&g, &mut v1).unwrap();
+        let mut v2 = Vec::new();
+        write_compressed_snapshot_to(&CompressedCsr::from_weighted(&g), &mut v2).unwrap();
+        digests.push((v1.len(), fnv1a(&v1)));
+        digests.push((v2.len(), fnv1a(&v2)));
+    }
+    // (bytes, FNV-1a) for v1 then v2, 4-byte then 8-byte offsets.
+    assert_eq!(
+        digests,
+        [
+            (5688, 0xc4ee5e11ea34f3e0),
+            (4896, 0x198711ded56e822d),
+            (5928, 0x4d565dbb778f0de2),
+            (5136, 0xf1fbb0e01f186c0a),
+        ]
+    );
 }
