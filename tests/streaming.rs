@@ -27,6 +27,14 @@
 //!    digest,
 //! 7. partitioned parallel builds equal a build from the same stream
 //!    replayed sequentially, at several pool widths.
+//!
+//! and the sharded builder, which runs every shard through the same
+//! engine, two more:
+//!
+//! 8. a sharded build costs exactly `S + 2` full replays of its source,
+//! 9. a weighted hub row long enough for the parallel sort, with
+//!    duplicate pairs of different weights, shards exactly like the
+//!    monolithic build, resident and spilled.
 
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, verify, Algorithm, Params};
@@ -36,9 +44,13 @@ use pgc::graph::stream::{
     build_compact, build_compact_with_offset_limit, build_compact_with_stats, build_weighted,
     ChunkFn, EdgeSource,
 };
-use pgc::graph::{CompactCsr, EdgeListBuilder, EdgeWeight, GraphView, WeightedCsr};
+use pgc::graph::{
+    build_sharded, build_sharded_weighted, CompactCsr, EdgeListBuilder, EdgeWeight, GraphView,
+    ShardOptions, ShardedCsr, WeightedCsr, WeightedView,
+};
 use pgc_harness::experiments::with_threads;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The retired arc-list pipeline, kept as the oracle: materialize both
 /// directions of every non-loop edge as packed `u64` arcs, sort the whole
@@ -412,4 +424,118 @@ fn partitioned_builds_equal_sequential_oracle() {
         assert!(g == oracle, "unweighted build differs at width {t}");
         assert!(wg == woracle, "weighted build differs at width {t}");
     }
+}
+
+/// Counts the full replays a build makes of the wrapped source: one per
+/// `replay()` call plus one per partitioned replay (its partition 0).
+struct Counting<'a, S> {
+    inner: &'a S,
+    replays: AtomicUsize,
+}
+
+impl<S: EdgeSource> EdgeSource for Counting<'_, S> {
+    fn num_vertices(&self) -> usize {
+        self.inner.num_vertices()
+    }
+
+    fn parts(&self) -> usize {
+        self.inner.parts()
+    }
+
+    fn replay(&self, emit: &mut ChunkFn<'_>) -> std::io::Result<()> {
+        self.replays.fetch_add(1, Ordering::Relaxed);
+        self.inner.replay(emit)
+    }
+
+    fn replay_part(
+        &self,
+        part: usize,
+        parts: usize,
+        emit: &mut ChunkFn<'_>,
+    ) -> std::io::Result<()> {
+        if part == 0 {
+            self.replays.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.replay_part(part, parts, emit)
+    }
+}
+
+/// (8) A sharded build replays its source `S + 2` times — global count,
+/// intra/halo split, one scatter per shard — on the partitioned and the
+/// sequential replay path alike, and the monolithic build twice.
+#[test]
+fn sharded_build_makes_s_plus_two_replays() {
+    let er = SpecSource::new(
+        GraphSpec::ErdosRenyi {
+            n: 3_000,
+            m: 150_000,
+        },
+        9,
+    );
+    let ba = SpecSource::new(
+        GraphSpec::BarabasiAlbert {
+            n: 2_000,
+            attach: 4,
+        },
+        9,
+    );
+    assert!(EdgeSource::<()>::parts(&er) > 1 && EdgeSource::<()>::parts(&ba) == 1);
+    for src in [&er, &ba] {
+        let counted = Counting {
+            inner: src,
+            replays: AtomicUsize::new(0),
+        };
+        build_compact(&counted).unwrap();
+        assert_eq!(counted.replays.swap(0, Ordering::Relaxed), 2, "monolithic");
+        for s in [1, 3, 7] {
+            build_sharded(&counted, &ShardOptions::resident(s)).unwrap();
+            assert_eq!(counted.replays.swap(0, Ordering::Relaxed), s + 2, "S = {s}");
+        }
+    }
+}
+
+/// Every vertex's weighted adjacency, degree and the degree extremes of
+/// `g` equal the monolithic build's.
+fn assert_sharded_equals(g: &ShardedCsr<f32>, mono: &WeightedCsr<f32>, what: &str) {
+    assert_eq!(g.n(), mono.n(), "{what}");
+    assert_eq!(g.num_arcs(), mono.num_arcs(), "{what}");
+    assert_eq!(g.max_degree(), mono.max_degree(), "{what}");
+    assert_eq!(g.min_degree(), mono.min_degree(), "{what}");
+    for v in mono.vertices() {
+        assert_eq!(
+            g.weighted_neighbors(v).collect::<Vec<_>>(),
+            mono.weighted_neighbors(v).collect::<Vec<_>>(),
+            "{what}: weighted adjacency of {v}"
+        );
+    }
+}
+
+/// (9) One hub adjacent to every other vertex (degree > 16,384, the
+/// parallel-sort threshold, in its local or halo row at every S) plus a
+/// ring, both with duplicate pairs of different weights: each sharded
+/// build keeps the max weight per arc and equals the monolithic build.
+#[test]
+fn weighted_hub_rows_shard_like_the_monolithic_build() {
+    let n = 40_000u32;
+    let mut b = EdgeListBuilder::<f32>::with_capacity(n as usize, 3 * n as usize);
+    b.extend_weighted_edges((1..n).map(|v| (0, v, (v % 97) as f32)));
+    b.extend_weighted_edges((1..n).step_by(3).map(|v| (v, 0, (v % 89) as f32 + 0.5)));
+    b.extend_weighted_edges((1..n).map(|v| (v, v % (n - 1) + 1, (v % 13) as f32)));
+    b.extend_weighted_edges((1..n).step_by(5).map(|v| (v % (n - 1) + 1, v, 20.0)));
+    let mono: WeightedCsr<f32> = build_weighted(&b).unwrap();
+    assert!(mono.max_degree() as usize > 1 << 14);
+    assert_eq!(
+        mono.edge_weight(4, 0),
+        Some(4.5),
+        "the larger duplicate wins"
+    );
+    let dir = std::env::temp_dir().join(format!("pgc-hub-shards-{}", std::process::id()));
+    for s in [1, 2, 3] {
+        let g = build_sharded_weighted(&b, &ShardOptions::resident(s)).unwrap();
+        assert_sharded_equals(&g, &mono, &format!("resident S = {s}"));
+        let g = build_sharded_weighted(&b, &ShardOptions::spilling(s, &dir)).unwrap();
+        assert!((0..s).all(|i| g.is_spilled(i)));
+        assert_sharded_equals(&g, &mono, &format!("spilled S = {s}"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
