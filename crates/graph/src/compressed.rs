@@ -34,6 +34,7 @@
 use crate::compact::{CompactCsr, Offsets};
 use crate::csr::degree_extremes;
 use crate::snapshot::Backing;
+use crate::stream::SharedMut;
 use crate::view::{prefetch_read, GraphMemory, GraphView, WeightedView};
 use crate::weight::EdgeWeight;
 use crate::weighted::WeightedCsr;
@@ -156,20 +157,6 @@ pub struct CompressedCsr<W: EdgeWeight = ()> {
     min_deg: u32,
 }
 
-/// Raw-pointer wrapper for the disjoint-slice parallel scatter (each
-/// vertex writes only its own byte/word range).
-pub(crate) struct SharedMut<T>(pub(crate) *mut T);
-unsafe impl<T> Sync for SharedMut<T> {}
-
-impl<T> SharedMut<T> {
-    /// Accessor (rather than field access) so closures capture the
-    /// `Sync` wrapper, not the raw pointer itself.
-    #[inline]
-    pub(crate) fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
 impl CompressedCsr<()> {
     /// Losslessly encode an unweighted graph (parallel two-pass: measure
     /// per-vertex encoded lengths, prefix-sum, scatter-encode into
@@ -228,7 +215,7 @@ impl<W: EdgeWeight> CompressedCsr<W> {
                 let (s, e) = (bo[v as usize], bo[v as usize + 1]);
                 // SAFETY: per-vertex byte ranges are disjoint by
                 // construction (exclusive prefix sums of exact lengths).
-                let out = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(s), e - s) };
+                let out = unsafe { ptr.slice(s, e) };
                 let written = varint::encode_to_slice(g.neighbors(v), out);
                 debug_assert_eq!(written, e - s);
             });
@@ -282,8 +269,7 @@ impl<W: EdgeWeight> CompressedCsr<W> {
             (0..n as u32).into_par_iter().for_each(|v| {
                 let r = self.arc_range(v);
                 // SAFETY: arc ranges are disjoint per vertex.
-                let out =
-                    unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
+                let out = unsafe { ptr.slice(r.start, r.end) };
                 self.decoder(v).decode_into_slice(out);
             });
         }

@@ -25,14 +25,20 @@
 //!
 //! ## Building and spilling
 //!
-//! [`build_sharded`] extends the two-pass streaming engine
+//! [`build_sharded`] runs the two-pass streaming engine
 //! ([`crate::stream`]) with `S + 2` replays of the source: one global
 //! degree count (discovers `n`, picks arc-balanced boundaries), one
 //! intra/halo degree count against those boundaries, then **one scatter
 //! replay per shard** — so only a single shard's scatter arrays are ever
 //! live at once and peak build memory is `O(n + 2m/S + halo)` instead of
-//! `O(n + 2m)`. Every replay goes through the monolithic builder's
-//! driver, so partitionable sources replay in parallel here too. With
+//! `O(n + 2m)`. Each shard is built by the monolithic builder's own
+//! scatter and finish: a row map sends the shard's intra-shard arcs to
+//! `sn` local rows and its cross-shard arcs to `sn` halo rows, the shared
+//! sort, dedup and compaction finish all `2·sn` rows, and the result is
+//! split at row `sn` into the local CSR and the halo. Hub rows, offset
+//! width and divergence checks therefore follow the monolithic rules
+//! exactly. Every replay goes through the monolithic builder's driver,
+//! so partitionable sources replay in parallel here too. With
 //! [`ShardOptions::spill_dir`] set, each finished shard is serialized to
 //! `shard-NNNN.pgcs`, dropped, and `mmap`-reopened
 //! ([`MappedSnapshot`]), so even the *finished* local CSRs live in the
@@ -42,18 +48,19 @@
 //! across shards (a max, never a sum).
 
 use crate::compact::CompactCsr;
+use crate::csr::degree_extremes;
 use crate::snapshot::{write_weighted_snapshot, MappedSnapshot, SNAPSHOT_EXT};
 use crate::stream::{
-    as_atomic_u32s, count_degrees, par_replay, BuildStats, EdgeSource, Peak, SharedMut,
+    as_atomic_u32s, build_rows, count_degrees, diverged_err, par_replay, BuildStats, EdgeSource,
+    Peak,
 };
 use crate::view::{GraphMemory, GraphView, WeightedView};
 use crate::weight::EdgeWeight;
 use crate::weighted::WeightedCsr;
-use pgc_par::for_each_chunk;
-use pgc_primitives::{co_sort_by_key, offsets_from_counts, reduce_sum_u64};
+use pgc_primitives::reduce_sum_u64;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// How to shard a streaming build.
@@ -123,11 +130,7 @@ enum ShardStore<W: EdgeWeight> {
     /// Owned in-heap arrays, as the builder produced them.
     Resident { csr: CompactCsr, weights: Vec<W> },
     /// Serialized to a `.pgcs` snapshot and served via mmap.
-    Spilled {
-        snap: MappedSnapshot<W>,
-        #[allow(dead_code)] // retained so diagnostics can name the file
-        path: PathBuf,
-    },
+    Spilled(MappedSnapshot<W>),
 }
 
 struct Shard<W: EdgeWeight> {
@@ -140,7 +143,7 @@ impl<W: EdgeWeight> Shard<W> {
     fn local_neighbors(&self, lv: u32) -> &[u32] {
         match &self.store {
             ShardStore::Resident { csr, .. } => csr.neighbors(lv),
-            ShardStore::Spilled { snap, .. } => snap.neighbor_slice(lv),
+            ShardStore::Spilled(snap) => snap.neighbor_slice(lv),
         }
     }
 
@@ -148,7 +151,7 @@ impl<W: EdgeWeight> Shard<W> {
     fn local_weights(&self, lv: u32) -> &[W] {
         match &self.store {
             ShardStore::Resident { csr, weights } => &weights[csr.arc_range(lv)],
-            ShardStore::Spilled { snap, .. } => snap.weight_slice(lv),
+            ShardStore::Spilled(snap) => snap.weight_slice(lv),
         }
     }
 }
@@ -208,7 +211,7 @@ impl<W: EdgeWeight> ShardedCsr<W> {
 
     /// True when shard `s`'s local CSR is snapshot-backed (spill mode).
     pub fn is_spilled(&self, s: usize) -> bool {
-        matches!(self.shards[s].store, ShardStore::Spilled { .. })
+        matches!(self.shards[s].store, ShardStore::Spilled(_))
     }
 
     #[inline]
@@ -364,7 +367,7 @@ impl<W: EdgeWeight> GraphView for ShardedCsr<W> {
             let sn = self.shard_range(s).len();
             let width = match &shard.store {
                 ShardStore::Resident { csr, .. } => csr.offset_width(),
-                ShardStore::Spilled { snap, .. } => snap.memory_footprint().offset_width,
+                ShardStore::Spilled(snap) => snap.memory_footprint().offset_width,
             };
             offset_count += sn + 1;
             offset_bytes += (sn + 1) * width;
@@ -427,7 +430,7 @@ pub fn build_sharded<S: EdgeSource + ?Sized>(
     build_sharded_with_stats(src, opts).map(|(g, _)| g)
 }
 
-/// Build a [`ShardedCsr`] through the shard-aware two-pass engine:
+/// Build a [`ShardedCsr`] through the two-pass engine:
 /// `S + 2` deterministic replays (global count → intra/halo count → one
 /// scatter per shard), peak memory `O(n + 2m/S + halo)`, adjacency
 /// content bit-identical to the monolithic [`crate::stream::build_compact`]
@@ -447,9 +450,9 @@ pub fn build_sharded_weighted<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     build_raw_sharded::<W, S>(src, opts).map(|(g, _)| g)
 }
 
-/// Weighted sibling of [`build_sharded_with_stats`]: weights scatter into
-/// the per-shard local and halo arrays through the same cursors and
-/// duplicate arcs keep the max, exactly as in the monolithic engine.
+/// Weighted variant of [`build_sharded_with_stats`]: weights scatter into
+/// the per-shard local and halo rows through the monolithic engine, so
+/// duplicate arcs keep the max exactly as in a monolithic build.
 pub fn build_sharded_weighted_with_stats<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     src: &S,
     opts: &ShardOptions,
@@ -488,119 +491,12 @@ fn arc_balanced_boundaries(counts: &[u32], total: usize, num_shards: usize) -> V
     bounds
 }
 
-/// Sort each CSR list in place (weights co-permuted), dedup keeping the
-/// max weight, and compact only if duplicates were dropped — the sharded
-/// sibling of the monolithic sort/dedup/compact phase, with identical
-/// semantics so sharded adjacency content matches the monolithic build
-/// bit for bit. On return the net `peak` charge equals the returned
-/// arrays' bytes.
-#[allow(clippy::type_complexity)]
-fn finish_lists<W: EdgeWeight>(
-    offsets: Vec<usize>,
-    mut neighbors: Vec<u32>,
-    mut weights: Vec<W>,
-    peak: &mut Peak,
-) -> (Vec<usize>, Vec<u32>, Vec<W>) {
-    let n = offsets.len() - 1;
-    let total = neighbors.len();
-    let wweight = std::mem::size_of::<W>();
-    let mut deduped: Vec<u32> = vec![0; n];
-    peak.alloc(n * 4);
-    {
-        let nb = SharedMut(neighbors.as_mut_ptr());
-        let ws = SharedMut(weights.as_mut_ptr());
-        let dd = SharedMut(deduped.as_mut_ptr());
-        let offsets = &offsets;
-        for_each_chunk(n, |range| {
-            let mut scratch: Vec<(u32, W)> = Vec::new();
-            for v in range {
-                let (lo, hi) = (offsets[v], offsets[v + 1]);
-                // SAFETY: CSR ranges of distinct vertices are disjoint,
-                // and `for_each_chunk` hands out disjoint vertex ranges.
-                let list = unsafe { nb.slice(lo, hi) };
-                let mut out = 0usize;
-                if W::IS_UNIT {
-                    list.sort_unstable();
-                    for i in 0..list.len() {
-                        if i == 0 || list[i] != list[i - 1] {
-                            list[out] = list[i];
-                            out += 1;
-                        }
-                    }
-                } else {
-                    // SAFETY: same disjoint vertex range as `list`.
-                    let wl = unsafe { ws.slice(lo, hi) };
-                    co_sort_by_key(list, wl, &mut scratch);
-                    for i in 0..list.len() {
-                        if out == 0 || list[i] != list[out - 1] {
-                            list[out] = list[i];
-                            wl[out] = wl[i];
-                            out += 1;
-                        } else {
-                            wl[out - 1] = wl[out - 1].merge_parallel(wl[i]);
-                        }
-                    }
-                }
-                // SAFETY: one writer per vertex slot.
-                unsafe { dd.write(v, out as u32) };
-            }
-        });
-    }
-    let kept = reduce_sum_u64(&deduped, |&d| d as u64) as usize;
-    if kept == total {
-        peak.free(n * 4);
-        return (offsets, neighbors, weights);
-    }
-
-    let (fin_offsets, sum) = offsets_from_counts::<usize>(&deduped);
-    debug_assert_eq!(sum, kept);
-    peak.alloc((n + 1) * std::mem::size_of::<usize>());
-    let mut fin: Vec<u32> = vec![0; kept];
-    peak.alloc(kept * 4);
-    let mut fin_weights: Vec<W> = vec![W::default(); kept];
-    peak.alloc(kept * wweight);
-    {
-        let fb = SharedMut(fin.as_mut_ptr());
-        let fw = SharedMut(fin_weights.as_mut_ptr());
-        let (offsets, fin_offsets) = (&offsets, &fin_offsets);
-        for_each_chunk(n, |range| {
-            for v in range {
-                let src_lo = offsets[v];
-                let d = deduped[v] as usize;
-                let dst_lo = fin_offsets[v];
-                // SAFETY: destination ranges of distinct vertices are
-                // disjoint.
-                unsafe { fb.slice(dst_lo, dst_lo + d) }
-                    .copy_from_slice(&neighbors[src_lo..src_lo + d]);
-                if !W::IS_UNIT {
-                    // SAFETY: same disjoint destination ranges.
-                    unsafe { fw.slice(dst_lo, dst_lo + d) }
-                        .copy_from_slice(&weights[src_lo..src_lo + d]);
-                }
-            }
-        });
-    }
-    peak.free(n * 4); // deduped
-    peak.free((n + 1) * std::mem::size_of::<usize>()); // scatter offsets
-    peak.free(total * 4); // scatter neighbors
-    peak.free(total * wweight); // scatter weights
-    (fin_offsets, fin, fin_weights)
-}
-
-fn diverged_err() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        "EdgeSource replay diverged between the count and scatter passes",
-    )
-}
-
 fn build_raw_sharded<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     src: &S,
     opts: &ShardOptions,
 ) -> io::Result<(ShardedCsr<W>, BuildStats)> {
     let t0 = Instant::now();
     let wweight = std::mem::size_of::<W>();
-    let usize_w = std::mem::size_of::<usize>();
     let mut peak = Peak::default();
     peak.alloc(src.buffered_bytes());
     if let Some(dir) = &opts.spill_dir {
@@ -656,153 +552,86 @@ fn build_raw_sharded<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     }
     drop(split_span);
 
-    // ---- one scatter replay per shard -------------------------------
+    // ---- one scatter replay per shard, through the monolithic engine --
     let mut shards: Vec<Shard<W>> = Vec::with_capacity(num_shards);
-    let mut num_arcs = 0usize;
-    let mut halo_arcs = 0usize;
-    let (mut max_deg, mut min_deg) = (0u32, u32::MAX);
+    let (mut num_arcs, mut halo_arcs, mut max_deg) = (0usize, 0usize, 0u32);
+    // Every non-empty shard lowers this; an empty graph keeps δ = 0.
+    let mut min_deg = if n == 0 { 0 } else { u32::MAX };
     for s in 0..num_shards {
         let _shard_span = pgc_obs::span!("build.shard");
         let (base, end) = (boundaries[s], boundaries[s + 1]);
-        let sn = (end - base) as usize;
-        let (loc_offsets, loc_total) =
-            offsets_from_counts::<usize>(&intra[base as usize..end as usize]);
-        let (halo_offsets, halo_total) =
-            offsets_from_counts::<usize>(&halo_cnt[base as usize..end as usize]);
-        peak.alloc(2 * (sn + 1) * usize_w);
+        let (lo, hi) = (base as usize, end as usize);
+        let sn = hi - lo;
+        // 2·sn rows: local rows 0..sn, then halo rows sn..2·sn.
+        let mut counts = Vec::with_capacity(2 * sn);
+        counts.extend_from_slice(&intra[lo..hi]);
+        counts.extend_from_slice(&halo_cnt[lo..hi]);
+        peak.alloc(counts.capacity() * 4);
+        let shard_total = reduce_sum_u64(&counts, |&c| c as u64) as usize;
+        let inside = |x: u32| x >= base && x < end;
+        let row_map = |a: u32, b: u32| {
+            if !inside(a) {
+                return None;
+            }
+            let row = (a - base) as usize;
+            Some(if inside(b) {
+                (row, b - base)
+            } else {
+                (sn + row, b)
+            })
+        };
+        let (mut offsets, mut neighbors, mut weights) = build_rows(
+            src,
+            n,
+            counts,
+            shard_total,
+            u32::MAX as usize,
+            row_map,
+            &mut peak,
+        )?;
 
-        let loc_cur: Vec<AtomicUsize> = loc_offsets[..sn]
-            .iter()
-            .map(|&o| AtomicUsize::new(o))
-            .collect();
-        let halo_cur: Vec<AtomicUsize> = halo_offsets[..sn]
-            .iter()
-            .map(|&o| AtomicUsize::new(o))
-            .collect();
-        peak.alloc(2 * sn * usize_w);
-        let mut loc_nbrs: Vec<u32> = vec![0; loc_total];
-        let mut halo_nbrs: Vec<u32> = vec![0; halo_total];
-        peak.alloc((loc_total + halo_total) * 4);
-        let mut loc_wts: Vec<W> = vec![W::default(); loc_total];
-        let mut halo_wts: Vec<W> = vec![W::default(); halo_total];
-        peak.alloc((loc_total + halo_total) * wweight);
-        {
-            let loc_slots = as_atomic_u32s(&mut loc_nbrs);
-            let halo_slots = as_atomic_u32s(&mut halo_nbrs);
-            let loc_w = SharedMut(loc_wts.as_mut_ptr());
-            let halo_w = SharedMut(halo_wts.as_mut_ptr());
-            let (loc_cur, halo_cur, diverged) = (&loc_cur, &halo_cur, &diverged);
-            let (loc_w, halo_w) = (&loc_w, &halo_w);
-            par_replay(src, |chunk, wchunk: &[W]| {
-                for (i, &(u, v)) in chunk.iter().enumerate() {
-                    if u == v {
-                        continue;
-                    }
-                    if u as usize >= n || v as usize >= n {
-                        diverged.store(true, Ordering::Relaxed);
-                        continue;
-                    }
-                    let u_in = u >= base && u < end;
-                    let v_in = v >= base && v < end;
-                    if u_in && v_in {
-                        let su = loc_cur[(u - base) as usize].fetch_add(1, Ordering::Relaxed);
-                        let sv = loc_cur[(v - base) as usize].fetch_add(1, Ordering::Relaxed);
-                        if su >= loc_total || sv >= loc_total {
-                            diverged.store(true, Ordering::Relaxed);
-                            continue;
-                        }
-                        loc_slots[su].store(v - base, Ordering::Relaxed);
-                        loc_slots[sv].store(u - base, Ordering::Relaxed);
-                        if !W::IS_UNIT {
-                            // SAFETY: slots claimed by this iteration's
-                            // unique cursor bumps.
-                            unsafe {
-                                loc_w.write(su, wchunk[i]);
-                                loc_w.write(sv, wchunk[i]);
-                            }
-                        }
-                    } else if u_in || v_in {
-                        let (own, other) = if u_in { (u, v) } else { (v, u) };
-                        let so = halo_cur[(own - base) as usize].fetch_add(1, Ordering::Relaxed);
-                        if so >= halo_total {
-                            diverged.store(true, Ordering::Relaxed);
-                            continue;
-                        }
-                        halo_slots[so].store(other, Ordering::Relaxed);
-                        if !W::IS_UNIT {
-                            // SAFETY: slot claimed by this iteration's
-                            // unique cursor bump.
-                            unsafe { halo_w.write(so, wchunk[i]) };
-                        }
-                    }
-                }
-            })?;
+        // Split the finished rows at row sn: the local CSR keeps rows
+        // 0..sn, the halo takes the rest, re-based to start at 0.
+        if sn > 0 {
+            let (mx, mn) = degree_extremes(sn, |i| offsets.get(i) + offsets.get(sn + i));
+            max_deg = max_deg.max(mx);
+            min_deg = min_deg.min(mn);
         }
-        let cursors_short = (0..sn).any(|lv| {
-            loc_cur[lv].load(Ordering::Relaxed) != loc_offsets[lv + 1]
-                || halo_cur[lv].load(Ordering::Relaxed) != halo_offsets[lv + 1]
-        });
-        if diverged.load(Ordering::Relaxed) || cursors_short {
-            return Err(diverged_err());
-        }
-        drop(loc_cur);
-        drop(halo_cur);
-        peak.free(2 * sn * usize_w);
-
-        let (loc_offsets, loc_nbrs, loc_wts) =
-            finish_lists(loc_offsets, loc_nbrs, loc_wts, &mut peak);
-        let (halo_offsets, halo_nbrs, halo_wts) =
-            finish_lists(halo_offsets, halo_nbrs, halo_wts, &mut peak);
-        let (loc_kept, halo_kept) = (loc_nbrs.len(), halo_nbrs.len());
+        let split = offsets.get(sn);
+        let halo = Halo {
+            offsets: (sn..=2 * sn).map(|r| offsets.get(r) - split).collect(),
+            neighbors: neighbors.split_off(split),
+            weights: weights.split_off(split),
+        };
+        let halo_kept = halo.neighbors.len();
+        // The halo copy briefly coexists with the full rows; then the
+        // local arrays shrink to rows 0..sn.
+        peak.alloc(halo.heap_bytes());
+        neighbors.shrink_to_fit();
+        weights.shrink_to_fit();
+        peak.free(halo_kept * (4 + wweight) + sn * offsets.width());
+        offsets.truncate(sn + 1);
+        let csr = CompactCsr::from_offsets(offsets, neighbors);
+        let loc_kept = csr.num_arcs();
         num_arcs += loc_kept + halo_kept;
         halo_arcs += halo_kept;
-        for lv in 0..sn {
-            let d = (loc_offsets[lv + 1] - loc_offsets[lv] + halo_offsets[lv + 1]
-                - halo_offsets[lv]) as u32;
-            max_deg = max_deg.max(d);
-            min_deg = min_deg.min(d);
-        }
-
-        // Pack the local CSR (from_raw narrows the offsets to u32 when
-        // the arc count permits — charge the transient coexistence).
-        let csr = CompactCsr::from_raw(loc_offsets, loc_nbrs);
-        let new_off_bytes = (sn + 1) * csr.offset_width();
-        if new_off_bytes != (sn + 1) * usize_w {
-            peak.alloc(new_off_bytes);
-            peak.free((sn + 1) * usize_w);
-        }
 
         let store = if let Some(dir) = &opts.spill_dir {
             let path = dir.join(format!("shard-{s:04}.{SNAPSHOT_EXT}"));
-            let wcsr = WeightedCsr::from_parts(csr, loc_wts);
-            write_weighted_snapshot(&wcsr, &path)?;
-            drop(wcsr);
+            let loc_bytes = (sn + 1) * csr.offset_width() + loc_kept * (4 + wweight);
+            write_weighted_snapshot(&WeightedCsr::from_parts(csr, weights), &path)?;
             // The shard's finished arrays leave the heap; the mmap that
             // replaces them is page-cache-backed, not build memory.
-            peak.free(new_off_bytes + loc_kept * 4 + loc_kept * wweight);
-            let snap = MappedSnapshot::<W>::open(&path)?;
-            ShardStore::Spilled { snap, path }
+            peak.free(loc_bytes);
+            ShardStore::Spilled(MappedSnapshot::<W>::open(&path)?)
         } else {
-            ShardStore::Resident {
-                csr,
-                weights: loc_wts,
-            }
+            ShardStore::Resident { csr, weights }
         };
-        shards.push(Shard {
-            store,
-            halo: Halo {
-                offsets: halo_offsets,
-                neighbors: halo_nbrs,
-                weights: halo_wts,
-            },
-        });
+        shards.push(Shard { store, halo });
     }
     drop(intra);
     drop(halo_cnt);
     peak.free(2 * n * 4);
-    if n == 0 {
-        min_deg = 0;
-    }
 
     let g = ShardedCsr {
         boundaries,
@@ -810,7 +639,7 @@ fn build_raw_sharded<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
         num_arcs,
         halo_arcs,
         max_deg,
-        min_deg: if min_deg == u32::MAX { 0 } else { min_deg },
+        min_deg,
     };
     let stats = BuildStats {
         ingest: t0.elapsed(),

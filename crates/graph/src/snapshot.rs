@@ -76,9 +76,11 @@ use crate::compressed::{Arena, CompressedCsr};
 #[cfg(debug_assertions)]
 use crate::csr::validate_csr_arrays;
 use crate::csr::validate_csr_shape;
+use crate::stream::SharedMut;
 use crate::view::{prefetch_read, GraphMemory, GraphView, WeightedView};
 use crate::weight::EdgeWeight;
 use crate::weighted::{SliceWeightedNeighbors, WeightedCsr};
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::marker::PhantomData;
@@ -150,11 +152,19 @@ fn hash_section(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// The payload checksum a header records: [`hash_section`] over the
+/// file's sections in order.
+fn payload_checksum(sections: &[&[u8]]) -> u64 {
+    sections
+        .iter()
+        .fold(FNV_OFFSET, |h, section| hash_section(h, section))
+}
+
 // ---------------------------------------------------------------------
 // Header
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Header {
     offset_width: u8,
     weight_kind: u8,
@@ -393,59 +403,35 @@ fn vec_from_bytes<T: Copy + Default>(bytes: &[u8], count: usize) -> Vec<T> {
 // Writing
 // ---------------------------------------------------------------------
 
-fn write_parts<Wr: Write>(
-    offsets: &Offsets,
-    neighbors: &[u32],
-    weight_kind: u8,
-    weight_bytes: &[u8],
-    max_deg: u32,
-    min_deg: u32,
+/// The on-disk bytes of an offset array and their entry width: `u32`
+/// offsets verbatim, machine-word offsets as `u64`.
+fn offset_bytes(offsets: &Offsets) -> (u8, Cow<'_, [u8]>) {
+    match offsets {
+        Offsets::Small(v) => (4, Cow::Borrowed(as_bytes(v))),
+        Offsets::Wide(v) if std::mem::size_of::<usize>() == 8 => (8, Cow::Borrowed(as_bytes(v))),
+        Offsets::Wide(v) => (
+            8,
+            Cow::Owned(v.iter().flat_map(|&x| (x as u64).to_ne_bytes()).collect()),
+        ),
+    }
+}
+
+/// The one snapshot writer: `header`, with its payload checksum computed
+/// here over `sections`, then each section in order, zero-padded to an
+/// 8-byte boundary. Returns the bytes written.
+fn write_sections<Wr: Write>(
+    header: Header,
+    sections: &[&[u8]],
     w: &mut Wr,
 ) -> std::io::Result<u64> {
-    let wide_tmp: Vec<u64>;
-    let (offset_width, off_bytes): (u8, &[u8]) = match offsets {
-        Offsets::Small(v) => (4, as_bytes(v)),
-        Offsets::Wide(v) => {
-            if std::mem::size_of::<usize>() == 8 {
-                (8, as_bytes(v))
-            } else {
-                wide_tmp = v.iter().map(|&x| x as u64).collect();
-                (8, as_bytes(&wide_tmp))
-            }
-        }
-    };
-    let nbr_bytes = as_bytes(neighbors);
-    let n = offsets.len() as u64 - 1;
-    let weight_width = if neighbors.is_empty() {
-        // kind still recorded; width follows the kind table
-        match weight_kind {
-            0 => 0,
-            1 | 2 => 4,
-            _ => 8,
-        }
-    } else {
-        (weight_bytes.len() / neighbors.len()) as u8
-    };
-    let mut payload = FNV_OFFSET;
-    payload = hash_section(payload, off_bytes);
-    payload = hash_section(payload, nbr_bytes);
-    payload = hash_section(payload, weight_bytes);
     let header = Header {
-        offset_width,
-        weight_kind,
-        weight_width,
-        flags: 0,
-        n,
-        num_arcs: neighbors.len() as u64,
-        max_deg,
-        min_deg,
-        payload_checksum: payload,
-        encoded_len: 0,
+        payload_checksum: payload_checksum(sections),
+        ..header
     };
     w.write_all(&header.encode())?;
     let mut written = HEADER_LEN as u64;
     const PAD: [u8; 8] = [0; 8];
-    for section in [off_bytes, nbr_bytes, weight_bytes] {
+    for section in sections {
         w.write_all(section)?;
         let pad = (8 - section.len() % 8) % 8;
         w.write_all(&PAD[..pad])?;
@@ -454,91 +440,31 @@ fn write_parts<Wr: Write>(
     Ok(written)
 }
 
-/// Serialize a [`CompressedCsr`]'s parts as a version-2 snapshot.
-#[allow(clippy::too_many_arguments)]
-fn write_compressed_parts<Wr: Write>(
-    offsets: &Offsets,
-    byte_offsets: &Offsets,
-    arena: &[u8],
-    weight_kind: u8,
-    weight_bytes: &[u8],
-    num_arcs: usize,
-    max_deg: u32,
-    min_deg: u32,
+/// Serialize a raw-array graph and its neighbor-parallel weights as a
+/// version-1 snapshot.
+fn write_raw<W: EdgeWeight, Wr: Write>(
+    g: &CompactCsr,
+    weights: &[W],
     w: &mut Wr,
 ) -> std::io::Result<u64> {
-    let off_tmp: Vec<u64>;
-    let (offset_width, off_bytes): (u8, &[u8]) = match offsets {
-        Offsets::Small(v) => (4, as_bytes(v)),
-        Offsets::Wide(v) => {
-            if std::mem::size_of::<usize>() == 8 {
-                (8, as_bytes(v))
-            } else {
-                off_tmp = v.iter().map(|&x| x as u64).collect();
-                (8, as_bytes(&off_tmp))
-            }
-        }
-    };
-    let bo_tmp: Vec<u64>;
-    let (mut flags, bo_bytes): (u8, &[u8]) = match byte_offsets {
-        Offsets::Small(v) => (FLAG_COMPRESSED, as_bytes(v)),
-        Offsets::Wide(v) => {
-            if std::mem::size_of::<usize>() == 8 {
-                (FLAG_COMPRESSED | FLAG_WIDE_BYTE_OFFSETS, as_bytes(v))
-            } else {
-                bo_tmp = v.iter().map(|&x| x as u64).collect();
-                (FLAG_COMPRESSED | FLAG_WIDE_BYTE_OFFSETS, as_bytes(&bo_tmp))
-            }
-        }
-    };
-    flags &= KNOWN_FLAGS;
-    let weight_width = weight_bytes.len().checked_div(num_arcs).map_or(
-        match weight_kind {
-            0 => 0,
-            1 | 2 => 4,
-            _ => 8,
-        },
-        |w| w as u8,
-    );
-    let mut payload = FNV_OFFSET;
-    for section in [off_bytes, bo_bytes, arena, weight_bytes] {
-        payload = hash_section(payload, section);
-    }
+    let (offset_width, off) = offset_bytes(g.raw_offsets());
     let header = Header {
         offset_width,
-        weight_kind,
-        weight_width,
-        flags,
-        n: offsets.len() as u64 - 1,
-        num_arcs: num_arcs as u64,
-        max_deg,
-        min_deg,
-        payload_checksum: payload,
-        encoded_len: arena.len() as u64,
+        weight_kind: W::SNAPSHOT_KIND,
+        weight_width: std::mem::size_of::<W>() as u8,
+        n: g.n() as u64,
+        num_arcs: g.num_arcs() as u64,
+        max_deg: g.max_degree(),
+        min_deg: g.min_degree(),
+        ..Header::default()
     };
-    w.write_all(&header.encode())?;
-    let mut written = HEADER_LEN as u64;
-    const PAD: [u8; 8] = [0; 8];
-    for section in [off_bytes, bo_bytes, arena, weight_bytes] {
-        w.write_all(section)?;
-        let pad = (8 - section.len() % 8) % 8;
-        w.write_all(&PAD[..pad])?;
-        written += (section.len() + pad) as u64;
-    }
-    Ok(written)
+    let sections = [&off[..], as_bytes(g.raw_neighbors()), as_bytes(weights)];
+    write_sections(header, &sections, w)
 }
 
 /// Serialize an unweighted graph to `w`. Returns the bytes written.
 pub fn write_snapshot_to<Wr: Write>(g: &CompactCsr, w: &mut Wr) -> std::io::Result<u64> {
-    write_parts(
-        g.raw_offsets(),
-        g.raw_neighbors(),
-        0,
-        &[],
-        g.max_degree(),
-        g.min_degree(),
-        w,
-    )
+    write_raw::<(), Wr>(g, &[], w)
 }
 
 /// Serialize an unweighted graph to a file (buffered). Returns the bytes
@@ -556,16 +482,7 @@ pub fn write_weighted_snapshot_to<W: EdgeWeight, Wr: Write>(
     g: &WeightedCsr<W>,
     w: &mut Wr,
 ) -> std::io::Result<u64> {
-    let s = g.structure();
-    write_parts(
-        s.raw_offsets(),
-        s.raw_neighbors(),
-        W::SNAPSHOT_KIND,
-        as_bytes(g.raw_weights()),
-        s.max_degree(),
-        s.min_degree(),
-        w,
-    )
+    write_raw(g.structure(), g.raw_weights(), w)
 }
 
 /// Serialize a weighted graph to a file (buffered). Returns the bytes
@@ -587,17 +504,26 @@ pub fn write_compressed_snapshot_to<W: EdgeWeight, Wr: Write>(
     g: &CompressedCsr<W>,
     w: &mut Wr,
 ) -> std::io::Result<u64> {
-    write_compressed_parts(
-        g.raw_offsets(),
-        g.raw_byte_offsets(),
-        g.arena_bytes(),
-        W::SNAPSHOT_KIND,
-        as_bytes(g.raw_weights()),
-        g.num_arcs(),
-        GraphView::max_degree(g),
-        GraphView::min_degree(g),
-        w,
-    )
+    let (offset_width, off) = offset_bytes(g.raw_offsets());
+    let (byte_offset_width, bo) = offset_bytes(g.raw_byte_offsets());
+    let header = Header {
+        offset_width,
+        weight_kind: W::SNAPSHOT_KIND,
+        weight_width: std::mem::size_of::<W>() as u8,
+        flags: if byte_offset_width == 8 {
+            FLAG_COMPRESSED | FLAG_WIDE_BYTE_OFFSETS
+        } else {
+            FLAG_COMPRESSED
+        },
+        n: g.n() as u64,
+        num_arcs: g.num_arcs() as u64,
+        max_deg: GraphView::max_degree(g),
+        min_deg: GraphView::min_degree(g),
+        payload_checksum: 0,
+        encoded_len: g.arena_bytes().len() as u64,
+    };
+    let sections = [&off[..], &bo, g.arena_bytes(), as_bytes(g.raw_weights())];
+    write_sections(header, &sections, w)
 }
 
 /// Serialize an already-compressed graph to a file (buffered, version 2).
@@ -635,10 +561,7 @@ fn verify(bytes: &[u8]) -> std::io::Result<(Header, SectionLayout)> {
             layout.total
         )));
     }
-    let mut payload = FNV_OFFSET;
-    for section in layout.sections(bytes) {
-        payload = hash_section(payload, section);
-    }
+    let payload = payload_checksum(&layout.sections(bytes));
     if payload != header.payload_checksum {
         return Err(bad(format!(
             "snapshot payload checksum mismatch: stored {:#018x}, computed {payload:#018x} \
@@ -647,6 +570,21 @@ fn verify(bytes: &[u8]) -> std::io::Result<(Header, SectionLayout)> {
         )));
     }
     Ok((header, layout))
+}
+
+/// Copy `count` 8-byte on-disk offsets out of `bytes` as `usize`s; one
+/// that exceeds this platform's `usize` is an error naming `what`.
+fn read_wide(bytes: &[u8], count: usize, what: &str) -> std::io::Result<Vec<usize>> {
+    vec_from_bytes::<u64>(bytes, count)
+        .into_iter()
+        .map(|x| {
+            usize::try_from(x).map_err(|_| {
+                bad(format!(
+                    "wide snapshot {what} exceeds this platform's usize"
+                ))
+            })
+        })
+        .collect()
 }
 
 /// Copy the v2 byte-offsets section out into plain `usize`s.
@@ -663,14 +601,7 @@ fn read_byte_offsets(
             .map(|x| x as usize)
             .collect()
     } else {
-        let wide: Vec<u64> = vec_from_bytes(bo_bytes, n + 1);
-        let mut out = Vec::with_capacity(n + 1);
-        for x in wide {
-            out.push(usize::try_from(x).map_err(|_| {
-                bad("wide snapshot byte offset exceeds this platform's usize".into())
-            })?);
-        }
-        out
+        read_wide(bo_bytes, n + 1, "byte offset")?
     };
     // Monotonicity + arena bound, checked before any decode slices it.
     if bo.first() != Some(&0)
@@ -702,7 +633,7 @@ fn decode_arena(
         return Err(bad("snapshot offsets are not monotone".into()));
     }
     let mut neighbors = vec![0u32; arcs];
-    let ptr = crate::compressed::SharedMut(neighbors.as_mut_ptr());
+    let ptr = SharedMut(neighbors.as_mut_ptr());
     let ok = (0..n).into_par_iter().all(|v| {
         let (s, e) = (get(v), get(v + 1));
         let run = &arena[bo[v]..bo[v + 1]];
@@ -711,7 +642,7 @@ fn decode_arena(
         }
         let mut dec = pgc_primitives::varint::Decoder::new(run, e - s);
         // SAFETY: per-vertex arc ranges are disjoint (monotone offsets).
-        let out = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(s), e - s) };
+        let out = unsafe { ptr.slice(s, e) };
         dec.decode_into_slice(out);
         true
     });
@@ -732,16 +663,7 @@ fn read_offsets(bytes: &[u8], header: &Header, layout: &SectionLayout) -> std::i
     if header.offset_width == 4 {
         Ok(Offsets::Small(vec_from_bytes::<u32>(off_bytes, n + 1)))
     } else {
-        let wide: Vec<u64> = vec_from_bytes(off_bytes, n + 1);
-        let mut out = Vec::with_capacity(n + 1);
-        for x in wide {
-            out.push(
-                usize::try_from(x).map_err(|_| {
-                    bad("wide snapshot offset exceeds this platform's usize".into())
-                })?,
-            );
-        }
-        Ok(Offsets::Wide(out))
+        Ok(Offsets::Wide(read_wide(off_bytes, n + 1, "offset")?))
     }
 }
 

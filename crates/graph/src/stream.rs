@@ -23,13 +23,13 @@
 //!                  u32 offsets while the arc total fits)
 //!                              │
 //!            ┌───────────── pass 2 (scatter) ───────────┐
-//!  EdgeSource ──replay──▶ atomic per-vertex cursors scatter each arc —
-//!                         and, for weighted payloads, its weight into a
-//!                         neighbor-parallel weights array — directly
-//!                         into place
+//!  EdgeSource ──replay──▶ the row map places each directed arc; atomic
+//!                         per-row cursors scatter it — and, for weighted
+//!                         payloads, its weight into a neighbor-parallel
+//!                         weights array — directly into place
 //!                              │
 //!                              ▼
-//!                 per-vertex parallel sort + in-place dedup
+//!                 per-row parallel sort + in-place dedup
 //!                 (weights co-permuted, duplicates keep the max;
 //!                  compaction pass only if duplicates existed)
 //!
@@ -41,8 +41,20 @@
 //! ```
 //!
 //! Both passes see the same multiset of pairs whatever the partitioning
-//! and schedule, and the per-vertex sort erases scatter order, so the
+//! and schedule, and the per-row sort erases scatter order, so the
 //! finished arrays are identical at every width and partition count.
+//!
+//! Pass 2 and the finish work on **rows**, not vertices: a row map sends
+//! each directed arc `a → b` of a non-loop pair to `Some((row, target))`
+//! or drops it. The monolithic build uses the identity, one row per
+//! vertex. The sharded builder ([`crate::sharded`]) runs the same two
+//! functions once per shard `[base, end)` of `sn` vertices over `2·sn`
+//! rows: local rows `0..sn` take `(a − base, b − base)` when both ends
+//! are inside the shard, halo rows `sn..2·sn` take `(sn + a − base, b)`
+//! with `b` kept global when only `a` is, and every other arc is dropped.
+//! Splitting the finished arrays at row `sn` yields the shard's local CSR
+//! and its halo, so both builders share one scatter, one sort/dedup and
+//! one compaction.
 //!
 //! The whole engine is generic over an edge payload `W:`
 //! [`EdgeWeight`]: sources replay `(u, v)` chunks *plus* a parallel
@@ -357,8 +369,9 @@ pub fn build_weighted_with_offset_limit<W: EdgeWeight, S: EdgeSource<W> + ?Sized
 // The two-pass core
 // ---------------------------------------------------------------------
 
-/// Width-resolved CSR arrays as produced by the engine.
-type RawCsr = (Offsets, Vec<u32>);
+/// Finished CSR rows as the engine produces them: width-resolved
+/// offsets, neighbors, and the neighbor-parallel weights.
+pub(crate) type Rows<W> = (Offsets, Vec<u32>, Vec<W>);
 
 /// Running high-water mark of build-side allocations. Shared with the
 /// sharded builder ([`crate::sharded`]), which threads **one** `Peak`
@@ -454,9 +467,9 @@ pub(crate) fn as_atomic_u32s(v: &mut [u32]) -> &[AtomicU32] {
 }
 
 /// Raw-pointer view over a mutable buffer for parallel writes to
-/// *disjoint* ranges. Every use below hands different workers
-/// vertex-aligned CSR ranges — or slot indices claimed by a unique
-/// cursor bump — which never overlap.
+/// *disjoint* ranges — the crate's one such wrapper. Every use hands
+/// different workers vertex-aligned CSR or arena ranges — or slot
+/// indices claimed by a unique cursor bump — which never overlap.
 pub(crate) struct SharedMut<T>(pub(crate) *mut T);
 
 unsafe impl<T: Send> Send for SharedMut<T> {}
@@ -495,18 +508,20 @@ fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     let total = reduce_sum_u64(&counts, |&c| c as u64) as usize;
     drop(count_span);
 
-    // ---- prefix sum + pass 2 at the narrowest width that fits --------
-    let ((offsets, neighbors), weights, mut stats) = if total < u32_limit {
-        scatter::<u32, W, S>(src, counts, total, u32_limit, &mut peak)?
-    } else {
-        scatter::<usize, W, S>(src, counts, total, u32_limit, &mut peak)?
+    // ---- pass 2 + finish: one row per vertex, arcs in place ----------
+    let n = counts.len();
+    let identity = |a: u32, b: u32| Some((a as usize, b));
+    let (offsets, neighbors, weights) =
+        build_rows(src, n, counts, total, u32_limit, identity, &mut peak)?;
+    let stats = BuildStats {
+        ingest: t0.elapsed(),
+        build_bytes_peak: peak.high_water(),
+        raw_edges,
+        hinted_edges: src.edge_hint(),
+        raw_arcs: total,
+        arcs: neighbors.len(),
+        weight_width: std::mem::size_of::<W>(),
     };
-    stats.raw_edges = raw_edges;
-    stats.hinted_edges = src.edge_hint();
-    stats.raw_arcs = total;
-    stats.weight_width = std::mem::size_of::<W>();
-    stats.build_bytes_peak = peak.peak;
-    stats.ingest = t0.elapsed();
     Ok((CompactCsr::from_offsets(offsets, neighbors), weights, stats))
 }
 
@@ -519,6 +534,15 @@ fn weights_chunk_err() -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         "weighted EdgeSource emitted a weights chunk shorter or longer than its pair chunk",
+    )
+}
+
+/// A replay that differs from the counted one: a file edited between
+/// scans, a non-deterministic generator, a dropped or extra pair.
+pub(crate) fn diverged_err() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "EdgeSource replay diverged between the count and scatter passes",
     )
 }
 
@@ -675,76 +699,107 @@ where
     Ok((counts, raw))
 }
 
-/// Pass 2 at a fixed offset width: prefix-sum the counts, replay the
-/// source scattering arcs (and weights) through atomic cursors, then
-/// sort + dedup each adjacency in place — weights co-permuted, duplicate
-/// arcs folded by [`EdgeWeight::merge_parallel`] — compacting only if
-/// duplicates were dropped.
-fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
+/// Pass 2 and the finish over `counts.len()` rows — one per vertex for
+/// the monolithic build, `2·sn` per shard for [`crate::sharded`] — at
+/// the narrowest offset width that addresses `total` (the sum of
+/// `counts`). `ids` bounds every vertex id the replay may emit (pass 1's
+/// `n`), and `map` places each directed arc (see [`scatter`]). On return
+/// the net `peak` charge is the returned rows' bytes minus the counts'.
+pub(crate) fn build_rows<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     src: &S,
+    ids: usize,
     counts: Vec<u32>,
     total: usize,
     u32_limit: usize,
+    map: impl Fn(u32, u32) -> Option<(usize, u32)> + Sync,
     peak: &mut Peak,
-) -> io::Result<(RawCsr, Vec<W>, BuildStats)> {
-    let n = counts.len();
+) -> io::Result<Rows<W>> {
+    if total < u32_limit {
+        let (offsets, neighbors, weights) =
+            scatter::<u32, W, S>(src, ids, counts, total, map, peak)?;
+        Ok(finish(offsets, neighbors, weights, u32_limit, peak))
+    } else {
+        let (offsets, neighbors, weights) =
+            scatter::<usize, W, S>(src, ids, counts, total, map, peak)?;
+        Ok(finish(offsets, neighbors, weights, u32_limit, peak))
+    }
+}
+
+/// Pass 2 at a fixed offset width: prefix-sum the row counts, then replay
+/// the source once and place each directed arc `a → b` of every non-loop
+/// pair (both directions) where the **row map** says. `map(a, b) =
+/// Some((row, target))` claims the next slot of `row` through its atomic
+/// cursor and stores `target` — and the pair's weight — there; `None`
+/// drops the arc (the module docs give the monolithic and per-shard
+/// maps). An id at or past `ids`, or a row whose cursor does not end
+/// exactly at the next row's offset, means the replay diverged from the
+/// counted one.
+fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
+    src: &S,
+    ids: usize,
+    counts: Vec<u32>,
+    total: usize,
+    map: impl Fn(u32, u32) -> Option<(usize, u32)> + Sync,
+    peak: &mut Peak,
+) -> io::Result<(Vec<O>, Vec<u32>, Vec<W>)> {
+    let rows = counts.len();
     let word = std::mem::size_of::<O>();
-    let wweight = std::mem::size_of::<W>();
-    let scatter_span = pgc_obs::span!("ingest.scatter");
+    let _scatter_span = pgc_obs::span!("ingest.scatter");
 
     let (offsets, sum) = offsets_from_counts::<O>(&counts);
     debug_assert_eq!(sum, total);
-    peak.alloc((n + 1) * word);
+    peak.alloc((rows + 1) * word);
     let counts_bytes = counts.capacity() * 4;
     drop(counts);
     peak.free(counts_bytes);
 
-    // Cursors start at each vertex's offset; neighbors come zeroed from
-    // the allocator, the weights array default-initialized (for `W = ()`
-    // it is a zero-sized no-allocation vector). Neighbor slots are plain
+    // Cursors start at each row's offset; neighbors come zeroed from the
+    // allocator, the weights array default-initialized (for `W = ()` it
+    // is a zero-sized no-allocation vector). Neighbor slots are plain
     // words viewed as atomics only for the duration of the parallel
     // scatter; weight slots are written raw — every slot index comes from
     // a unique cursor bump, so writers never overlap.
-    let mut cursor_words: Vec<O> = offsets[..n].to_vec();
+    let mut cursor_words: Vec<O> = offsets[..rows].to_vec();
     peak.alloc(cursor_words.capacity() * word);
     let mut neighbors: Vec<u32> = vec![0; total];
     peak.alloc(neighbors.capacity() * 4);
     let mut weights: Vec<W> = vec![W::default(); total];
-    peak.alloc(weights.capacity() * wweight);
+    peak.alloc(weights.capacity() * std::mem::size_of::<W>());
     let diverged = AtomicBool::new(false);
     {
         let cursors = O::as_cursors(&mut cursor_words);
         let slots = as_atomic_u32s(&mut neighbors);
         let wslots = SharedMut(weights.as_mut_ptr());
-        let (wslots, diverged) = (&wslots, &diverged);
+        let (wslots, diverged, map) = (&wslots, &diverged, &map);
         par_replay(src, |chunk, wchunk: &[W]| {
             for (i, &(u, v)) in chunk.iter().enumerate() {
                 if u == v {
                     continue;
                 }
-                let (ui, vi) = (u as usize, v as usize);
                 // A pass-2 replay that grew (file appended to between
                 // the two scans) can present ids or arcs pass 1 never
                 // counted; skip them and report divergence instead of
                 // panicking on the slice bounds.
-                if ui >= n || vi >= n {
+                if u as usize >= ids || v as usize >= ids {
                     diverged.store(true, Ordering::Relaxed);
                     continue;
                 }
-                let (su, sv) = (cursors[ui].bump(), cursors[vi].bump());
-                if su >= total || sv >= total {
-                    diverged.store(true, Ordering::Relaxed);
-                    continue;
-                }
-                slots[su].store(v, Ordering::Relaxed);
-                slots[sv].store(u, Ordering::Relaxed);
-                if !W::IS_UNIT {
-                    // SAFETY: `su`/`sv` were claimed by exactly this
-                    // iteration's cursor bumps; no other writer can hold
-                    // the same slot.
-                    unsafe {
-                        wslots.write(su, wchunk[i]);
-                        wslots.write(sv, wchunk[i]);
+                // Claim both slots before storing into either: a locked
+                // cursor bump drains the store buffer, so bump, bump,
+                // store, store overlaps the two stores' cache misses.
+                let claimed = [map(u, v), map(v, u)]
+                    .map(|arc| arc.map(|(row, target)| (cursors[row].bump(), target)));
+                for (slot, target) in claimed.into_iter().flatten() {
+                    if slot >= total {
+                        diverged.store(true, Ordering::Relaxed);
+                        continue;
+                    }
+                    slots[slot].store(target, Ordering::Relaxed);
+                    if !W::IS_UNIT {
+                        // SAFETY: `slot` was claimed by exactly this
+                        // cursor bump; no other writer can hold the same
+                        // slot.
+                        unsafe { wslots.write(slot, wchunk[i]) };
                     }
                 }
             }
@@ -752,10 +807,10 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     }
     // A source whose second replay differs from the first (a file edited
     // between the two scans, a non-deterministic generator) trips the
-    // flag above or leaves some cursor short of its list's end. Catch it
+    // flag above or leaves some cursor short of its row's end. Catch it
     // here instead of handing back a silently corrupt graph.
     let cursors_short = pgc_par::map_reduce_chunks(
-        n,
+        rows,
         0,
         |r| {
             r.into_iter()
@@ -765,17 +820,30 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     )
     .unwrap_or(false);
     if diverged.load(Ordering::Relaxed) || cursors_short {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "EdgeSource replay diverged between the count and scatter passes",
-        ));
+        return Err(diverged_err());
     }
     let cursor_bytes = cursor_words.capacity() * word;
     drop(cursor_words);
     peak.free(cursor_bytes);
-    drop(scatter_span);
+    Ok((offsets, neighbors, weights))
+}
 
-    // ---- per-vertex sort + in-place dedup ----------------------------
+/// The finish of the engine: sort each scattered row in place (rows of
+/// at least [`PAR_SORT_MIN_LEN`] arcs with the parallel sort), dedup it —
+/// weights co-permuted, duplicate arcs folded by
+/// [`EdgeWeight::merge_parallel`] — and compact only if duplicates were
+/// dropped, re-deciding the offset width from the post-dedup total. On
+/// return `peak` charges the returned arrays in place of the scattered
+/// ones.
+fn finish<O: ScatterWord, W: EdgeWeight>(
+    offsets: Vec<O>,
+    mut neighbors: Vec<u32>,
+    mut weights: Vec<W>,
+    u32_limit: usize,
+    peak: &mut Peak,
+) -> Rows<W> {
+    let n = offsets.len() - 1;
+    let total = neighbors.len();
     let _sort_span = pgc_obs::span!("ingest.sort");
     let mut deduped: Vec<u32> = vec![0; n];
     peak.alloc(n * 4);
@@ -865,35 +933,29 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     peak.alloc(sort_scratch);
     peak.free(sort_scratch);
     let kept = reduce_sum_u64(&deduped, |&d| d as u64) as usize;
-
-    let stats = BuildStats {
-        arcs: kept,
-        ..BuildStats::default()
-    };
-
     if kept == total {
         // No duplicates anywhere: the scatter arrays are already the
-        // final neighbor/weight arrays and the pass-1 offsets are exact.
+        // final neighbor/weight arrays and the pass-2 offsets are exact.
         peak.free(n * 4);
-        return Ok(((O::pack(offsets), neighbors), weights, stats));
+        return (O::pack(offsets), neighbors, weights);
     }
 
     // ---- compaction: close the gaps dedup left -----------------------
-    let (raw, fin_weights) = if kept < u32_limit {
+    let fin = if kept < u32_limit {
         compact_lists::<O, u32, W>(&offsets, &neighbors, &weights, &deduped, kept, peak)
     } else {
         compact_lists::<O, usize, W>(&offsets, &neighbors, &weights, &deduped, kept, peak)
     };
     peak.free(n * 4); // `deduped`
-    peak.free((n + 1) * word); // pass-1 offsets
+    peak.free((n + 1) * std::mem::size_of::<O>()); // scatter offsets
     peak.free(total * 4); // neighbor scatter array
-    peak.free(total * wweight); // weight scatter array
-    Ok((raw, fin_weights, stats))
+    peak.free(total * std::mem::size_of::<W>()); // weight scatter array
+    fin
 }
 
-/// Copy the deduped prefixes of each adjacency (and its weights) into
-/// dense final arrays, re-deciding the offset width from the post-dedup
-/// arc total.
+/// Copy the deduped prefixes of each row (and its weights) into dense
+/// final arrays, re-deciding the offset width from the post-dedup arc
+/// total.
 fn compact_lists<O: ScatterWord, F: ScatterWord, W: EdgeWeight>(
     offsets: &[O],
     neighbors: &[u32],
@@ -901,7 +963,7 @@ fn compact_lists<O: ScatterWord, F: ScatterWord, W: EdgeWeight>(
     deduped: &[u32],
     kept: usize,
     peak: &mut Peak,
-) -> (RawCsr, Vec<W>) {
+) -> Rows<W> {
     let n = deduped.len();
     let (fin_offsets, sum) = offsets_from_counts::<F>(deduped);
     debug_assert_eq!(sum, kept);
@@ -931,7 +993,7 @@ fn compact_lists<O: ScatterWord, F: ScatterWord, W: EdgeWeight>(
             }
         });
     }
-    ((F::pack(fin_offsets), fin), fin_weights)
+    (F::pack(fin_offsets), fin, fin_weights)
 }
 
 #[cfg(test)]
