@@ -367,6 +367,29 @@ mod tests {
     }
 
     #[test]
+    fn predecessor_color_above_degree_is_dropped() {
+        // K₈ on 0..8 with ρ descending by id colors vertex i with color i.
+        // The pendant 8 (lowest ρ) hangs on vertex 7: its one predecessor
+        // holds color 7 > deg(8) = 1, which must not reach its bitmap.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for a in 0..8 {
+            for b in a + 1..8 {
+                edges.push((a, b));
+            }
+        }
+        edges.push((7, 8));
+        let g = from_edges(9, &edges);
+        let rho: Vec<u64> = (0..9).map(|v| 100 - v).collect();
+        let expect: Vec<u32> = (0..8).chain([0]).collect();
+        assert_eq!(jp_color(&g, &rho), expect);
+        let counts = predecessor_counts(&g, &rho);
+        assert_eq!(jp_color_with_counts(&g, &rho, &counts), expect);
+        let (levels, rounds) = jp_color_levels(&g, &rho);
+        assert_eq!(levels, expect);
+        assert_eq!(rounds, 9);
+    }
+
+    #[test]
     fn delta_plus_one_always_holds() {
         let g = generate(
             &GraphSpec::RingOfCliques {

@@ -99,3 +99,76 @@ fn colorings_are_identical_across_widths() {
         }
     }
 }
+
+/// Oracle for the JP engines: JP with a fixed ρ is the sequential greedy
+/// pass over decreasing ρ, whatever the schedule. Every engine entry point
+/// — async, async with the ADG-fused predecessor counts, and
+/// level-synchronous — must reproduce `greedy_by_priority` exactly, on
+/// both adjacency representations and at every width.
+#[test]
+fn jp_engines_equal_sequential_greedy_by_priority() {
+    use pgc::color::greedy::greedy_by_priority;
+    use pgc::color::jp::{jp_color, jp_color_levels, jp_color_with_counts};
+    use pgc::graph::{CompressedCsr, GraphView};
+    use pgc::order::{compute, AdgOptions, OrderingKind};
+
+    fn check<G: GraphView>(name: &str, g: &G, kind: &OrderingKind) {
+        let ord = compute(g, kind, 17);
+        let oracle = greedy_by_priority(g, &ord.rho);
+        verify::assert_proper(g, &oracle);
+        let is_adg = matches!(kind, OrderingKind::Adg(_));
+        assert_eq!(ord.pred_counts.is_some(), is_adg, "{name}: fused counts");
+        for t in [1, 2, 4] {
+            let ctx = format!("{name}/{} at width {t}", kind.name());
+            with_threads(t, || {
+                assert_eq!(jp_color(g, &ord.rho), oracle, "{ctx}: jp_color");
+                if let Some(counts) = &ord.pred_counts {
+                    let c = jp_color_with_counts(g, &ord.rho, counts);
+                    assert_eq!(c, oracle, "{ctx}: jp_color_with_counts");
+                }
+                let (c, _) = jp_color_levels(g, &ord.rho);
+                assert_eq!(c, oracle, "{ctx}: jp_color_levels");
+            });
+        }
+    }
+
+    let kinds = [
+        OrderingKind::Random,
+        OrderingKind::LargestFirst,
+        OrderingKind::SmallestLast,
+        OrderingKind::Adg(AdgOptions::default()),
+        OrderingKind::Adg(AdgOptions::median()),
+    ];
+    let specs = [
+        (
+            "rmat-11",
+            GraphSpec::Rmat {
+                scale: 11,
+                edge_factor: 8,
+            },
+        ),
+        (
+            "ba-2000",
+            GraphSpec::BarabasiAlbert {
+                n: 2_000,
+                attach: 6,
+            },
+        ),
+        (
+            "cliques",
+            GraphSpec::RingOfCliques {
+                cliques: 40,
+                clique_size: 12,
+            },
+        ),
+        ("star", GraphSpec::Star { n: 3_000 }),
+    ];
+    for (name, spec) in &specs {
+        let g = generate(spec, 7);
+        let z = CompressedCsr::from_compact(&g);
+        for kind in &kinds {
+            check(&format!("{name}/compact"), &g, kind);
+            check(&format!("{name}/compressed"), &z, kind);
+        }
+    }
+}
