@@ -8,11 +8,18 @@
 //! (Hasenplaugh et al.) — the whole point of the paper's ADG ordering is to
 //! bound `|P|` by `O(d log n + …)` (Lemma 7).
 //!
+//! Both engines color a vertex with one step that reads its row once: a
+//! predecessor marks its color in a `deg + 1`-bit bitmap, a successor goes
+//! to a list. The asynchronous engine keeps the bitmap words and the list
+//! in per-thread scratch and the level loop keeps the words per parallel
+//! leaf, so the step allocates only when a row outgrows every earlier one.
+//!
 //! Two interchangeable engines:
 //!
-//! * [`jp_color`] — asynchronous fork–join: completing a vertex spawns its
-//!   released successors as rayon tasks; closest to the paper's execution
-//!   model.
+//! * [`jp_color`] — asynchronous fork–join: the roots of `Gρ` are a
+//!   parallel loop, each vertex joins its successors once it is colored,
+//!   the first one it releases is colored inline and every further one
+//!   becomes a rayon task; closest to the paper's execution model.
 //! * [`jp_color_levels`] — level-synchronous: colors the current frontier,
 //!   then the released set, round by round. Returns the round count, which
 //!   equals the longest `Gρ` path length + 1 — the measured "depth" used by
@@ -21,13 +28,15 @@
 //!
 //! JP with a fixed ρ is *schedule-deterministic*: each vertex's color is a
 //! function of its predecessors' colors only, so both engines (and any
-//! thread interleaving) produce bit-identical colorings.
+//! thread interleaving) produce bit-identical colorings — the coloring of
+//! the sequential greedy pass over decreasing ρ.
 
 use crate::colorer::{Colorer, Instrumentation};
 use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
 use pgc_graph::GraphView;
-use pgc_primitives::{FixedBitmap, JoinCounters};
+use pgc_primitives::JoinCounters;
 use rayon::prelude::*;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering as AtOrd};
 
 /// [`Colorer`] for the Jones–Plassmann family: any `Algorithm` whose
@@ -91,40 +100,71 @@ pub fn predecessor_counts<G: GraphView>(g: &G, rho: &[u64]) -> Vec<u32> {
         .collect()
 }
 
-/// `GetColor` (Alg. 3 lines 25–28): smallest color unused among the
-/// predecessors of `v`. The answer is at most `|pred(v)|`, so predecessor
-/// colors beyond the scratch capacity are irrelevant and dropped.
+/// Per-thread scratch of the asynchronous engine: the bitmap words and
+/// the successor list of [`color_step`], kept from one vertex to the next.
+#[derive(Default)]
+struct Scratch {
+    words: Vec<u64>,
+    succ: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch {
+            words: Vec::new(),
+            succ: Vec::new(),
+        })
+    };
+}
+
+/// `GetColor` (Alg. 3 lines 25–28) in one pass over the row of `v`: a
+/// predecessor (`ρ(u) > ρ(v)`) marks its color in a `deg(v) + 1`-bit
+/// bitmap held in the first words of `words`, and every successor is
+/// handed to `succ`. Returns the smallest color unused among the
+/// predecessors. That color is at most `deg(v)`, so a predecessor color
+/// beyond it can never be the answer and is dropped.
 #[inline]
-fn get_color<G: GraphView>(
+fn color_step<G: GraphView>(
     g: &G,
     rho: &[u64],
     colors: &[AtomicU32],
     v: u32,
-    scratch: &mut FixedBitmap,
+    words: &mut Vec<u64>,
+    mut succ: impl FnMut(u32),
 ) -> u32 {
+    let deg = g.degree(v) as usize;
+    let nwords = deg / 64 + 1;
+    if words.len() < nwords {
+        words.resize(nwords, 0);
+    }
+    // Clear only this row's words: a hub may have grown the capacity.
+    let bits = &mut words[..nwords];
+    bits.fill(0);
     let rv = rho[v as usize];
-    let mut npred = 0usize;
     for u in g.neighbors(v) {
-        if rho[u as usize] > rv {
-            npred += 1;
-        }
-    }
-    scratch.clear_all();
-    scratch.ensure_len(npred + 1);
-    for u in g.neighbors(v) {
-        if rho[u as usize] > rv {
-            let c = colors[u as usize].load(AtOrd::Relaxed);
-            debug_assert_ne!(c, UNCOLORED, "predecessor {u} of {v} uncolored");
-            if (c as usize) <= npred {
-                scratch.set(c as usize);
+        let ru = rho[u as usize];
+        if ru > rv {
+            let c = colors[u as usize].load(AtOrd::Relaxed) as usize;
+            debug_assert_ne!(c, UNCOLORED as usize, "predecessor {u} of {v} uncolored");
+            if c <= deg {
+                bits[c / 64] |= 1 << (c % 64);
             }
+        } else if ru < rv {
+            succ(u);
         }
     }
-    scratch.first_zero_from(0) as u32
+    // At most deg(v) bits are set among deg(v) + 1, so a zero exists.
+    let mut i = 0;
+    while bits[i] == u64::MAX {
+        i += 1;
+    }
+    (i * 64 + bits[i].trailing_ones() as usize) as u32
 }
 
-/// Asynchronous JP (Alg. 3): rayon fork–join with one task per released
-/// vertex. Returns the coloring.
+/// Asynchronous JP (Alg. 3): the roots of `Gρ` are a parallel loop, chains
+/// of single releases are followed inline, and every further release is a
+/// rayon task. Each vertex reads its row once, through per-thread scratch.
+/// Returns the coloring.
 pub fn jp_color<G: GraphView>(g: &G, rho: &[u64]) -> Vec<u32> {
     let counts = predecessor_counts(g, rho);
     jp_color_with_counts(g, rho, &counts)
@@ -136,9 +176,11 @@ pub fn jp_color<G: GraphView>(g: &G, rho: &[u64]) -> Vec<u32> {
 pub fn jp_color_with_counts<G: GraphView>(g: &G, rho: &[u64], counts: &[u32]) -> Vec<u32> {
     assert_eq!(rho.len(), g.n());
     debug_assert_eq!(counts, &predecessor_counts(g, rho)[..], "bad fused counts");
+    let _span = pgc_obs::span!("jp.color");
     let counters = JoinCounters::from_values(counts);
     let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
     let roots = roots(counts);
+    pgc_obs::counter!("roots", roots.len() as u64);
 
     struct Ctx<'a, G: GraphView> {
         g: &'a G,
@@ -147,23 +189,25 @@ pub fn jp_color_with_counts<G: GraphView>(g: &G, rho: &[u64], counts: &[u32]) ->
         counters: &'a JoinCounters,
     }
 
-    fn run_vertex<'s, G: GraphView>(ctx: &'s Ctx<'s, G>, v: u32, scope: &rayon::Scope<'s>) {
-        let mut scratch = FixedBitmap::new(0);
-        // JPColor: color v, then release successors whose last predecessor
-        // this was. Chains of single successors are followed inline to
-        // avoid task-spawn overhead on long paths.
+    /// JPColor: color `v`, then join its successors. The first successor
+    /// released is colored next in this loop; every further one is spawned.
+    fn run_chain<'s, G: GraphView>(ctx: &'s Ctx<'s, G>, v: u32, scope: &rayon::Scope<'s>) {
+        // Taken, not borrowed: a spawn that the pool declines runs inline
+        // and re-enters here, and then starts from empty scratch.
+        let mut scratch = SCRATCH.take();
+        let Scratch { words, succ } = &mut scratch;
         let mut current = v;
         loop {
-            let c = get_color(ctx.g, ctx.rho, ctx.colors, current, &mut scratch);
+            succ.clear();
+            let c = color_step(ctx.g, ctx.rho, ctx.colors, current, words, |u| succ.push(u));
             ctx.colors[current as usize].store(c, AtOrd::Relaxed);
-            let rv = ctx.rho[current as usize];
             let mut next: Option<u32> = None;
-            for u in ctx.g.neighbors(current) {
-                if ctx.rho[u as usize] < rv && ctx.counters.join(u as usize) {
+            for &u in succ.iter() {
+                if ctx.counters.join(u as usize) {
                     if next.is_none() {
                         next = Some(u);
                     } else {
-                        scope.spawn(move |s| run_vertex(ctx, u, s));
+                        scope.spawn(move |s| run_chain(ctx, u, s));
                     }
                 }
             }
@@ -172,6 +216,7 @@ pub fn jp_color_with_counts<G: GraphView>(g: &G, rho: &[u64], counts: &[u32]) ->
                 None => break,
             }
         }
+        SCRATCH.set(scratch);
     }
 
     let ctx = Ctx {
@@ -180,12 +225,8 @@ pub fn jp_color_with_counts<G: GraphView>(g: &G, rho: &[u64], counts: &[u32]) ->
         colors: &colors,
         counters: &counters,
     };
-    rayon::scope(|s| {
-        for &v in &roots {
-            let ctx = &ctx;
-            s.spawn(move |s| run_vertex(ctx, v, s));
-        }
-    });
+    let ctx = &ctx;
+    rayon::scope(|s| roots.par_iter().for_each(|&v| run_chain(ctx, v, s)));
 
     colors.into_iter().map(|c| c.into_inner()).collect()
 }
@@ -271,15 +312,14 @@ pub fn jp_color_levels_sharded<G: GraphView>(
             let _shard = pgc_obs::span!("jp.shard");
             crate::schedule::bucket_by_degree(g, sub);
             let sub = &sub[..];
-            (0..sub.len()).into_par_iter().for_each_init(
-                || FixedBitmap::new(0),
-                |scratch, i| {
+            (0..sub.len())
+                .into_par_iter()
+                .for_each_init(Vec::new, |words, i| {
                     crate::schedule::prefetch_ahead(g, sub, i);
                     let v = sub[i];
-                    let c = get_color(g, rho, colors_ref, v, scratch);
+                    let c = color_step(g, rho, colors_ref, v, words, |_| {});
                     colors_ref[v as usize].store(c, AtOrd::Relaxed);
-                },
-            );
+                });
         });
         // Implicit barrier above = halo color exchange; release the next
         // level against fully committed colors.

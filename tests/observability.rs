@@ -92,8 +92,7 @@ fn session_is_transparent_and_trace_parses() {
         },
         9,
     );
-    // Level-synchronous JP so the per-round span fires (the default
-    // async schedule has no rounds to annotate).
+    // Level-synchronous JP so the per-round span fires.
     let params = Params {
         jp_level_sync: true,
         ..Params::default()
@@ -123,6 +122,21 @@ fn session_is_transparent_and_trace_parses() {
             })
         };
         assert!(has("ordering") && has("coloring"), "exported spans missing");
+    } else {
+        assert!(trace.events.is_empty());
+    }
+
+    // The default (async) JP-ADG run: one `jp.color` span over the whole
+    // engine, counting the roots of `Gρ` it starts from.
+    let quiet = run(&g, Algorithm::JpAdg, &Params::default());
+    pgc::obs::session_begin();
+    let recorded = run(&g, Algorithm::JpAdg, &Params::default());
+    let trace = pgc::obs::session_end();
+    assert_eq!(quiet.colors, recorded.colors, "recording changed the run");
+    if pgc::obs::CAPTURE {
+        assert_eq!(trace.span_count("jp.color"), 1, "async JP span missing");
+        assert_eq!(trace.span_count("jp.round"), 0, "async JP has no rounds");
+        assert!(trace.counter_total("roots") >= 1, "roots counter missing");
     } else {
         assert!(trace.events.is_empty());
     }
