@@ -150,6 +150,7 @@ fn color_step<G: GraphView>(
                 bits[c / 64] |= 1 << (c % 64);
             }
         } else if ru < rv {
+            // ρ is total, so only a self-loop falls through both tests.
             succ(u);
         }
     }
