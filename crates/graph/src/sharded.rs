@@ -658,6 +658,7 @@ mod tests {
     use super::*;
     use crate::gen::{generate, GraphSpec, SpecSource};
     use crate::stream::build_compact;
+    use std::sync::atomic::AtomicUsize;
 
     fn spec() -> GraphSpec {
         GraphSpec::ErdosRenyi { n: 300, m: 1500 }
@@ -784,6 +785,34 @@ mod tests {
                 };
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{breach:?}");
                 assert!(err.to_string().contains(msg), "{breach:?}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn moved_endpoint_is_an_error_not_a_row_overflow() {
+        use crate::stream::tests::Moving;
+        // Two shards of 2·sn ≈ 12k rows each; the global count and the
+        // intra/halo split see the honest stream, the shard scatters the
+        // moved one.
+        let n = 3 * (1 << 12) + 5;
+        let moving = || Moving {
+            n,
+            honest: 2,
+            calls: AtomicUsize::new(0),
+        };
+        for width in [1, 2, 4] {
+            let errs = pgc_par::install(width, || {
+                let opts = ShardOptions::resident(2);
+                [
+                    build_sharded(&moving(), &opts).err(),
+                    build_sharded_weighted::<f32, _>(&moving(), &opts).err(),
+                ]
+            });
+            for err in errs {
+                let err = err.expect("a moved endpoint built a graph");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "width {width}");
+                assert!(err.to_string().contains("diverged"), "width {width}: {err}");
             }
         }
     }

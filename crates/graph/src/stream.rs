@@ -770,7 +770,7 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
         let cursors = O::as_cursors(&mut cursor_words);
         let slots = as_atomic_u32s(&mut neighbors);
         let wslots = SharedMut(weights.as_mut_ptr());
-        let (wslots, diverged, map) = (&wslots, &diverged, &map);
+        let (wslots, diverged, map, offsets) = (&wslots, &diverged, &map, &offsets);
         par_replay(src, |chunk, wchunk: &[W]| {
             for (i, &(u, v)) in chunk.iter().enumerate() {
                 if u == v {
@@ -788,17 +788,21 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
                 // cursor bump drains the store buffer, so bump, bump,
                 // store, store overlaps the two stores' cache misses.
                 let claimed = [map(u, v), map(v, u)]
-                    .map(|arc| arc.map(|(row, target)| (cursors[row].bump(), target)));
-                for (slot, target) in claimed.into_iter().flatten() {
-                    if slot >= total {
+                    .map(|arc| arc.map(|(row, target)| (row, cursors[row].bump(), target)));
+                for (row, slot, target) in claimed.into_iter().flatten() {
+                    // Bound the slot by its own row's end, not the array's:
+                    // an overfilled row must not spill into the next row's
+                    // slots, which that row's cursor also hands out.
+                    if slot >= offsets[row + 1].to_usize() {
                         diverged.store(true, Ordering::Relaxed);
                         continue;
                     }
                     slots[slot].store(target, Ordering::Relaxed);
                     if !W::IS_UNIT {
                         // SAFETY: `slot` was claimed by exactly this
-                        // cursor bump; no other writer can hold the same
-                        // slot.
+                        // cursor bump and lies inside `row`'s range, which
+                        // no other row's cursor reaches; no other writer
+                        // can hold the same slot.
                         unsafe { wslots.write(slot, wchunk[i]) };
                     }
                 }
@@ -1388,6 +1392,56 @@ pub(crate) mod tests {
         let err = build_compact(&src).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("diverged"), "{err}");
+    }
+
+    /// A cycle over `n` vertices, one part, whose replays after the
+    /// first `honest` ones move one pair's endpoint: `(k, k + 1)` becomes
+    /// `(k, k + 2)`. The pair count stays the same, so only the rows'
+    /// fill betrays the divergence — row `k + 2` gets one arc too many.
+    pub(crate) struct Moving {
+        pub(crate) n: u32,
+        pub(crate) honest: usize,
+        pub(crate) calls: AtomicUsize,
+    }
+
+    impl<W: EdgeWeight> EdgeSource<W> for Moving {
+        fn num_vertices(&self) -> usize {
+            self.n as usize
+        }
+
+        fn replay(&self, emit: &mut ChunkFn<'_, W>) -> io::Result<()> {
+            let moved = self.calls.fetch_add(1, Ordering::Relaxed) >= self.honest;
+            let k = self.n / 2;
+            let mut sink = EdgeSink::new(emit);
+            for u in 0..self.n {
+                let shift = if moved && u == k { 2 } else { 1 };
+                sink.push_weighted(u, (u + shift) % self.n, W::default());
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn moved_endpoint_is_an_error_not_a_row_overflow() {
+        // Several 4,096-row buckets, so the overfilled row sits mid-graph.
+        let n = 3 * (1 << 12) + 5;
+        for width in [1, 2, 4] {
+            let moving = || Moving {
+                n,
+                honest: 1,
+                calls: AtomicUsize::new(0),
+            };
+            let errs = pgc_par::install(width, || {
+                [
+                    build_compact(&moving()).unwrap_err(),
+                    build_weighted::<f32, _>(&moving()).unwrap_err(),
+                ]
+            });
+            for err in errs {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "width {width}");
+                assert!(err.to_string().contains("diverged"), "width {width}: {err}");
+            }
+        }
     }
 
     #[test]
