@@ -7,9 +7,12 @@
 //! paid for halving peak ingestion memory. A second group races the
 //! sequential generator replay against its partitioned replay (pool
 //! tasks jumping the RNG to their edge ranges), alone and inside a build.
-//! A third measures the file-reader path end to end over in-memory bytes,
-//! and a fourth pits the binary snapshot loaders against the text parse
-//! on a ≥1M-edge graph (with an in-bench ≥10× regression assertion).
+//! A third times whole builds dominated by the staged bucket scatter, on
+//! the partitioned and the one-part replay, at width 1 and full width.
+//! A fourth measures the file-reader path end to end over in-memory
+//! bytes, and a fifth pits the binary snapshot loaders against the text
+//! parse on a ≥1M-edge graph (with an in-bench ≥10× regression
+//! assertion).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pgc_graph::gen::{GraphSpec, SpecSource};
@@ -126,6 +129,42 @@ fn ingest_partitioned(c: &mut Criterion) {
     group.bench_function("build/partitioned", |b| {
         b.iter(|| black_box(build_compact(&src).unwrap().m()))
     });
+    group.finish();
+}
+
+/// Whole builds of R-MAT 16/16 (partitioned replay) and BA 100k/10
+/// (one-part replay), whose largest stage is the staged bucket scatter,
+/// at width 1 and at the full pool width. No timing assertion.
+fn ingest_scatter(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ingest/scatter");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    let rmat = SpecSource::new(
+        GraphSpec::Rmat {
+            scale: 16,
+            edge_factor: 16,
+        },
+        1,
+    );
+    let ba = SpecSource::new(
+        GraphSpec::BarabasiAlbert {
+            n: 100_000,
+            attach: 10,
+        },
+        1,
+    );
+    let mut widths = vec![1, pgc_par::default_width()];
+    widths.dedup();
+    for (name, src) in [("rmat-16-16", &rmat), ("ba-100k-10", &ba)] {
+        let raw = EdgeSource::<()>::edge_hint(src).expect("generator hints are exact");
+        group.throughput(Throughput::Elements(raw as u64));
+        for &width in &widths {
+            group.bench_function(BenchmarkId::new(name, format!("w{width}")), |b| {
+                b.iter(|| pgc_par::install(width, || black_box(build_compact(src).unwrap().m())))
+            });
+        }
+    }
     group.finish();
 }
 
@@ -265,6 +304,7 @@ criterion_group!(
     benches,
     ingest,
     ingest_partitioned,
+    ingest_scatter,
     ingest_reader,
     ingest_snapshot
 );

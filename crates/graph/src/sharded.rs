@@ -791,12 +791,12 @@ mod tests {
 
     #[test]
     fn moved_endpoint_is_an_error_not_a_row_overflow() {
-        use crate::stream::tests::Moving;
+        use crate::stream::tests::Cycle;
         // Two shards of 2·sn ≈ 12k rows each; the global count and the
         // intra/halo split see the honest stream, the shard scatters the
         // moved one.
         let n = 3 * (1 << 12) + 5;
-        let moving = || Moving {
+        let cycle = || Cycle {
             n,
             honest: 2,
             calls: AtomicUsize::new(0),
@@ -805,8 +805,8 @@ mod tests {
             let errs = pgc_par::install(width, || {
                 let opts = ShardOptions::resident(2);
                 [
-                    build_sharded(&moving(), &opts).err(),
-                    build_sharded_weighted::<f32, _>(&moving(), &opts).err(),
+                    build_sharded(&cycle(), &opts).err(),
+                    build_sharded_weighted::<f32, _>(&cycle(), &opts).err(),
                 ]
             });
             for err in errs {

@@ -23,10 +23,13 @@
 //!                  u32 offsets while the arc total fits)
 //!                              │
 //!            ┌───────────── pass 2 (scatter) ───────────┐
-//!  EdgeSource ──replay──▶ the row map places each directed arc; atomic
-//!                         per-row cursors scatter it — and, for weighted
-//!                         payloads, its weight into a neighbor-parallel
-//!                         weights array — directly into place
+//!  EdgeSource ──replay──▶ the row map places each directed arc; each
+//!                         worker stages a batch of arcs as one run per
+//!                         bucket of 2¹² rows, then applies each run under
+//!                         that bucket's lock (plain cursor load + store),
+//!                         writing the arc — and, for weighted payloads,
+//!                         its weight into a neighbor-parallel weights
+//!                         array — directly into place
 //!                              │
 //!                              ▼
 //!                 per-row parallel sort + in-place dedup
@@ -68,7 +71,8 @@
 //!
 //! Peak transient memory is the scatter array (4 + `size_of::<W>()` bytes
 //! per raw, pre-dedup arc — duplicate-heavy inputs pay for their
-//! duplicates until the compaction pass) plus `O(n)` counters — roughly
+//! duplicates until the compaction pass) plus `O(n)` counters and one
+//! staged batch per pool strand (64 KiB of unit arcs each) — roughly
 //! half the old path's peak, tracked exactly in
 //! [`BuildStats::build_bytes_peak`] and surfaced by the harness's
 //! `fig2_*` tables.
@@ -89,6 +93,7 @@ use pgc_primitives::{co_sort_by_key, offsets_from_counts, reduce_sum_u64, Offset
 use rayon::prelude::*;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Adjacency lists at least this long are sorted with the parallel sort
@@ -399,23 +404,37 @@ impl Peak {
     }
 }
 
-/// An atomic per-vertex write cursor at one of the two offset widths.
+/// A per-row write cursor at one of the two offset widths, viewed as an
+/// atomic so many workers can share the array; each row is only ever
+/// touched under its bucket's lock (see [`scatter`]).
 trait Cursor: Sync + Sized {
-    /// Post-increment: claim the next slot of this vertex's range.
-    fn bump(&self) -> usize;
+    /// Claim the next slot of this row if it lies below `end`, the row's
+    /// end: a plain load and store, not a read-modify-write, so the
+    /// caller must hold the row's bucket lock.
+    fn claim(&self, end: usize) -> Option<usize>;
 }
 
 impl Cursor for AtomicU32 {
     #[inline]
-    fn bump(&self) -> usize {
-        self.fetch_add(1, Ordering::Relaxed) as usize
+    fn claim(&self, end: usize) -> Option<usize> {
+        let slot = self.load(Ordering::Relaxed);
+        let free = (slot as usize) < end;
+        if free {
+            self.store(slot + 1, Ordering::Relaxed);
+        }
+        free.then_some(slot as usize)
     }
 }
 
 impl Cursor for AtomicUsize {
     #[inline]
-    fn bump(&self) -> usize {
-        self.fetch_add(1, Ordering::Relaxed)
+    fn claim(&self, end: usize) -> Option<usize> {
+        let slot = self.load(Ordering::Relaxed);
+        let free = slot < end;
+        if free {
+            self.store(slot + 1, Ordering::Relaxed);
+        }
+        free.then_some(slot)
     }
 }
 
@@ -469,7 +488,8 @@ pub(crate) fn as_atomic_u32s(v: &mut [u32]) -> &[AtomicU32] {
 /// Raw-pointer view over a mutable buffer for parallel writes to
 /// *disjoint* ranges — the crate's one such wrapper. Every use hands
 /// different workers vertex-aligned CSR or arena ranges — or slot
-/// indices claimed by a unique cursor bump — which never overlap.
+/// indices claimed from a row's cursor under its bucket lock, bounded by
+/// the row's end — which never overlap.
 pub(crate) struct SharedMut<T>(pub(crate) *mut T);
 
 unsafe impl<T: Send> Send for SharedMut<T> {}
@@ -725,15 +745,140 @@ pub(crate) fn build_rows<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     }
 }
 
+/// Rows per scatter bucket: one lock guards each run of `2¹²`
+/// consecutive rows' cursors (16 KiB of them at the `u32` width).
+const BUCKET_ROWS: usize = 1 << 12;
+
+/// Pairs per staged batch: at most `2¹³` arcs, 64 KiB of unit entries.
+const STAGE_PAIRS: usize = 1 << 12;
+
+/// Lock one of the scatter pass's mutexes. Recovering a poisoned guard
+/// is sound: every update under them (a cursor claim, a stage list push
+/// or pop) leaves the data valid at every step, and the pool re-raises
+/// the panicking worker's panic when the pass joins.
+fn hold<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One worker's staging buffers for pass 2, reused batch after batch.
+#[derive(Default)]
+struct Stage<W> {
+    /// The batch's arcs as `(row − bucket base, target, weight)`, grouped
+    /// into one run per bucket.
+    arcs: Vec<(u32, u32, W)>,
+    /// Per bucket: the batch's arc count, then the fill position of its
+    /// run; all zero between batches.
+    fill: Vec<u32>,
+    /// The buckets the batch touched, in run order.
+    touched: Vec<usize>,
+}
+
+impl<W: EdgeWeight> Stage<W> {
+    fn new(buckets: usize) -> Self {
+        Self {
+            arcs: vec![(0, 0, W::default()); 2 * STAGE_PAIRS],
+            fill: vec![0; buckets],
+            touched: Vec::with_capacity(buckets.min(2 * STAGE_PAIRS)),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.arcs.capacity() * std::mem::size_of::<(u32, u32, W)>()
+            + self.fill.capacity() * 4
+            + self.touched.capacity() * std::mem::size_of::<usize>()
+    }
+}
+
+/// The stages of one scatter pass, owned by the pass and freed with it.
+/// At most `cap` (the pool width) ever exist: a worker that finds them
+/// all on loan waits for one, so the staging memory is bounded by width
+/// × one stage however many threads the pool lends the pass.
+struct Stages<W> {
+    /// Idle stages, and how many the pass has made.
+    free: Mutex<(Vec<Stage<W>>, usize)>,
+    returned: Condvar,
+    cap: usize,
+    buckets: usize,
+}
+
+/// A stage on loan to one replay body. Dropping it — unwinding included,
+/// so a panicking body cannot leave the others waiting — returns it.
+struct Lease<'a, W: EdgeWeight> {
+    stages: &'a Stages<W>,
+    stage: Stage<W>,
+}
+
+impl<W: EdgeWeight> Drop for Lease<'_, W> {
+    fn drop(&mut self) {
+        hold(&self.stages.free)
+            .0
+            .push(std::mem::take(&mut self.stage));
+        self.stages.returned.notify_one();
+    }
+}
+
+impl<W: EdgeWeight> Stages<W> {
+    fn new(cap: usize, buckets: usize) -> Self {
+        Self {
+            free: Mutex::new((Vec::new(), 0)),
+            returned: Condvar::new(),
+            cap,
+            buckets,
+        }
+    }
+
+    fn lease(&self) -> Lease<'_, W> {
+        let mut free = hold(&self.free);
+        let stage = loop {
+            if let Some(stage) = free.0.pop() {
+                break stage;
+            }
+            if free.1 < self.cap {
+                free.1 += 1;
+                drop(free);
+                break Stage::new(self.buckets);
+            }
+            free = self
+                .returned
+                .wait(free)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+        Lease {
+            stages: self,
+            stage,
+        }
+    }
+
+    /// Bytes of every stage the pass made.
+    fn into_bytes(self) -> usize {
+        let (stages, _) = self
+            .free
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        stages.iter().map(Stage::bytes).sum()
+    }
+}
+
 /// Pass 2 at a fixed offset width: prefix-sum the row counts, then replay
 /// the source once and place each directed arc `a → b` of every non-loop
 /// pair (both directions) where the **row map** says. `map(a, b) =
-/// Some((row, target))` claims the next slot of `row` through its atomic
-/// cursor and stores `target` — and the pair's weight — there; `None`
-/// drops the arc (the module docs give the monolithic and per-shard
-/// maps). An id at or past `ids`, or a row whose cursor does not end
-/// exactly at the next row's offset, means the replay diverged from the
-/// counted one.
+/// Some((row, target))` claims the next slot of `row` through its cursor
+/// and stores `target` — and the pair's weight — there; `None` drops the
+/// arc (the module docs give the monolithic and per-shard maps).
+///
+/// Rows fall into buckets of [`BUCKET_ROWS`], one lock each, and a
+/// cursor is only read and advanced under its bucket's lock — a plain
+/// load and store instead of an atomic read-modify-write per arc. Each
+/// worker stages up to [`STAGE_PAIRS`] pairs at a time: it counts their
+/// arcs per bucket (one row-map call), places them as one run per bucket
+/// (a second call), then applies each run holding its bucket's lock
+/// once. A build of one bucket stages nothing and applies each chunk in
+/// place under that one lock. Stage buffers are charged to `peak` like
+/// the sort scratch and freed when the pass ends.
+///
+/// An id at or past `ids`, an arc past its row's end, or a row whose
+/// cursor does not end exactly at the next row's offset means the
+/// replay diverged from the counted one.
 fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     src: &S,
     ids: usize,
@@ -757,58 +902,118 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     // allocator, the weights array default-initialized (for `W = ()` it
     // is a zero-sized no-allocation vector). Neighbor slots are plain
     // words viewed as atomics only for the duration of the parallel
-    // scatter; weight slots are written raw — every slot index comes from
-    // a unique cursor bump, so writers never overlap.
+    // scatter; weight slots are written raw.
     let mut cursor_words: Vec<O> = offsets[..rows].to_vec();
     peak.alloc(cursor_words.capacity() * word);
     let mut neighbors: Vec<u32> = vec![0; total];
     peak.alloc(neighbors.capacity() * 4);
     let mut weights: Vec<W> = vec![W::default(); total];
     peak.alloc(weights.capacity() * std::mem::size_of::<W>());
+    let buckets = rows.div_ceil(BUCKET_ROWS).max(1);
+    let locks: Vec<Mutex<()>> = (0..buckets).map(|_| Mutex::new(())).collect();
+    let stages = Stages::<W>::new(pgc_par::current_width(), buckets);
     let diverged = AtomicBool::new(false);
     {
         let cursors = O::as_cursors(&mut cursor_words);
         let slots = as_atomic_u32s(&mut neighbors);
         let wslots = SharedMut(weights.as_mut_ptr());
-        let (wslots, diverged, map, offsets) = (&wslots, &diverged, &map, &offsets);
+        let (offsets, diverged, locks, stages) = (&offsets, &diverged, &locks, &stages);
+        // The arcs of one raw pair: none for a loop. A pass-2 replay that
+        // grew (a file appended to between the two scans) can present
+        // ids pass 1 never counted; drop them and report divergence
+        // instead of panicking on the slice bounds.
+        let arcs_of = |u: u32, v: u32| {
+            if u == v {
+                [None, None]
+            } else if u as usize >= ids || v as usize >= ids {
+                diverged.store(true, Ordering::Relaxed);
+                [None, None]
+            } else {
+                [map(u, v), map(v, u)]
+            }
+        };
+        // Store one arc in `row`; the caller holds the row's bucket lock.
+        let place = |row: usize, target: u32, weight: W| {
+            // Bound the slot by its own row's end, not the array's: an
+            // overfilled row must not spill into the next row's slots.
+            let Some(slot) = cursors[row].claim(offsets[row + 1].to_usize()) else {
+                diverged.store(true, Ordering::Relaxed);
+                return;
+            };
+            slots[slot].store(target, Ordering::Relaxed);
+            if !W::IS_UNIT {
+                // SAFETY: `slot` lies in `row`'s range, which no other
+                // row's cursor reaches, and `row`'s cursor handed it out
+                // once, under the bucket lock this caller holds; so no
+                // other writer can hold the same slot.
+                unsafe { wslots.write(slot, weight) };
+            }
+        };
         par_replay(src, |chunk, wchunk: &[W]| {
-            for (i, &(u, v)) in chunk.iter().enumerate() {
-                if u == v {
-                    continue;
-                }
-                // A pass-2 replay that grew (file appended to between
-                // the two scans) can present ids or arcs pass 1 never
-                // counted; skip them and report divergence instead of
-                // panicking on the slice bounds.
-                if u as usize >= ids || v as usize >= ids {
-                    diverged.store(true, Ordering::Relaxed);
-                    continue;
-                }
-                // Claim both slots before storing into either: a locked
-                // cursor bump drains the store buffer, so bump, bump,
-                // store, store overlaps the two stores' cache misses.
-                let claimed = [map(u, v), map(v, u)]
-                    .map(|arc| arc.map(|(row, target)| (row, cursors[row].bump(), target)));
-                for (row, slot, target) in claimed.into_iter().flatten() {
-                    // Bound the slot by its own row's end, not the array's:
-                    // an overfilled row must not spill into the next row's
-                    // slots, which that row's cursor also hands out.
-                    if slot >= offsets[row + 1].to_usize() {
-                        diverged.store(true, Ordering::Relaxed);
-                        continue;
-                    }
-                    slots[slot].store(target, Ordering::Relaxed);
-                    if !W::IS_UNIT {
-                        // SAFETY: `slot` was claimed by exactly this
-                        // cursor bump and lies inside `row`'s range, which
-                        // no other row's cursor reaches; no other writer
-                        // can hold the same slot.
-                        unsafe { wslots.write(slot, wchunk[i]) };
+            let weight = |i: usize| if W::IS_UNIT { W::default() } else { wchunk[i] };
+            if buckets == 1 {
+                let _held = hold(&locks[0]);
+                for (i, &(u, v)) in chunk.iter().enumerate() {
+                    for (row, target) in arcs_of(u, v).into_iter().flatten() {
+                        place(row, target, weight(i));
                     }
                 }
+                return;
+            }
+            let mut lease = stages.lease();
+            let Stage {
+                arcs,
+                fill,
+                touched,
+            } = &mut lease.stage;
+            for (k, batch) in chunk.chunks(STAGE_PAIRS).enumerate() {
+                for &(u, v) in batch {
+                    for (row, _) in arcs_of(u, v).into_iter().flatten() {
+                        let b = row / BUCKET_ROWS;
+                        if fill[b] == 0 {
+                            touched.push(b);
+                        }
+                        fill[b] += 1;
+                    }
+                }
+                let mut run_start = 0;
+                for &b in touched.iter() {
+                    let count = fill[b];
+                    fill[b] = run_start;
+                    run_start += count;
+                }
+                for (i, &(u, v)) in batch.iter().enumerate() {
+                    for (row, target) in arcs_of(u, v).into_iter().flatten() {
+                        let b = row / BUCKET_ROWS;
+                        let w = weight(k * STAGE_PAIRS + i);
+                        arcs[fill[b] as usize] = ((row % BUCKET_ROWS) as u32, target, w);
+                        fill[b] += 1;
+                    }
+                }
+                let mut lo = 0;
+                for &b in touched.iter() {
+                    let hi = fill[b] as usize;
+                    let base = b * BUCKET_ROWS;
+                    let _held = hold(&locks[b]);
+                    for &(rel, target, w) in &arcs[lo..hi] {
+                        place(base + rel as usize, target, w);
+                    }
+                    fill[b] = 0;
+                    lo = hi;
+                }
+                touched.clear();
             }
         })?;
     }
+    // Record the stages' high-water (none for a one-bucket build), then
+    // release them: they die with the pass.
+    let staged = stages.into_bytes();
+    if staged > 0 {
+        let staged = staged + locks.capacity() * std::mem::size_of::<Mutex<()>>();
+        peak.alloc(staged);
+        peak.free(staged);
+    }
+    drop(locks);
     // A source whose second replay differs from the first (a file edited
     // between the two scans, a non-deterministic generator) trips the
     // flag above or leaves some cursor short of its row's end. Catch it
@@ -1398,13 +1603,13 @@ pub(crate) mod tests {
     /// first `honest` ones move one pair's endpoint: `(k, k + 1)` becomes
     /// `(k, k + 2)`. The pair count stays the same, so only the rows'
     /// fill betrays the divergence — row `k + 2` gets one arc too many.
-    pub(crate) struct Moving {
+    pub(crate) struct Cycle {
         pub(crate) n: u32,
         pub(crate) honest: usize,
         pub(crate) calls: AtomicUsize,
     }
 
-    impl<W: EdgeWeight> EdgeSource<W> for Moving {
+    impl<W: EdgeWeight> EdgeSource<W> for Cycle {
         fn num_vertices(&self) -> usize {
             self.n as usize
         }
@@ -1426,20 +1631,54 @@ pub(crate) mod tests {
         // Several 4,096-row buckets, so the overfilled row sits mid-graph.
         let n = 3 * (1 << 12) + 5;
         for width in [1, 2, 4] {
-            let moving = || Moving {
+            let cycle = || Cycle {
                 n,
                 honest: 1,
                 calls: AtomicUsize::new(0),
             };
             let errs = pgc_par::install(width, || {
                 [
-                    build_compact(&moving()).unwrap_err(),
-                    build_weighted::<f32, _>(&moving()).unwrap_err(),
+                    build_compact(&cycle()).unwrap_err(),
+                    build_weighted::<f32, _>(&cycle()).unwrap_err(),
                 ]
             });
             for err in errs {
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "width {width}");
                 assert!(err.to_string().contains("diverged"), "width {width}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn staging_is_charged_and_bounded_by_width_stages() {
+        // A cycle has no loops or duplicates and declares its `n`, so the
+        // arrays charged before staging are exactly: offsets and cursors
+        // (one word per row, offsets one more), the neighbor array, and
+        // the counts that `deduped` later replaces.
+        for n in [4_000u32, 3 * BUCKET_ROWS as u32 + 5] {
+            let rows = n as usize;
+            let arrays = 4 * (rows + 1) + 4 * rows + 4 * 2 * rows;
+            let buckets = rows.div_ceil(BUCKET_ROWS);
+            let stage =
+                Stage::<()>::new(buckets).bytes() + buckets * std::mem::size_of::<Mutex<()>>();
+            for width in [1, 2, 4] {
+                let src = Cycle {
+                    n,
+                    honest: usize::MAX,
+                    calls: AtomicUsize::new(0),
+                };
+                let (g, stats) =
+                    pgc_par::install(width, || build_compact_with_stats(&src)).unwrap();
+                assert_eq!(g.num_arcs(), 2 * rows);
+                let peak = stats.build_bytes_peak;
+                if buckets == 1 {
+                    assert_eq!(peak, arrays, "one bucket stages nothing (width {width})");
+                } else {
+                    assert!(
+                        peak > arrays && peak <= arrays + width * stage,
+                        "width {width}: peak {peak} vs arrays {arrays} + {width} × {stage}"
+                    );
+                }
             }
         }
     }

@@ -1,15 +1,28 @@
 //! Observability-layer invariants (proptest): the latency histogram must
-//! be merge-consistent and its percentiles honestly bounded, and a
-//! recording session must never change what the algorithms compute while
-//! still producing a parseable Chrome trace.
+//! be merge-consistent and its percentiles honestly bounded, a recording
+//! session must never change what the algorithms compute while still
+//! producing a parseable Chrome trace, and a build emits one span per
+//! ingest pass.
 
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, Algorithm, Params};
-use pgc::graph::gen::{generate, GraphSpec};
+use pgc::graph::gen::{generate, GraphSpec, SpecSource};
+use pgc::graph::stream::build_compact;
+use pgc::graph::{build_sharded, ShardOptions};
 use pgc::obs::json::Json;
 use pgc::obs::report::RunRecord;
 use pgc::obs::LogHistogram;
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// A session records every thread's events, so the tests that run
+/// instrumented code hold this lock: another test's spans would
+/// otherwise land in a session's trace.
+static RECORDING: Mutex<()> = Mutex::new(());
+
+fn recording() -> MutexGuard<'static, ()> {
+    RECORDING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The exact sorted-slice quantile under the same rank convention the
 /// histogram uses: the ⌈q·count⌉-th smallest sample (1-based, clamped).
@@ -81,10 +94,10 @@ proptest! {
 }
 
 /// Recording a session neither changes the coloring nor produces a trace
-/// the Chrome exporter can't serialize as valid JSON. This is the only
-/// root-level test that opens a session, so it needs no cross-test lock.
+/// the Chrome exporter can't serialize as valid JSON.
 #[test]
 fn session_is_transparent_and_trace_parses() {
+    let _recording = recording();
     let g = generate(
         &GraphSpec::BarabasiAlbert {
             n: 1_500,
@@ -146,6 +159,7 @@ fn session_is_transparent_and_trace_parses() {
 /// `pgc report` subcommand validates.
 #[test]
 fn harness_records_round_trip_through_jsonl() {
+    let _recording = recording();
     let g = generate(&GraphSpec::ErdosRenyi { n: 400, m: 1_600 }, 3);
     let (r, hist) = pgc_harness::report::best_of_with_latency(2, || {
         run(&g, Algorithm::JpLlf, &Params::default())
@@ -161,4 +175,33 @@ fn harness_records_round_trip_through_jsonl() {
         RunRecord::from_json("{}").is_err(),
         "empty object must fail"
     );
+}
+
+/// A monolithic build emits exactly one `ingest.count`, one
+/// `ingest.scatter` and one `ingest.sort` span; a 3-shard build one
+/// `ingest.scatter` per shard. Both graphs span several scatter buckets.
+#[test]
+fn builds_emit_one_span_per_ingest_pass() {
+    let _recording = recording();
+    let src = SpecSource::new(
+        GraphSpec::Rmat {
+            scale: 13,
+            edge_factor: 8,
+        },
+        1,
+    );
+    pgc::obs::session_begin();
+    build_compact(&src).unwrap();
+    let mono = pgc::obs::session_end();
+    pgc::obs::session_begin();
+    build_sharded(&src, &ShardOptions::resident(3)).unwrap();
+    let sharded = pgc::obs::session_end();
+    if pgc::obs::CAPTURE {
+        for name in ["ingest.count", "ingest.scatter", "ingest.sort"] {
+            assert_eq!(mono.span_count(name), 1, "monolithic {name}");
+        }
+        assert_eq!(sharded.span_count("ingest.scatter"), 3, "one per shard");
+    } else {
+        assert!(mono.events.is_empty() && sharded.events.is_empty());
+    }
 }

@@ -35,6 +35,13 @@
 //! 9. a weighted hub row long enough for the parallel sort, with
 //!    duplicate pairs of different weights, shards exactly like the
 //!    monolithic build, resident and spilled.
+//!
+//! and the staged scatter, whose runs are bucketed by 4,096 rows, one
+//! more:
+//!
+//! 10. graphs spanning several buckets equal the arc-list oracle on every
+//!     build path — partitioned, sequential, one-part, buffered weighted,
+//!     forced-wide and sharded — at several pool widths.
 
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, verify, Algorithm, Params};
@@ -42,7 +49,7 @@ use pgc::graph::builder::from_edges;
 use pgc::graph::gen::{generate, generate_with_stats, GraphSpec, SpecSource};
 use pgc::graph::stream::{
     build_compact, build_compact_with_offset_limit, build_compact_with_stats, build_weighted,
-    ChunkFn, EdgeSource,
+    build_weighted_with_offset_limit, ChunkFn, EdgeSource,
 };
 use pgc::graph::{
     build_sharded, build_sharded_weighted, CompactCsr, EdgeListBuilder, EdgeWeight, GraphView,
@@ -50,6 +57,7 @@ use pgc::graph::{
 };
 use pgc_harness::experiments::with_threads;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The retired arc-list pipeline, kept as the oracle: materialize both
@@ -74,6 +82,21 @@ fn reference_arrays(n: usize, edges: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
     }
     let neighbors: Vec<u32> = arcs.iter().map(|&a| a as u32).collect();
     (offsets, neighbors)
+}
+
+/// The oracle's weights in the CSR order of [`reference_arrays`]: each
+/// arc keeps the max weight over its duplicates.
+fn reference_weights(edges: &[(u32, u32, f32)]) -> Vec<f32> {
+    let mut best: BTreeMap<(u32, u32), f32> = BTreeMap::new();
+    for &(u, v, w) in edges {
+        if u != v {
+            for arc in [(u, v), (v, u)] {
+                let kept = best.entry(arc).or_insert(w);
+                *kept = kept.max(w);
+            }
+        }
+    }
+    best.into_values().collect()
 }
 
 /// Strategy: raw edge list + vertex count (loops/dups exercised on
@@ -538,4 +561,117 @@ fn weighted_hub_rows_shard_like_the_monolithic_build() {
         assert_sharded_equals(&g, &mono, &format!("spilled S = {s}"));
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every weight of `g`, in CSR order.
+fn csr_weights(g: &WeightedCsr<f32>) -> Vec<f32> {
+    g.vertices()
+        .flat_map(|v| g.neighbor_weights(v).iter().copied())
+        .collect()
+}
+
+/// (10) Graphs spanning several scatter buckets (4,096 rows each) equal
+/// the arc-list oracle at widths 1, 2 and 4: R-MAT 14/8 on the
+/// partitioned and the sequential replay, BA 20k/5 on the one-part
+/// replay, a buffered weighted list with self-loops and duplicate pairs
+/// of different weights (the max wins), the forced-wide offsets, and
+/// three resident shards.
+#[test]
+fn multi_bucket_builds_equal_arc_list_oracle() {
+    let rmat = SpecSource::new(
+        GraphSpec::Rmat {
+            scale: 14,
+            edge_factor: 8,
+        },
+        3,
+    );
+    let ba = SpecSource::new(
+        GraphSpec::BarabasiAlbert {
+            n: 20_000,
+            attach: 5,
+        },
+        3,
+    );
+    assert!(EdgeSource::<()>::parts(&rmat) > 1 && EdgeSource::<()>::parts(&ba) == 1);
+    let oracle = |src: &SpecSource| {
+        let n = EdgeSource::<()>::num_vertices(src);
+        reference_arrays(n, &emitted::<(), _>(src, None).0)
+    };
+    let (rmat_ref, ba_ref) = (oracle(&rmat), oracle(&ba));
+
+    // Pseudo-random pairs over three-plus buckets, each repeated with a
+    // different weight (and every tenth with the same one), plus a
+    // self-loop every seventh vertex.
+    let n = 3 * 4_096 + 7;
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n as u64) as u32
+    };
+    let mut edges: Vec<(u32, u32, f32)> = (0..40_000)
+        .map(|i| (next(), next(), (i % 17) as f32))
+        .collect();
+    let dups: Vec<_> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, &(u, v, w))| (v, u, if i % 10 == 0 { w } else { (i % 23) as f32 }))
+        .collect();
+    edges.extend(dups);
+    edges.extend((0..n as u32).step_by(7).map(|v| (v, v, 99.0)));
+    let mut list = EdgeListBuilder::<f32>::with_capacity(n, edges.len());
+    list.extend_weighted_edges(edges.iter().copied());
+    let pairs: Vec<(u32, u32)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
+    let (list_offsets, list_neighbors) = reference_arrays(n, &pairs);
+    let list_weights = reference_weights(&edges);
+    assert!(
+        list_neighbors.len() < 2 * pairs.len(),
+        "duplicates exercised"
+    );
+
+    for t in [1, 2, 4] {
+        with_threads(t, || {
+            for (g, what, (offsets, neighbors)) in [
+                (
+                    build_compact(&rmat).unwrap(),
+                    "R-MAT partitioned",
+                    &rmat_ref,
+                ),
+                (
+                    build_compact(&Sequential(&rmat)).unwrap(),
+                    "R-MAT sequential",
+                    &rmat_ref,
+                ),
+                (
+                    build_compact_with_offset_limit(&rmat, 0).unwrap().0,
+                    "R-MAT wide",
+                    &rmat_ref,
+                ),
+                (
+                    build_sharded(&rmat, &ShardOptions::resident(3))
+                        .unwrap()
+                        .to_compact(),
+                    "R-MAT 3 shards",
+                    &rmat_ref,
+                ),
+                (build_compact(&ba).unwrap(), "BA one part", &ba_ref),
+            ] {
+                assert_eq!(&csr_offsets(&g), offsets, "{what} offsets at width {t}");
+                assert_eq!(
+                    g.raw_neighbors(),
+                    &neighbors[..],
+                    "{what} neighbors at width {t}"
+                );
+            }
+            let mono: WeightedCsr<f32> = build_weighted(&list).unwrap();
+            let (wide, _) = build_weighted_with_offset_limit::<f32, _>(&list, 0).unwrap();
+            for (g, what) in [(&mono, "list"), (&wide, "list wide")] {
+                assert_arrays_match(g.structure(), &list_offsets, &list_neighbors);
+                assert_eq!(csr_weights(g), list_weights, "{what} weights at width {t}");
+            }
+            let sharded = build_sharded_weighted(&list, &ShardOptions::resident(3)).unwrap();
+            assert_sharded_equals(&sharded, &mono, &format!("list 3 shards at width {t}"));
+        });
+    }
 }
