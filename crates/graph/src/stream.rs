@@ -754,8 +754,9 @@ const STAGE_PAIRS: usize = 1 << 12;
 
 /// Lock one of the scatter pass's mutexes. Recovering a poisoned guard
 /// is sound: every update under them (a cursor claim, a stage list push
-/// or pop) leaves the data valid at every step, and the pool re-raises
-/// the panicking worker's panic when the pass joins.
+/// or pop) leaves the data valid at every step, a stage comes back
+/// cleared, and the pool re-raises the panicking worker's panic when the
+/// pass joins.
 fn hold<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -802,7 +803,8 @@ struct Stages<W> {
 }
 
 /// A stage on loan to one replay body. Dropping it — unwinding included,
-/// so a panicking body cannot leave the others waiting — returns it.
+/// so a panicking body cannot leave the others waiting — returns it,
+/// cleared if the body stopped mid-batch.
 struct Lease<'a, W: EdgeWeight> {
     stages: &'a Stages<W>,
     stage: Stage<W>,
@@ -810,6 +812,10 @@ struct Lease<'a, W: EdgeWeight> {
 
 impl<W: EdgeWeight> Drop for Lease<'_, W> {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.stage.fill.fill(0);
+            self.stage.touched.clear();
+        }
         hold(&self.stages.free)
             .0
             .push(std::mem::take(&mut self.stage));
@@ -1005,8 +1011,9 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
             }
         })?;
     }
-    // Record the stages' high-water (none for a one-bucket build), then
-    // release them: they die with the pass.
+    // Record the stages and the bucket locks they took turns under at
+    // their high-water, then release them: they die with the pass. A
+    // one-bucket build makes no stage and charges nothing for its lock.
     let staged = stages.into_bytes();
     if staged > 0 {
         let staged = staged + locks.capacity() * std::mem::size_of::<Mutex<()>>();
