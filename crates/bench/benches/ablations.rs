@@ -1,6 +1,6 @@
 //! §VI-J ablation bench: the ADG design choices — batch sorting on/off,
-//! push vs pull updates, average vs median thresholds, integer-sort
-//! algorithm, cached vs recomputed degree sums.
+//! per-level vs forced push or pull updates, average vs median
+//! thresholds, integer-sort algorithm, cached vs recomputed degree sums.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgc_bench::bench_graph_scale_free;
@@ -11,11 +11,18 @@ use std::hint::black_box;
 fn adg_variants(c: &mut Criterion) {
     let g = bench_graph_scale_free();
     let variants: Vec<(&str, AdgOptions)> = vec![
-        ("default(sortR+push+radix+cache)", AdgOptions::default()),
+        ("default(sortR+auto+radix+cache)", AdgOptions::default()),
         (
             "no-batch-sort",
             AdgOptions {
                 sort_batches: false,
+                ..Default::default()
+            },
+        ),
+        (
+            "push-update",
+            AdgOptions {
+                update: UpdateStyle::Push,
                 ..Default::default()
             },
         ),

@@ -19,7 +19,7 @@ use pgc_graph::gen::{generate, generate_sharded_with_stats, GraphSpec, SpecSourc
 use pgc_graph::sharded::{build_sharded, ShardOptions};
 use pgc_graph::stream::build_compact;
 use pgc_graph::GraphView as _;
-use pgc_order::{adg, adg_with_shards, AdgOptions};
+use pgc_order::{adg, adg_with_shards, AdgOptions, UpdateStyle};
 use std::hint::black_box;
 
 const SPEC: GraphSpec = GraphSpec::Rmat {
@@ -79,7 +79,11 @@ fn shard_peel(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(300));
     let mono = generate(&SPEC, SEED);
-    let opts = AdgOptions::default();
+    // Forced push: shard grouping applies to pushed levels only.
+    let opts = AdgOptions {
+        update: UpdateStyle::Push,
+        ..AdgOptions::default()
+    };
     group.bench_function("monolithic", |b| {
         b.iter(|| black_box(adg(&mono, &opts).rho[0]))
     });

@@ -72,16 +72,12 @@ impl<G: GraphView> Colorer<G> for Dec {
     }
 }
 
-fn adg_options_for(params: &Params, rule: ThresholdRule, epsilon: f64) -> AdgOptions {
+/// The ADG options of a DEC run: the JP-ADG ones at another rule and ε,
+/// without JP's fused predecessor counts, which DEC never reads.
+fn dec_adg_options(params: &Params, rule: ThresholdRule, epsilon: f64) -> AdgOptions {
     AdgOptions {
-        epsilon,
-        rule,
-        sort_batches: params.adg_sort_batches,
-        sort_algo: params.adg_sort,
-        update: params.adg_update,
-        cache_degree_sum: true,
-        fuse_rank: true,
-        seed: params.seed,
+        fuse_rank: false,
+        ..params.adg_options(rule, epsilon)
     }
 }
 
@@ -151,7 +147,7 @@ pub fn dec_adg<G: GraphView>(
     // Alg. 4 line 8: ADG* with accuracy ε/12 (so the Claim 2 algebra
     // (1+ε/4)·2(1+ε/12) ≤ 2+ε goes through).
     let mut instr = Instrumentation::default();
-    let ord = instr.ordering(|| adg(g, &adg_options_for(params, rule, eps / 12.0)));
+    let ord = instr.ordering(|| adg(g, &dec_adg_options(params, rule, eps / 12.0)));
     let levels = ord.levels.expect("ADG always produces levels");
     instr.record_rounds(ord.stats.iterations, 0);
 
@@ -179,7 +175,7 @@ pub fn dec_adg_itr<G: GraphView>(g: &G, params: &Params) -> ColoringRun {
     let ord = instr.ordering(|| {
         adg(
             g,
-            &adg_options_for(params, ThresholdRule::Average, params.epsilon),
+            &dec_adg_options(params, ThresholdRule::Average, params.epsilon),
         )
     });
     let levels = ord.levels.expect("ADG always produces levels");
@@ -333,7 +329,7 @@ mod tests {
         let eps: f64 = 6.0;
         let ord = adg(
             &g,
-            &adg_options_for(&Params::default(), ThresholdRule::Average, eps / 12.0),
+            &dec_adg_options(&Params::default(), ThresholdRule::Average, eps / 12.0),
         );
         let rank = ord.levels.unwrap().rank;
         let adj = ConstraintAdjacency::build(&g, &rank);

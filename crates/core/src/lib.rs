@@ -184,7 +184,8 @@ impl Algorithm {
 }
 
 /// Shared run parameters (defaults mirror the paper's evaluation
-/// parametrization: ε = 0.01, radix sort, push updates, batch sorting on).
+/// parametrization: ε = 0.01, radix sort, batch sorting on; ADG's degree
+/// update picks push or pull per level).
 #[derive(Clone, Debug)]
 pub struct Params {
     /// ADG accuracy knob ε for the JP-ADG family (paper default 0.01).
@@ -201,7 +202,8 @@ pub struct Params {
     pub seed: u64,
     /// Integer sort used inside ADG (§VI-J ablation).
     pub adg_sort: SortAlgo,
-    /// Push/pull degree updates inside ADG (§V-E ablation).
+    /// Degree updates inside ADG: per-level choice by default, or forced
+    /// push or pull (§V-E ablation).
     pub adg_update: UpdateStyle,
     /// §V-B explicit batch ordering on/off (§VI-J ablation).
     pub adg_sort_batches: bool,
@@ -220,7 +222,7 @@ impl Default for Params {
             simcol_mu: 0.2,
             seed: 0xC0FFEE,
             adg_sort: SortAlgo::Radix,
-            adg_update: UpdateStyle::Push,
+            adg_update: UpdateStyle::Auto,
             adg_sort_batches: true,
             itrb_batch: 4096,
             jp_level_sync: false,

@@ -996,20 +996,28 @@ pub fn table3(cfg: &ExpConfig) -> Table {
 // §VI-J ablations
 // ---------------------------------------------------------------------
 
-/// Design-choice ablations (§VI-J): batch sorting on/off, push vs pull,
-/// average vs median, sort algorithm, ITRB superstep size.
+/// Design-choice ablations (§VI-J): batch sorting on/off, forced push or
+/// pull against the per-level choice, average vs median, sort algorithm,
+/// ITRB superstep size.
 pub fn ablations(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(&["graph", "variant", "total_ms", "colors", "rounds"]);
     let variants: Vec<(String, Params)> = {
         let base = cfg.params();
         let mut v = vec![(
-            "JP-ADG default (sortR, push, radix)".to_string(),
+            "JP-ADG default (sortR, auto update, radix)".to_string(),
             base.clone(),
         )];
         v.push((
             "JP-ADG no batch sort".to_string(),
             Params {
                 adg_sort_batches: false,
+                ..base.clone()
+            },
+        ));
+        v.push((
+            "JP-ADG push update".to_string(),
+            Params {
+                adg_update: UpdateStyle::Push,
                 ..base.clone()
             },
         ));

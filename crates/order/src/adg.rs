@@ -21,7 +21,13 @@
 //! * **V-D** — ADG-M: threshold = median degree, removing ⌈|U|/2⌉ vertices
 //!   per round (exactly ⌈log₂ n⌉ rounds; 4-approximate by Lemma 15).
 //! * **V-E** — push (CRCW, atomic decrements) or pull (CREW, Alg. 2)
-//!   degree updates.
+//!   degree updates, chosen per level by default
+//!   ([`UpdateStyle::Auto`]). Like direction-optimizing BFS (Beamer,
+//!   Asanović and Patterson, SC'12), a level pulls when the remaining
+//!   vertices' original degrees sum to at most [`PULL_FACTOR`] times the
+//!   removed ones', and pushes otherwise. Pushing scans vol(R) arcs and
+//!   pulling at most `PULL_FACTOR`·vol(R), so the whole UPDATE scans at
+//!   most `PULL_FACTOR`·2m arcs and ADG keeps its O(m) work bound.
 //! * **V-F** — the degree sum Σ_U is maintained incrementally instead of
 //!   recomputed (subtracting the removed degrees and the cut size).
 
@@ -30,6 +36,7 @@ use pgc_graph::GraphView;
 use pgc_primitives::rng::random_permutation;
 use pgc_primitives::sort::{sort_pairs, SortAlgo};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering as AtOrd};
 
 /// How the removal threshold is chosen each iteration.
@@ -45,21 +52,46 @@ pub enum ThresholdRule {
     Median,
 }
 
-/// Degree-update style (§V-E). Both produce identical degrees; push needs
-/// atomics (CRCW), pull only concurrent reads (CREW, Alg. 2) at the cost of
-/// touching every remaining vertex's full neighborhood (the `O(m + nd)`
-/// work of Lemma 5).
+/// Degree-update style (§V-E). Every style produces identical degrees,
+/// orders and predecessor counts; they differ in which arcs a level scans.
+/// Push needs atomics (CRCW) and scans the removed batch's rows; pull needs
+/// only concurrent reads (CREW, Alg. 2) and scans every remaining vertex's
+/// row, which alone is the `O(m + nd)` work of Lemma 5.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum UpdateStyle {
-    /// Removed vertices atomically decrement their active neighbors.
+    /// Choose per level: pull when vol(U′) ≤ [`PULL_FACTOR`]·vol(R), push
+    /// otherwise (vol = sum of original degrees). Scans at most
+    /// `PULL_FACTOR`·2m arcs in total.
     #[default]
+    Auto,
+    /// Removed vertices atomically decrement their active neighbors.
     Push,
     /// Every remaining vertex counts its just-removed neighbors.
     Pull,
 }
 
+/// The `K` of [`UpdateStyle::Auto`]: a level pulls when the remaining
+/// vertices' rows hold at most `K` times as many arcs as the removed
+/// batch's. A pulled arc is a plain load where a pushed one is a locked
+/// decrement, so pulling pays off even when it scans several times more.
+pub const PULL_FACTOR: u64 = 8;
+
+impl UpdateStyle {
+    /// Whether a level that removes rows of total original degree
+    /// `vol_removed`, leaving rows of total `vol_rest`, runs the pull
+    /// kernel.
+    pub fn pulls(self, vol_removed: u64, vol_rest: u64) -> bool {
+        match self {
+            UpdateStyle::Auto => vol_rest <= PULL_FACTOR * vol_removed,
+            UpdateStyle::Push => false,
+            UpdateStyle::Pull => true,
+        }
+    }
+}
+
 /// Tunables for [`adg`]. `Default` matches the paper's evaluation
-/// parametrization (ε = 0.01, radix sort, push, batch sorting on).
+/// parametrization (ε = 0.01, radix sort, batch sorting on), with the
+/// per-level push/pull choice of [`UpdateStyle::Auto`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct AdgOptions {
     /// Approximation knob ε ≥ 0: larger ε → fewer iterations (more
@@ -71,7 +103,7 @@ pub struct AdgOptions {
     pub sort_batches: bool,
     /// Which linear-time integer sort to use for batches (§VI-J choice).
     pub sort_algo: SortAlgo,
-    /// Push (CRCW) or pull (CREW) degree updates.
+    /// Push (CRCW), pull (CREW) or per-level choice of degree updates.
     pub update: UpdateStyle,
     /// Maintain Σ_U incrementally (§V-F) instead of re-reducing.
     pub cache_degree_sum: bool,
@@ -90,7 +122,7 @@ impl Default for AdgOptions {
             rule: ThresholdRule::Average,
             sort_batches: true,
             sort_algo: SortAlgo::Radix,
-            update: UpdateStyle::Push,
+            update: UpdateStyle::Auto,
             cache_degree_sum: true,
             fuse_rank: true,
             seed: 0,
@@ -141,16 +173,18 @@ pub fn adg<G: GraphView>(g: &G, opts: &AdgOptions) -> VertexOrdering {
 ///
 /// `shard_bounds` is the non-decreasing boundary array of a
 /// `pgc_graph::sharded::ShardedCsr` (`bounds[s]..bounds[s+1]` is shard `s`);
-/// when present, the push UPDATE pass peels each batch grouped by owning
-/// shard, with workers claiming chunks off a shared atomic frontier cursor.
-/// Grouping keeps each worker's neighbor scans inside one shard's local
-/// CSR + halo (instead of striding across every shard per rayon chunk),
-/// while the shared cursor keeps the schedule work-balanced when one shard
-/// dominates a batch.
+/// when present, each pushed level's UPDATE pass peels the batch grouped by
+/// owning shard, with workers claiming chunks off a shared atomic frontier
+/// cursor. Grouping keeps each worker's neighbor scans inside one shard's
+/// local CSR + halo (instead of striding across every shard per rayon
+/// chunk), while the shared cursor keeps the schedule work-balanced when
+/// one shard dominates a batch. Pulled levels scan the remaining vertices,
+/// whose contiguity in the order carries no shard structure, so they run
+/// monolithic either way.
 ///
 /// The result is **bit-identical** to [`adg`]: the UPDATE pass only issues
-/// commutative atomic decrements and single-writer `pred` stores, so batch
-/// scan order cannot affect `rho`, `levels`, or `pred_counts`.
+/// commutative atomic decrements and single-writer stores, so batch scan
+/// order cannot affect `rho`, `levels`, or `pred_counts`.
 pub fn adg_with_shards<G: GraphView>(
     g: &G,
     opts: &AdgOptions,
@@ -177,8 +211,12 @@ pub fn adg_with_shards<G: GraphView>(
     let deg: Vec<AtomicU32> = g.degree_array().into_iter().map(AtomicU32::new).collect();
     // rank[v] = iteration of removal; ACTIVE while v ∈ U.
     let rank: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(ACTIVE)).collect();
-    // §V-C fused JP predecessor counts (rank(v) of Alg. 6).
-    let pred: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    // §V-C fused JP predecessor counts (rank(v) of Alg. 6), only if asked.
+    let pred: Vec<AtomicU32> = if opts.fuse_rank {
+        (0..n).map(|_| AtomicU32::new(0)).collect()
+    } else {
+        Vec::new()
+    };
 
     // §V-A contiguous representation: order = [removed… | U], `index` points
     // at the first element of U.
@@ -187,6 +225,11 @@ pub fn adg_with_shards<G: GraphView>(
     let mut offsets = vec![0usize];
     let mut level = 0u32;
     let mut sum_deg: u64 = g.num_arcs() as u64; // Σ_U deg = 2m initially
+                                                // vol(U): Σ_U of the *original* degrees, for the push/pull choice.
+    let mut vol_u: u64 = sum_deg;
+    // Ranges of `order` holding pulled levels, whose fused counts are
+    // filled in after the loop.
+    let mut pulled: Vec<Range<usize>> = Vec::new();
     let mut stats = OrderingStats::default();
 
     let perm = if opts.sort_batches {
@@ -198,6 +241,7 @@ pub fn adg_with_shards<G: GraphView>(
     let mut scratch: Vec<(u32, u32)> = Vec::new();
 
     while index < n {
+        let _round = pgc_obs::span!("peel.round");
         let u_len = n - index;
         stats.iterations += 1;
         stats.sum_active += u_len as u64;
@@ -270,15 +314,12 @@ pub fn adg_with_shards<G: GraphView>(
             }
         }
 
-        let batch = &order[index..index + r_len];
+        let (batch, rest) = order[index..].split_at(r_len);
 
         // ---- Assign ranks and priorities (Alg. 1 lines 16–17) ----------
-        batch.par_iter().enumerate().for_each(|(i, &v)| {
-            rank[v as usize].store(level, AtOrd::Relaxed);
-            // rho is written later (needs &mut); stash batch position via i
-            // implicitly — positions are re-derived below.
-            let _ = i;
-        });
+        batch
+            .par_iter()
+            .for_each(|&v| rank[v as usize].store(level, AtOrd::Relaxed));
         if opts.sort_batches {
             for (i, &v) in batch.iter().enumerate() {
                 rho[v as usize] = pack(level, i as u32);
@@ -289,76 +330,39 @@ pub fn adg_with_shards<G: GraphView>(
             }
         }
 
-        // Degrees at removal (before the update), for Σ_U maintenance.
+        // Degrees at removal (before the update), for Σ_U maintenance, and
+        // the batch's original degrees, for vol(U′) = vol(U) − vol(R).
         let rsum: u64 = batch
             .par_iter()
             .map(|&v| deg[v as usize].load(AtOrd::Relaxed) as u64)
             .sum();
+        let vol_r: u64 = batch.par_iter().map(|&v| g.degree(v) as u64).sum();
+        vol_u -= vol_r;
 
         // ---- UPDATE (Alg. 1 lines 21–24 / Alg. 2 / §V-E) ---------------
-        let cut: u64 = match (opts.update, shard_bounds) {
-            (UpdateStyle::Push, Some(bounds)) => push_update_sharded(
-                g,
-                batch,
-                bounds,
-                &deg,
-                &rank,
-                &rho,
-                &pred,
-                level,
-                opts.fuse_rank,
-            ),
-            (UpdateStyle::Push, None) => batch
-                .par_iter()
-                .map(|&v| {
-                    let mut local_cut = 0u64;
-                    // §V-C: v's JP predecessors are its still-active
-                    // neighbors (removed later) plus same-batch neighbors
-                    // with a higher explicit priority.
-                    let mut npred = 0u32;
-                    let rho_v = rho[v as usize];
-                    for u in g.neighbors(v) {
-                        let ru = rank[u as usize].load(AtOrd::Relaxed);
-                        if ru == ACTIVE {
-                            deg[u as usize].fetch_sub(1, AtOrd::Relaxed);
-                            local_cut += 1;
-                            npred += 1;
-                        } else if ru == level && rho[u as usize] > rho_v {
-                            npred += 1;
-                        }
-                    }
-                    if opts.fuse_rank {
-                        pred[v as usize].store(npred, AtOrd::Relaxed);
-                    }
-                    local_cut
-                })
-                .sum(),
-            // The pull UPDATE scans remaining (not removed) vertices, whose
-            // contiguity in `order` carries no shard structure — keep it
-            // monolithic regardless of `shard_bounds`.
-            (UpdateStyle::Pull, _) => order[index + r_len..]
-                .par_iter()
-                .map(|&v| {
-                    let removed_now = g
-                        .neighbors(v)
-                        .filter(|&u| rank[u as usize].load(AtOrd::Relaxed) == level)
-                        .count() as u32;
-                    if removed_now > 0 {
-                        // Single owner: a plain store suffices in CREW.
-                        let cur = deg[v as usize].load(AtOrd::Relaxed);
-                        deg[v as usize].store(cur - removed_now, AtOrd::Relaxed);
-                    }
-                    removed_now as u64
-                })
-                .sum(),
+        let peel = Peel {
+            deg: &deg,
+            rank: &rank,
+            rho: &rho,
+            pred: opts.fuse_rank.then_some(&pred[..]),
+            level,
         };
-        stats.update_touches += match opts.update {
-            UpdateStyle::Push => batch.iter().map(|&v| g.degree(v) as u64).sum::<u64>(),
-            UpdateStyle::Pull => order[index + r_len..]
-                .iter()
-                .map(|&v| g.degree(v) as u64)
-                .sum::<u64>(),
+        let pull = opts.update.pulls(vol_r, vol_u);
+        let cut: u64 = if pull {
+            pgc_obs::counter!("peel.pulled", 1);
+            if opts.fuse_rank {
+                match pulled.last_mut() {
+                    Some(span) if span.end == index => span.end += r_len,
+                    _ => pulled.push(index..index + r_len),
+                }
+            }
+            rest.par_iter().map(|&v| peel.pull(g, v)).sum()
+        } else if let Some(bounds) = shard_bounds {
+            push_update_sharded(g, batch, bounds, &peel)
+        } else {
+            batch.par_iter().map(|&v| peel.push(g, v)).sum()
         };
+        stats.update_touches += if pull { vol_u } else { vol_r };
 
         // §V-F cached degree sum: Σ_{U'} = Σ_U − Σ_R deg − cut(R, U').
         sum_deg = sum_deg - rsum - cut;
@@ -368,24 +372,20 @@ pub fn adg_with_shards<G: GraphView>(
         level += 1;
     }
 
-    let rank_plain: Vec<u32> = rank.iter().map(|r| r.load(AtOrd::Relaxed)).collect();
-    let pred_counts = if !opts.fuse_rank {
-        None
-    } else if opts.update == UpdateStyle::Push {
-        Some(pred.iter().map(|p| p.load(AtOrd::Relaxed)).collect())
-    } else {
-        // The pull UPDATE never scans removed vertices, so the fused count
-        // is recovered with one O(m) pass (same asymptotics as Alg. 6).
-        Some(
-            (0..n as u32)
-                .into_par_iter()
-                .map(|v| {
-                    let rv = rho[v as usize];
-                    g.neighbors(v).filter(|&u| rho[u as usize] > rv).count() as u32
-                })
-                .collect(),
-        )
-    };
+    let rank_plain: Vec<u32> = rank.into_iter().map(AtomicU32::into_inner).collect();
+    let pred_counts = opts.fuse_rank.then(|| {
+        // The pull UPDATE never scans removed vertices, so a pulled level's
+        // fused counts come from one pass over its rows: branch-free, and
+        // no more work than the push scan it replaced (Alg. 6).
+        for span in pulled {
+            order[span].par_iter().for_each(|&v| {
+                let rv = rho[v as usize];
+                let count = g.neighbors(v).filter(|&u| rho[u as usize] > rv).count();
+                pred[v as usize].store(count as u32, AtOrd::Relaxed);
+            });
+        }
+        pred.into_iter().map(AtomicU32::into_inner).collect()
+    });
     VertexOrdering {
         rho,
         levels: Some(Levels {
@@ -403,6 +403,62 @@ fn pack(rank: u32, low: u32) -> u64 {
     ((rank as u64) << 32) | low as u64
 }
 
+/// The peel's shared arrays at one level, taken by both UPDATE kernels.
+struct Peel<'a> {
+    /// Residual degrees.
+    deg: &'a [AtomicU32],
+    /// Removal level of each vertex; [`ACTIVE`] while it is in `U`.
+    rank: &'a [AtomicU32],
+    /// Priorities, final for every removed vertex.
+    rho: &'a [u64],
+    /// §V-C fused JP predecessor counts, when asked for.
+    pred: Option<&'a [AtomicU32]>,
+    /// The level being removed.
+    level: u32,
+}
+
+impl Peel<'_> {
+    /// Push kernel for a removed vertex `v`: decrement each active
+    /// neighbor and, when fusing, store `v`'s JP predecessor count — its
+    /// active neighbors (removed later) plus same-level neighbors of higher
+    /// priority. Returns the cut arcs.
+    #[inline]
+    fn push<G: GraphView>(&self, g: &G, v: u32) -> u64 {
+        let (mut cut, mut later) = (0u32, 0u32);
+        let rho_v = self.rho[v as usize];
+        let fuse = self.pred.is_some();
+        for u in g.neighbors(v) {
+            let ru = self.rank[u as usize].load(AtOrd::Relaxed);
+            if ru == ACTIVE {
+                self.deg[u as usize].fetch_sub(1, AtOrd::Relaxed);
+                cut += 1;
+            } else if fuse && ru == self.level && self.rho[u as usize] > rho_v {
+                later += 1;
+            }
+        }
+        if let Some(pred) = self.pred {
+            pred[v as usize].store(cut + later, AtOrd::Relaxed);
+        }
+        u64::from(cut)
+    }
+
+    /// Pull kernel for a remaining vertex `v`: count its just-removed
+    /// neighbors and store its own new degree (single owner, so a plain
+    /// store suffices in CREW). Returns the cut arcs.
+    #[inline]
+    fn pull<G: GraphView>(&self, g: &G, v: u32) -> u64 {
+        let removed = g
+            .neighbors(v)
+            .filter(|&u| self.rank[u as usize].load(AtOrd::Relaxed) == self.level)
+            .count() as u32;
+        if removed > 0 {
+            let cur = self.deg[v as usize].load(AtOrd::Relaxed);
+            self.deg[v as usize].store(cur - removed, AtOrd::Relaxed);
+        }
+        u64::from(removed)
+    }
+}
+
 /// Chunk size workers claim off the shared frontier cursor in
 /// [`push_update_sharded`]. Big enough to amortize the `fetch_add`, small
 /// enough that an unlucky worker stuck with high-degree vertices doesn't
@@ -416,18 +472,7 @@ const PEEL_CLAIM: usize = 256;
 /// [`PEEL_CLAIM`]-sized claims. Every write is a commutative atomic
 /// decrement or a single-writer store, so any claim interleaving yields the
 /// same degrees and `pred` counts as the monolithic scan.
-#[allow(clippy::too_many_arguments)]
-fn push_update_sharded<G: GraphView>(
-    g: &G,
-    batch: &[u32],
-    bounds: &[u32],
-    deg: &[AtomicU32],
-    rank: &[AtomicU32],
-    rho: &[u64],
-    pred: &[AtomicU32],
-    level: u32,
-    fuse_rank: bool,
-) -> u64 {
+fn push_update_sharded<G: GraphView>(g: &G, batch: &[u32], bounds: &[u32], peel: &Peel<'_>) -> u64 {
     assert!(
         bounds.len() >= 2 && bounds.windows(2).all(|w| w[0] <= w[1]),
         "shard bounds must be non-decreasing with at least one shard"
@@ -454,21 +499,7 @@ fn push_update_sharded<G: GraphView>(
                     }
                     let end = (start + PEEL_CLAIM).min(grouped.len());
                     for &v in &grouped[start..end] {
-                        let mut npred = 0u32;
-                        let rho_v = rho[v as usize];
-                        for u in g.neighbors(v) {
-                            let ru = rank[u as usize].load(AtOrd::Relaxed);
-                            if ru == ACTIVE {
-                                deg[u as usize].fetch_sub(1, AtOrd::Relaxed);
-                                local_cut += 1;
-                                npred += 1;
-                            } else if ru == level && rho[u as usize] > rho_v {
-                                npred += 1;
-                            }
-                        }
-                        if fuse_rank {
-                            pred[v as usize].store(npred, AtOrd::Relaxed);
-                        }
+                        local_cut += peel.push(g, v);
                     }
                 }
                 total_cut.fetch_add(local_cut, AtOrd::Relaxed);
@@ -643,25 +674,76 @@ mod tests {
         );
     }
 
+    /// K₂₀₀ with 1,000 pendant leaves, five on each clique vertex. Level 0
+    /// peels the leaves with vol(U′)/vol(R) = 40,800/1,000 = 40.8, level 1
+    /// the whole clique.
+    fn clique_with_pendants() -> pgc_graph::CompactCsr {
+        let mut edges: Vec<(u32, u32)> = (0..200u32)
+            .flat_map(|u| (u + 1..200).map(move |v| (u, v)))
+            .collect();
+        edges.extend((0..1_000u32).map(|leaf| (leaf % 200, 200 + leaf)));
+        pgc_graph::builder::from_edges(1_200, &edges)
+    }
+
     #[test]
     fn push_and_pull_agree() {
-        let g = generate(&GraphSpec::BarabasiAlbert { n: 500, attach: 7 }, 6);
-        let push = adg(
-            &g,
-            &AdgOptions {
-                update: UpdateStyle::Push,
-                ..Default::default()
-            },
-        );
-        let pull = adg(
-            &g,
-            &AdgOptions {
-                update: UpdateStyle::Pull,
-                ..Default::default()
-            },
-        );
-        assert_eq!(push.rho, pull.rho, "push/pull must give identical orders");
-        assert_eq!(push.levels.unwrap().rank, pull.levels.unwrap().rank);
+        // Push, pull and the per-level choice give identical orders, levels
+        // and fused counts at every pool width, and only the arcs scanned
+        // differ: the per-level choice never scans more than K·2m.
+        let graphs = [
+            generate(
+                &GraphSpec::Rmat {
+                    scale: 14,
+                    edge_factor: 8,
+                },
+                6,
+            ),
+            generate(
+                &GraphSpec::BarabasiAlbert {
+                    n: 20_000,
+                    attach: 5,
+                },
+                6,
+            ),
+            clique_with_pendants(),
+        ];
+        let styles = [UpdateStyle::Push, UpdateStyle::Pull, UpdateStyle::Auto];
+        for (i, g) in graphs.iter().enumerate() {
+            let mut base: Option<VertexOrdering> = None;
+            for width in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .unwrap();
+                let runs = styles.map(|update| {
+                    let opts = AdgOptions {
+                        update,
+                        ..Default::default()
+                    };
+                    pool.install(|| adg(g, &opts))
+                });
+                let base = base.get_or_insert_with(|| runs[0].clone());
+                let base_levels = base.levels.as_ref().unwrap();
+                for (update, ord) in styles.iter().zip(&runs) {
+                    let at = format!("graph {i}, width {width}, {update:?}");
+                    assert_eq!(ord.rho, base.rho, "{at}");
+                    assert_eq!(ord.pred_counts, base.pred_counts, "{at}");
+                    let levels = ord.levels.as_ref().unwrap();
+                    assert_eq!(levels.rank, base_levels.rank, "{at}");
+                    assert_eq!(levels.seq, base_levels.seq, "{at}");
+                    assert_eq!(levels.offsets, base_levels.offsets, "{at}");
+                }
+                let touches = runs.map(|o| o.stats.update_touches);
+                assert!(
+                    touches[2] <= PULL_FACTOR * g.num_arcs() as u64,
+                    "graph {i}: {touches:?}"
+                );
+                if i == 2 {
+                    // Auto pushes the leaves and pulls the empty remainder.
+                    assert_eq!(touches, [41_800, 40_800, 1_000], "width {width}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -745,7 +827,7 @@ mod tests {
     fn partition_stable_is_stable_and_correct() {
         let mut v: Vec<u32> = (0..10_000).collect();
         let t = partition_stable(&mut v, |x| x % 3 == 0);
-        assert_eq!(t, v.iter().filter(|&&x| x % 3 == 0).count().min(t).max(t));
+        assert_eq!(t, 3334, "the multiples of 3 in 0..10_000");
         let (yes, no) = v.split_at(t);
         assert!(yes.iter().all(|&x| x % 3 == 0));
         assert!(no.iter().all(|&x| x % 3 != 0));
@@ -756,8 +838,8 @@ mod tests {
 
     #[test]
     fn fused_pred_counts_match_definition() {
-        // §V-C: rank(v) must equal |{u in N(v): rho(u) > rho(v)}| for both
-        // update styles and both batch-ordering modes.
+        // §V-C: rank(v) must equal |{u in N(v): rho(u) > rho(v)}| for every
+        // update style and both batch-ordering modes.
         let g = generate(
             &GraphSpec::Rmat {
                 scale: 9,
@@ -767,6 +849,10 @@ mod tests {
         );
         for opts in [
             AdgOptions::default(),
+            AdgOptions {
+                update: UpdateStyle::Push,
+                ..Default::default()
+            },
             AdgOptions {
                 update: UpdateStyle::Pull,
                 ..Default::default()
@@ -808,8 +894,8 @@ mod tests {
     fn sharded_peel_bit_identical_to_monolithic() {
         // The shard-grouped push UPDATE must not change a single bit of the
         // ordering: rho, ranks, and fused pred counts all pinned, across
-        // shard layouts (including degenerate 1-shard and skewed cuts) and
-        // both threshold rules.
+        // shard layouts (including degenerate 1-shard and skewed cuts), both
+        // threshold rules, and forced push as well as the per-level choice.
         let g = generate(
             &GraphSpec::Rmat {
                 scale: 9,
@@ -818,7 +904,11 @@ mod tests {
             11,
         );
         let n = g.n() as u32;
-        for opts in [AdgOptions::default(), AdgOptions::median()] {
+        let push = AdgOptions {
+            update: UpdateStyle::Push,
+            ..Default::default()
+        };
+        for opts in [AdgOptions::default(), AdgOptions::median(), push] {
             let base = adg(&g, &opts);
             let base_levels = base.levels.as_ref().unwrap();
             for bounds in [

@@ -12,6 +12,7 @@ use pgc::graph::{build_sharded, ShardOptions};
 use pgc::obs::json::Json;
 use pgc::obs::report::RunRecord;
 use pgc::obs::LogHistogram;
+use pgc::order::UpdateStyle;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -203,5 +204,50 @@ fn builds_emit_one_span_per_ingest_pass() {
         assert_eq!(sharded.span_count("ingest.scatter"), 3, "one per shard");
     } else {
         assert!(mono.events.is_empty() && sharded.events.is_empty());
+    }
+}
+
+/// A JP-ADG run emits one `peel.round` span per ADG iteration, and its
+/// `peel.pulled` counter counts the levels whose degree update pulled:
+/// those where the remaining rows hold at most K times the removed rows'
+/// arcs. On K₂₀₀ with 1,000 pendant leaves, level 0 (the leaves) pushes
+/// and level 1 (the clique) pulls.
+#[test]
+fn adg_emits_one_span_per_peel_round() {
+    let _recording = recording();
+    let mut edges: Vec<(u32, u32)> = (0..200u32)
+        .flat_map(|u| (u + 1..200).map(move |v| (u, v)))
+        .collect();
+    edges.extend((0..1_000u32).map(|leaf| (leaf % 200, 200 + leaf)));
+    let g = pgc::graph::builder::from_edges(1_200, &edges);
+    let params = Params::default();
+    let kind = Algorithm::JpAdg.ordering_kind(&params).unwrap();
+    let ord = pgc::order::compute(&g, &kind, params.seed);
+    let levels = ord.levels.as_ref().unwrap();
+    let vol: Vec<u64> = (0..levels.num_levels())
+        .map(|l| levels.level(l).iter().map(|&v| g.degree(v) as u64).sum())
+        .collect();
+    let mut rest: u64 = vol.iter().sum();
+    let pulled = vol
+        .iter()
+        .filter(|&&removed| {
+            rest -= removed;
+            UpdateStyle::Auto.pulls(removed, rest)
+        })
+        .count();
+    assert_eq!((pulled, vol.len()), (1, 2));
+
+    pgc::obs::session_begin();
+    run(&g, Algorithm::JpAdg, &params);
+    let trace = pgc::obs::session_end();
+    if pgc::obs::CAPTURE {
+        assert_eq!(
+            trace.span_count("peel.round"),
+            ord.stats.iterations as usize,
+            "one span per iteration"
+        );
+        assert_eq!(trace.counter_total("peel.pulled"), pulled as u64);
+    } else {
+        assert!(trace.events.is_empty());
     }
 }
