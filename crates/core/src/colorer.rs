@@ -23,8 +23,9 @@ pub struct Instrumentation {
     pub ordering_time: Duration,
     /// Coloring wall time (the "coloring_time" fraction).
     pub coloring_time: Duration,
-    /// Outer parallel rounds: ADG/peeling iterations plus coloring rounds
-    /// (level-sync JP path length / speculative repair rounds).
+    /// Outer parallel rounds: ADG/peeling iterations plus speculative
+    /// coloring rounds. A JP run records only its ordering's iterations:
+    /// the asynchronous engine has no rounds.
     pub rounds: u32,
     /// Vertices re-colored due to conflicts (speculative algorithms only).
     pub conflicts: u64,

@@ -8,28 +8,20 @@
 //! (Hasenplaugh et al.) — the whole point of the paper's ADG ordering is to
 //! bound `|P|` by `O(d log n + …)` (Lemma 7).
 //!
-//! Both engines color a vertex with one step that reads its row once: a
-//! predecessor marks its color in a `deg + 1`-bit bitmap, a successor goes
-//! to a list. The asynchronous engine keeps the bitmap words and the list
-//! in per-thread scratch and the level loop keeps the words per parallel
-//! leaf, so the step allocates only when a row outgrows every earlier one.
-//!
-//! Two interchangeable engines:
-//!
-//! * [`jp_color`] — asynchronous fork–join: the roots of `Gρ` are a
-//!   parallel loop, each vertex joins its successors once it is colored,
-//!   the first one it releases is colored inline and every further one
-//!   becomes a rayon task; closest to the paper's execution model.
-//! * [`jp_color_levels`] — level-synchronous: colors the current frontier,
-//!   then the released set, round by round. Returns the round count, which
-//!   equals the longest `Gρ` path length + 1 — the measured "depth" used by
-//!   the Table III experiment. It is the one-shard case of the
-//!   shard-parallel level loop [`jp_color_levels_sharded`].
+//! [`jp_color`] is asynchronous fork–join, closest to the paper's
+//! execution model: the roots of `Gρ` are a parallel loop, each vertex
+//! joins its successors once it is colored, the first one it releases is
+//! colored inline and every further one becomes a rayon task. A vertex is
+//! colored with one step that reads its row once: a predecessor marks its
+//! color in a `deg + 1`-bit bitmap, a successor goes to a list. Both live
+//! in per-thread scratch, so the step allocates only when a row outgrows
+//! every earlier one.
 //!
 //! JP with a fixed ρ is *schedule-deterministic*: each vertex's color is a
-//! function of its predecessors' colors only, so both engines (and any
-//! thread interleaving) produce bit-identical colorings — the coloring of
-//! the sequential greedy pass over decreasing ρ.
+//! function of its predecessors' colors only, so any thread interleaving
+//! produces bit-identical colorings — the coloring of the sequential greedy
+//! pass over decreasing ρ. The round count of a level-by-level schedule,
+//! `|P|`, comes from [`dag_longest_path`] without coloring anything.
 
 use crate::colorer::{Colorer, Instrumentation};
 use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
@@ -48,14 +40,7 @@ pub struct Jp {
 
 impl Jp {
     pub fn new(algo: Algorithm) -> Self {
-        use Algorithm::*;
-        assert!(
-            matches!(
-                algo,
-                JpFf | JpR | JpLf | JpLlf | JpSl | JpSll | JpAsl | JpAdg | JpAdgM
-            ),
-            "not a JP algorithm: {algo:?}"
-        );
+        assert!(algo.is_jp(), "not a JP algorithm: {algo:?}");
         Self { algo }
     }
 }
@@ -72,17 +57,12 @@ impl<G: GraphView> Colorer<G> for Jp {
             .expect("JP algorithms have an ordering");
         let mut instr = Instrumentation::default();
         let ord = instr.ordering(|| pgc_order::compute(g, &kind, params.seed));
-        let (colors, color_rounds) = instr.coloring(|| {
-            if params.jp_level_sync {
-                jp_color_levels(g, &ord.rho)
-            } else if let Some(counts) = &ord.pred_counts {
-                // §V-C: the ordering fused JP's Part-1 DAG construction.
-                (jp_color_with_counts(g, &ord.rho, counts), 0)
-            } else {
-                (jp_color(g, &ord.rho), 0)
-            }
+        let colors = instr.coloring(|| match &ord.pred_counts {
+            // §V-C: the ordering fused JP's Part-1 DAG construction.
+            Some(counts) => jp_color_with_counts(g, &ord.rho, counts),
+            None => jp_color(g, &ord.rho),
         });
-        instr.record_rounds(ord.stats.iterations + color_rounds, 0);
+        instr.record_rounds(ord.stats.iterations, 0);
         ColoringRun::new(self.algo, colors, instr)
     }
 }
@@ -242,7 +222,7 @@ fn roots(counts: &[u32]) -> Vec<u32> {
 
 /// One level step of `Gρ`: join every successor of the finished
 /// `frontier` and return those whose last predecessor this was — the
-/// next level. Shared by the level loop and [`dag_longest_path`].
+/// next level.
 fn release_next<G: GraphView>(
     g: &G,
     rho: &[u64],
@@ -259,80 +239,10 @@ fn release_next<G: GraphView>(
         .collect()
 }
 
-/// Level-synchronous JP. Returns `(colors, rounds)`; `rounds` equals the
-/// number of levels of `Gρ`, i.e. the longest directed path length + 1 —
-/// the quantity bounded by Lemma 7 for ρ = ⟨ρ_ADG, ρ_R⟩. The one-shard
-/// case of [`jp_color_levels_sharded`].
-pub fn jp_color_levels<G: GraphView>(g: &G, rho: &[u64]) -> (Vec<u32>, u32) {
-    jp_color_levels_sharded(g, rho, &[0, g.n() as u32])
-}
-
-/// Shard-parallel level-synchronous JP over a vertex-range sharding
-/// (`bounds` as produced by `pgc_graph::ShardedCsr::boundaries`): each
-/// round is partitioned by owning shard and every shard colors its
-/// sub-round independently with its own degree-bucketed schedule
-/// ([`crate::schedule`]). A round's frontier is an independent set of
-/// `Gρ`, so shards never read each other's in-round colors; the fork–join
-/// barrier at the end of the round is the halo color exchange — after it,
-/// every cross-shard (halo) arc sees its endpoint's committed color, and
-/// the release scan runs on globally consistent state. Works on *any*
-/// [`GraphView`] (the bounds need not match the representation's physical
-/// layout), and is bit-identical to the asynchronous [`jp_color`] because
-/// each vertex's color is a function of its predecessors' colors only.
-/// Every round colors its sub-rounds in the cache-aware order: degree
-/// buckets / ascending ids, with the adjacency prefetched a few slots
-/// ahead of the vertex being colored.
-pub fn jp_color_levels_sharded<G: GraphView>(
-    g: &G,
-    rho: &[u64],
-    bounds: &[u32],
-) -> (Vec<u32>, u32) {
-    assert_eq!(rho.len(), g.n());
-    assert!(
-        bounds.len() >= 2 && bounds[0] == 0 && *bounds.last().unwrap() as usize == g.n(),
-        "shard bounds must cover 0..n"
-    );
-    let num_shards = bounds.len() - 1;
-    let counts = predecessor_counts(g, rho);
-    let counters = JoinCounters::from_values(&counts);
-    let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let mut frontier = roots(&counts);
-    let mut rounds = 0u32;
-    while !frontier.is_empty() {
-        rounds += 1;
-        let _round = pgc_obs::span!("jp.round");
-        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-        for &v in &frontier {
-            by_shard[bounds[1..].partition_point(|&b| b <= v)].push(v);
-        }
-        let colors_ref = &colors;
-        by_shard.par_iter_mut().for_each(|sub| {
-            if sub.is_empty() {
-                return;
-            }
-            let _shard = pgc_obs::span!("jp.shard");
-            crate::schedule::bucket_by_degree(g, sub);
-            let sub = &sub[..];
-            (0..sub.len())
-                .into_par_iter()
-                .for_each_init(Vec::new, |words, i| {
-                    crate::schedule::prefetch_ahead(g, sub, i);
-                    let v = sub[i];
-                    let c = color_step(g, rho, colors_ref, v, words, |_| {});
-                    colors_ref[v as usize].store(c, AtOrd::Relaxed);
-                });
-        });
-        // Implicit barrier above = halo color exchange; release the next
-        // level against fully committed colors.
-        frontier = release_next(g, rho, &counters, &frontier);
-    }
-    (colors.into_iter().map(|c| c.into_inner()).collect(), rounds)
-}
-
 /// Length (in vertices) of the longest directed path in `Gρ` — the `|P|`
-/// of the paper's depth bounds. Computed as the number of peeling levels of
-/// the DAG (identical to [`jp_color_levels`]'s round count but without
-/// doing the coloring work).
+/// of the paper's depth bounds, and the round count of a level-by-level JP
+/// schedule. Computed as the number of peeling levels of the DAG, without
+/// doing any coloring work.
 pub fn dag_longest_path<G: GraphView>(g: &G, rho: &[u64]) -> u32 {
     let counts = predecessor_counts(g, rho);
     let counters = JoinCounters::from_values(&counts);
@@ -373,22 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn async_and_level_sync_agree() {
-        let g = generate(
-            &GraphSpec::Rmat {
-                scale: 9,
-                edge_factor: 8,
-            },
-            2,
-        );
-        let rho = random_rho(g.n(), 5);
-        let a = jp_color(&g, &rho);
-        let (b, rounds) = jp_color_levels(&g, &rho);
-        assert_eq!(a, b);
-        assert!(rounds > 0);
-    }
-
-    #[test]
     fn deterministic_across_runs() {
         let g = generate(&GraphSpec::BarabasiAlbert { n: 1000, attach: 8 }, 3);
         let rho = random_rho(g.n(), 11);
@@ -425,9 +319,7 @@ mod tests {
         assert_eq!(jp_color(&g, &rho), expect);
         let counts = predecessor_counts(&g, &rho);
         assert_eq!(jp_color_with_counts(&g, &rho, &counts), expect);
-        let (levels, rounds) = jp_color_levels(&g, &rho);
-        assert_eq!(levels, expect);
-        assert_eq!(rounds, 9);
+        assert_eq!(dag_longest_path(&g, &rho), 9);
     }
 
     #[test]
@@ -444,37 +336,58 @@ mod tests {
         assert!(num_colors(&colors) <= g.max_degree() + 1);
     }
 
-    #[test]
-    fn sharded_levels_bit_identical_to_monolithic() {
-        let g = generate(
-            &GraphSpec::Rmat {
-                scale: 8,
-                edge_factor: 8,
-            },
-            6,
-        );
-        let rho = random_rho(g.n(), 9);
-        let mono = jp_color(&g, &rho);
-        let mono_rounds = dag_longest_path(&g, &rho);
-        let n = g.n() as u32;
-        for bounds in [
-            vec![0, n],
-            vec![0, n / 2, n],
-            vec![0, n / 4, n / 2, 3 * n / 4, n],
-            vec![0, 1, n / 3, n], // deliberately lopsided
-        ] {
-            let (sharded, rounds) = jp_color_levels_sharded(&g, &rho, &bounds);
-            assert_eq!(sharded, mono, "bounds {bounds:?}");
-            assert_eq!(rounds, mono_rounds);
+    /// Sequential oracle for [`dag_longest_path`]: visit the vertices in
+    /// decreasing ρ, so every predecessor is done first, and set
+    /// `depth[v] = 1 + max depth over v's predecessors` — the round in
+    /// which a level-by-level JP colors `v`. Returns the last round.
+    fn rounds_by_dp<G: GraphView>(g: &G, rho: &[u64]) -> u32 {
+        let mut by_rho: Vec<u32> = g.vertices().collect();
+        by_rho.sort_unstable_by_key(|&v| std::cmp::Reverse(rho[v as usize]));
+        let mut depth = vec![0u32; g.n()];
+        for v in by_rho {
+            let rv = rho[v as usize];
+            let above = g
+                .neighbors(v)
+                .filter(|&u| rho[u as usize] > rv)
+                .map(|u| depth[u as usize])
+                .max()
+                .unwrap_or(0);
+            depth[v as usize] = above + 1;
         }
+        depth.into_iter().max().unwrap_or(0)
     }
 
     #[test]
     fn longest_path_matches_round_count() {
-        let g = generate(&GraphSpec::ErdosRenyi { n: 400, m: 1600 }, 9);
-        let rho = random_rho(g.n(), 1);
-        let (_, rounds) = jp_color_levels(&g, &rho);
-        assert_eq!(dag_longest_path(&g, &rho), rounds);
+        let er = generate(&GraphSpec::ErdosRenyi { n: 400, m: 1600 }, 9);
+        let rmat = generate(
+            &GraphSpec::Rmat {
+                scale: 9,
+                edge_factor: 8,
+            },
+            6,
+        );
+        let path = generate(&GraphSpec::Path { n: 64 }, 0);
+        let cases = [
+            (random_rho(er.n(), 1), er),
+            (random_rho(rmat.n(), 9), rmat),
+            (compute(&path, &OrderingKind::FirstFit, 0).rho, path),
+            (Vec::new(), CompactCsr::empty(0)),
+        ];
+        for width in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            for (i, (rho, g)) in cases.iter().enumerate() {
+                let expect = rounds_by_dp(g, rho);
+                assert_eq!(
+                    pool.install(|| dag_longest_path(g, rho)),
+                    expect,
+                    "graph {i}, width {width}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -508,9 +421,7 @@ mod tests {
     fn empty_graph() {
         let g = CompactCsr::empty(0);
         assert!(jp_color(&g, &[]).is_empty());
-        let (c, r) = jp_color_levels(&g, &[]);
-        assert!(c.is_empty());
-        assert_eq!(r, 0);
+        assert_eq!(dag_longest_path(&g, &[]), 0);
     }
 
     #[test]

@@ -155,6 +155,16 @@ impl Algorithm {
         )
     }
 
+    /// True for the Jones–Plassmann family: one JP pass over the priority
+    /// function of [`ordering_kind`](Self::ordering_kind).
+    pub fn is_jp(&self) -> bool {
+        use Algorithm::*;
+        matches!(
+            self,
+            JpFf | JpR | JpLf | JpLlf | JpSl | JpSll | JpAsl | JpAdg | JpAdgM
+        )
+    }
+
     /// The vertex ordering this algorithm is built on, if it has one:
     /// the JP family's priority function, the ordered greedy baselines'
     /// sequence, and ITR-ASL's conflict-winner priorities. `None` for
@@ -209,9 +219,6 @@ pub struct Params {
     pub adg_sort_batches: bool,
     /// ITRB superstep size (vertices per batch); 0 means |U| (plain ITR).
     pub itrb_batch: usize,
-    /// Use the level-synchronous JP engine (deterministic round counting)
-    /// instead of the async task engine.
-    pub jp_level_sync: bool,
 }
 
 impl Default for Params {
@@ -225,7 +232,6 @@ impl Default for Params {
             adg_update: UpdateStyle::Auto,
             adg_sort_batches: true,
             itrb_batch: 4096,
-            jp_level_sync: false,
         }
     }
 }
@@ -404,16 +410,5 @@ mod tests {
         );
         assert!(Algorithm::Itr.ordering_kind(&params).is_none());
         assert!(Algorithm::DecAdg.ordering_kind(&params).is_none());
-    }
-
-    #[test]
-    fn level_sync_and_async_jp_agree() {
-        let g = generate(&GraphSpec::BarabasiAlbert { n: 800, attach: 6 }, 3);
-        let mut p = Params::default();
-        let a = run(&g, Algorithm::JpAdg, &p);
-        p.jp_level_sync = true;
-        let b = run(&g, Algorithm::JpAdg, &p);
-        assert_eq!(a.colors, b.colors, "JP is schedule-deterministic");
-        assert!(b.rounds() > 0);
     }
 }

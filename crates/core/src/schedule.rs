@@ -1,11 +1,10 @@
-//! Cache-aware round scheduling shared by the level-synchronous engines.
+//! Cache-aware round scheduling for the speculative loop.
 //!
-//! Both the JP level loop ([`crate::jp::jp_color_levels`]) and the
-//! speculative loop ([`crate::speculative::itr`]) process a *round set*
-//! whose outcome is order-invariant: each vertex's color depends only on
-//! colors fixed in earlier rounds (JP) or on the whole tentative round
-//! (ITR's conflict rule is symmetric over the set). That freedom is a
-//! scheduling budget, and this module spends it on the memory system:
+//! The speculative loop ([`crate::speculative::itr`]) processes a *round
+//! set* whose outcome is order-invariant: ITR's conflict rule is symmetric
+//! over the whole tentative round, so no vertex's color depends on where
+//! in the round it was colored. That freedom is a scheduling budget, and
+//! this module spends it on the memory system:
 //!
 //! * **Degree-bucketed ordering** ([`bucket_by_degree`]): the round set is
 //!   sorted by ⌈log₂ degree⌉ class, ascending vertex id within a class.
@@ -21,7 +20,7 @@
 //!   `offsets[v] → neighbors[..]` behind useful work.
 //!
 //! Neither transform changes any algorithm's output (see the
-//! determinism tests in `jp` and `speculative`); the cache simulator's
+//! determinism tests in `speculative`); the cache simulator's
 //! `bucketed_round_order_does_not_miss_more` test pins the locality claim.
 
 use pgc_graph::GraphView;

@@ -71,8 +71,8 @@ pub use sharded::{
 };
 pub use snapshot::{
     inspect_snapshot, load_compressed_snapshot, load_snapshot, load_weighted_snapshot,
-    write_compressed_snapshot, write_snapshot, write_snapshot_compressed, write_weighted_snapshot,
-    MappedSnapshot, SnapshotInfo,
+    write_compressed_snapshot, write_snapshot, write_weighted_snapshot, MappedSnapshot,
+    SnapshotInfo,
 };
 pub use stream::{BuildStats, EdgeSink, EdgeSource};
 pub use view::{prefetch_read, GraphMemory, GraphView, WeightedView};

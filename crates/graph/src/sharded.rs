@@ -15,8 +15,7 @@
 //! * a **halo** — a small CSR of cross-shard arcs keyed by the shard's own
 //!   vertices, neighbors kept as *global* ids. Every cross-shard edge
 //!   `{u, v}` contributes the arc `u → v` to `u`'s shard halo and `v → u`
-//!   to `v`'s — so shard-parallel round loops (JP color exchange, peel
-//!   frontiers) read remote state only through the halo.
+//!   to `v`'s — so a shard reaches remote vertices only through its halo.
 //!
 //! `neighbors(v)` chains halo-below · local · halo-above, so the merged
 //! stream is globally sorted and the whole algorithm stack runs on a

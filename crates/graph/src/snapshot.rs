@@ -538,13 +538,6 @@ pub fn write_compressed_snapshot<W: EdgeWeight>(
     Ok(bytes)
 }
 
-/// Encode a raw-array graph and write it as a version-2 compressed
-/// snapshot (the `pgc snapshot --compress` path). Returns the bytes
-/// written.
-pub fn write_snapshot_compressed(g: &CompactCsr, path: &Path) -> std::io::Result<u64> {
-    write_compressed_snapshot(&CompressedCsr::from_compact(g), path)
-}
-
 // ---------------------------------------------------------------------
 // Loading (buffered, fully verified)
 // ---------------------------------------------------------------------
@@ -1445,7 +1438,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pgc-snapc-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.pgcs");
-        let written = write_snapshot_compressed(&g, &path).unwrap();
+        let written = write_compressed_snapshot(&CompressedCsr::from_compact(&g), &path).unwrap();
         let v1_len = snap_bytes(&g).len() as u64;
         assert!(
             written < v1_len,
@@ -1578,7 +1571,7 @@ mod tests {
         let p1 = dir.join("v1.pgcs");
         let p2 = dir.join("v2.pgcs");
         write_snapshot(&g, &p1).unwrap();
-        write_snapshot_compressed(&g, &p2).unwrap();
+        write_compressed_snapshot(&CompressedCsr::from_compact(&g), &p2).unwrap();
         let i1 = inspect_snapshot(&p1).unwrap();
         let i2 = inspect_snapshot(&p2).unwrap();
         assert_eq!(i1.version, 1);

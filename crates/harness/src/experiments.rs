@@ -10,6 +10,7 @@ use crate::table::{ms, Table};
 use pgc_core::{best_of, run, Algorithm, Instrumentation, Params};
 use pgc_graph::gen::{generate_with_stats, suite, GraphSpec, SuiteGraph};
 use pgc_graph::{BuildStats, CompactCsr, GraphView};
+use pgc_obs::report::RunRecord;
 use pgc_order::{compute, max_back_degree, AdgOptions, OrderingKind, UpdateStyle};
 
 /// Shared experiment configuration.
@@ -110,17 +111,21 @@ fn graph_mib<G: GraphView>(g: &G) -> f64 {
     g.memory_footprint().structural_bytes() as f64 / (1024.0 * 1024.0)
 }
 
-/// The compressed-representation detail for the fig2 tables: encoded
-/// neighbor-arena MiB and the compact÷encoded neighbor-byte ratio (how
-/// many times smaller the delta-varint arena is than the raw `u32`
-/// neighbor array it replaced).
-fn compression_detail<W: pgc_graph::EdgeWeight>(g: &pgc_graph::CompressedCsr<W>) -> (f64, f64) {
+/// The compressed-representation detail for the fig2 tables: the snapshot
+/// `load_ms`, encoded neighbor-arena MiB and the compact÷encoded
+/// neighbor-byte ratio (how many times smaller the delta-varint arena is
+/// than the raw `u32` neighbor array it replaced).
+fn compression_detail<W: pgc_graph::EdgeWeight>(
+    g: &pgc_graph::CompressedCsr<W>,
+    load_ms: f64,
+) -> LayoutDetail {
     let encoded = g.encoded_bytes().max(1);
     let compact = g.num_arcs() * std::mem::size_of::<u32>();
-    (
-        g.encoded_bytes() as f64 / (1024.0 * 1024.0),
-        compact as f64 / encoded as f64,
-    )
+    LayoutDetail::Compressed {
+        load_ms,
+        encoded_mib: g.encoded_bytes() as f64 / (1024.0 * 1024.0),
+        ratio: compact as f64 / encoded as f64,
+    }
 }
 
 /// Peak build-side allocation of a streaming ingestion, in MiB.
@@ -345,15 +350,13 @@ fn scaling_algorithms() -> Vec<Algorithm> {
 /// `cfg.shards` set (`--shards` / `PGC_SHARDS`), the workloads are built
 /// as [`pgc_graph::ShardedCsr`]s and the generic `run()` registry loops
 /// color them through the three-segment (halo-below / local /
-/// halo-above) neighbor walk — not the shard-parallel loops, which
-/// [`sharded_jp_scaling`] measures; with `cfg.compressed`
-/// (`--compressed` / `PGC_COMPRESSED`) they are built as
+/// halo-above) neighbor walk, as in [`sharded_jp_scaling`]; with
+/// `cfg.compressed` (`--compressed` / `PGC_COMPRESSED`) they are built as
 /// [`pgc_graph::CompressedCsr`]s and the same generic loops decode
 /// delta-varint blocks on the fly. The trailing
 /// `shards`/`halo_MiB`/`encoded_MiB`/`ratio` columns say which
 /// representation each row measured (sharding wins when both are set).
 pub fn fig2_strong(cfg: &ExpConfig) -> Table {
-    let params = cfg.params();
     let mut t = Table::new(&[
         "graph",
         "algorithm",
@@ -394,17 +397,11 @@ pub fn fig2_strong(cfg: &ExpConfig) -> Table {
                     .collect();
                 let (g, _) = pgc_graph::gen::generate_sharded_with_stats(&sg.spec, cfg.seed, &opts);
                 let halo_mib = g.halo_bytes() as f64 / (1024.0 * 1024.0);
-                strong_rows(
-                    &mut t,
-                    cfg,
-                    &params,
-                    sg.name,
-                    &g,
-                    &ingest_at,
-                    None,
-                    Some((s, halo_mib)),
-                    None,
-                );
+                let detail = LayoutDetail::Sharded {
+                    shards: s,
+                    halo_mib,
+                };
+                strong_rows(&mut t, cfg, sg.name, &g, &ingest_at, detail);
             }
             _ if cfg.compressed => {
                 let (g, _) = pgc_graph::gen::generate_compressed_with_stats(&sg.spec, cfg.seed);
@@ -420,18 +417,8 @@ pub fn fig2_strong(cfg: &ExpConfig) -> Table {
                         (threads, stats)
                     })
                     .collect();
-                let detail = compression_detail(&g);
-                strong_rows(
-                    &mut t,
-                    cfg,
-                    &params,
-                    sg.name,
-                    &g,
-                    &ingest_at,
-                    Some(load_ms),
-                    None,
-                    Some(detail),
-                );
+                let detail = compression_detail(&g, load_ms);
+                strong_rows(&mut t, cfg, sg.name, &g, &ingest_at, detail);
             }
             _ => {
                 let (g, _) = generate_with_stats(&sg.spec, cfg.seed);
@@ -446,40 +433,63 @@ pub fn fig2_strong(cfg: &ExpConfig) -> Table {
                         )
                     })
                     .collect();
-                strong_rows(
-                    &mut t,
-                    cfg,
-                    &params,
-                    sg.name,
-                    &g,
-                    &ingest_at,
-                    Some(load_ms),
-                    None,
-                    None,
-                );
+                let detail = LayoutDetail::Compact { load_ms };
+                strong_rows(&mut t, cfg, sg.name, &g, &ingest_at, detail);
             }
         }
     }
     t
 }
 
+/// What a fig2 row measured beyond the columns every layout has: the
+/// snapshot load time of a monolithic or compressed graph, the shard count
+/// and halo size of a sharded one, the arena size and ratio of a
+/// compressed one.
+#[derive(Clone, Copy)]
+enum LayoutDetail {
+    Compact {
+        load_ms: f64,
+    },
+    Sharded {
+        shards: usize,
+        halo_mib: f64,
+    },
+    Compressed {
+        load_ms: f64,
+        encoded_mib: f64,
+        ratio: f64,
+    },
+}
+
+impl LayoutDetail {
+    /// Fill the layout's columns of `rec`.
+    fn apply(self, rec: RunRecord) -> RunRecord {
+        match self {
+            LayoutDetail::Compact { load_ms } => rec.with_load_ms(load_ms),
+            LayoutDetail::Sharded { shards, halo_mib } => rec.with_shards(shards, halo_mib),
+            LayoutDetail::Compressed {
+                load_ms,
+                encoded_mib,
+                ratio,
+            } => rec
+                .with_load_ms(load_ms)
+                .with_compressed(encoded_mib, ratio),
+        }
+    }
+}
+
 /// The representation-generic inner sweep of [`fig2_strong`]: one row per
 /// algorithm × pool width over `g`, with the per-width ingest stats and
-/// the (monolithic-only) snapshot load time / (sharded-only) shard detail
-/// / (compressed-only) arena detail threaded into both the table and the
-/// run records.
-#[allow(clippy::too_many_arguments)]
+/// the layout's `detail` threaded into both the table and the run records.
 fn strong_rows<G: GraphView>(
     t: &mut Table,
     cfg: &ExpConfig,
-    params: &Params,
     name: &str,
     g: &G,
     ingest_at: &[(usize, BuildStats)],
-    load_ms: Option<f64>,
-    sharding: Option<(usize, f64)>,
-    compression: Option<(f64, f64)>,
+    detail: LayoutDetail,
 ) {
+    let params = &cfg.params();
     for algo in scaling_algorithms() {
         let (base, base_hist) = with_threads(1, || {
             best_of_with_latency(cfg.reps, || run(g, algo, params))
@@ -496,21 +506,14 @@ fn strong_rows<G: GraphView>(
             // The row's key width is the *requested* pool width of the
             // sweep; the record's derived columns carry everything the
             // table prints.
-            let mut rec = run_record("fig2-strong", name, &r)
-                .with_threads(threads)
-                .with_graph_size(g.n(), g.m())
-                .with_graph_mib(graph_mib(g))
-                .with_build(stats.ingest_ms(), build_peak_mib(&stats))
-                .with_latency(hist.summary());
-            if let Some(load_ms) = load_ms {
-                rec = rec.with_load_ms(load_ms);
-            }
-            if let Some((shards, halo_mib)) = sharding {
-                rec = rec.with_shards(shards, halo_mib);
-            }
-            if let Some((encoded_mib, ratio)) = compression {
-                rec = rec.with_compressed(encoded_mib, ratio);
-            }
+            let rec = detail.apply(
+                run_record("fig2-strong", name, &r)
+                    .with_threads(threads)
+                    .with_graph_size(g.n(), g.m())
+                    .with_graph_mib(graph_mib(g))
+                    .with_build(stats.ingest_ms(), build_peak_mib(&stats))
+                    .with_latency(hist.summary()),
+            );
             t.row(vec![
                 rec.graph.clone(),
                 rec.algorithm.clone(),
@@ -541,7 +544,6 @@ fn strong_rows<G: GraphView>(
 /// `shards`/`halo_MiB`/`encoded_MiB`/`ratio` columns say which
 /// representation the row measured (sharding wins when both are set).
 pub fn fig2_weak(cfg: &ExpConfig) -> Table {
-    let params = cfg.params();
     let scale = 12 + cfg.scale as u32 * 2;
     let mut t = Table::new(&[
         "edge_factor",
@@ -575,53 +577,25 @@ pub fn fig2_weak(cfg: &ExpConfig) -> Table {
                     pgc_graph::gen::generate_sharded_with_stats(&spec, cfg.seed, &opts)
                 });
                 let halo_mib = g.halo_bytes() as f64 / (1024.0 * 1024.0);
-                weak_rows(
-                    &mut t,
-                    cfg,
-                    &params,
-                    ef,
-                    threads,
-                    &g,
-                    stats,
-                    None,
-                    Some((s, halo_mib)),
-                    None,
-                );
+                let detail = LayoutDetail::Sharded {
+                    shards: s,
+                    halo_mib,
+                };
+                weak_rows(&mut t, cfg, ef, threads, &g, stats, detail);
             }
             _ if cfg.compressed => {
                 let (g, stats) = with_threads(threads, || {
                     pgc_graph::gen::generate_compressed_with_stats(&spec, cfg.seed)
                 });
                 let load_ms = compressed_snapshot_load_ms(&g, &format!("weak-ef{ef}"));
-                let detail = compression_detail(&g);
-                weak_rows(
-                    &mut t,
-                    cfg,
-                    &params,
-                    ef,
-                    threads,
-                    &g,
-                    stats,
-                    Some(load_ms),
-                    None,
-                    Some(detail),
-                );
+                let detail = compression_detail(&g, load_ms);
+                weak_rows(&mut t, cfg, ef, threads, &g, stats, detail);
             }
             _ => {
                 let (g, stats) = with_threads(threads, || generate_with_stats(&spec, cfg.seed));
                 let load_ms = snapshot_load_ms(&g, &format!("weak-ef{ef}"));
-                weak_rows(
-                    &mut t,
-                    cfg,
-                    &params,
-                    ef,
-                    threads,
-                    &g,
-                    stats,
-                    Some(load_ms),
-                    None,
-                    None,
-                );
+                let detail = LayoutDetail::Compact { load_ms };
+                weak_rows(&mut t, cfg, ef, threads, &g, stats, detail);
             }
         }
     }
@@ -630,38 +604,28 @@ pub fn fig2_weak(cfg: &ExpConfig) -> Table {
 
 /// The representation-generic inner loop of [`fig2_weak`]: one row per
 /// scaling algorithm over `g` at the row's pool width.
-#[allow(clippy::too_many_arguments)]
 fn weak_rows<G: GraphView>(
     t: &mut Table,
     cfg: &ExpConfig,
-    params: &Params,
     ef: usize,
     threads: usize,
     g: &G,
     stats: BuildStats,
-    load_ms: Option<f64>,
-    sharding: Option<(usize, f64)>,
-    compression: Option<(f64, f64)>,
+    detail: LayoutDetail,
 ) {
+    let params = &cfg.params();
     for algo in scaling_algorithms() {
         let (r, hist) = with_threads(threads, || {
             best_of_with_latency(cfg.reps, || run(g, algo, params))
         });
-        let mut rec = run_record("fig2-weak", &format!("kron-ef{ef}"), &r)
-            .with_threads(threads)
-            .with_graph_size(g.n(), g.m())
-            .with_graph_mib(graph_mib(g))
-            .with_build(stats.ingest_ms(), build_peak_mib(&stats))
-            .with_latency(hist.summary());
-        if let Some(load_ms) = load_ms {
-            rec = rec.with_load_ms(load_ms);
-        }
-        if let Some((shards, halo_mib)) = sharding {
-            rec = rec.with_shards(shards, halo_mib);
-        }
-        if let Some((encoded_mib, ratio)) = compression {
-            rec = rec.with_compressed(encoded_mib, ratio);
-        }
+        let rec = detail.apply(
+            run_record("fig2-weak", &format!("kron-ef{ef}"), &r)
+                .with_threads(threads)
+                .with_graph_size(g.n(), g.m())
+                .with_graph_mib(graph_mib(g))
+                .with_build(stats.ingest_ms(), build_peak_mib(&stats))
+                .with_latency(hist.summary()),
+        );
         t.row(vec![
             ef.to_string(),
             rec.threads.to_string(),
@@ -683,14 +647,14 @@ fn weak_rows<G: GraphView>(
     }
 }
 
-/// Strong-scaling sweep of the shard-parallel round loops themselves:
-/// the shard-grouped ADG peel (`adg_with_shards`) feeding the
-/// halo-exchange JP level loop (`jp_color_levels_sharded`) on a sharded
-/// h-bai proxy. `pgc check-scaling` gates this table alongside the
-/// monolithic one, so a regression in the sharded path fails CI even
-/// though the generic `run()` registry never dispatches to it.
+/// Strong-scaling sweep of JP-ADG on a sharded h-bai proxy: the same
+/// registry `run()` as the `--shards` fig2 rows, through the three-segment
+/// neighbor walk. `rounds` is the longest `Gρ` path of the ADG priority
+/// ([`pgc_core::jp::dag_longest_path`]), computed once outside the timed
+/// loop. `pgc check-scaling` gates this table alongside the monolithic one.
 pub fn sharded_jp_scaling(cfg: &ExpConfig) -> Table {
     let shards = cfg.shards.unwrap_or(4).max(2);
+    let params = cfg.params();
     let mut t = Table::new(&[
         "graph",
         "shards",
@@ -706,19 +670,15 @@ pub fn sharded_jp_scaling(cfg: &ExpConfig) -> Table {
         .expect("suite contains h-bai");
     let opts = pgc_graph::ShardOptions::resident(shards);
     let (g, _) = pgc_graph::gen::generate_sharded_with_stats(&sg.spec, cfg.seed, &opts);
-    let bounds = g.boundaries().to_vec();
-    let adg_opts = AdgOptions {
-        seed: cfg.seed,
-        ..AdgOptions::default()
-    };
-    let pipeline = || {
-        let ord = pgc_order::adg_with_shards(&g, &adg_opts, Some(&bounds));
-        pgc_core::jp::jp_color_levels_sharded(&g, &ord.rho, &bounds)
-    };
-    let ((base_colors, base_rounds), base_t) = with_threads(1, || timed_best(cfg.reps, pipeline));
+    let kind = Algorithm::JpAdg
+        .ordering_kind(&params)
+        .expect("JP ordering");
+    let rounds = pgc_core::jp::dag_longest_path(&g, &compute(&g, &kind, params.seed).rho);
+    let pipeline = || run(&g, Algorithm::JpAdg, &params).colors;
+    let (base_colors, base_t) = with_threads(1, || timed_best(cfg.reps, pipeline));
     for &threads in &cfg.threads {
-        let ((colors, rounds), dt) = if threads == 1 {
-            ((base_colors.clone(), base_rounds), base_t)
+        let (colors, dt) = if threads == 1 {
+            (base_colors.clone(), base_t)
         } else {
             with_threads(threads, || timed_best(cfg.reps, pipeline))
         };
@@ -960,21 +920,12 @@ pub fn table3(cfg: &ExpConfig) -> Table {
             let bound = quality_bound(algo, d, delta, &params);
             // Measured DAG depth, for the JP algorithms (whose depth is the
             // longest `Gρ` path): reuse the registry's ordering mapping.
-            let dag_path = match algo {
-                Algorithm::JpFf
-                | Algorithm::JpR
-                | Algorithm::JpLf
-                | Algorithm::JpLlf
-                | Algorithm::JpSl
-                | Algorithm::JpSll
-                | Algorithm::JpAsl
-                | Algorithm::JpAdg
-                | Algorithm::JpAdgM => {
-                    let kind = algo.ordering_kind(&params).expect("JP ordering");
-                    let ord = compute(&g, &kind, params.seed);
-                    pgc_core::jp::dag_longest_path(&g, &ord.rho).to_string()
-                }
-                _ => "-".to_string(),
+            let dag_path = if algo.is_jp() {
+                let kind = algo.ordering_kind(&params).expect("JP ordering");
+                let ord = compute(&g, &kind, params.seed);
+                pgc_core::jp::dag_longest_path(&g, &ord.rho).to_string()
+            } else {
+                "-".to_string()
             };
             t.row(vec![
                 sg.name.to_string(),

@@ -22,9 +22,9 @@
 //!   check        verify every proven color bound on the whole suite
 //!   check-scaling  strong-scaling regression gate: fail if the best
 //!                speedup_vs_1t at the widest pool stays below 1.2× on
-//!                either the generic fig2 sweep or the shard-parallel
-//!                ADG+JP pipeline (skipped, exit 0, when the machine
-//!                lacks the cores)
+//!                the generic fig2 sweep, JP-ADG on a sharded graph or
+//!                the fork-heavy join tree (skipped, exit 0, when the
+//!                machine lacks the cores)
 //!   all          everything above, in order
 //!   snapshot     convert a text graph to a binary .pgcs snapshot:
 //!                pgc snapshot <input> <output> [--weighted] [--compress]
@@ -57,8 +57,11 @@
 //!
 //! `--shards S` (or `PGC_SHARDS=S`, flag wins) builds the fig2 workloads
 //! as a vertex-range-sharded `ShardedCsr` with `S` shards instead of the
-//! monolithic CSR; the strong/weak tables then report the shard count and
-//! halo size per row, and the run report records carry `shards`/`halo_mib`.
+//! monolithic CSR; the registry algorithms color it through its
+//! three-segment neighbor walk, the strong/weak tables report the shard
+//! count and halo size per row, and the run report records carry
+//! `shards`/`halo_mib`. `check-scaling` shards its JP-ADG table into `S`
+//! (default 4) shards.
 //!
 //! `--compressed` (or `PGC_COMPRESSED=1`, flag wins) builds the fig2
 //! workloads as a delta-varint `CompressedCsr` instead; the tables then
@@ -241,7 +244,10 @@ fn snapshot_command(args: &[String]) -> ! {
                 _ => pgc_graph::io::read_edge_list_path(input)?,
             };
             let bytes = if compress {
-                pgc_graph::write_snapshot_compressed(&g, output)?
+                pgc_graph::write_compressed_snapshot(
+                    &pgc_graph::CompressedCsr::from_compact(&g),
+                    output,
+                )?
             } else {
                 pgc_graph::write_snapshot(&g, output)?
             };
@@ -436,13 +442,11 @@ fn run_command(command: &str, cfg: &exp::ExpConfig, csv: bool) -> i32 {
         "check-scaling" => {
             // Strong-scaling regression gate: on a machine with the cores
             // to show it, the best speedup_vs_1t at the widest pool must
-            // clear 1.2x — for the cache-aware round scheduling behind
-            // the generic fig2 sweep, for the shard-parallel ADG peel +
-            // halo-exchange JP pipeline (which the generic registry
-            // never dispatches to), and for a fork-heavy join tree that
-            // exercises the work-stealing scheduler itself. All three
-            // tables put threads at column 2 and speedup_vs_1t at
-            // column 4.
+            // clear 1.2x — for the generic fig2 sweep, for JP-ADG on a
+            // sharded graph (the registry's three-segment neighbor walk),
+            // and for a fork-heavy join tree that exercises the
+            // work-stealing scheduler itself. All three tables put
+            // threads at column 2 and speedup_vs_1t at column 4.
             let widest = cfg.threads.iter().copied().max().unwrap_or(1);
             let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
             if widest < 2 || cores < widest {
@@ -455,7 +459,7 @@ fn run_command(command: &str, cfg: &exp::ExpConfig, csv: bool) -> i32 {
             let gates = [
                 ("Fig. 2: strong scaling", exp::fig2_strong(cfg)),
                 (
-                    "Sharded ADG+JP strong scaling",
+                    "Sharded JP-ADG strong scaling",
                     exp::sharded_jp_scaling(cfg),
                 ),
                 // Fork-heavy gate: the work-stealing scheduler itself

@@ -37,7 +37,7 @@ use pgc_primitives::rng::random_permutation;
 use pgc_primitives::sort::{sort_pairs, SortAlgo};
 use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering as AtOrd};
+use std::sync::atomic::{AtomicU32, Ordering as AtOrd};
 
 /// How the removal threshold is chosen each iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -164,32 +164,10 @@ const ACTIVE: u32 = u32::MAX;
 ///
 /// Returns a total priority (rank in high bits, §V-B batch position or the
 /// random permutation in low bits) plus the level structure consumed by
-/// DEC-ADG.
+/// DEC-ADG. The UPDATE pass only issues commutative atomic decrements and
+/// single-writer stores, so the result does not depend on the schedule or
+/// the pool width.
 pub fn adg<G: GraphView>(g: &G, opts: &AdgOptions) -> VertexOrdering {
-    adg_with_shards(g, opts, None)
-}
-
-/// [`adg`] with an optional shard decomposition of the vertex space.
-///
-/// `shard_bounds` is the non-decreasing boundary array of a
-/// `pgc_graph::sharded::ShardedCsr` (`bounds[s]..bounds[s+1]` is shard `s`);
-/// when present, each pushed level's UPDATE pass peels the batch grouped by
-/// owning shard, with workers claiming chunks off a shared atomic frontier
-/// cursor. Grouping keeps each worker's neighbor scans inside one shard's
-/// local CSR + halo (instead of striding across every shard per rayon
-/// chunk), while the shared cursor keeps the schedule work-balanced when
-/// one shard dominates a batch. Pulled levels scan the remaining vertices,
-/// whose contiguity in the order carries no shard structure, so they run
-/// monolithic either way.
-///
-/// The result is **bit-identical** to [`adg`]: the UPDATE pass only issues
-/// commutative atomic decrements and single-writer stores, so batch scan
-/// order cannot affect `rho`, `levels`, or `pred_counts`.
-pub fn adg_with_shards<G: GraphView>(
-    g: &G,
-    opts: &AdgOptions,
-    shard_bounds: Option<&[u32]>,
-) -> VertexOrdering {
     assert!(opts.epsilon >= 0.0, "epsilon must be non-negative");
     let n = g.n();
     let mut rho = vec![0u64; n];
@@ -224,8 +202,9 @@ pub fn adg_with_shards<G: GraphView>(
     let mut index = 0usize;
     let mut offsets = vec![0usize];
     let mut level = 0u32;
-    let mut sum_deg: u64 = g.num_arcs() as u64; // Σ_U deg = 2m initially
-                                                // vol(U): Σ_U of the *original* degrees, for the push/pull choice.
+    // Σ_U deg = 2m initially.
+    let mut sum_deg: u64 = g.num_arcs() as u64;
+    // vol(U): Σ_U of the *original* degrees, for the push/pull choice.
     let mut vol_u: u64 = sum_deg;
     // Ranges of `order` holding pulled levels, whose fused counts are
     // filled in after the loop.
@@ -357,8 +336,6 @@ pub fn adg_with_shards<G: GraphView>(
                 }
             }
             rest.par_iter().map(|&v| peel.pull(g, v)).sum()
-        } else if let Some(bounds) = shard_bounds {
-            push_update_sharded(g, batch, bounds, &peel)
         } else {
             batch.par_iter().map(|&v| peel.push(g, v)).sum()
         };
@@ -457,56 +434,6 @@ impl Peel<'_> {
         }
         u64::from(removed)
     }
-}
-
-/// Chunk size workers claim off the shared frontier cursor in
-/// [`push_update_sharded`]. Big enough to amortize the `fetch_add`, small
-/// enough that an unlucky worker stuck with high-degree vertices doesn't
-/// serialize the tail of a batch.
-const PEEL_CLAIM: usize = 256;
-
-/// Shard-grouped push UPDATE (§V-E, CRCW arm) for [`adg_with_shards`].
-///
-/// The batch is regrouped so vertices of the same shard are contiguous,
-/// then workers drain it through a shared atomic frontier cursor in
-/// [`PEEL_CLAIM`]-sized claims. Every write is a commutative atomic
-/// decrement or a single-writer store, so any claim interleaving yields the
-/// same degrees and `pred` counts as the monolithic scan.
-fn push_update_sharded<G: GraphView>(g: &G, batch: &[u32], bounds: &[u32], peel: &Peel<'_>) -> u64 {
-    assert!(
-        bounds.len() >= 2 && bounds.windows(2).all(|w| w[0] <= w[1]),
-        "shard bounds must be non-decreasing with at least one shard"
-    );
-    let num_shards = bounds.len() - 1;
-    let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-    for &v in batch {
-        by_shard[bounds[1..].partition_point(|&b| b <= v)].push(v);
-    }
-    let grouped: Vec<u32> = by_shard.concat();
-
-    let cursor = AtomicUsize::new(0);
-    let total_cut = AtomicU64::new(0);
-    let workers = rayon::current_num_threads().max(1);
-    rayon::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| {
-                let _span = pgc_obs::span!("peel.shard");
-                let mut local_cut = 0u64;
-                loop {
-                    let start = cursor.fetch_add(PEEL_CLAIM, AtOrd::Relaxed);
-                    if start >= grouped.len() {
-                        break;
-                    }
-                    let end = (start + PEEL_CLAIM).min(grouped.len());
-                    for &v in &grouped[start..end] {
-                        local_cut += peel.push(g, v);
-                    }
-                }
-                total_cut.fetch_add(local_cut, AtOrd::Relaxed);
-            });
-        }
-    });
-    total_cut.load(AtOrd::Relaxed)
 }
 
 /// Stable in-place partition of `region` by `pred` (true-block first).
@@ -888,44 +815,6 @@ mod tests {
             },
         );
         assert!(ord.pred_counts.is_none());
-    }
-
-    #[test]
-    fn sharded_peel_bit_identical_to_monolithic() {
-        // The shard-grouped push UPDATE must not change a single bit of the
-        // ordering: rho, ranks, and fused pred counts all pinned, across
-        // shard layouts (including degenerate 1-shard and skewed cuts), both
-        // threshold rules, and forced push as well as the per-level choice.
-        let g = generate(
-            &GraphSpec::Rmat {
-                scale: 9,
-                edge_factor: 8,
-            },
-            11,
-        );
-        let n = g.n() as u32;
-        let push = AdgOptions {
-            update: UpdateStyle::Push,
-            ..Default::default()
-        };
-        for opts in [AdgOptions::default(), AdgOptions::median(), push] {
-            let base = adg(&g, &opts);
-            let base_levels = base.levels.as_ref().unwrap();
-            for bounds in [
-                vec![0, n],
-                vec![0, n / 2, n],
-                vec![0, n / 4, n / 2, 3 * n / 4, n],
-                vec![0, 1, n / 3, n],
-            ] {
-                let sharded = adg_with_shards(&g, &opts, Some(&bounds));
-                assert_eq!(sharded.rho, base.rho, "{bounds:?} {opts:?}");
-                assert_eq!(sharded.pred_counts, base.pred_counts, "{bounds:?}");
-                let levels = sharded.levels.as_ref().unwrap();
-                assert_eq!(levels.rank, base_levels.rank, "{bounds:?}");
-                assert_eq!(levels.seq, base_levels.seq, "{bounds:?}");
-                assert_eq!(levels.offsets, base_levels.offsets, "{bounds:?}");
-            }
-        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod sll;
 
 use pgc_graph::{GraphView, InducedView};
 
-pub use adg::{adg, adg_with_shards, AdgOptions, ThresholdRule, UpdateStyle};
+pub use adg::{adg, AdgOptions, ThresholdRule, UpdateStyle};
 pub use pgc_primitives::sort::SortAlgo;
 use pgc_primitives::{hash_mix, FixedBitmap};
 

@@ -203,7 +203,7 @@ fn v2_snapshot_round_trips_and_rejects_corruption() {
         3,
     );
     let path = temp_path("v2");
-    pgc::graph::write_snapshot_compressed(&g, &path).unwrap();
+    pgc::graph::write_compressed_snapshot(&CompressedCsr::from_compact(&g), &path).unwrap();
 
     // Transparent load back to raw arrays…
     let back = pgc::graph::load_snapshot(&path).unwrap();

@@ -10,10 +10,10 @@
 //!    degenerate 1-shard split.
 //! 2. **Algorithm transparency** — all coloring algorithms produce
 //!    bit-identical colorings on a `ShardedCsr` vs the `CompactCsr`.
-//!    Sharding is a layout detail, never a semantic change. The
-//!    shard-parallel JP level loop likewise reproduces the monolithic
-//!    loop's coloring at 1/2/4 shards (thread widths are covered by the
-//!    CI `PGC_THREADS` matrix running this whole file).
+//!    Sharding is a layout detail, never a semantic change. JP-ADG and
+//!    the longest `Gρ` path likewise match the monolithic graph's at
+//!    1/2/4 shards (thread widths are covered by the CI `PGC_THREADS`
+//!    matrix running this whole file).
 //! 3. **Spill fidelity** — spill-mode builds (per-shard `.pgcs`
 //!    snapshots, mmap-reopened) serve the same graph as resident builds,
 //!    and their `build_bytes_peak` is a true high-water mark across the
@@ -129,9 +129,9 @@ fn all_algorithms_bit_identical_on_sharded_graph() {
     }
 }
 
-/// Contract 2: the shard-parallel JP level loop (halo color-exchange
-/// barrier between rounds) reproduces the asynchronous JP engine's
-/// colors, in as many rounds as `Gρ` has levels, at 1/2/4 shards. Thread
+/// Contract 2: JP-ADG through the registry colors the sharded graph like
+/// the monolithic one, and the longest `Gρ` path — the round count of a
+/// level-by-level schedule — is the same on both, at 1/2/4 shards. Thread
 /// widths come from the CI `PGC_THREADS` matrix.
 #[test]
 fn sharded_jp_rounds_bit_identical_at_1_2_4_shards() {
@@ -139,18 +139,19 @@ fn sharded_jp_rounds_bit_identical_at_1_2_4_shards() {
         scale: 10,
         edge_factor: 8,
     };
+    let params = Params::default();
     let (mono, _) = generate_with_stats(&spec, 21);
     let ord = adg(&mono, &AdgOptions::default());
-    let base_colors = pgc::color::jp::jp_color(&mono, &ord.rho);
+    let base_colors = run(&mono, Algorithm::JpAdg, &params).colors;
     let base_rounds = pgc::color::jp::dag_longest_path(&mono, &ord.rho);
     for shards in [1usize, 2, 4] {
         let (sharded, _) = generate_sharded_with_stats(&spec, 21, &ShardOptions::resident(shards));
-        let bounds = sharded.boundaries().to_vec();
-        let (colors, rounds) = pgc::color::jp::jp_color_levels_sharded(&sharded, &ord.rho, &bounds);
+        let colors = run(&sharded, Algorithm::JpAdg, &params).colors;
         assert_eq!(
             colors, base_colors,
-            "sharded JP diverges at {shards} shard(s)"
+            "sharded JP-ADG diverges at {shards} shard(s)"
         );
+        let rounds = pgc::color::jp::dag_longest_path(&sharded, &ord.rho);
         assert_eq!(rounds, base_rounds, "round count at {shards} shard(s)");
     }
 }

@@ -19,9 +19,8 @@ use pgc::graph::builder::{from_edges, from_weighted_edges};
 use pgc::graph::gen::{generate, GraphSpec, SpecSource};
 use pgc::graph::snapshot::{
     inspect_snapshot, is_snapshot, load_compressed_snapshot, load_snapshot, load_snapshot_bytes,
-    load_weighted_snapshot_bytes, write_compressed_snapshot_to, write_snapshot,
-    write_snapshot_compressed, write_snapshot_to, write_weighted_snapshot_to, MappedSnapshot,
-    SNAPSHOT_EXT,
+    load_weighted_snapshot_bytes, write_compressed_snapshot, write_compressed_snapshot_to,
+    write_snapshot, write_snapshot_to, write_weighted_snapshot_to, MappedSnapshot, SNAPSHOT_EXT,
 };
 use pgc::graph::stream::{build_compact_with_offset_limit, build_weighted_with_offset_limit};
 use pgc::graph::{CompactCsr, CompressedCsr, GraphView, WeightedView};
@@ -215,7 +214,9 @@ fn wide_offsets_survive_v1_and_v2_snapshots() {
     type Write = fn(&CompactCsr, &Path) -> std::io::Result<u64>;
     for (version, write) in [
         (1u16, write_snapshot as Write),
-        (2, write_snapshot_compressed),
+        (2, |g, path| {
+            write_compressed_snapshot(&CompressedCsr::from_compact(g), path)
+        }),
     ] {
         with_temp_path(&format!("wide-v{version}"), |path| {
             write(&wide, path).unwrap();

@@ -101,14 +101,14 @@ fn colorings_are_identical_across_widths() {
 }
 
 /// Oracle for the JP engines: JP with a fixed ρ is the sequential greedy
-/// pass over decreasing ρ, whatever the schedule. Every engine entry point
-/// — async, async with the ADG-fused predecessor counts, and
-/// level-synchronous — must reproduce `greedy_by_priority` exactly, on
-/// both adjacency representations and at every width.
+/// pass over decreasing ρ, whatever the schedule. Both engine entry points
+/// — with its own predecessor counts and with the ADG-fused ones — must
+/// reproduce `greedy_by_priority` exactly, on both adjacency
+/// representations and at every width.
 #[test]
 fn jp_engines_equal_sequential_greedy_by_priority() {
     use pgc::color::greedy::greedy_by_priority;
-    use pgc::color::jp::{jp_color, jp_color_levels, jp_color_with_counts};
+    use pgc::color::jp::{jp_color, jp_color_with_counts};
     use pgc::graph::{CompressedCsr, GraphView};
     use pgc::order::{compute, AdgOptions, OrderingKind};
 
@@ -126,8 +126,6 @@ fn jp_engines_equal_sequential_greedy_by_priority() {
                     let c = jp_color_with_counts(g, &ord.rho, counts);
                     assert_eq!(c, oracle, "{ctx}: jp_color_with_counts");
                 }
-                let (c, _) = jp_color_levels(g, &ord.rho);
-                assert_eq!(c, oracle, "{ctx}: jp_color_levels");
             });
         }
     }
