@@ -320,7 +320,6 @@ mod tests {
         // deg_ℓ(v) obeys the §IV-B bound ⌈2(1+ε/12)·d⌉. The arrays do not
         // depend on the host representation.
         use pgc_graph::gen::SpecSource;
-        use pgc_graph::sharded::{build_sharded, ShardOptions};
         use pgc_graph::stream::build_compact_with_offset_limit;
         use pgc_graph::CompressedCsr;
         let spec = GraphSpec::BarabasiAlbert { n: 1000, attach: 7 };
@@ -355,8 +354,6 @@ mod tests {
         assert_eq!(ConstraintAdjacency::build(&wide, &rank), adj);
         let compressed = CompressedCsr::from_compact(&g);
         assert_eq!(ConstraintAdjacency::build(&compressed, &rank), adj);
-        let sharded = build_sharded(&src, &ShardOptions::resident(3)).unwrap();
-        assert_eq!(ConstraintAdjacency::build(&sharded, &rank), adj);
     }
 
     #[test]

@@ -50,20 +50,6 @@ impl Offsets {
         }
     }
 
-    /// Keep the first `len` offsets and release the rest.
-    pub(crate) fn truncate(&mut self, len: usize) {
-        match self {
-            Offsets::Small(o) => {
-                o.truncate(len);
-                o.shrink_to_fit();
-            }
-            Offsets::Wide(o) => {
-                o.truncate(len);
-                o.shrink_to_fit();
-            }
-        }
-    }
-
     pub(crate) fn width(&self) -> usize {
         match self {
             Offsets::Small(_) => std::mem::size_of::<u32>(),

@@ -8,8 +8,7 @@
 //! packed deltas, ~½–¼ the raw `u32` bytes on the harness's generator
 //! families — and serves the full [`GraphView`] / [`WeightedView`]
 //! contract through a chunked-decode neighbor iterator, so all 21
-//! coloring algorithms, the mining workloads, and both sharded round
-//! loops run on it unchanged.
+//! coloring algorithms and the mining workloads run on it unchanged.
 //!
 //! Layout:
 //!

@@ -280,19 +280,6 @@ pub fn generate_with_stats(spec: &GraphSpec, seed: u64) -> (CompactCsr, BuildSta
         .expect("generator replay cannot fail")
 }
 
-/// [`generate`] through the shard-aware builder (the harness's
-/// `--shards N` path): the same seeded topology, split into arc-balanced
-/// vertex-range shards. The returned stats' `build_bytes_peak` is the
-/// per-shard high-water mark, not a sum.
-pub fn generate_sharded_with_stats(
-    spec: &GraphSpec,
-    seed: u64,
-    opts: &crate::sharded::ShardOptions,
-) -> (crate::sharded::ShardedCsr, BuildStats) {
-    crate::sharded::build_sharded_with_stats(&SpecSource::new(spec.clone(), seed), opts)
-        .expect("generator replay cannot fail")
-}
-
 /// [`generate`] into the delta-varint representation (the harness's
 /// `--compressed` path): build the compact graph through the streaming
 /// engine, then encode it, charging the converter's transient

@@ -17,8 +17,6 @@
 //! * [`weighted`] — [`WeightedCsr`], the weights-augmented default:
 //!   struct-of-arrays (a `CompactCsr` plus one neighbor-parallel weights
 //!   array), so unweighted traversals never touch weight bytes,
-//! * [`sharded`] — [`ShardedCsr`], arc-balanced vertex-range shards plus
-//!   a halo of cross-shard arcs, composed behind the same views,
 //! * [`induced`] — [`InducedView`], a zero-copy induced-subgraph view
 //!   (vertex mask + remap) over any other view,
 //! * [`stream`] — the [`EdgeSource`] trait (re-playable chunked arc
@@ -44,6 +42,8 @@
 //!   last (SL) removal order via linear-time bucket peeling (Matula–Beck),
 //!   the ground truth against which ADG's approximation is validated.
 
+#![warn(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 pub mod builder;
 pub mod compact;
 pub mod compressed;
@@ -52,7 +52,6 @@ pub mod degeneracy;
 pub mod gen;
 pub mod induced;
 pub mod io;
-pub mod sharded;
 pub mod snapshot;
 pub mod stream;
 pub mod transform;
@@ -65,10 +64,6 @@ pub use compact::{CompactCsr, Offsets};
 pub use compressed::CompressedCsr;
 pub use degeneracy::{degeneracy, DegeneracyInfo};
 pub use induced::InducedView;
-pub use sharded::{
-    build_sharded, build_sharded_weighted, build_sharded_weighted_with_stats,
-    build_sharded_with_stats, ShardOptions, ShardedCsr,
-};
 pub use snapshot::{
     inspect_snapshot, load_compressed_snapshot, load_snapshot, load_weighted_snapshot,
     write_compressed_snapshot, write_snapshot, write_weighted_snapshot, MappedSnapshot,

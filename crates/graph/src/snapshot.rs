@@ -992,8 +992,11 @@ pub(crate) mod mm {
         len: usize,
     }
 
-    // SAFETY: the mapping is PROT_READ and never mutated.
+    // SAFETY: the mapping is PROT_READ and never mutated, and `munmap`
+    // on drop may run on any thread.
     unsafe impl Send for Mapping {}
+    // SAFETY: every access through a shared `Mapping` is a read of
+    // memory that nothing writes.
     unsafe impl Sync for Mapping {}
 
     impl Mapping {
@@ -1163,6 +1166,7 @@ impl<W: EdgeWeight> MappedSnapshot<W> {
             };
             o[i] as usize
         } else {
+            // SAFETY: section bounds checked at open; base is 8-aligned.
             let o = unsafe {
                 std::slice::from_raw_parts(
                     bytes.as_ptr().add(self.off_start) as *const u64,
@@ -1188,7 +1192,8 @@ impl<W: EdgeWeight> MappedSnapshot<W> {
 
     fn weight_array(&self) -> &[W] {
         if W::IS_UNIT {
-            // A ZST slice needs no storage.
+            // SAFETY: `W` is zero-sized, so a dangling, well-aligned
+            // pointer is a valid slice of any length.
             return unsafe {
                 std::slice::from_raw_parts(std::ptr::NonNull::dangling().as_ptr(), self.num_arcs)
             };
@@ -1204,14 +1209,6 @@ impl<W: EdgeWeight> MappedSnapshot<W> {
     #[inline]
     pub fn neighbor_slice(&self, v: u32) -> &[u32] {
         &self.neighbor_array()[self.offset(v as usize)..self.offset(v as usize + 1)]
-    }
-
-    /// Weight slice parallel to [`neighbor_slice`](Self::neighbor_slice)
-    /// (a dangling-but-valid ZST slice for the unit payload). Used by the
-    /// sharded layer to serve spilled shards without re-materializing.
-    #[inline]
-    pub(crate) fn weight_slice(&self, v: u32) -> &[W] {
-        &self.weight_array()[self.offset(v as usize)..self.offset(v as usize + 1)]
     }
 
     /// Copy into an owned [`CompactCsr`] (e.g. to outlive the file).

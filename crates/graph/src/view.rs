@@ -122,9 +122,9 @@ impl GraphMemory {
     /// representation's traversal: offsets + raw neighbors + encoded
     /// neighbors (whether heap-owned or `mmap`-served) + auxiliary
     /// structures — everything except the edge payload. This is the
-    /// number the harness prints as `graph_MiB`, so compact, compressed
-    /// (including snapshot-loaded zero-copy arenas), and sharded rows
-    /// are comparable.
+    /// number the harness prints as `graph_MiB`, so compact and
+    /// compressed rows (including snapshot-loaded zero-copy arenas) are
+    /// comparable.
     pub fn structural_bytes(&self) -> usize {
         self.offset_bytes() + self.neighbor_bytes() + self.encoded_len() + self.aux_bytes
     }
@@ -150,7 +150,6 @@ impl GraphMemory {
 /// Implementations: [`crate::CompactCsr`] (the default; 4-byte offsets
 /// when `2m < u32::MAX`, machine-word offsets otherwise),
 /// [`crate::CompressedCsr`] (delta-varint block-encoded adjacencies),
-/// [`crate::ShardedCsr`] (vertex-range shards plus a cross-shard halo),
 /// [`crate::WeightedCsr`] (a `CompactCsr` plus a weights array),
 /// [`crate::MappedSnapshot`] (zero-copy over an `mmap`ed snapshot) and
 /// [`crate::InducedView`] (zero-copy induced subgraph of any other

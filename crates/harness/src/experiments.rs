@@ -25,15 +25,10 @@ pub struct ExpConfig {
     pub reps: usize,
     /// Thread counts for the scaling experiments.
     pub threads: Vec<usize>,
-    /// Build the fig2 workloads as a [`pgc_graph::ShardedCsr`] with this
-    /// many vertex-range shards (`--shards` / `PGC_SHARDS`); `None` keeps
-    /// the monolithic [`CompactCsr`].
-    pub shards: Option<usize>,
     /// Build the fig2 workloads as a [`pgc_graph::CompressedCsr`]
     /// (`--compressed` / `PGC_COMPRESSED`): delta-varint block-encoded
-    /// adjacencies, measured through the same generic round loops. When
-    /// both are requested, sharding takes precedence (the sharded layer
-    /// has no compressed arena yet).
+    /// adjacencies, measured through the same generic round loops, instead
+    /// of the default [`CompactCsr`].
     pub compressed: bool,
 }
 
@@ -44,7 +39,6 @@ impl Default for ExpConfig {
             seed: 0xC0FFEE,
             reps: 3,
             threads: vec![1, 2, 4, 8],
-            shards: None,
             compressed: false,
         }
     }
@@ -73,12 +67,6 @@ impl ExpConfig {
     fn with_overrides(mut self, var: impl Fn(&str) -> Option<String>) -> Self {
         if let Some(list) = var("PGC_THREADS").and_then(|s| parse_thread_list(&s)) {
             self.threads = list;
-        }
-        if let Some(s) = var("PGC_SHARDS")
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&s| s > 0)
-        {
-            self.shards = Some(s);
         }
         if let Some(v) = var("PGC_COMPRESSED") {
             let v = v.trim();
@@ -347,15 +335,10 @@ fn scaling_algorithms() -> Vec<Algorithm> {
 /// Fig. 2 (middle/right): strong scaling on the h-bai and s-pok proxies.
 /// Each row reports its speedup over the single-thread baseline of the
 /// same (graph, algorithm) pair — the paper's scaling axis. With
-/// `cfg.shards` set (`--shards` / `PGC_SHARDS`), the workloads are built
-/// as [`pgc_graph::ShardedCsr`]s and the generic `run()` registry loops
-/// color them through the three-segment (halo-below / local /
-/// halo-above) neighbor walk, as in [`sharded_jp_scaling`]; with
-/// `cfg.compressed` (`--compressed` / `PGC_COMPRESSED`) they are built as
-/// [`pgc_graph::CompressedCsr`]s and the same generic loops decode
-/// delta-varint blocks on the fly. The trailing
-/// `shards`/`halo_MiB`/`encoded_MiB`/`ratio` columns say which
-/// representation each row measured (sharding wins when both are set).
+/// `cfg.compressed` (`--compressed` / `PGC_COMPRESSED`) the workloads are
+/// built as [`pgc_graph::CompressedCsr`]s and the generic `run()` registry
+/// loops decode delta-varint blocks on the fly; the trailing
+/// `encoded_MiB`/`ratio` columns are filled only then.
 pub fn fig2_strong(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(&[
         "graph",
@@ -368,8 +351,6 @@ pub fn fig2_strong(cfg: &ExpConfig) -> Table {
         "ingest_ms",
         "load_ms",
         "build_peak_MiB",
-        "shards",
-        "halo_MiB",
         "encoded_MiB",
         "ratio",
     ]);
@@ -381,78 +362,49 @@ pub fn fig2_strong(cfg: &ExpConfig) -> Table {
         // streaming build once per pool width so each row's ingest_ms
         // was actually produced at that row's thread count (generation
         // is deterministic, so the graph itself is unchanged).
-        match cfg.shards {
-            Some(s) if s > 1 => {
-                let opts = pgc_graph::ShardOptions::resident(s);
-                let ingest_at: Vec<(usize, BuildStats)> = cfg
-                    .threads
-                    .iter()
-                    .map(|&threads| {
-                        let stats = with_threads(threads, || {
-                            pgc_graph::gen::generate_sharded_with_stats(&sg.spec, cfg.seed, &opts)
-                        })
-                        .1;
-                        (threads, stats)
+        if cfg.compressed {
+            let (g, _) = pgc_graph::gen::generate_compressed_with_stats(&sg.spec, cfg.seed);
+            let load_ms = compressed_snapshot_load_ms(&g, sg.name);
+            let ingest_at: Vec<(usize, BuildStats)> = cfg
+                .threads
+                .iter()
+                .map(|&threads| {
+                    let stats = with_threads(threads, || {
+                        pgc_graph::gen::generate_compressed_with_stats(&sg.spec, cfg.seed)
                     })
-                    .collect();
-                let (g, _) = pgc_graph::gen::generate_sharded_with_stats(&sg.spec, cfg.seed, &opts);
-                let halo_mib = g.halo_bytes() as f64 / (1024.0 * 1024.0);
-                let detail = LayoutDetail::Sharded {
-                    shards: s,
-                    halo_mib,
-                };
-                strong_rows(&mut t, cfg, sg.name, &g, &ingest_at, detail);
-            }
-            _ if cfg.compressed => {
-                let (g, _) = pgc_graph::gen::generate_compressed_with_stats(&sg.spec, cfg.seed);
-                let load_ms = compressed_snapshot_load_ms(&g, sg.name);
-                let ingest_at: Vec<(usize, BuildStats)> = cfg
-                    .threads
-                    .iter()
-                    .map(|&threads| {
-                        let stats = with_threads(threads, || {
-                            pgc_graph::gen::generate_compressed_with_stats(&sg.spec, cfg.seed)
-                        })
-                        .1;
-                        (threads, stats)
-                    })
-                    .collect();
-                let detail = compression_detail(&g, load_ms);
-                strong_rows(&mut t, cfg, sg.name, &g, &ingest_at, detail);
-            }
-            _ => {
-                let (g, _) = generate_with_stats(&sg.spec, cfg.seed);
-                let load_ms = snapshot_load_ms(&g, sg.name);
-                let ingest_at: Vec<(usize, BuildStats)> = cfg
-                    .threads
-                    .iter()
-                    .map(|&threads| {
-                        (
-                            threads,
-                            with_threads(threads, || generate_with_stats(&sg.spec, cfg.seed)).1,
-                        )
-                    })
-                    .collect();
-                let detail = LayoutDetail::Compact { load_ms };
-                strong_rows(&mut t, cfg, sg.name, &g, &ingest_at, detail);
-            }
+                    .1;
+                    (threads, stats)
+                })
+                .collect();
+            let detail = compression_detail(&g, load_ms);
+            strong_rows(&mut t, cfg, sg.name, &g, &ingest_at, detail);
+        } else {
+            let (g, _) = generate_with_stats(&sg.spec, cfg.seed);
+            let load_ms = snapshot_load_ms(&g, sg.name);
+            let ingest_at: Vec<(usize, BuildStats)> = cfg
+                .threads
+                .iter()
+                .map(|&threads| {
+                    (
+                        threads,
+                        with_threads(threads, || generate_with_stats(&sg.spec, cfg.seed)).1,
+                    )
+                })
+                .collect();
+            let detail = LayoutDetail::Compact { load_ms };
+            strong_rows(&mut t, cfg, sg.name, &g, &ingest_at, detail);
         }
     }
     t
 }
 
 /// What a fig2 row measured beyond the columns every layout has: the
-/// snapshot load time of a monolithic or compressed graph, the shard count
-/// and halo size of a sharded one, the arena size and ratio of a
-/// compressed one.
+/// snapshot load time, plus the arena size and ratio of a compressed
+/// graph.
 #[derive(Clone, Copy)]
 enum LayoutDetail {
     Compact {
         load_ms: f64,
-    },
-    Sharded {
-        shards: usize,
-        halo_mib: f64,
     },
     Compressed {
         load_ms: f64,
@@ -466,7 +418,6 @@ impl LayoutDetail {
     fn apply(self, rec: RunRecord) -> RunRecord {
         match self {
             LayoutDetail::Compact { load_ms } => rec.with_load_ms(load_ms),
-            LayoutDetail::Sharded { shards, halo_mib } => rec.with_shards(shards, halo_mib),
             LayoutDetail::Compressed {
                 load_ms,
                 encoded_mib,
@@ -525,8 +476,6 @@ fn strong_rows<G: GraphView>(
                 fmt_opt(rec.ingest_ms),
                 fmt_opt(rec.load_ms),
                 fmt_opt(rec.build_peak_mib),
-                rec.shards.map_or_else(|| "1".into(), |s| s.to_string()),
-                fmt_opt(rec.halo_mib),
                 fmt_opt(rec.encoded_mib),
                 fmt_opt(rec.compress_ratio),
             ]);
@@ -536,13 +485,10 @@ fn strong_rows<G: GraphView>(
 }
 
 /// Fig. 2 (left): weak scaling on Kronecker graphs — edges/vertex grows
-/// with the thread count ("1+1 … 32+32" in the paper). With `cfg.shards`
-/// set, each Kronecker workload is built as a [`pgc_graph::ShardedCsr`]
-/// and colored by the generic `run()` registry loops over its
-/// three-segment neighbor walk (as in [`fig2_strong`]); with
-/// `cfg.compressed`, as a [`pgc_graph::CompressedCsr`]. The trailing
-/// `shards`/`halo_MiB`/`encoded_MiB`/`ratio` columns say which
-/// representation the row measured (sharding wins when both are set).
+/// with the thread count ("1+1 … 32+32" in the paper). With
+/// `cfg.compressed`, each Kronecker workload is built as a
+/// [`pgc_graph::CompressedCsr`] and the trailing `encoded_MiB`/`ratio`
+/// columns are filled (as in [`fig2_strong`]).
 pub fn fig2_weak(cfg: &ExpConfig) -> Table {
     let scale = 12 + cfg.scale as u32 * 2;
     let mut t = Table::new(&[
@@ -557,8 +503,6 @@ pub fn fig2_weak(cfg: &ExpConfig) -> Table {
         "algorithm",
         "total_ms",
         "colors",
-        "shards",
-        "halo_MiB",
         "encoded_MiB",
         "ratio",
     ]);
@@ -570,33 +514,18 @@ pub fn fig2_weak(cfg: &ExpConfig) -> Table {
         // Ingest at the row's width too: weak scaling is about growing
         // the workload with the threads, and the streaming build is part
         // of the measured pipeline.
-        match cfg.shards {
-            Some(s) if s > 1 => {
-                let opts = pgc_graph::ShardOptions::resident(s);
-                let (g, stats) = with_threads(threads, || {
-                    pgc_graph::gen::generate_sharded_with_stats(&spec, cfg.seed, &opts)
-                });
-                let halo_mib = g.halo_bytes() as f64 / (1024.0 * 1024.0);
-                let detail = LayoutDetail::Sharded {
-                    shards: s,
-                    halo_mib,
-                };
-                weak_rows(&mut t, cfg, ef, threads, &g, stats, detail);
-            }
-            _ if cfg.compressed => {
-                let (g, stats) = with_threads(threads, || {
-                    pgc_graph::gen::generate_compressed_with_stats(&spec, cfg.seed)
-                });
-                let load_ms = compressed_snapshot_load_ms(&g, &format!("weak-ef{ef}"));
-                let detail = compression_detail(&g, load_ms);
-                weak_rows(&mut t, cfg, ef, threads, &g, stats, detail);
-            }
-            _ => {
-                let (g, stats) = with_threads(threads, || generate_with_stats(&spec, cfg.seed));
-                let load_ms = snapshot_load_ms(&g, &format!("weak-ef{ef}"));
-                let detail = LayoutDetail::Compact { load_ms };
-                weak_rows(&mut t, cfg, ef, threads, &g, stats, detail);
-            }
+        if cfg.compressed {
+            let (g, stats) = with_threads(threads, || {
+                pgc_graph::gen::generate_compressed_with_stats(&spec, cfg.seed)
+            });
+            let load_ms = compressed_snapshot_load_ms(&g, &format!("weak-ef{ef}"));
+            let detail = compression_detail(&g, load_ms);
+            weak_rows(&mut t, cfg, ef, threads, &g, stats, detail);
+        } else {
+            let (g, stats) = with_threads(threads, || generate_with_stats(&spec, cfg.seed));
+            let load_ms = snapshot_load_ms(&g, &format!("weak-ef{ef}"));
+            let detail = LayoutDetail::Compact { load_ms };
+            weak_rows(&mut t, cfg, ef, threads, &g, stats, detail);
         }
     }
     t
@@ -638,67 +567,11 @@ fn weak_rows<G: GraphView>(
             rec.algorithm.clone(),
             format!("{:.2}", rec.total_ms),
             rec.colors.to_string(),
-            rec.shards.map_or_else(|| "1".into(), |s| s.to_string()),
-            fmt_opt(rec.halo_mib),
             fmt_opt(rec.encoded_mib),
             fmt_opt(rec.compress_ratio),
         ]);
         crate::report::record(rec);
     }
-}
-
-/// Strong-scaling sweep of JP-ADG on a sharded h-bai proxy: the same
-/// registry `run()` as the `--shards` fig2 rows, through the three-segment
-/// neighbor walk. `rounds` is the longest `Gρ` path of the ADG priority
-/// ([`pgc_core::jp::dag_longest_path`]), computed once outside the timed
-/// loop. `pgc check-scaling` gates this table alongside the monolithic one.
-pub fn sharded_jp_scaling(cfg: &ExpConfig) -> Table {
-    let shards = cfg.shards.unwrap_or(4).max(2);
-    let params = cfg.params();
-    let mut t = Table::new(&[
-        "graph",
-        "shards",
-        "threads",
-        "total_ms",
-        "speedup_vs_1t",
-        "colors",
-        "rounds",
-    ]);
-    let sg = suite(cfg.scale)
-        .into_iter()
-        .find(|sg| sg.name == "h-bai")
-        .expect("suite contains h-bai");
-    let opts = pgc_graph::ShardOptions::resident(shards);
-    let (g, _) = pgc_graph::gen::generate_sharded_with_stats(&sg.spec, cfg.seed, &opts);
-    let kind = Algorithm::JpAdg
-        .ordering_kind(&params)
-        .expect("JP ordering");
-    let rounds = pgc_core::jp::dag_longest_path(&g, &compute(&g, &kind, params.seed).rho);
-    let pipeline = || run(&g, Algorithm::JpAdg, &params).colors;
-    let (base_colors, base_t) = with_threads(1, || timed_best(cfg.reps, pipeline));
-    for &threads in &cfg.threads {
-        let (colors, dt) = if threads == 1 {
-            (base_colors.clone(), base_t)
-        } else {
-            with_threads(threads, || timed_best(cfg.reps, pipeline))
-        };
-        assert_eq!(
-            colors, base_colors,
-            "sharded JP coloring must be pool-width-invariant"
-        );
-        let speedup = base_t.as_secs_f64() / dt.as_secs_f64().max(1e-9);
-        let num_colors = colors.iter().copied().max().map_or(0, |c| c + 1);
-        t.row(vec![
-            sg.name.to_string(),
-            shards.to_string(),
-            threads.to_string(),
-            ms(dt),
-            format!("{speedup:.2}"),
-            num_colors.to_string(),
-            rounds.to_string(),
-        ]);
-    }
-    t
 }
 
 // ---------------------------------------------------------------------
@@ -1215,49 +1088,19 @@ mod tests {
             seed: 1,
             reps: 1,
             threads: vec![1, 2],
-            shards: None,
             compressed: false,
         }
     }
 
     #[test]
-    fn fig2_strong_sharded_reports_shard_columns() {
-        let cfg = ExpConfig {
-            shards: Some(2),
-            ..smoke_cfg()
-        };
-        let t = fig2_strong(&cfg);
-        assert!(!t.rows.is_empty());
-        let shards_at = t.header.iter().position(|h| h == "shards").unwrap();
-        let halo_at = t.header.iter().position(|h| h == "halo_MiB").unwrap();
-        for row in &t.rows {
-            assert_eq!(row[shards_at], "2", "{row:?}");
-            let halo: f64 = row[halo_at].parse().unwrap();
-            assert!(halo >= 0.0, "{row:?}");
-            let speedup: f64 = row[4].parse().unwrap();
-            assert!(speedup > 0.0, "{row:?}");
-        }
-        // The monolithic table reports shards=1 and no halo.
-        let mono = fig2_strong(&smoke_cfg());
-        assert_eq!(mono.rows[0][shards_at], "1");
-        assert_eq!(mono.rows[0][halo_at], "-");
-    }
-
-    #[test]
-    fn sharded_jp_scaling_gate_shape() {
-        let t = sharded_jp_scaling(&smoke_cfg());
-        // main.rs parses threads at column 2 and speedup at column 4;
-        // pin that contract here.
+    fn fork_heavy_gate_reads_threads_and_speedup_columns() {
+        // `pgc check-scaling` parses threads at column 2 and speedup at
+        // column 4 of both gated tables (fig2's is pinned in
+        // `fig2_strong_reports_speedups`).
+        let t = fork_heavy_scaling(&smoke_cfg());
         assert_eq!(t.header[2], "threads");
         assert_eq!(t.header[4], "speedup_vs_1t");
         assert_eq!(t.rows.len(), smoke_cfg().threads.len());
-        for row in &t.rows {
-            assert_eq!(row[1], "4", "defaults to 4 shards: {row:?}");
-            let speedup: f64 = row[4].parse().unwrap();
-            assert!(speedup > 0.0, "{row:?}");
-            let colors: u32 = row[5].parse().unwrap();
-            assert!(colors > 0, "{row:?}");
-        }
     }
 
     #[test]
@@ -1288,16 +1131,6 @@ mod tests {
         let mono = fig2_strong(&smoke_cfg());
         assert_eq!(mono.rows[0][enc_at], "-");
         assert_eq!(mono.rows[0][ratio_at], "-");
-        // Sharding takes precedence over --compressed.
-        let both = ExpConfig {
-            shards: Some(2),
-            compressed: true,
-            ..smoke_cfg()
-        };
-        let t2 = fig2_strong(&both);
-        let shards_at = t2.header.iter().position(|h| h == "shards").unwrap();
-        assert_eq!(t2.rows[0][shards_at], "2");
-        assert_eq!(t2.rows[0][enc_at], "-");
     }
 
     #[test]
@@ -1326,23 +1159,18 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_pick_up_threads_and_shards() {
+    fn env_overrides_pick_up_threads() {
         let cfg = ExpConfig::default().with_overrides(|k| match k {
             "PGC_THREADS" => Some("1,2,8".into()),
-            "PGC_SHARDS" => Some("4".into()),
             _ => None,
         });
         assert_eq!(cfg.threads, vec![1, 2, 8]);
-        assert_eq!(cfg.shards, Some(4));
-        // Malformed values leave the defaults untouched.
-        let dflt = ExpConfig::default();
+        // A malformed value leaves the default untouched.
         let cfg = ExpConfig::default().with_overrides(|k| match k {
             "PGC_THREADS" => Some("2,x".into()),
-            "PGC_SHARDS" => Some("0".into()),
             _ => None,
         });
-        assert_eq!(cfg.threads, dflt.threads);
-        assert_eq!(cfg.shards, dflt.shards);
+        assert_eq!(cfg.threads, ExpConfig::default().threads);
     }
 
     #[test]
@@ -1358,6 +1186,8 @@ mod tests {
     fn fig2_strong_reports_speedups() {
         let t = fig2_strong(&smoke_cfg());
         assert!(!t.rows.is_empty());
+        assert_eq!(t.header[2], "threads", "check-scaling reads column 2");
+        assert_eq!(t.header[4], "speedup_vs_1t", "check-scaling reads column 4");
         for row in &t.rows {
             let speedup: f64 = row[4].parse().unwrap();
             assert!(speedup > 0.0, "{row:?}");

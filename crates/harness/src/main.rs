@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pgc <command> [--scale 0|1|2] [--seed N] [--reps R] [--threads T[,T..]]
-//!               [--shards S] [--compressed] [--csv] [--trace <file.json>]
+//!               [--compressed] [--csv] [--trace <file.json>]
 //!               [--report <file.jsonl>]
 //!
 //! commands:
@@ -22,9 +22,8 @@
 //!   check        verify every proven color bound on the whole suite
 //!   check-scaling  strong-scaling regression gate: fail if the best
 //!                speedup_vs_1t at the widest pool stays below 1.2× on
-//!                the generic fig2 sweep, JP-ADG on a sharded graph or
-//!                the fork-heavy join tree (skipped, exit 0, when the
-//!                machine lacks the cores)
+//!                the generic fig2 sweep or the fork-heavy join tree
+//!                (skipped, exit 0, when the machine lacks the cores)
 //!   all          everything above, in order
 //!   snapshot     convert a text graph to a binary .pgcs snapshot:
 //!                pgc snapshot <input> <output> [--weighted] [--compress]
@@ -55,19 +54,10 @@
 //! comma-separated list. A single-integer `PGC_THREADS` additionally sets
 //! the default pool width for every other command (see `pgc-par`).
 //!
-//! `--shards S` (or `PGC_SHARDS=S`, flag wins) builds the fig2 workloads
-//! as a vertex-range-sharded `ShardedCsr` with `S` shards instead of the
-//! monolithic CSR; the registry algorithms color it through its
-//! three-segment neighbor walk, the strong/weak tables report the shard
-//! count and halo size per row, and the run report records carry
-//! `shards`/`halo_mib`. `check-scaling` shards its JP-ADG table into `S`
-//! (default 4) shards.
-//!
 //! `--compressed` (or `PGC_COMPRESSED=1`, flag wins) builds the fig2
 //! workloads as a delta-varint `CompressedCsr` instead; the tables then
 //! fill the trailing `encoded_MiB`/`ratio` columns and the run records
-//! carry `encoded_mib`/`compress_ratio`. `--shards` takes precedence when
-//! both are given.
+//! carry `encoded_mib`/`compress_ratio`.
 
 use pgc_harness::experiments as exp;
 use pgc_harness::report as rep;
@@ -76,7 +66,7 @@ use pgc_harness::table::Table;
 fn usage() -> ! {
     eprintln!(
         "usage: pgc <fig1|fig2-strong|fig2-weak|fig3|fig4|fig5|table2|table3|ablations|mining|weighted|colorsum|fork-heavy|check|check-scaling|all> \
-         [--scale 0|1|2] [--seed N] [--reps R] [--threads T[,T..]] [--shards S] [--compressed] [--csv] [--trace FILE.json] [--report FILE.jsonl]\n\
+         [--scale 0|1|2] [--seed N] [--reps R] [--threads T[,T..]] [--compressed] [--csv] [--trace FILE.json] [--report FILE.jsonl]\n\
          \x20      pgc snapshot <input> <output> [--weighted] [--compress]\n\
          \x20      pgc snapshot <file.pgcs> --info\n\
          \x20      pgc report <a.jsonl> [b.jsonl] [--csv]"
@@ -326,15 +316,6 @@ fn main() {
                     .unwrap_or_else(|| usage());
                 i += 2;
             }
-            "--shards" => {
-                cfg.shards = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&s| s > 0)
-                    .map(Some)
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
             "--compressed" => {
                 cfg.compressed = true;
                 i += 1;
@@ -442,11 +423,10 @@ fn run_command(command: &str, cfg: &exp::ExpConfig, csv: bool) -> i32 {
         "check-scaling" => {
             // Strong-scaling regression gate: on a machine with the cores
             // to show it, the best speedup_vs_1t at the widest pool must
-            // clear 1.2x — for the generic fig2 sweep, for JP-ADG on a
-            // sharded graph (the registry's three-segment neighbor walk),
-            // and for a fork-heavy join tree that exercises the
-            // work-stealing scheduler itself. All three tables put
-            // threads at column 2 and speedup_vs_1t at column 4.
+            // clear 1.2x — for the generic fig2 sweep and for a fork-heavy
+            // join tree that exercises the work-stealing scheduler itself.
+            // Both tables put threads at column 2 and speedup_vs_1t at
+            // column 4.
             let widest = cfg.threads.iter().copied().max().unwrap_or(1);
             let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
             if widest < 2 || cores < widest {
@@ -458,10 +438,6 @@ fn run_command(command: &str, cfg: &exp::ExpConfig, csv: bool) -> i32 {
             }
             let gates = [
                 ("Fig. 2: strong scaling", exp::fig2_strong(cfg)),
-                (
-                    "Sharded JP-ADG strong scaling",
-                    exp::sharded_jp_scaling(cfg),
-                ),
                 // Fork-heavy gate: the work-stealing scheduler itself
                 // (dense join tree, uneven leaves), not a flat loop.
                 ("Fork-heavy scheduler scaling", exp::fork_heavy_scaling(cfg)),

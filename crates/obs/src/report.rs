@@ -78,12 +78,6 @@ pub struct RunRecord {
     pub graph_mib: Option<f64>,
     /// Peak transient build memory (MiB), when measured.
     pub build_peak_mib: Option<f64>,
-    /// Vertex-range shards the graph was built into, when the run used the
-    /// sharded representation (`pgc --shards N`).
-    pub shards: Option<usize>,
-    /// Cross-shard halo footprint (MiB), when the run used the sharded
-    /// representation.
-    pub halo_mib: Option<f64>,
     /// Encoded neighbor-arena footprint (MiB), when the run used the
     /// compressed representation (`pgc --compressed`).
     pub encoded_mib: Option<f64>,
@@ -166,14 +160,6 @@ impl RunRecord {
         self
     }
 
-    /// Attach the sharded-representation detail (shard count + halo MiB).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize, halo_mib: f64) -> Self {
-        self.shards = Some(shards);
-        self.halo_mib = Some(halo_mib);
-        self
-    }
-
     /// Attach the compressed-representation detail (encoded arena MiB +
     /// compact÷encoded neighbor-byte ratio).
     #[must_use]
@@ -226,8 +212,6 @@ impl RunRecord {
         opt("load_ms", self.load_ms);
         opt("graph_mib", self.graph_mib);
         opt("build_peak_mib", self.build_peak_mib);
-        opt("shards", self.shards.map(|s| s as f64));
-        opt("halo_mib", self.halo_mib);
         opt("encoded_mib", self.encoded_mib);
         opt("compress_ratio", self.compress_ratio);
         if let Some(l) = &self.latency_us {
@@ -295,8 +279,6 @@ impl RunRecord {
             load_ms: f("load_ms"),
             graph_mib: f("graph_mib"),
             build_peak_mib: f("build_peak_mib"),
-            shards: u("shards").map(|s| s as usize),
-            halo_mib: f("halo_mib"),
             encoded_mib: f("encoded_mib"),
             compress_ratio: f("compress_ratio"),
             latency_us,
@@ -352,7 +334,6 @@ mod tests {
             .with_build(250.0, 96.5)
             .with_load_ms(7.5)
             .with_graph_mib(48.25)
-            .with_shards(4, 1.5)
             .with_compressed(21.75, 2.22)
             .with_latency(HistogramSummary {
                 count: 5,
@@ -385,6 +366,42 @@ mod tests {
         let text = to_jsonl(&records);
         assert_eq!(text.lines().count(), 2);
         assert_eq!(parse_jsonl(&text).unwrap(), records);
+    }
+
+    #[test]
+    fn lines_with_retired_keys_still_parse() {
+        // A line as `pgc --report` wrote it before two optional keys were
+        // retired. Unknown keys are skipped, so old reports still load and
+        // diff; a fresh line carries every kept key and neither retired one.
+        const OLD: &str = r#"{"schema":"pgc-report-v1","experiment":"fig2-strong","graph":"s-pok","algorithm":"JP-ADG","threads":1,"n":5000,"m":49487,"order_ms":1.75,"color_ms":1.75,"total_ms":3.5,"rounds":7,"conflicts":0,"colors":11,"ingest_ms":8.25,"graph_mib":0.4375,"build_peak_mib":1.125,"shards":2,"halo_mib":0.25,"latency_us":{"count":1,"p50":3538,"p90":3538,"p99":3538,"max":3538,"mean":3538}}"#;
+        let want = RunRecord::new("fig2-strong", "s-pok", "JP-ADG")
+            .with_threads(1)
+            .with_graph_size(5000, 49487)
+            .with_times(1.75, 1.75)
+            .with_quality(11, 7, 0)
+            .with_build(8.25, 1.125)
+            .with_graph_mib(0.4375)
+            .with_latency(HistogramSummary {
+                count: 1,
+                p50: 3538,
+                p90: 3538,
+                p99: 3538,
+                max: 3538,
+                mean: 3538.0,
+            });
+        assert_eq!(parse_jsonl(OLD).unwrap(), vec![want.clone()]);
+        let keys = |line: &str| -> Vec<String> {
+            let doc = Json::parse(line).unwrap();
+            doc.as_obj()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        let (old, fresh) = (keys(OLD), keys(&want.to_json()));
+        let retired: Vec<&String> = old.iter().filter(|k| !fresh.contains(k)).collect();
+        assert_eq!(retired.len(), 2, "{retired:?}");
+        assert!(fresh.iter().all(|k| old.contains(k)), "{fresh:?}");
     }
 
     #[test]

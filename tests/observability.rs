@@ -8,7 +8,6 @@ use parallel_graph_coloring as pgc;
 use pgc::color::{run, Algorithm, Params};
 use pgc::graph::gen::{generate, GraphSpec, SpecSource};
 use pgc::graph::stream::build_compact;
-use pgc::graph::{build_sharded, ShardOptions};
 use pgc::obs::json::Json;
 use pgc::obs::report::RunRecord;
 use pgc::obs::LogHistogram;
@@ -166,9 +165,8 @@ fn harness_records_round_trip_through_jsonl() {
     );
 }
 
-/// A monolithic build emits exactly one `ingest.count`, one
-/// `ingest.scatter` and one `ingest.sort` span; a 3-shard build one
-/// `ingest.scatter` per shard. Both graphs span several scatter buckets.
+/// A build emits exactly one `ingest.count`, one `ingest.scatter` and one
+/// `ingest.sort` span. The graph spans several scatter buckets.
 #[test]
 fn builds_emit_one_span_per_ingest_pass() {
     let _recording = recording();
@@ -181,17 +179,13 @@ fn builds_emit_one_span_per_ingest_pass() {
     );
     pgc::obs::session_begin();
     build_compact(&src).unwrap();
-    let mono = pgc::obs::session_end();
-    pgc::obs::session_begin();
-    build_sharded(&src, &ShardOptions::resident(3)).unwrap();
-    let sharded = pgc::obs::session_end();
+    let trace = pgc::obs::session_end();
     if pgc::obs::CAPTURE {
         for name in ["ingest.count", "ingest.scatter", "ingest.sort"] {
-            assert_eq!(mono.span_count(name), 1, "monolithic {name}");
+            assert_eq!(trace.span_count(name), 1, "{name}");
         }
-        assert_eq!(sharded.span_count("ingest.scatter"), 3, "one per shard");
     } else {
-        assert!(mono.events.is_empty() && sharded.events.is_empty());
+        assert!(trace.events.is_empty());
     }
 }
 

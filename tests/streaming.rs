@@ -28,20 +28,20 @@
 //! 7. partitioned parallel builds equal a build from the same stream
 //!    replayed sequentially, at several pool widths.
 //!
-//! and the sharded builder, which runs every shard through the same
-//! engine, two more:
+//! and the engine's cost and hub handling two more:
 //!
-//! 8. a sharded build costs exactly `S + 2` full replays of its source,
+//! 8. a build costs exactly two full replays of its source, on the
+//!    partitioned and the one-part path alike,
 //! 9. a weighted hub row long enough for the parallel sort, with
-//!    duplicate pairs of different weights, shards exactly like the
-//!    monolithic build, resident and spilled.
+//!    duplicate pairs of different weights, equals the arc-list oracle,
+//!    the max weight kept per arc.
 //!
 //! and the staged scatter, whose runs are bucketed by 4,096 rows, one
 //! more:
 //!
 //! 10. graphs spanning several buckets equal the arc-list oracle on every
-//!     build path — partitioned, sequential, one-part, buffered weighted,
-//!     forced-wide and sharded — at several pool widths.
+//!     build path — partitioned, sequential, one-part, buffered weighted
+//!     and forced-wide — at several pool widths.
 
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, verify, Algorithm, Params};
@@ -51,10 +51,7 @@ use pgc::graph::stream::{
     build_compact, build_compact_with_offset_limit, build_compact_with_stats, build_weighted,
     build_weighted_with_offset_limit, ChunkFn, EdgeSource,
 };
-use pgc::graph::{
-    build_sharded, build_sharded_weighted, CompactCsr, EdgeListBuilder, EdgeWeight, GraphView,
-    ShardOptions, ShardedCsr, WeightedCsr, WeightedView,
-};
+use pgc::graph::{CompactCsr, EdgeListBuilder, EdgeWeight, GraphView, WeightedCsr};
 use pgc_harness::experiments::with_threads;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -483,11 +480,10 @@ impl<S: EdgeSource> EdgeSource for Counting<'_, S> {
     }
 }
 
-/// (8) A sharded build replays its source `S + 2` times — global count,
-/// intra/halo split, one scatter per shard — on the partitioned and the
-/// sequential replay path alike, and the monolithic build twice.
+/// (8) A build replays its source exactly twice — one count, one
+/// scatter — on the partitioned and the sequential replay path alike.
 #[test]
-fn sharded_build_makes_s_plus_two_replays() {
+fn build_makes_exactly_two_replays() {
     let er = SpecSource::new(
         GraphSpec::ErdosRenyi {
             n: 3_000,
@@ -509,73 +505,47 @@ fn sharded_build_makes_s_plus_two_replays() {
             replays: AtomicUsize::new(0),
         };
         build_compact(&counted).unwrap();
-        assert_eq!(counted.replays.swap(0, Ordering::Relaxed), 2, "monolithic");
-        for s in [1, 3, 7] {
-            build_sharded(&counted, &ShardOptions::resident(s)).unwrap();
-            assert_eq!(counted.replays.swap(0, Ordering::Relaxed), s + 2, "S = {s}");
-        }
+        assert_eq!(counted.replays.load(Ordering::Relaxed), 2);
     }
 }
 
-/// Every vertex's weighted adjacency, degree and the degree extremes of
-/// `g` equal the monolithic build's.
-fn assert_sharded_equals(g: &ShardedCsr<f32>, mono: &WeightedCsr<f32>, what: &str) {
-    assert_eq!(g.n(), mono.n(), "{what}");
-    assert_eq!(g.num_arcs(), mono.num_arcs(), "{what}");
-    assert_eq!(g.max_degree(), mono.max_degree(), "{what}");
-    assert_eq!(g.min_degree(), mono.min_degree(), "{what}");
-    for v in mono.vertices() {
-        assert_eq!(
-            g.weighted_neighbors(v).collect::<Vec<_>>(),
-            mono.weighted_neighbors(v).collect::<Vec<_>>(),
-            "{what}: weighted adjacency of {v}"
-        );
-    }
-}
-
-/// (9) One hub adjacent to every other vertex (degree > 16,384, the
-/// parallel-sort threshold, in its local or halo row at every S) plus a
-/// ring, both with duplicate pairs of different weights: each sharded
-/// build keeps the max weight per arc and equals the monolithic build.
-#[test]
-fn weighted_hub_rows_shard_like_the_monolithic_build() {
-    let n = 40_000u32;
-    let mut b = EdgeListBuilder::<f32>::with_capacity(n as usize, 3 * n as usize);
-    b.extend_weighted_edges((1..n).map(|v| (0, v, (v % 97) as f32)));
-    b.extend_weighted_edges((1..n).step_by(3).map(|v| (v, 0, (v % 89) as f32 + 0.5)));
-    b.extend_weighted_edges((1..n).map(|v| (v, v % (n - 1) + 1, (v % 13) as f32)));
-    b.extend_weighted_edges((1..n).step_by(5).map(|v| (v % (n - 1) + 1, v, 20.0)));
-    let mono: WeightedCsr<f32> = build_weighted(&b).unwrap();
-    assert!(mono.max_degree() as usize > 1 << 14);
-    assert_eq!(
-        mono.edge_weight(4, 0),
-        Some(4.5),
-        "the larger duplicate wins"
-    );
-    let dir = std::env::temp_dir().join(format!("pgc-hub-shards-{}", std::process::id()));
-    for s in [1, 2, 3] {
-        let g = build_sharded_weighted(&b, &ShardOptions::resident(s)).unwrap();
-        assert_sharded_equals(&g, &mono, &format!("resident S = {s}"));
-        let g = build_sharded_weighted(&b, &ShardOptions::spilling(s, &dir)).unwrap();
-        assert!((0..s).all(|i| g.is_spilled(i)));
-        assert_sharded_equals(&g, &mono, &format!("spilled S = {s}"));
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Every weight of `g`, in CSR order.
+/// Every weight of `g`, in CSR order./// Every weight of `g`, in CSR order.
 fn csr_weights(g: &WeightedCsr<f32>) -> Vec<f32> {
     g.vertices()
         .flat_map(|v| g.neighbor_weights(v).iter().copied())
         .collect()
 }
 
+/// (9) One hub adjacent to every other vertex (degree > 16,384, the
+/// parallel-sort threshold) plus a ring, both with duplicate pairs of
+/// different weights: the build keeps the max weight per arc and equals
+/// the arc-list oracle at widths 1, 2 and 4.
+#[test]
+fn weighted_hub_rows_equal_arc_list_oracle() {
+    let n = 40_000u32;
+    let mut edges: Vec<(u32, u32, f32)> = (1..n).map(|v| (0, v, (v % 97) as f32)).collect();
+    edges.extend((1..n).step_by(3).map(|v| (v, 0, (v % 89) as f32 + 0.5)));
+    edges.extend((1..n).map(|v| (v, v % (n - 1) + 1, (v % 13) as f32)));
+    edges.extend((1..n).step_by(5).map(|v| (v % (n - 1) + 1, v, 20.0)));
+    let mut b = EdgeListBuilder::<f32>::with_capacity(n as usize, edges.len());
+    b.extend_weighted_edges(edges.iter().copied());
+    let pairs: Vec<(u32, u32)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
+    let (offsets, neighbors) = reference_arrays(n as usize, &pairs);
+    let weights = reference_weights(&edges);
+    for t in [1, 2, 4] {
+        let g: WeightedCsr<f32> = with_threads(t, || build_weighted(&b).unwrap());
+        assert!(g.max_degree() as usize > 1 << 14);
+        assert_eq!(g.edge_weight(4, 0), Some(4.5), "the larger duplicate wins");
+        assert_arrays_match(g.structure(), &offsets, &neighbors);
+        assert_eq!(csr_weights(&g), weights, "weights at width {t}");
+    }
+}
+
 /// (10) Graphs spanning several scatter buckets (4,096 rows each) equal
 /// the arc-list oracle at widths 1, 2 and 4: R-MAT 14/8 on the
 /// partitioned and the sequential replay, BA 20k/5 on the one-part
 /// replay, a buffered weighted list with self-loops and duplicate pairs
-/// of different weights (the max wins), the forced-wide offsets, and
-/// three resident shards.
+/// of different weights (the max wins), and the forced-wide offsets.
 #[test]
 fn multi_bucket_builds_equal_arc_list_oracle() {
     let rmat = SpecSource::new(
@@ -648,13 +618,6 @@ fn multi_bucket_builds_equal_arc_list_oracle() {
                     "R-MAT wide",
                     &rmat_ref,
                 ),
-                (
-                    build_sharded(&rmat, &ShardOptions::resident(3))
-                        .unwrap()
-                        .to_compact(),
-                    "R-MAT 3 shards",
-                    &rmat_ref,
-                ),
                 (build_compact(&ba).unwrap(), "BA one part", &ba_ref),
             ] {
                 assert_eq!(&csr_offsets(&g), offsets, "{what} offsets at width {t}");
@@ -670,8 +633,6 @@ fn multi_bucket_builds_equal_arc_list_oracle() {
                 assert_arrays_match(g.structure(), &list_offsets, &list_neighbors);
                 assert_eq!(csr_weights(g), list_weights, "{what} weights at width {t}");
             }
-            let sharded = build_sharded_weighted(&list, &ShardOptions::resident(3)).unwrap();
-            assert_sharded_equals(&sharded, &mono, &format!("list 3 shards at width {t}"));
         });
     }
 }
