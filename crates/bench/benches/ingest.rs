@@ -32,7 +32,7 @@ fn ingest(c: &mut Criterion) {
             edge_factor: 8,
         };
         let src = SpecSource::new(spec.clone(), 1);
-        let raw = EdgeSource::<()>::edge_hint(&src).expect("generator hints are exact");
+        let raw = src.edge_hint().expect("generator hints are exact");
         group.throughput(Throughput::Elements(raw as u64));
 
         group.bench_function(BenchmarkId::new("streaming", scale), |b| {
@@ -74,7 +74,7 @@ struct Sequential<'a>(&'a SpecSource);
 
 impl EdgeSource for Sequential<'_> {
     fn num_vertices(&self) -> usize {
-        EdgeSource::<()>::num_vertices(self.0)
+        self.0.num_vertices()
     }
 
     fn replay(&self, emit: &mut ChunkFn<'_>) -> std::io::Result<()> {
@@ -95,7 +95,7 @@ fn ingest_partitioned(c: &mut Criterion) {
         edge_factor: 16,
     };
     let src = SpecSource::new(spec, 1);
-    let raw = EdgeSource::<()>::edge_hint(&src).expect("generator hints are exact");
+    let raw = src.edge_hint().expect("generator hints are exact");
     group.throughput(Throughput::Elements(raw as u64));
     group.bench_function("replay/sequential", |b| {
         b.iter(|| {
@@ -105,7 +105,7 @@ fn ingest_partitioned(c: &mut Criterion) {
             black_box(pairs)
         })
     });
-    let parts = EdgeSource::<()>::parts(&src).min(4 * pgc_par::current_width());
+    let parts = src.parts().min(4 * pgc_par::current_width());
     group.bench_function("replay/partitioned", |b| {
         b.iter(|| {
             pgc_par::map_reduce_chunks(
@@ -157,7 +157,7 @@ fn ingest_scatter(c: &mut Criterion) {
     let mut widths = vec![1, pgc_par::default_width()];
     widths.dedup();
     for (name, src) in [("rmat-16-16", &rmat), ("ba-100k-10", &ba)] {
-        let raw = EdgeSource::<()>::edge_hint(src).expect("generator hints are exact");
+        let raw = src.edge_hint().expect("generator hints are exact");
         group.throughput(Throughput::Elements(raw as u64));
         for &width in &widths {
             group.bench_function(BenchmarkId::new(name, format!("w{width}")), |b| {
@@ -265,7 +265,7 @@ fn ingest_snapshot(c: &mut Criterion) {
     group.bench_function("snapshot-mmap-open", |b| {
         b.iter(|| {
             black_box(
-                pgc_graph::snapshot::MappedSnapshot::<()>::open(&path)
+                pgc_graph::snapshot::MappedSnapshot::open(&path)
                     .unwrap()
                     .num_arcs(),
             )

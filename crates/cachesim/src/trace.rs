@@ -515,7 +515,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.pgcs");
         pgc_graph::write_compressed_snapshot(&z, &path).unwrap();
-        let m = pgc_graph::load_compressed_snapshot::<()>(&path).unwrap();
+        let m = pgc_graph::load_compressed_snapshot(&path).unwrap();
         let fp = m.memory_footprint();
         assert_eq!(fp.encoded_bytes, 0, "mapped arena owns no heap bytes");
         assert_eq!(fp.encoded_len(), z.encoded_bytes());

@@ -1,42 +1,33 @@
-//! Buffered edge-list → CSR construction, generic over the edge payload.
+//! Buffered edge-list → CSR construction.
 //!
 //! Accepts arbitrary (possibly duplicated, self-looped, one-directional)
 //! edge lists and produces a clean undirected simple graph: self-loops
 //! dropped, both arc directions materialized, neighbor lists sorted and
-//! deduplicated (duplicate weights merged by max). [`EdgeListBuilder`] is
-//! the trivial *buffered* [`EdgeSource`]: it holds the raw edges in
-//! memory and replays them as slices, so [`EdgeListBuilder::build`] runs
-//! the same two-pass streaming engine ([`crate::stream`]) as every
-//! generator and reader — one construction engine, no drift. The payload
-//! parameter `W` defaults to `()` (unweighted; the weights buffer is
-//! zero-sized and free); any other [`EdgeWeight`] makes
-//! [`EdgeListBuilder::build_weighted`] produce a
-//! [`WeightedCsr`]. Producers that can re-derive their edges (seeded
-//! generators, file scans) should implement [`EdgeSource`] directly and
-//! skip the buffer entirely.
+//! deduplicated. [`EdgeListBuilder`] is the trivial *buffered*
+//! [`EdgeSource`]: it holds the raw edges in memory and replays them as
+//! slices, so [`EdgeListBuilder::build`] runs the same two-pass streaming
+//! engine ([`crate::stream`]) as every generator and reader — one
+//! construction engine, no drift. Producers that can re-derive their
+//! edges (seeded generators, file scans) should implement [`EdgeSource`]
+//! directly and skip the buffer entirely.
 
 use crate::compact::CompactCsr;
 use crate::stream::{self, ChunkFn, EdgeSource, CHUNK_EDGES};
-use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
 
-/// Accumulates raw (optionally weighted) edges and builds a
-/// [`CompactCsr`] or [`WeightedCsr`] through the streaming two-pass
-/// engine.
+/// Accumulates raw edges and builds a [`CompactCsr`] through the
+/// streaming two-pass engine.
 #[derive(Clone, Debug)]
-pub struct EdgeListBuilder<W: EdgeWeight = ()> {
+pub struct EdgeListBuilder {
     n: usize,
     edges: Vec<(u32, u32)>,
-    weights: Vec<W>,
 }
 
-impl<W: EdgeWeight> EdgeListBuilder<W> {
+impl EdgeListBuilder {
     /// A builder for a graph on `n` vertices (ids `0..n`).
     pub fn new(n: usize) -> Self {
         Self {
             n,
             edges: Vec::new(),
-            weights: Vec::new(),
         }
     }
 
@@ -45,7 +36,6 @@ impl<W: EdgeWeight> EdgeListBuilder<W> {
         Self {
             n,
             edges: Vec::with_capacity(m),
-            weights: Vec::with_capacity(m),
         }
     }
 
@@ -59,9 +49,8 @@ impl<W: EdgeWeight> EdgeListBuilder<W> {
         self.edges.is_empty()
     }
 
-    /// Add an undirected weighted edge `{u, v}` with payload `w`.
-    /// Self-loops and duplicates are tolerated here and removed by the
-    /// build (duplicates keep the max weight).
+    /// Add an undirected edge `{u, v}`. Self-loops and duplicates are
+    /// tolerated here and removed by [`Self::build`].
     ///
     /// # Panics
     ///
@@ -69,43 +58,13 @@ impl<W: EdgeWeight> EdgeListBuilder<W> {
     /// `n` for id-*discovering* sources; this builder declared its vertex
     /// count, so an out-of-range id is a caller bug, not discovery.)
     #[inline]
-    pub fn add_weighted_edge(&mut self, u: u32, v: u32, w: W) {
+    pub fn add_edge(&mut self, u: u32, v: u32) {
         assert!(
             (u as usize) < self.n && (v as usize) < self.n,
             "edge ({u}, {v}) out of range for n = {}",
             self.n
         );
         self.edges.push((u, v));
-        self.weights.push(w);
-    }
-
-    /// Bulk-add weighted edges. Reserves from the iterator's size hint
-    /// first, like [`Self::extend_edges`]. Panics on out-of-range ids.
-    pub fn extend_weighted_edges(&mut self, it: impl IntoIterator<Item = (u32, u32, W)>) {
-        let it = it.into_iter();
-        let (lo, _) = it.size_hint();
-        self.edges.reserve(lo);
-        self.weights.reserve(lo);
-        for (u, v, w) in it {
-            self.add_weighted_edge(u, v, w);
-        }
-    }
-
-    /// Build a [`WeightedCsr`]: symmetrize, drop self-loops, sort with
-    /// weights co-permuted, merge duplicates by max weight; offsets
-    /// narrowed to `u32` when `2m < u32::MAX`.
-    pub fn build_weighted(self) -> WeightedCsr<W> {
-        stream::build_weighted(&self).expect("in-memory replay cannot fail")
-    }
-}
-
-impl EdgeListBuilder {
-    /// Add an undirected edge `{u, v}` (unit payload). Self-loops and
-    /// duplicates are tolerated here and removed by [`Self::build`].
-    /// Panics on out-of-range ids like [`Self::add_weighted_edge`].
-    #[inline]
-    pub fn add_edge(&mut self, u: u32, v: u32) {
-        self.add_weighted_edge(u, v, ());
     }
 
     /// Bulk-add edges. Reserves from the iterator's size hint first, so a
@@ -128,12 +87,11 @@ impl EdgeListBuilder {
     }
 }
 
-/// The trivial buffered source: replays the in-memory edge list (and its
-/// lock-step weights buffer) as zero-copy chunk slices, partitioned by
-/// slice ranges (every id was checked against `n` on insertion). Kept so
-/// the push-style builder API rides the same construction engine as the
-/// true streaming producers.
-impl<W: EdgeWeight> EdgeSource<W> for EdgeListBuilder<W> {
+/// The trivial buffered source: replays the in-memory edge list as
+/// zero-copy chunk slices, partitioned by slice ranges (every id was
+/// checked against `n` on insertion). Kept so the push-style builder API
+/// rides the same construction engine as the true streaming producers.
+impl EdgeSource for EdgeListBuilder {
     fn num_vertices(&self) -> usize {
         self.n
     }
@@ -144,10 +102,9 @@ impl<W: EdgeWeight> EdgeSource<W> for EdgeListBuilder<W> {
 
     fn buffered_bytes(&self) -> usize {
         self.edges.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.weights.capacity() * std::mem::size_of::<W>()
     }
 
-    fn replay(&self, emit: &mut ChunkFn<'_, W>) -> std::io::Result<()> {
+    fn replay(&self, emit: &mut ChunkFn<'_>) -> std::io::Result<()> {
         self.replay_part(0, 1, emit)
     }
 
@@ -159,14 +116,11 @@ impl<W: EdgeWeight> EdgeSource<W> for EdgeListBuilder<W> {
         &self,
         part: usize,
         parts: usize,
-        emit: &mut ChunkFn<'_, W>,
+        emit: &mut ChunkFn<'_>,
     ) -> std::io::Result<()> {
         let r = stream::part_range(self.edges.len(), part, parts);
-        for (chunk, wchunk) in self.edges[r.clone()]
-            .chunks(CHUNK_EDGES)
-            .zip(self.weights[r].chunks(CHUNK_EDGES))
-        {
-            emit(chunk, wchunk);
+        for chunk in self.edges[r].chunks(CHUNK_EDGES) {
+            emit(chunk, &[]);
         }
         Ok(())
     }
@@ -177,14 +131,6 @@ pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> CompactCsr {
     let mut b = EdgeListBuilder::with_capacity(n, edges.len());
     b.extend_edges(edges.iter().copied());
     b.build()
-}
-
-/// Convenience: build a [`WeightedCsr`] directly from a weighted-edge
-/// slice.
-pub fn from_weighted_edges<W: EdgeWeight>(n: usize, edges: &[(u32, u32, W)]) -> WeightedCsr<W> {
-    let mut b = EdgeListBuilder::with_capacity(n, edges.len());
-    b.extend_weighted_edges(edges.iter().copied());
-    b.build_weighted()
 }
 
 #[cfg(test)]
@@ -242,13 +188,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn add_weighted_edge_rejects_out_of_range_ids() {
-        let mut b = EdgeListBuilder::new(4);
-        b.add_weighted_edge(0, 9, 1.0f32);
-    }
-
-    #[test]
     fn empty_build() {
         let g = EdgeListBuilder::new(4).build();
         assert_eq!(g.n(), 4);
@@ -256,29 +195,11 @@ mod tests {
     }
 
     #[test]
-    fn weighted_build_merges_duplicates_by_max() {
-        let g = from_weighted_edges(
-            3,
-            &[
-                (0u32, 1u32, 2u32),
-                (1, 0, 6),
-                (0, 1, 4),
-                (2, 2, 9),
-                (1, 2, 1),
-            ],
-        );
-        assert_eq!(g.m(), 2);
-        assert_eq!(g.edge_weight(0, 1), Some(6));
-        assert_eq!(g.edge_weight(2, 1), Some(1));
-        assert!(g.validate().is_ok());
-    }
-
-    #[test]
     fn unit_weights_buffer_is_free() {
         let mut b = EdgeListBuilder::with_capacity(10, 100);
         b.extend_edges((0..100u32).map(|i| (i % 10, (i + 1) % 10)));
-        // The `()` weights buffer contributes zero resident bytes.
-        assert_eq!(EdgeSource::<()>::buffered_bytes(&b), b.edges.capacity() * 8);
+        // The pair buffer is the only resident byte the builder charges.
+        assert_eq!(b.buffered_bytes(), b.edges.capacity() * 8);
     }
 
     #[test]

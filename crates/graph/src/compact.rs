@@ -10,7 +10,7 @@
 //! transparent wide (`usize`) fallback for huge graphs.
 
 use crate::csr::{degree_extremes, validate_csr_arrays};
-use crate::view::{GraphMemory, GraphView, UnitWeights, WeightedView};
+use crate::view::{GraphMemory, GraphView};
 use rayon::prelude::*;
 
 /// A CSR offset array, at the narrowest width that can address its
@@ -143,9 +143,7 @@ impl CompactCsr {
         &self.neighbors[self.arc_range(v)]
     }
 
-    /// The index range of `v`'s adjacency inside the neighbor array (and
-    /// inside any neighbor-parallel payload array, e.g.
-    /// [`crate::WeightedCsr`]'s weights).
+    /// The index range of `v`'s adjacency inside the neighbor array.
     #[inline]
     pub fn arc_range(&self, v: u32) -> std::ops::Range<usize> {
         self.offsets.get(v as usize)..self.offsets.get(v as usize + 1)
@@ -286,24 +284,7 @@ impl GraphView for CompactCsr {
             encoded_bytes: 0,
             encoded_mapped_bytes: 0,
             aux_bytes: 0,
-            weight_bytes: 0,
         }
-    }
-}
-
-/// Unweighted CSR as a unit-weighted view: every edge weighs `1.0`, so
-/// weighted workloads collapse to their unweighted meanings.
-impl WeightedView for CompactCsr {
-    type Weight = ();
-    type WeightedNeighbors<'a> = UnitWeights<<Self as GraphView>::Neighbors<'a>>;
-
-    #[inline]
-    fn weighted_neighbors(&self, v: u32) -> Self::WeightedNeighbors<'_> {
-        UnitWeights(GraphView::neighbors(self, v))
-    }
-
-    fn edge_weight(&self, u: u32, v: u32) -> Option<()> {
-        self.has_edge(u, v).then_some(())
     }
 }
 

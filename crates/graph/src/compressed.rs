@@ -6,20 +6,17 @@
 //! each sorted adjacency as a [`pgc_primitives::varint`] run inside one
 //! contiguous **encoded byte arena** — anchored 64-value blocks of
 //! packed deltas, ~½–¼ the raw `u32` bytes on the harness's generator
-//! families — and serves the full [`GraphView`] / [`WeightedView`]
-//! contract through a chunked-decode neighbor iterator, so all 21
+//! families — and serves the full [`GraphView`] contract through a chunked-decode neighbor iterator, so all 21
 //! coloring algorithms and the mining workloads run on it unchanged.
 //!
 //! Layout:
 //!
 //! * `offsets` — decoded arc positions (`n + 1`, width-adaptive like
-//!   [`CompactCsr`]): O(1) degrees and the index into any
-//!   neighbor-parallel payload array (weights),
+//!   [`CompactCsr`]): O(1) degrees,
 //! * `byte_offsets` — each vertex's byte range inside the arena,
 //! * `arena` — the concatenated encoded runs, either heap-owned or
 //!   borrowed zero-copy from an `mmap`ed v2 snapshot
-//!   ([`crate::snapshot::load_compressed_snapshot`]),
-//! * `weights` — neighbor-parallel payload, indexed by decoded position.
+//!   ([`crate::snapshot::load_compressed_snapshot`]).
 //!
 //! Iteration decodes one 64-value block at a time into a scratch buffer
 //! inline in the iterator (256 B, stack-resident); full-slice consumers
@@ -34,9 +31,7 @@ use crate::compact::{CompactCsr, Offsets};
 use crate::csr::degree_extremes;
 use crate::snapshot::Backing;
 use crate::stream::SharedMut;
-use crate::view::{prefetch_read, GraphMemory, GraphView, WeightedView};
-use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
+use crate::view::{prefetch_read, GraphMemory, GraphView};
 use pgc_primitives::varint;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -50,8 +45,7 @@ pub const DECODE_SCRATCH_SLOTS: usize = 2;
 /// Per-slot growth cap, in values (16 KiB of `u32`s — about one L1 data
 /// cache). A vertex whose degree exceeds the cap decodes into a
 /// transient buffer that is freed immediately, so hubs cost a spike, not
-/// a permanently grown ring — the same policy as the builder's co-sort
-/// scratch.
+/// a permanently grown ring.
 pub const DECODE_SCRATCH_CAP: usize = 4096;
 
 thread_local! {
@@ -143,25 +137,23 @@ impl std::fmt::Debug for Arena {
 /// the neighbor bytes. Lossless converters go both ways
 /// ([`from_compact`](Self::from_compact) / [`to_compact`](Self::to_compact)).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompressedCsr<W: EdgeWeight = ()> {
+pub struct CompressedCsr {
     /// Decoded arc positions (`n + 1`), same meaning as [`CompactCsr`]'s.
     offsets: Offsets,
     /// Byte position of each vertex's encoded run inside the arena
     /// (`n + 1`).
     byte_offsets: Offsets,
     arena: Arena,
-    /// Neighbor-parallel payload, indexed by decoded arc position.
-    weights: Vec<W>,
     max_deg: u32,
     min_deg: u32,
 }
 
-impl CompressedCsr<()> {
-    /// Losslessly encode an unweighted graph (parallel two-pass: measure
+impl CompressedCsr {
+    /// Losslessly encode a graph (parallel two-pass: measure
     /// per-vertex encoded lengths, prefix-sum, scatter-encode into
     /// disjoint arena ranges).
     pub fn from_compact(g: &CompactCsr) -> Self {
-        Self::encode_parts(g, Vec::new()).0
+        Self::encode(g).0
     }
 
     /// [`from_compact`](Self::from_compact), charging the converter's
@@ -169,31 +161,15 @@ impl CompressedCsr<()> {
     /// still-resident source) into `stats.build_bytes_peak`, so the
     /// harness's peak-memory column reflects the conversion it ran.
     pub fn from_compact_with_stats(g: &CompactCsr, stats: &mut crate::stream::BuildStats) -> Self {
-        let (c, converter_peak) = Self::encode_parts(g, Vec::new());
+        let (c, converter_peak) = Self::encode(g);
         let src = g.memory_footprint().total_bytes();
         stats.build_bytes_peak = stats.build_bytes_peak.max(src + converter_peak);
         c
     }
-}
-
-impl<W: EdgeWeight> CompressedCsr<W> {
-    /// Losslessly encode a weighted graph; weights stay an uncompressed
-    /// neighbor-parallel array (they carry no exploitable sortedness).
-    pub fn from_weighted(g: &WeightedCsr<W>) -> Self {
-        let (c, _) = CompressedCsr::encode_parts(g.structure(), g.raw_weights().to_vec());
-        Self {
-            offsets: c.offsets,
-            byte_offsets: c.byte_offsets,
-            arena: c.arena,
-            weights: c.weights,
-            max_deg: c.max_deg,
-            min_deg: c.min_deg,
-        }
-    }
 
     /// Shared encoder: returns the graph and the converter's transient
     /// allocation peak (length array + persistent outputs).
-    fn encode_parts(g: &CompactCsr, weights: Vec<W>) -> (CompressedCsr<W>, usize) {
+    fn encode(g: &CompactCsr) -> (Self, usize) {
         let n = g.n();
         let lens: Vec<usize> = (0..n as u32)
             .into_par_iter()
@@ -223,13 +199,11 @@ impl<W: EdgeWeight> CompressedCsr<W> {
         // array plus the outputs being built.
         let peak = lens.len() * std::mem::size_of::<usize>()
             + byte_offsets.len() * std::mem::size_of::<usize>()
-            + arena.len()
-            + std::mem::size_of_val(weights.as_slice());
-        let graph = CompressedCsr {
+            + arena.len();
+        let graph = Self {
             offsets: g.raw_offsets().clone(),
             byte_offsets: Offsets::narrow(byte_offsets),
             arena: Arena::Owned(arena),
-            weights,
             max_deg: g.max_degree(),
             min_deg: g.min_degree(),
         };
@@ -243,7 +217,6 @@ impl<W: EdgeWeight> CompressedCsr<W> {
         offsets: Offsets,
         byte_offsets: Offsets,
         arena: Arena,
-        weights: Vec<W>,
     ) -> Self {
         let n = offsets.len().saturating_sub(1);
         let (max_deg, min_deg) = degree_extremes(n, |i| offsets.get(i));
@@ -251,7 +224,6 @@ impl<W: EdgeWeight> CompressedCsr<W> {
             offsets,
             byte_offsets,
             arena,
-            weights,
             max_deg,
             min_deg,
         }
@@ -275,11 +247,6 @@ impl<W: EdgeWeight> CompressedCsr<W> {
         CompactCsr::from_offsets(self.offsets.clone(), neighbors)
     }
 
-    /// Decode back into the weighted raw-array representation.
-    pub fn to_weighted(&self) -> WeightedCsr<W> {
-        WeightedCsr::from_parts(self.to_compact(), self.weights.clone())
-    }
-
     /// Number of vertices `n`.
     #[inline]
     pub fn n(&self) -> usize {
@@ -298,8 +265,8 @@ impl<W: EdgeWeight> CompressedCsr<W> {
         (self.offsets.get(v as usize + 1) - self.offsets.get(v as usize)) as u32
     }
 
-    /// The decoded-position range of `v`'s adjacency (indexes the
-    /// weights array, exactly like [`CompactCsr::arc_range`]).
+    /// The decoded-position range of `v`'s adjacency, exactly like
+    /// [`CompactCsr::arc_range`].
     #[inline]
     pub fn arc_range(&self, v: u32) -> std::ops::Range<usize> {
         self.offsets.get(v as usize)..self.offsets.get(v as usize + 1)
@@ -381,12 +348,6 @@ impl<W: EdgeWeight> CompressedCsr<W> {
         rayon::current_num_threads() * DECODE_SCRATCH_SLOTS * per_slot * 4
     }
 
-    /// Raw weight array (read-only), decoded-position-parallel.
-    #[inline]
-    pub fn raw_weights(&self) -> &[W] {
-        &self.weights
-    }
-
     pub(crate) fn raw_offsets(&self) -> &Offsets {
         &self.offsets
     }
@@ -448,7 +409,7 @@ impl Iterator for CompressedNeighbors<'_> {
 
 impl ExactSizeIterator for CompressedNeighbors<'_> {}
 
-impl<W: EdgeWeight> GraphView for CompressedCsr<W> {
+impl GraphView for CompressedCsr {
     type Neighbors<'a>
         = CompressedNeighbors<'a>
     where
@@ -510,7 +471,6 @@ impl<W: EdgeWeight> GraphView for CompressedCsr<W> {
             encoded_mapped_bytes: self.arena.mapped_bytes(),
             aux_bytes: self.byte_offsets.width() * self.byte_offsets.len()
                 + self.decode_scratch_budget(),
-            weight_bytes: std::mem::size_of_val(self.weights.as_slice()),
         }
     }
 
@@ -520,52 +480,10 @@ impl<W: EdgeWeight> GraphView for CompressedCsr<W> {
     }
 }
 
-/// `(neighbor, weight)` stream: the chunked-decode id iterator zipped
-/// with the decoded-position-parallel weight slice.
-pub struct CompressedWeightedNeighbors<'a, W> {
-    ids: CompressedNeighbors<'a>,
-    weights: std::slice::Iter<'a, W>,
-}
-
-impl<W: EdgeWeight> Iterator for CompressedWeightedNeighbors<'_, W> {
-    type Item = (u32, W);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, W)> {
-        Some((self.ids.next()?, *self.weights.next()?))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
-    }
-}
-
-impl<W: EdgeWeight> WeightedView for CompressedCsr<W> {
-    type Weight = W;
-    type WeightedNeighbors<'a>
-        = CompressedWeightedNeighbors<'a, W>
-    where
-        Self: 'a;
-
-    #[inline]
-    fn weighted_neighbors(&self, v: u32) -> CompressedWeightedNeighbors<'_, W> {
-        CompressedWeightedNeighbors {
-            ids: GraphView::neighbors(self, v),
-            weights: self.weights[self.arc_range(v)].iter(),
-        }
-    }
-
-    fn edge_weight(&self, u: u32, v: u32) -> Option<W> {
-        self.weighted_neighbors(u)
-            .find(|&(x, _)| x == v)
-            .map(|(_, w)| w)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{from_edges, from_weighted_edges};
+    use crate::builder::from_edges;
     use crate::gen::{generate, GraphSpec};
 
     #[test]
@@ -618,20 +536,6 @@ mod tests {
                 assert_eq!(GraphView::has_edge(&c, u, v), g.has_edge(u, v));
             }
         }
-    }
-
-    #[test]
-    fn weighted_round_trip_and_views() {
-        let g = from_weighted_edges(5, &[(0u32, 1u32, 2.5f64), (1, 2, -4.0), (3, 4, 0.25)]);
-        let c = CompressedCsr::from_weighted(&g);
-        assert_eq!(c.to_weighted(), g);
-        assert_eq!(
-            c.weighted_neighbors(1).collect::<Vec<_>>(),
-            g.weighted_neighbors(1).collect::<Vec<_>>()
-        );
-        assert_eq!(WeightedView::edge_weight(&c, 2, 1), Some(-4.0));
-        assert_eq!(WeightedView::edge_weight(&c, 0, 3), None);
-        assert_eq!(c.total_weight(), g.total_weight());
     }
 
     #[test]

@@ -21,20 +21,16 @@
 //! O(1): these three families split a replay into edge-index ranges
 //! ([`EdgeSource::replay_part`], about one partition per
 //! [`CHUNK_EDGES`] edges) that reproduce the sequential stream pair for
-//! pair, weights included (they hash the global edge index). The
-//! builder replays the partitions concurrently. Barabási–Albert (each
+//! pair. The builder replays the partitions concurrently. Barabási–Albert (each
 //! draw reads the endpoint list built so far) and the planted coloring
 //! (rejection sampling: edge `e`'s draws depend on earlier rejections)
 //! stay one sequential partition, as do the deterministic families.
 
 use crate::compact::CompactCsr;
 use crate::stream::{
-    build_compact_with_stats, build_weighted_with_stats, part_range, BuildStats, ChunkFn, EdgeSink,
-    EdgeSource, CHUNK_EDGES,
+    build_compact_with_stats, part_range, BuildStats, ChunkFn, EdgeSink, EdgeSource, CHUNK_EDGES,
 };
-use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
-use pgc_primitives::{hash_mix, SplitMix64};
+use pgc_primitives::SplitMix64;
 use std::ops::Range;
 
 /// A recipe for a synthetic graph.
@@ -159,24 +155,9 @@ impl GraphSpec {
     }
 }
 
-/// Salt separating the weight stream from the topology stream, so the
-/// same master seed yields independent edge and weight randomness.
-const WEIGHT_STREAM_SALT: u64 = 0x57E1_6487_D00D_FEED;
-
-/// The `i`-th edge weight of a seeded replay, in `[1, 10)`: hashed from
-/// `(weight seed, emission index)`, so it replays exactly — the two-pass
-/// builder sees identical weights in the count and scatter passes, and
-/// regeneration is as deterministic as the topology itself.
-fn seeded_weight(wseed: u64, i: u64) -> f64 {
-    let h = hash_mix(wseed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    1.0 + 9.0 * ((h >> 11) as f64 / (1u64 << 53) as f64)
-}
-
 /// A generator as a streaming [`EdgeSource`]: every replay re-runs the
 /// seeded generator, so the edge list is never buffered. Deterministic in
-/// `(spec, seed)` by construction — for any payload `W`: weighted replays
-/// attach the seeded weight stream to the identical edge sequence, so
-/// the weighted graph's structure is bit-identical to the unweighted one.
+/// `(spec, seed)` by construction.
 #[derive(Clone, Debug)]
 pub struct SpecSource {
     spec: GraphSpec,
@@ -207,7 +188,7 @@ impl SpecSource {
     }
 }
 
-impl<W: EdgeWeight> EdgeSource<W> for SpecSource {
+impl EdgeSource for SpecSource {
     fn num_vertices(&self) -> usize {
         self.spec.n()
     }
@@ -232,7 +213,7 @@ impl<W: EdgeWeight> EdgeSource<W> for SpecSource {
         }
     }
 
-    fn replay(&self, emit: &mut ChunkFn<'_, W>) -> std::io::Result<()> {
+    fn replay(&self, emit: &mut ChunkFn<'_>) -> std::io::Result<()> {
         self.replay_part(0, 1, emit)
     }
 
@@ -240,7 +221,7 @@ impl<W: EdgeWeight> EdgeSource<W> for SpecSource {
         &self,
         part: usize,
         parts: usize,
-        emit: &mut ChunkFn<'_, W>,
+        emit: &mut ChunkFn<'_>,
     ) -> std::io::Result<()> {
         let edges = match self.partitioned_edges() {
             Some(m) => part_range(m, part, parts),
@@ -249,21 +230,7 @@ impl<W: EdgeWeight> EdgeSource<W> for SpecSource {
             None => return Ok(()),
         };
         let mut sink = EdgeSink::new(emit);
-        if W::IS_UNIT {
-            // The unweighted fast path: no weight hashing at all.
-            emit_edges(&self.spec, self.seed, edges, &mut |u, v| {
-                sink.push_weighted(u, v, W::default());
-            });
-        } else {
-            // Weights hash the *global* emission index, so a partition's
-            // weights equal the whole replay's at the same positions.
-            let wseed = hash_mix(self.seed ^ WEIGHT_STREAM_SALT);
-            let mut i = edges.start as u64;
-            emit_edges(&self.spec, self.seed, edges, &mut |u, v| {
-                sink.push_weighted(u, v, W::from_f64(seeded_weight(wseed, i)));
-                i += 1;
-            });
-        }
+        emit_edges(&self.spec, self.seed, edges, &mut |u, v| sink.push(u, v));
         Ok(())
     }
 }
@@ -292,23 +259,6 @@ pub fn generate_compressed_with_stats(
     let (g, mut stats) = generate_with_stats(spec, seed);
     let c = crate::compressed::CompressedCsr::from_compact_with_stats(&g, &mut stats);
     (c, stats)
-}
-
-/// Generate a weighted graph: the same seeded topology as [`generate`]
-/// (bit-identical structure) plus the replay-exact seeded weight
-/// stream in `[1, 10)`, converted into `W`. Like every generator build,
-/// this streams through the two-pass engine with no edge buffering.
-pub fn generate_weighted<W: EdgeWeight>(spec: &GraphSpec, seed: u64) -> WeightedCsr<W> {
-    generate_weighted_with_stats(spec, seed).0
-}
-
-/// [`generate_weighted`], also returning the build instrumentation.
-pub fn generate_weighted_with_stats<W: EdgeWeight>(
-    spec: &GraphSpec,
-    seed: u64,
-) -> (WeightedCsr<W>, BuildStats) {
-    build_weighted_with_stats(&SpecSource::new(spec.clone(), seed))
-        .expect("generator replay cannot fail")
 }
 
 /// Run one seeded generation, pushing raw edges `edges` (by global edge
@@ -716,52 +666,6 @@ mod tests {
             .unwrap();
             assert_eq!(generate(&spec, 42), b.build(), "{spec:?}");
         }
-    }
-
-    #[test]
-    fn weighted_generation_replays_exactly() {
-        let spec = GraphSpec::Rmat {
-            scale: 8,
-            edge_factor: 6,
-        };
-        // Two independent weighted builds (each internally replays twice)
-        // agree bit for bit, and match the fully buffered oracle.
-        let a = generate_weighted::<f32>(&spec, 9);
-        let b = generate_weighted::<f32>(&spec, 9);
-        assert_eq!(a, b);
-        let src = SpecSource::new(spec.clone(), 9);
-        let mut buf = EdgeListBuilder::with_capacity(spec.n(), spec.raw_edge_hint());
-        src.replay(&mut |chunk, ws: &[f32]| {
-            for (&(u, v), &w) in chunk.iter().zip(ws) {
-                buf.add_weighted_edge(u, v, w);
-            }
-        })
-        .unwrap();
-        assert_eq!(a, buf.build_weighted());
-    }
-
-    #[test]
-    fn weighted_structure_matches_unweighted_generation() {
-        for spec in [
-            GraphSpec::BarabasiAlbert { n: 250, attach: 4 },
-            GraphSpec::ErdosRenyi { n: 300, m: 900 },
-        ] {
-            let wg = generate_weighted::<f64>(&spec, 17);
-            assert_eq!(wg.structure(), &generate(&spec, 17), "{spec:?}");
-            // Generated weights land in [1, 10) and are symmetric.
-            for (u, v, w) in crate::view::WeightedView::weighted_edges(&wg) {
-                assert!((1.0..10.0).contains(&w), "weight {w} out of range");
-                assert_eq!(wg.edge_weight(v, u), Some(w));
-            }
-        }
-    }
-
-    #[test]
-    fn weight_seeds_are_independent_of_topology_seeds() {
-        let spec = GraphSpec::ErdosRenyi { n: 100, m: 300 };
-        let a = generate_weighted::<f64>(&spec, 1);
-        let b = generate_weighted::<f64>(&spec, 2);
-        assert_ne!(a, b, "different seeds give different weighted graphs");
     }
 
     #[test]

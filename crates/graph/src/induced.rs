@@ -9,7 +9,7 @@
 //! copies.
 
 use crate::compact::CompactCsr;
-use crate::view::{GraphMemory, GraphView, WeightedView};
+use crate::view::{GraphMemory, GraphView};
 use rayon::prelude::*;
 
 /// Marker for "not a member" in the remap table.
@@ -204,57 +204,7 @@ impl<'g, G: GraphView> GraphView for InducedView<'g, G> {
             encoded_mapped_bytes: 0,
             aux_bytes: std::mem::size_of::<u32>()
                 * (self.members.len() + self.local_of.len() + self.degrees.len()),
-            weight_bytes: 0,
         }
-    }
-}
-
-/// Iterator over an [`InducedView`] weighted adjacency: the base's
-/// weighted adjacency filtered to members and remapped to local ids,
-/// weights passed through untouched.
-pub struct InducedWeightedNeighbors<'a, G: WeightedView + 'a> {
-    base: G::WeightedNeighbors<'a>,
-    local_of: &'a [u32],
-}
-
-impl<'a, G: WeightedView> Iterator for InducedWeightedNeighbors<'a, G> {
-    type Item = (u32, G::Weight);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, G::Weight)> {
-        for (u, w) in self.base.by_ref() {
-            let l = self.local_of[u as usize];
-            if l != OUTSIDE {
-                return Some((l, w));
-            }
-        }
-        None
-    }
-}
-
-/// Zero-copy weighted passthrough: an induced view of a weighted base is
-/// itself a [`WeightedView`] — edge weights are borrowed from the base,
-/// only the vertex ids are remapped. No weight (or adjacency) bytes are
-/// copied, so `G[U]` of a [`crate::WeightedCsr`] costs the same O(n)
-/// mask/remap words as the unweighted case.
-impl<'g, G: WeightedView> WeightedView for InducedView<'g, G> {
-    type Weight = G::Weight;
-    type WeightedNeighbors<'a>
-        = InducedWeightedNeighbors<'a, G>
-    where
-        Self: 'a;
-
-    #[inline]
-    fn weighted_neighbors(&self, v: u32) -> InducedWeightedNeighbors<'_, G> {
-        InducedWeightedNeighbors {
-            base: self.base.weighted_neighbors(self.members[v as usize]),
-            local_of: &self.local_of,
-        }
-    }
-
-    fn edge_weight(&self, u: u32, v: u32) -> Option<G::Weight> {
-        self.base
-            .edge_weight(self.members[u as usize], self.members[v as usize])
     }
 }
 
@@ -321,36 +271,6 @@ mod tests {
         let fp = view.memory_footprint();
         assert_eq!(fp.offset_bytes() + fp.neighbor_bytes(), 0);
         assert!(fp.aux_bytes > 0);
-    }
-
-    #[test]
-    fn weighted_passthrough_keeps_base_weights() {
-        use crate::builder::from_weighted_edges;
-        let g = from_weighted_edges(
-            5,
-            &[
-                (0u32, 1u32, 1.5f64),
-                (1, 2, 2.5),
-                (2, 3, 3.5),
-                (3, 4, 4.5),
-                (0, 2, 9.0),
-            ],
-        );
-        let view = InducedView::new(&g, &[0, 2, 3]);
-        // Local ids: 0→0, 2→1, 3→2.
-        assert_eq!(
-            view.weighted_neighbors(0).collect::<Vec<_>>(),
-            vec![(1, 9.0)]
-        );
-        assert_eq!(view.edge_weight(1, 2), Some(3.5));
-        assert_eq!(view.edge_weight(0, 2), None);
-        assert_eq!(view.total_weight(), 12.5);
-        assert_eq!(view.weighted_degree(1), 12.5);
-        // Nesting keeps the passthrough alive.
-        let inner = InducedView::new(&view, &[0, 1]);
-        assert_eq!(inner.edge_weight(0, 1), Some(9.0));
-        // The footprint stays aux-only: weights are borrowed, not copied.
-        assert_eq!(view.memory_footprint().weight_bytes, 0);
     }
 
     #[test]

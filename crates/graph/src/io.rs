@@ -3,12 +3,12 @@
 //! Three interchange formats so users can run the paper's real datasets
 //! when they have them:
 //!
-//! * whitespace-separated **edge lists** (`u v` per line, optional third
-//!   weight column, `#` comments) — the SNAP/KONECT distribution format,
+//! * whitespace-separated **edge lists** (`u v` per line, extra columns
+//!   ignored, `#` comments) — the SNAP/KONECT distribution format,
 //! * **DIMACS `.col`** (`p edge n m` header, `e u v` lines, 1-based) — the
 //!   classic coloring-benchmark format,
-//! * **Matrix Market** coordinate files — the SuiteSparse format, with
-//!   the value column parsed for weighted reads.
+//! * **Matrix Market** coordinate files — the SuiteSparse format; the
+//!   value column is checked against the declared field kind and skipped.
 //!
 //! Every reader is a replayable [`EdgeSource`]: parsing happens inside
 //! [`EdgeSource::replay`], so the two-pass streaming builder
@@ -28,16 +28,12 @@
 //! reusable buffer is filled by `read_until(b'\n')` and vertex ids are
 //! decoded by a branch-lean ASCII-decimal loop (`parse_u32_ascii`) —
 //! no per-line allocation, no UTF-8 validation, no generic
-//! `str::parse` machinery on the hot path. Only weight fields (floats
-//! are genuinely hard to parse) fall back to `str::parse` via
-//! [`EdgeWeight::parse_ascii`]. `benches/ingest.rs` measures the gain
-//! against the old `String`-lines parser.
+//! `str::parse` machinery on the hot path. `benches/ingest.rs` measures
+//! the gain against the old `String`-lines parser.
 
 use crate::compact::CompactCsr;
-use crate::stream::{build_compact, build_weighted, ChunkFn, EdgeSink, EdgeSource};
-use crate::view::{GraphView, WeightedView};
-use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
+use crate::stream::{build_compact, ChunkFn, EdgeSink, EdgeSource};
+use crate::view::GraphView;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
@@ -140,27 +136,15 @@ fn parse_id_field(rest: &mut &[u8], what: &str, line: &[u8]) -> std::io::Result<
         .ok_or_else(|| bad(format!("missing or bad {what} in line {:?}", lossy(line))))
 }
 
-/// Take and decode one weight token via [`EdgeWeight::parse_ascii`].
-fn parse_weight_field<W: EdgeWeight>(rest: &mut &[u8], line: &[u8]) -> std::io::Result<W> {
-    let tok = next_token(rest).ok_or_else(|| {
-        bad(format!(
-            "missing weight column in line {:?} (weighted read of a 2-column input?)",
-            lossy(line)
-        ))
-    })?;
-    W::parse_ascii(tok).ok_or_else(|| bad(format!("bad weight in line {:?}", lossy(line))))
-}
-
 // ---------------------------------------------------------------------
 // Sources
 // ---------------------------------------------------------------------
 
-/// SNAP-style edge list as a streaming [`EdgeSource`]: one `u v` pair —
-/// or `u v w` triple, when read weighted — per line, `#`/`%` comment
-/// lines. Vertex ids may be sparse; the builder sizes the graph by the
-/// maximum id + 1 (so [`num_vertices`](EdgeSource::num_vertices) reports
-/// 0 — unknown until scanned). Unweighted reads ignore any trailing
-/// columns; weighted reads require the third column on every line.
+/// SNAP-style edge list as a streaming [`EdgeSource`]: one `u v` pair per
+/// line, `#`/`%` comment lines. Vertex ids may be sparse; the builder
+/// sizes the graph by the maximum id + 1 (so
+/// [`num_vertices`](EdgeSource::num_vertices) reports 0 — unknown until
+/// scanned). Trailing columns are ignored.
 pub struct EdgeListSource<R: Reopen> {
     input: R,
 }
@@ -172,12 +156,12 @@ impl<R: Reopen> EdgeListSource<R> {
     }
 }
 
-impl<W: EdgeWeight, R: Reopen> EdgeSource<W> for EdgeListSource<R> {
+impl<R: Reopen> EdgeSource for EdgeListSource<R> {
     fn num_vertices(&self) -> usize {
         0
     }
 
-    fn replay(&self, emit: &mut ChunkFn<'_, W>) -> std::io::Result<()> {
+    fn replay(&self, emit: &mut ChunkFn<'_>) -> std::io::Result<()> {
         let reader = self.input.reopen()?;
         let mut sink = EdgeSink::new(emit);
         for_each_line(reader, |line| {
@@ -187,12 +171,7 @@ impl<W: EdgeWeight, R: Reopen> EdgeSource<W> for EdgeListSource<R> {
             let mut rest = line;
             let u = parse_id_field(&mut rest, "source", line)?;
             let v = parse_id_field(&mut rest, "target", line)?;
-            let w = if W::IS_UNIT {
-                W::default()
-            } else {
-                parse_weight_field::<W>(&mut rest, line)?
-            };
-            sink.push_weighted(u, v, w);
+            sink.push(u, v);
             Ok(())
         })
     }
@@ -294,12 +273,10 @@ enum MmField {
 /// Matrix Market coordinate file as a streaming [`EdgeSource`]:
 /// rows/columns are vertices, entries are edges. The `%%MatrixMarket`
 /// header and size line are parsed eagerly by [`MatrixMarketSource::new`],
-/// which rejects `complex` files outright (a weight cannot represent the
-/// imaginary column faithfully). Entry lines are validated against the
-/// declared field kind — a `pattern` file carrying values, or a
-/// `real`/`integer` file missing them, is `InvalidData` instead of a
-/// silently wrong graph — and weighted reads parse the value column into
-/// the edge weight (max on duplicates, like every source).
+/// which rejects `complex` files outright. Entry lines are validated
+/// against the declared field kind — a `pattern` file carrying values, or
+/// a `real`/`integer` file missing them, is `InvalidData` instead of a
+/// silently wrong graph — and a value token is skipped unparsed.
 pub struct MatrixMarketSource<R: Reopen> {
     input: R,
     n: usize,
@@ -341,8 +318,7 @@ impl<R: Reopen> MatrixMarketSource<R> {
             Some("integer") => MmField::Integer,
             Some("complex") => {
                 return Err(bad(format!(
-                    "complex Matrix Market files are unsupported (header {header:?}): \
-                     an edge weight cannot represent the imaginary column"
+                    "complex Matrix Market files are unsupported (header {header:?})"
                 )))
             }
             other => {
@@ -373,7 +349,7 @@ impl<R: Reopen> MatrixMarketSource<R> {
     }
 }
 
-impl<W: EdgeWeight, R: Reopen> EdgeSource<W> for MatrixMarketSource<R> {
+impl<R: Reopen> EdgeSource for MatrixMarketSource<R> {
     fn num_vertices(&self) -> usize {
         self.n
     }
@@ -382,12 +358,7 @@ impl<W: EdgeWeight, R: Reopen> EdgeSource<W> for MatrixMarketSource<R> {
         Some(self.nnz)
     }
 
-    fn replay(&self, emit: &mut ChunkFn<'_, W>) -> std::io::Result<()> {
-        if !W::IS_UNIT && self.field == MmField::Pattern {
-            return Err(bad(
-                "weighted read of a 'pattern' Matrix Market file: it declares no values".into(),
-            ));
-        }
+    fn replay(&self, emit: &mut ChunkFn<'_>) -> std::io::Result<()> {
         let reader = self.input.reopen()?;
         let mut sink = EdgeSink::new(emit);
         let mut past_size_line = false;
@@ -414,7 +385,7 @@ impl<W: EdgeWeight, R: Reopen> EdgeSource<W> for MatrixMarketSource<R> {
             // Enforce the declared field kind: an entry shape that
             // contradicts the header means the header (or file) is wrong,
             // and silently guessing would hand back a wrong graph.
-            let w = match self.field {
+            match self.field {
                 MmField::Pattern => {
                     if next_token(&mut rest).is_some() {
                         return Err(bad(format!(
@@ -422,15 +393,14 @@ impl<W: EdgeWeight, R: Reopen> EdgeSource<W> for MatrixMarketSource<R> {
                             lossy(line)
                         )));
                     }
-                    W::default()
                 }
                 MmField::Real | MmField::Integer => {
-                    let tok = next_token(&mut rest).ok_or_else(|| {
-                        bad(format!(
+                    if next_token(&mut rest).is_none() {
+                        return Err(bad(format!(
                             "Matrix Market entry missing its declared value: {:?}",
                             lossy(line)
-                        ))
-                    })?;
+                        )));
+                    }
                     if next_token(&mut rest).is_some() {
                         return Err(bad(format!(
                             "Matrix Market entry has extra columns (complex data \
@@ -438,16 +408,9 @@ impl<W: EdgeWeight, R: Reopen> EdgeSource<W> for MatrixMarketSource<R> {
                             lossy(line)
                         )));
                     }
-                    if W::IS_UNIT {
-                        W::default()
-                    } else {
-                        W::parse_ascii(tok).ok_or_else(|| {
-                            bad(format!("bad Matrix Market value in {:?}", lossy(line)))
-                        })?
-                    }
                 }
-            };
-            sink.push_weighted(r - 1, c - 1, w);
+            }
+            sink.push(r - 1, c - 1);
             Ok(())
         })
     }
@@ -480,17 +443,6 @@ pub fn read_edge_list_path(path: &Path) -> std::io::Result<CompactCsr> {
     build_compact(&EdgeListSource::new(path.to_path_buf()))
 }
 
-/// Read a weighted (`u v w` per line) edge list from a file with two
-/// sequential scans and no edge buffering. A binary snapshot (sniffed by
-/// magic) loads on the fast path instead; its stored weight kind must
-/// match `W`.
-pub fn read_weighted_edge_list_path<W: EdgeWeight>(path: &Path) -> std::io::Result<WeightedCsr<W>> {
-    if sniff_snapshot(path) {
-        return crate::snapshot::load_weighted_snapshot::<W>(path);
-    }
-    build_weighted(&EdgeListSource::new(path.to_path_buf()))
-}
-
 /// Read DIMACS `.col` from a file with two sequential scans and no edge
 /// buffering. A binary snapshot (sniffed by magic) loads on the fast
 /// path instead.
@@ -509,19 +461,6 @@ pub fn read_matrix_market_path(path: &Path) -> std::io::Result<CompactCsr> {
         return crate::snapshot::load_snapshot(path);
     }
     build_compact(&MatrixMarketSource::new(path.to_path_buf())?)
-}
-
-/// Read a Matrix Market coordinate file as a weighted graph (the value
-/// column becomes the edge weight; `pattern`/`complex` files are
-/// rejected) with two sequential scans and no edge buffering. A binary
-/// snapshot (sniffed by magic) loads on the fast path instead.
-pub fn read_weighted_matrix_market_path<W: EdgeWeight>(
-    path: &Path,
-) -> std::io::Result<WeightedCsr<W>> {
-    if sniff_snapshot(path) {
-        return crate::snapshot::load_weighted_snapshot::<W>(path);
-    }
-    build_weighted(&MatrixMarketSource::new(path.to_path_buf())?)
 }
 
 // ---------------------------------------------------------------------
@@ -549,15 +488,6 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> std::io::Result<CompactCsr> {
     build_compact(&EdgeListSource::new(&bytes[..]))
 }
 
-/// Parse a weighted (`u v w` per line) edge list. Prefer
-/// [`read_weighted_edge_list_path`] for files.
-pub fn read_weighted_edge_list<W: EdgeWeight, R: BufRead>(
-    reader: R,
-) -> std::io::Result<WeightedCsr<W>> {
-    let bytes = slurp(reader)?;
-    build_weighted(&EdgeListSource::new(&bytes[..]))
-}
-
 /// Parse DIMACS `.col`: `c` comments, one `p edge <n> <m>` line, `e u v`
 /// edges with **1-based** vertex ids. Prefer [`read_dimacs_col_path`] for
 /// files.
@@ -574,15 +504,6 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> std::io::Result<CompactCsr> 
     build_compact(&MatrixMarketSource::new(&bytes[..])?)
 }
 
-/// Parse a Matrix Market coordinate file as a weighted graph. Prefer
-/// [`read_weighted_matrix_market_path`] for files.
-pub fn read_weighted_matrix_market<W: EdgeWeight, R: BufRead>(
-    reader: R,
-) -> std::io::Result<WeightedCsr<W>> {
-    let bytes = slurp(reader)?;
-    build_weighted(&MatrixMarketSource::new(&bytes[..])?)
-}
-
 // ---------------------------------------------------------------------
 // Writers
 // ---------------------------------------------------------------------
@@ -592,17 +513,6 @@ pub fn write_edge_list<G: GraphView, W: Write>(g: &G, mut w: W) -> std::io::Resu
     writeln!(w, "# n={} m={}", g.n(), g.m())?;
     for (u, v) in g.edges() {
         writeln!(w, "{u} {v}")?;
-    }
-    Ok(())
-}
-
-/// Write a weighted edge list (`u v w` per line, each undirected edge
-/// once; the weight prints through [`EdgeWeight::to_f64`], which
-/// round-trips `f32`/`f64`/`u32` exactly).
-pub fn write_weighted_edge_list<G: WeightedView, W: Write>(g: &G, mut w: W) -> std::io::Result<()> {
-    writeln!(w, "# n={} m={} weighted", g.n(), g.m())?;
-    for (u, v, wt) in g.weighted_edges() {
-        writeln!(w, "{u} {v} {}", wt.to_f64())?;
     }
     Ok(())
 }
@@ -631,7 +541,7 @@ fn bad(msg: String) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{generate, generate_weighted, GraphSpec};
+    use crate::gen::{generate, GraphSpec};
 
     #[test]
     fn fast_u32_parser_agrees_with_std() {
@@ -674,26 +584,6 @@ mod tests {
         let e1: Vec<_> = g.edges().collect();
         let e2: Vec<_> = g2.edges().collect();
         assert_eq!(e1, e2);
-    }
-
-    #[test]
-    fn weighted_edge_list_roundtrip() {
-        let g = generate_weighted::<f64>(&GraphSpec::ErdosRenyi { n: 80, m: 240 }, 4);
-        let mut buf = Vec::new();
-        write_weighted_edge_list(&g, &mut buf).unwrap();
-        let g2 = read_weighted_edge_list::<f64, _>(&buf[..]).unwrap();
-        let e1: Vec<_> = g.weighted_edges().collect();
-        let e2: Vec<_> = g2.weighted_edges().collect();
-        assert_eq!(e1, e2, "weights survive the text round-trip");
-    }
-
-    #[test]
-    fn weighted_edge_list_requires_third_column() {
-        assert!(read_weighted_edge_list::<f32, _>("0 1 2.5\n1 2\n".as_bytes()).is_err());
-        assert!(read_weighted_edge_list::<f32, _>("0 1 x\n".as_bytes()).is_err());
-        // The same text reads fine unweighted (third column ignored).
-        let g = read_edge_list("0 1 2.5\n1 2\n".as_bytes()).unwrap();
-        assert_eq!(g.m(), 2);
     }
 
     #[test]
@@ -785,28 +675,19 @@ mod tests {
         let g = read_matrix_market(text.as_bytes()).unwrap();
         assert_eq!(g.m(), 2);
         assert!(g.has_edge(0, 2));
-        // The same file read weighted keeps the values.
-        let wg = read_weighted_matrix_market::<f64, _>(text.as_bytes()).unwrap();
-        assert_eq!(wg.structure(), &g);
-        assert_eq!(wg.edge_weight(0, 1), Some(0.5));
-        assert_eq!(wg.edge_weight(2, 0), Some(-2e3));
-    }
-
-    #[test]
-    fn matrix_market_integer_values_and_duplicate_max() {
+        // Integer values are skipped too, and a duplicate entry merges.
         let text = "%%MatrixMarket matrix coordinate integer general\n\
                     3 3 3\n1 2 4\n2 1 9\n2 3 1\n";
-        let wg = read_weighted_matrix_market::<u32, _>(text.as_bytes()).unwrap();
-        assert_eq!(wg.edge_weight(0, 1), Some(9), "duplicate entry keeps max");
-        assert_eq!(wg.edge_weight(1, 2), Some(1));
+        let g = read_matrix_market(text.as_bytes()).unwrap();
+        assert_eq!(g.m(), 2);
+        assert!(g.has_edge(0, 1) && g.has_edge(1, 2));
     }
 
     #[test]
     fn matrix_market_rejects_complex_and_mismatched_fields() {
-        // `complex` is rejected at header parse, even unweighted.
+        // `complex` is rejected at header parse.
         let complex = "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 2 0.5 1.5\n";
         assert!(read_matrix_market(complex.as_bytes()).is_err());
-        assert!(read_weighted_matrix_market::<f64, _>(complex.as_bytes()).is_err());
         // Declared `real` but a value is missing: InvalidData, not a
         // silently wrong graph.
         let missing = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 0.5\n2 1\n";
@@ -817,9 +698,7 @@ mod tests {
         // Complex-shaped data under a real header.
         let wide = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 0.5 1.5\n";
         assert!(read_matrix_market(wide.as_bytes()).is_err());
-        // Weighted read of a pattern file: no values to read.
         let pattern = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n";
-        assert!(read_weighted_matrix_market::<f32, _>(pattern.as_bytes()).is_err());
         assert!(read_matrix_market(pattern.as_bytes()).is_ok());
     }
 

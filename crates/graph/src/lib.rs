@@ -5,23 +5,15 @@
 //! * [`view`] — the representation-generic [`GraphView`] trait every
 //!   algorithm crate is written against, plus the [`GraphMemory`]
 //!   footprint record,
-//! * [`weight`] — the [`EdgeWeight`] payload trait behind the
-//!   payload-generic ingestion stack (`()` is the zero-cost unweighted
-//!   instantiation; `u32`/`f32`/`f64` carry real weights), and the
-//!   [`WeightedView`] trait extending [`GraphView`] with
-//!   weighted-neighbor iteration,
 //! * [`compact`] — [`CompactCsr`], the default representation: the paper's
 //!   CSR (§II-A) with `u32` offsets whenever `2m < u32::MAX` (half the
 //!   offset memory of machine-word offsets) and a transparent wide
 //!   fallback,
-//! * [`weighted`] — [`WeightedCsr`], the weights-augmented default:
-//!   struct-of-arrays (a `CompactCsr` plus one neighbor-parallel weights
-//!   array), so unweighted traversals never touch weight bytes,
 //! * [`induced`] — [`InducedView`], a zero-copy induced-subgraph view
 //!   (vertex mask + remap) over any other view,
 //! * [`stream`] — the [`EdgeSource`] trait (re-playable chunked arc
-//!   streams) and the two-pass parallel builder that constructs either CSR
-//!   representation without materializing an arc list,
+//!   streams) and the two-pass parallel builder that constructs a
+//!   [`CompactCsr`] without materializing an arc list,
 //! * [`builder`] — [`EdgeListBuilder`], the buffered edge-list front end
 //!   (dedup, de-loop, symmetrize), now the trivial buffered [`EdgeSource`]
 //!   over the same two-pass engine,
@@ -36,8 +28,7 @@
 //!   sniff its magic so snapshots transparently take the fast path,
 //! * [`compressed`] — [`CompressedCsr`], delta-varint block-encoded
 //!   adjacencies in one contiguous byte arena (≥2× fewer neighbor bytes
-//!   on the generator families) behind the same [`GraphView`] /
-//!   [`WeightedView`] contract,
+//!   on the generator families) behind the same [`GraphView`] contract,
 //! * [`degeneracy`](mod@degeneracy) — exact degeneracy, coreness, and the smallest-degree-
 //!   last (SL) removal order via linear-time bucket peeling (Matula–Beck),
 //!   the ground truth against which ADG's approximation is validated.
@@ -56,8 +47,6 @@ pub mod snapshot;
 pub mod stream;
 pub mod transform;
 pub mod view;
-pub mod weight;
-pub mod weighted;
 
 pub use builder::EdgeListBuilder;
 pub use compact::{CompactCsr, Offsets};
@@ -65,11 +54,8 @@ pub use compressed::CompressedCsr;
 pub use degeneracy::{degeneracy, DegeneracyInfo};
 pub use induced::InducedView;
 pub use snapshot::{
-    inspect_snapshot, load_compressed_snapshot, load_snapshot, load_weighted_snapshot,
-    write_compressed_snapshot, write_snapshot, write_weighted_snapshot, MappedSnapshot,
-    SnapshotInfo,
+    inspect_snapshot, load_compressed_snapshot, load_snapshot, write_compressed_snapshot,
+    write_snapshot, MappedSnapshot, SnapshotInfo,
 };
 pub use stream::{BuildStats, EdgeSink, EdgeSource};
-pub use view::{prefetch_read, GraphMemory, GraphView, WeightedView};
-pub use weight::EdgeWeight;
-pub use weighted::WeightedCsr;
+pub use view::{prefetch_read, GraphMemory, GraphView};

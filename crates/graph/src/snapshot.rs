@@ -1,4 +1,4 @@
-//! Versioned binary snapshots of [`CompactCsr`] / [`WeightedCsr`].
+//! Versioned binary snapshots of [`CompactCsr`] / [`CompressedCsr`].
 //!
 //! Text ingestion is parse-bound (~100 MiB/s through the byte-level
 //! reader; see `benches/ingest.rs`), which makes every experiment re-pay
@@ -6,15 +6,15 @@
 //! **verbatim** behind a checksummed 64-byte header, so loading is a
 //! sequential read plus one checksum pass — memory-bandwidth-bound, an
 //! order of magnitude faster than parsing — and [`MappedSnapshot`] skips
-//! even the copy by `mmap`ing the file and serving [`GraphView`] /
-//! [`WeightedView`] straight from the page cache.
+//! even the copy by `mmap`ing the file and serving [`GraphView`]
+//! straight from the page cache.
 //!
 //! ## On-disk layout (version 1)
 //!
 //! All fields and arrays are **native-endian**; the header carries an
 //! endianness marker so a foreign-endian file is rejected instead of
 //! decoded wrong. Every section is zero-padded to an 8-byte boundary so
-//! the mmap path can cast `u64` offsets and `f64` weights in place.
+//! the mmap path can cast `u64` offsets in place.
 //!
 //! ```text
 //! byte  0  ┌────────────────────────────────────────────────┐
@@ -36,9 +36,11 @@
 //!          └────────────────────────────────────────────────┘
 //! ```
 //!
-//! `weight_kind` is [`EdgeWeight::SNAPSHOT_KIND`] (0 = unit, 1 = `u32`,
-//! 2 = `f32`, 3 = `f64`). An unweighted load accepts any kind (it skips
-//! the weights section); a weighted load of a different non-unit kind is
+//! `weight_kind` names an edge payload: 0 = none, 1 = `u32`, 2 = `f32`,
+//! 3 = `f64`, with `weight_width` 0, 4, 4 and 8 bytes. The writers emit
+//! kind 0 only; files that older builds wrote with weights still load as
+//! their structure, since every loader skips the weights section. An
+//! unknown kind, or a width that disagrees with its kind, is
 //! `InvalidData`. Both checksums are FNV-1a over 8-byte words, so a
 //! truncated, bit-flipped, or foreign file fails loudly — never a
 //! silently wrong graph.
@@ -68,8 +70,8 @@
 //! into a [`CompactCsr`] transparently (so every `read_*_path` entry
 //! point accepts either version), while [`load_compressed_snapshot`]
 //! serves the arena **zero-copy** from the `mmap` — only the two offset
-//! arrays and the weights are copied out. Version 1 files are written
-//! and read byte-identically to before.
+//! arrays are copied out. Version 1 files are written and read
+//! byte-identically to before.
 
 use crate::compact::{CompactCsr, Offsets};
 use crate::compressed::{Arena, CompressedCsr};
@@ -77,13 +79,10 @@ use crate::compressed::{Arena, CompressedCsr};
 use crate::csr::validate_csr_arrays;
 use crate::csr::validate_csr_shape;
 use crate::stream::SharedMut;
-use crate::view::{prefetch_read, GraphMemory, GraphView, WeightedView};
-use crate::weight::EdgeWeight;
-use crate::weighted::{SliceWeightedNeighbors, WeightedCsr};
+use crate::view::{prefetch_read, GraphMemory, GraphView};
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Write};
-use std::marker::PhantomData;
 use std::path::Path;
 
 /// The 8-byte magic every snapshot starts with.
@@ -379,7 +378,7 @@ impl SectionLayout {
 // Byte <-> typed-array helpers (plain-old-data only)
 // ---------------------------------------------------------------------
 
-/// Raw bytes of a POD slice (`u32`/`usize`/`f32`/`f64`; `()` is empty).
+/// Raw bytes of a POD slice (`u32`/`usize`).
 fn as_bytes<T: Copy>(v: &[T]) -> &[u8] {
     // SAFETY: T is plain-old-data with no padding; reading its object
     // representation is defined.
@@ -391,8 +390,8 @@ fn vec_from_bytes<T: Copy + Default>(bytes: &[u8], count: usize) -> Vec<T> {
     let size = std::mem::size_of::<T>();
     debug_assert!(bytes.len() >= count * size);
     let mut v = vec![T::default(); count];
-    // SAFETY: every bit pattern is a valid u32/usize/f32/f64, and the
-    // source range is in bounds by the layout checks.
+    // SAFETY: every bit pattern is a valid u32/u64, and the source range
+    // is in bounds by the layout checks.
     unsafe {
         std::ptr::copy_nonoverlapping(bytes.as_ptr(), v.as_mut_ptr() as *mut u8, count * size);
     }
@@ -440,34 +439,22 @@ fn write_sections<Wr: Write>(
     Ok(written)
 }
 
-/// Serialize a raw-array graph and its neighbor-parallel weights as a
-/// version-1 snapshot.
-fn write_raw<W: EdgeWeight, Wr: Write>(
-    g: &CompactCsr,
-    weights: &[W],
-    w: &mut Wr,
-) -> std::io::Result<u64> {
+/// Serialize a graph to `w` as a version-1 snapshot. Returns the bytes
+/// written.
+pub fn write_snapshot_to<Wr: Write>(g: &CompactCsr, w: &mut Wr) -> std::io::Result<u64> {
     let (offset_width, off) = offset_bytes(g.raw_offsets());
     let header = Header {
         offset_width,
-        weight_kind: W::SNAPSHOT_KIND,
-        weight_width: std::mem::size_of::<W>() as u8,
         n: g.n() as u64,
         num_arcs: g.num_arcs() as u64,
         max_deg: g.max_degree(),
         min_deg: g.min_degree(),
         ..Header::default()
     };
-    let sections = [&off[..], as_bytes(g.raw_neighbors()), as_bytes(weights)];
-    write_sections(header, &sections, w)
+    write_sections(header, &[&off[..], as_bytes(g.raw_neighbors())], w)
 }
 
-/// Serialize an unweighted graph to `w`. Returns the bytes written.
-pub fn write_snapshot_to<Wr: Write>(g: &CompactCsr, w: &mut Wr) -> std::io::Result<u64> {
-    write_raw::<(), Wr>(g, &[], w)
-}
-
-/// Serialize an unweighted graph to a file (buffered). Returns the bytes
+/// Serialize a graph to a file (buffered, version 1). Returns the bytes
 /// written.
 pub fn write_snapshot(g: &CompactCsr, path: &Path) -> std::io::Result<u64> {
     let mut w = std::io::BufWriter::new(File::create(path)?);
@@ -476,40 +463,17 @@ pub fn write_snapshot(g: &CompactCsr, path: &Path) -> std::io::Result<u64> {
     Ok(bytes)
 }
 
-/// Serialize a weighted graph to `w`. Returns the bytes written. With the
-/// unit payload this writes exactly an unweighted snapshot.
-pub fn write_weighted_snapshot_to<W: EdgeWeight, Wr: Write>(
-    g: &WeightedCsr<W>,
-    w: &mut Wr,
-) -> std::io::Result<u64> {
-    write_raw(g.structure(), g.raw_weights(), w)
-}
-
-/// Serialize a weighted graph to a file (buffered). Returns the bytes
-/// written.
-pub fn write_weighted_snapshot<W: EdgeWeight>(
-    g: &WeightedCsr<W>,
-    path: &Path,
-) -> std::io::Result<u64> {
-    let mut w = std::io::BufWriter::new(File::create(path)?);
-    let bytes = write_weighted_snapshot_to(g, &mut w)?;
-    w.flush()?;
-    Ok(bytes)
-}
-
 /// Serialize an already-compressed graph to `w` as a version-2 snapshot
 /// (the arena is written verbatim — no re-encode). Returns the bytes
 /// written.
-pub fn write_compressed_snapshot_to<W: EdgeWeight, Wr: Write>(
-    g: &CompressedCsr<W>,
+pub fn write_compressed_snapshot_to<Wr: Write>(
+    g: &CompressedCsr,
     w: &mut Wr,
 ) -> std::io::Result<u64> {
     let (offset_width, off) = offset_bytes(g.raw_offsets());
     let (byte_offset_width, bo) = offset_bytes(g.raw_byte_offsets());
     let header = Header {
         offset_width,
-        weight_kind: W::SNAPSHOT_KIND,
-        weight_width: std::mem::size_of::<W>() as u8,
         flags: if byte_offset_width == 8 {
             FLAG_COMPRESSED | FLAG_WIDE_BYTE_OFFSETS
         } else {
@@ -519,19 +483,15 @@ pub fn write_compressed_snapshot_to<W: EdgeWeight, Wr: Write>(
         num_arcs: g.num_arcs() as u64,
         max_deg: GraphView::max_degree(g),
         min_deg: GraphView::min_degree(g),
-        payload_checksum: 0,
         encoded_len: g.arena_bytes().len() as u64,
+        ..Header::default()
     };
-    let sections = [&off[..], &bo, g.arena_bytes(), as_bytes(g.raw_weights())];
-    write_sections(header, &sections, w)
+    write_sections(header, &[&off[..], &bo, g.arena_bytes()], w)
 }
 
 /// Serialize an already-compressed graph to a file (buffered, version 2).
 /// Returns the bytes written.
-pub fn write_compressed_snapshot<W: EdgeWeight>(
-    g: &CompressedCsr<W>,
-    path: &Path,
-) -> std::io::Result<u64> {
+pub fn write_compressed_snapshot(g: &CompressedCsr, path: &Path) -> std::io::Result<u64> {
     let mut w = std::io::BufWriter::new(File::create(path)?);
     let bytes = write_compressed_snapshot_to(g, &mut w)?;
     w.flush()?;
@@ -704,36 +664,12 @@ fn materialize(
     Ok(g)
 }
 
-/// Load an unweighted graph from in-memory snapshot bytes, verifying
-/// both checksums and all CSR invariants. Weighted snapshots load their
-/// structure (the weights section is skipped).
+/// Load a graph from in-memory snapshot bytes, verifying both checksums
+/// and all CSR invariants. A file with a weights section loads as its
+/// structure (the section is skipped).
 pub fn load_snapshot_bytes(bytes: &[u8]) -> std::io::Result<CompactCsr> {
     let (header, layout) = verify(bytes)?;
     materialize(bytes, &header, &layout)
-}
-
-/// Load a weighted graph from in-memory snapshot bytes. The payload type
-/// must match the stored kind ([`EdgeWeight::SNAPSHOT_KIND`]); the unit
-/// payload accepts any snapshot and carries no weight bytes.
-pub fn load_weighted_snapshot_bytes<W: EdgeWeight>(
-    bytes: &[u8],
-) -> std::io::Result<WeightedCsr<W>> {
-    let (header, layout) = verify(bytes)?;
-    if !W::IS_UNIT && header.weight_kind != W::SNAPSHOT_KIND {
-        return Err(bad(format!(
-            "snapshot weight kind {} does not match the requested payload (kind {})",
-            header.weight_kind,
-            W::SNAPSHOT_KIND
-        )));
-    }
-    let arcs = header.num_arcs as usize;
-    let csr = materialize(bytes, &header, &layout)?;
-    let weights: Vec<W> = if W::IS_UNIT {
-        vec![W::default(); arcs]
-    } else {
-        vec_from_bytes(&bytes[layout.w_start..layout.w_start + layout.w_len], arcs)
-    };
-    Ok(WeightedCsr::from_parts(csr, weights))
 }
 
 fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
@@ -743,16 +679,10 @@ fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
     Ok(bytes)
 }
 
-/// Load an unweighted graph from a snapshot file (one sequential read,
-/// fully verified).
+/// Load a graph from a snapshot file (one sequential read, fully
+/// verified).
 pub fn load_snapshot(path: &Path) -> std::io::Result<CompactCsr> {
     load_snapshot_bytes(&read_file(path)?)
-}
-
-/// Load a weighted graph from a snapshot file (one sequential read,
-/// fully verified).
-pub fn load_weighted_snapshot<W: EdgeWeight>(path: &Path) -> std::io::Result<WeightedCsr<W>> {
-    load_weighted_snapshot_bytes::<W>(&read_file(path)?)
 }
 
 // ---------------------------------------------------------------------
@@ -766,7 +696,7 @@ pub fn load_weighted_snapshot<W: EdgeWeight>(path: &Path) -> std::io::Result<Wei
 /// the right count of strictly-ascending, in-range, loop-free ids — the
 /// [`crate::csr::validate_csr_shape`] contract, run through the decoder.
 /// Debug builds add the symmetry cross-check.
-fn validate_compressed<W: EdgeWeight>(g: &CompressedCsr<W>, n: usize) -> std::io::Result<()> {
+fn validate_compressed(g: &CompressedCsr, n: usize) -> std::io::Result<()> {
     use rayon::prelude::*;
     let ok = (0..n as u32).into_par_iter().all(|v| {
         if !g.validate_encoded_run(v) {
@@ -829,21 +759,14 @@ fn open_backing(path: &Path) -> std::io::Result<Backing> {
 /// Load a snapshot into a [`CompressedCsr`], verifying checksums and the
 /// full CSR contract. A version-2 file is served **zero-copy**: the
 /// encoded arena stays in the `mmap` (page-cache-backed) and only the
-/// two offset arrays and the weights are copied out. A version-1 file
-/// is materialized and losslessly encoded, so either version works.
-pub fn load_compressed_snapshot<W: EdgeWeight>(path: &Path) -> std::io::Result<CompressedCsr<W>> {
+/// two offset arrays are copied out. A version-1 file is materialized and
+/// losslessly encoded, so either version works.
+pub fn load_compressed_snapshot(path: &Path) -> std::io::Result<CompressedCsr> {
     let backing = open_backing(path)?;
     let (header, layout) = verify(backing.bytes())?;
-    if !W::IS_UNIT && header.weight_kind != W::SNAPSHOT_KIND {
-        return Err(bad(format!(
-            "snapshot weight kind {} does not match the requested payload (kind {})",
-            header.weight_kind,
-            W::SNAPSHOT_KIND
-        )));
-    }
     if !header.compressed() {
-        let wg = load_weighted_snapshot_bytes::<W>(backing.bytes())?;
-        return Ok(CompressedCsr::from_weighted(&wg));
+        let g = materialize(backing.bytes(), &header, &layout)?;
+        return Ok(CompressedCsr::from_compact(&g));
     }
     let n = header.n as usize;
     let arcs = header.num_arcs as usize;
@@ -854,17 +777,12 @@ pub fn load_compressed_snapshot<W: EdgeWeight>(path: &Path) -> std::io::Result<C
         return Err(bad("snapshot offsets are not monotone".into()));
     }
     let byte_offsets = Offsets::narrow(read_byte_offsets(bytes, &header, &layout)?);
-    let weights: Vec<W> = if W::IS_UNIT {
-        vec![W::default(); arcs]
-    } else {
-        vec_from_bytes(&bytes[layout.w_start..layout.w_start + layout.w_len], arcs)
-    };
     let arena = Arena::Mapped {
         backing: std::sync::Arc::new(backing),
         start: layout.nbr_start,
         len: layout.nbr_len,
     };
-    let g = CompressedCsr::from_encoded_parts(offsets, byte_offsets, arena, weights);
+    let g = CompressedCsr::from_encoded_parts(offsets, byte_offsets, arena);
     validate_compressed(&g, n)?;
     if GraphView::max_degree(&g) != header.max_deg || GraphView::min_degree(&g) != header.min_deg {
         return Err(bad(format!(
@@ -894,9 +812,10 @@ pub struct SnapshotInfo {
     pub offset_width: u8,
     /// Bytes per byte-offset entry (4 or 8; 0 when uncompressed).
     pub byte_offset_width: u8,
-    /// [`EdgeWeight::SNAPSHOT_KIND`] of the stored payload.
+    /// Stored edge-payload kind: 0 = none, 1 = `u32`, 2 = `f32`, 3 = `f64`
+    /// (nonzero only in files older builds wrote with weights).
     pub weight_kind: u8,
-    /// Bytes per stored weight (0 for the unit payload).
+    /// Bytes per stored weight (0 when the file carries none).
     pub weight_width: u8,
     /// Number of vertices.
     pub n: u64,
@@ -1082,35 +1001,30 @@ impl Backing {
     }
 }
 
-/// A snapshot served **in place**: the offsets, neighbors, and weights
-/// arrays are borrowed straight from an `mmap`ed file (page-cache-backed,
-/// zero copy) and exposed through [`GraphView`] / [`WeightedView`], so
-/// every algorithm in the workspace runs on it unchanged.
+/// A snapshot served **in place**: the offsets and neighbors arrays are
+/// borrowed straight from an `mmap`ed file (page-cache-backed, zero copy)
+/// and exposed through [`GraphView`], so every algorithm in the workspace
+/// runs on it unchanged.
 ///
 /// `open` verifies both checksums and the CSR invariants before handing
 /// the view out — one sequential pass over the mapping, after which
 /// traversal is as fast as an owned [`CompactCsr`]. On non-unix hosts
 /// (or if `mmap` fails) it transparently falls back to an owned aligned
-/// buffer with identical semantics.
-///
-/// The type parameter picks the weight payload; `MappedSnapshot<()>` (the
-/// default) reads any snapshot and serves unit weights.
-pub struct MappedSnapshot<W: EdgeWeight = ()> {
+/// buffer with identical semantics. A weights section, if the file has
+/// one, is skipped.
+pub struct MappedSnapshot {
     backing: Backing,
     small_offsets: bool,
     off_start: usize,
     nbr_start: usize,
-    w_start: usize,
     n: usize,
     num_arcs: usize,
     max_deg: u32,
     min_deg: u32,
-    _payload: PhantomData<W>,
 }
 
-impl<W: EdgeWeight> MappedSnapshot<W> {
-    /// Map `path` and verify it end to end (checksums + CSR invariants +
-    /// weight-kind match for non-unit `W`).
+impl MappedSnapshot {
+    /// Map `path` and verify it end to end (checksums + CSR invariants).
     pub fn open(path: &Path) -> std::io::Result<Self> {
         Self::from_backing(open_backing(path)?)
     }
@@ -1124,23 +1038,14 @@ impl<W: EdgeWeight> MappedSnapshot<W> {
                     .into(),
             ));
         }
-        if !W::IS_UNIT && header.weight_kind != W::SNAPSHOT_KIND {
-            return Err(bad(format!(
-                "snapshot weight kind {} does not match the requested payload (kind {})",
-                header.weight_kind,
-                W::SNAPSHOT_KIND
-            )));
-        }
         let s = Self {
             small_offsets: header.offset_width == 4,
             off_start: layout.off_start,
             nbr_start: layout.nbr_start,
-            w_start: layout.w_start,
             n: header.n as usize,
             num_arcs: header.num_arcs as usize,
             max_deg: header.max_deg,
             min_deg: header.min_deg,
-            _payload: PhantomData,
             backing,
         };
         // Same validation policy as the owned loader: linear shape sweep
@@ -1190,21 +1095,6 @@ impl<W: EdgeWeight> MappedSnapshot<W> {
         }
     }
 
-    fn weight_array(&self) -> &[W] {
-        if W::IS_UNIT {
-            // SAFETY: `W` is zero-sized, so a dangling, well-aligned
-            // pointer is a valid slice of any length.
-            return unsafe {
-                std::slice::from_raw_parts(std::ptr::NonNull::dangling().as_ptr(), self.num_arcs)
-            };
-        }
-        let bytes = self.backing.bytes();
-        // SAFETY: kind checked at open, section 8-aligned by layout.
-        unsafe {
-            std::slice::from_raw_parts(bytes.as_ptr().add(self.w_start) as *const W, self.num_arcs)
-        }
-    }
-
     /// Sorted neighbor slice of `v`, borrowed from the mapping.
     #[inline]
     pub fn neighbor_slice(&self, v: u32) -> &[u32] {
@@ -1218,7 +1108,7 @@ impl<W: EdgeWeight> MappedSnapshot<W> {
     }
 }
 
-impl<W: EdgeWeight> GraphView for MappedSnapshot<W> {
+impl GraphView for MappedSnapshot {
     type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, u32>>;
 
     #[inline]
@@ -1272,32 +1162,14 @@ impl<W: EdgeWeight> GraphView for MappedSnapshot<W> {
             encoded_bytes: 0,
             encoded_mapped_bytes: 0,
             aux_bytes: 0,
-            weight_bytes: self.num_arcs * std::mem::size_of::<W>(),
         }
-    }
-}
-
-impl<W: EdgeWeight> WeightedView for MappedSnapshot<W> {
-    type Weight = W;
-    type WeightedNeighbors<'a> = SliceWeightedNeighbors<'a, W>;
-
-    #[inline]
-    fn weighted_neighbors(&self, v: u32) -> SliceWeightedNeighbors<'_, W> {
-        let r = self.offset(v as usize)..self.offset(v as usize + 1);
-        SliceWeightedNeighbors::new(&self.neighbor_array()[r.clone()], &self.weight_array()[r])
-    }
-
-    fn edge_weight(&self, u: u32, v: u32) -> Option<W> {
-        let r = self.offset(u as usize)..self.offset(u as usize + 1);
-        let i = self.neighbor_array()[r.clone()].binary_search(&v).ok()?;
-        Some(self.weight_array()[r][i])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{from_edges, from_weighted_edges};
+    use crate::builder::from_edges;
     use crate::gen::{generate, GraphSpec};
 
     fn snap_bytes(g: &CompactCsr) -> Vec<u8> {
@@ -1311,29 +1183,6 @@ mod tests {
         let g = generate(&GraphSpec::ErdosRenyi { n: 500, m: 2000 }, 7);
         let back = load_snapshot_bytes(&snap_bytes(&g)).unwrap();
         assert_eq!(back, g);
-    }
-
-    #[test]
-    fn round_trip_weighted() {
-        let g = from_weighted_edges(5, &[(0u32, 1u32, 2.5f64), (1, 2, -4.0), (3, 4, 0.25)]);
-        let mut buf = Vec::new();
-        write_weighted_snapshot_to(&g, &mut buf).unwrap();
-        let back = load_weighted_snapshot_bytes::<f64>(&buf).unwrap();
-        assert_eq!(back, g);
-        // Structure-only load of a weighted snapshot works too.
-        assert_eq!(&load_snapshot_bytes(&buf).unwrap(), g.structure());
-    }
-
-    #[test]
-    fn weight_kind_mismatch_rejected() {
-        let g = from_weighted_edges(3, &[(0u32, 1u32, 2.5f32), (1, 2, 1.0)]);
-        let mut buf = Vec::new();
-        write_weighted_snapshot_to(&g, &mut buf).unwrap();
-        let err = load_weighted_snapshot_bytes::<f64>(&buf).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("kind"), "{err}");
-        // Unit payload accepts anything.
-        assert!(load_weighted_snapshot_bytes::<()>(&buf).is_ok());
     }
 
     #[test]
@@ -1392,7 +1241,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.pgcs");
         write_snapshot(&g, &path).unwrap();
-        let m = MappedSnapshot::<()>::open(&path).unwrap();
+        let m = MappedSnapshot::open(&path).unwrap();
         assert_eq!(m.n(), g.n());
         assert_eq!(m.num_arcs(), g.num_arcs());
         assert_eq!(GraphView::max_degree(&m), g.max_degree());
@@ -1402,24 +1251,6 @@ mod tests {
         }
         assert_eq!(m.to_compact(), g);
         assert!(m.has_edge(g.edges().next().unwrap().0, g.edges().next().unwrap().1));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mapped_weighted_view() {
-        let g = from_weighted_edges(4, &[(0u32, 1u32, 2.5f64), (1, 2, 4.0), (2, 3, -1.0)]);
-        let dir = std::env::temp_dir().join(format!("pgc-snapw-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.pgcs");
-        write_weighted_snapshot(&g, &path).unwrap();
-        let m = MappedSnapshot::<f64>::open(&path).unwrap();
-        assert_eq!(m.edge_weight(2, 1), Some(4.0));
-        assert_eq!(
-            m.weighted_neighbors(1).collect::<Vec<_>>(),
-            vec![(0, 2.5), (2, 4.0)]
-        );
-        assert_eq!(m.total_weight(), 5.5);
-        assert!(MappedSnapshot::<u32>::open(&path).is_err(), "kind mismatch");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1446,7 +1277,7 @@ mod tests {
         assert_eq!(load_snapshot(&path).unwrap(), g);
 
         // Zero-copy path: arena served from the mapping.
-        let c = load_compressed_snapshot::<()>(&path).unwrap();
+        let c = load_compressed_snapshot(&path).unwrap();
         assert_eq!(c.to_compact(), g);
         let fp = GraphView::memory_footprint(&c);
         assert_eq!(fp.encoded_bytes, 0, "mapped arena is page-cache, not heap");
@@ -1458,36 +1289,17 @@ mod tests {
         );
         assert_eq!(fp.encoded_len(), c.encoded_bytes());
         // Traversed representation counts the mapped arena; the heap
-        // charge does not (unit payload ⇒ no weight bytes).
+        // charge does not.
         assert_eq!(fp.structural_bytes(), fp.total_bytes() + fp.encoded_len());
 
         // A raw-array in-place view cannot serve a v2 file.
-        assert!(MappedSnapshot::<()>::open(&path).is_err());
+        assert!(MappedSnapshot::open(&path).is_err());
 
         // v1 files feed the compressed loader too (materialize + encode).
         let v1_path = dir.join("g1.pgcs");
         write_snapshot(&g, &v1_path).unwrap();
-        let c1 = load_compressed_snapshot::<()>(&v1_path).unwrap();
+        let c1 = load_compressed_snapshot(&v1_path).unwrap();
         assert_eq!(c1.to_compact(), g);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compressed_weighted_snapshot_round_trips() {
-        let g = from_weighted_edges(6, &[(0u32, 1u32, 2.5f64), (1, 2, -4.0), (3, 5, 0.25)]);
-        let c = CompressedCsr::from_weighted(&g);
-        let dir = std::env::temp_dir().join(format!("pgc-snapcw-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.pgcs");
-        write_compressed_snapshot(&c, &path).unwrap();
-        let back = load_compressed_snapshot::<f64>(&path).unwrap();
-        assert_eq!(back.to_weighted(), g);
-        assert!(
-            load_compressed_snapshot::<u32>(&path).is_err(),
-            "kind mismatch"
-        );
-        // Weighted v2 decodes transparently through the weighted loader.
-        assert_eq!(load_weighted_snapshot::<f64>(&path).unwrap(), g);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1541,7 +1353,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.pgcs");
         std::fs::write(&path, &buf).unwrap();
-        let err = load_compressed_snapshot::<()>(&path).unwrap_err();
+        let err = load_compressed_snapshot(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).ok();
     }

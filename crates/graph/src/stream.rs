@@ -1,7 +1,6 @@
 //! Streaming two-pass CSR construction: the [`EdgeSource`] trait and the
 //! parallel builder that turns any re-playable arc stream into a
-//! [`CompactCsr`] or a [`WeightedCsr`] **without materializing an arc
-//! list**.
+//! [`CompactCsr`] **without materializing an arc list**.
 //!
 //! The paper targets graphs where memory, not compute, binds (§II-A's
 //! word-budget accounting). The old build path buffered every input edge
@@ -27,14 +26,11 @@
 //!                         worker stages a batch of arcs as one run per
 //!                         bucket of 2¹² rows, then applies each run under
 //!                         that bucket's lock (plain cursor load + store),
-//!                         writing the arc — and, for weighted payloads,
-//!                         its weight into a neighbor-parallel weights
-//!                         array — directly into place
+//!                         writing the arc directly into place
 //!                              │
 //!                              ▼
 //!                 per-row parallel sort + in-place dedup
-//!                 (weights co-permuted, duplicates keep the max;
-//!                  compaction pass only if duplicates existed)
+//!                 (compaction pass only if duplicates existed)
 //!
 //!  each "replay" above:
 //!    parts() = 1  ─▶ one sequential replay; each chunk fanned out
@@ -47,18 +43,8 @@
 //! and schedule, and the per-row sort erases scatter order, so the
 //! finished arrays are identical at every width and partition count.
 //!
-//! The whole engine is generic over an edge payload `W:`
-//! [`EdgeWeight`]: sources replay `(u, v)` chunks *plus* a parallel
-//! weights chunk, pass 2 scatters weights through the same cursors, and
-//! the per-vertex sort co-permutes them
-//! ([`pgc_primitives::co_sort_by_key`]), merging duplicate arcs by max.
-//! `W = ()` is the zero-cost unweighted instantiation: unit weights
-//! arrays never allocate (`()` is zero-sized), the weight branches erase
-//! at compile time, and the produced arrays are bit-identical to the
-//! pre-generic engine.
-//!
-//! Peak transient memory is the scatter array (4 + `size_of::<W>()` bytes
-//! per raw, pre-dedup arc — duplicate-heavy inputs pay for their
+//! Peak transient memory is the scatter array (4 bytes per raw,
+//! pre-dedup arc — duplicate-heavy inputs pay for their
 //! duplicates until the compaction pass) plus `O(n)` counters and one
 //! staged batch per pool strand (64 KiB of unit arcs each) — roughly
 //! half the old path's peak, tracked exactly in
@@ -66,18 +52,15 @@
 //! `fig2_*` tables.
 //!
 //! Every producer in the workspace builds through this engine: the
-//! generators replay by seeded regeneration ([`crate::gen::SpecSource`],
-//! including replay-exact seeded weights; R-MAT, Erdős–Rényi and k-out
-//! partition by jumping their RNG ahead), the readers by re-scanning
+//! generators replay by seeded regeneration ([`crate::gen::SpecSource`];
+//! R-MAT, Erdős–Rényi and k-out partition by jumping their RNG ahead), the readers by re-scanning
 //! their file ([`crate::io::EdgeListSource`] and friends, one partition),
 //! and [`EdgeListBuilder`](crate::EdgeListBuilder) acts as the trivial
 //! buffered source (partitioned by slice ranges) for API compatibility.
 
 use crate::compact::{CompactCsr, Offsets};
-use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
 use pgc_par::for_each_chunk;
-use pgc_primitives::{co_sort_by_key, offsets_from_counts, reduce_sum_u64, OffsetWord};
+use pgc_primitives::{offsets_from_counts, reduce_sum_u64, OffsetWord};
 use rayon::prelude::*;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -95,22 +78,22 @@ const PAR_SORT_MIN_LEN: usize = 1 << 14;
 pub const CHUNK_EDGES: usize = 1 << 16;
 
 /// The chunk callback a builder hands to [`EdgeSource::replay`]: called
-/// once per consecutive chunk of raw `(u, v)` pairs, together with the
-/// parallel chunk of their payloads. When `W::IS_UNIT` the weights slice
-/// is ignored and may be empty; otherwise it must be exactly as long as
-/// the pair chunk (the builder rejects mismatches with `InvalidData`).
+/// once per consecutive chunk of raw `(u, v)` pairs. The second slice is
+/// always empty and ignored.
 pub type ChunkFn<'a, W = ()> = dyn FnMut(&[(u32, u32)], &[W]) + 'a;
 
 /// A re-playable, chunked stream of raw undirected edges — how graphs
-/// enter the system — generic over the edge payload `W` (`()` for
-/// unweighted sources; see [`EdgeWeight`]).
+/// enter the system.
 ///
-/// A source describes a multiset of `(u, v, w)` triples (self-loops and
-/// duplicates permitted; loops are dropped and duplicates merged by
-/// [`EdgeWeight::merge_parallel`] — the max — while the builder also
-/// materializes the reverse direction of every arc, carrying the same
-/// weight both ways). The builder consumes it with **two replays** — one
-/// to count degrees, one to scatter neighbors and weights — so
+/// The parameter `W` is always `()` and bounded by nothing: it stays only
+/// because the pipeline benchmark names `EdgeSource::<()>` when it
+/// replays a source.
+///
+/// A source describes a multiset of `(u, v)` pairs (self-loops and
+/// duplicates permitted; loops are dropped and duplicates merged, while
+/// the builder also materializes the reverse direction of every arc).
+/// The builder consumes it with **two replays** — one to count degrees,
+/// one to scatter neighbors — so
 /// implementations must yield the *identical* sequence on every
 /// [`replay`](Self::replay) call: buffered slices, a seeded generator
 /// re-run, or a second scan of a file all qualify.
@@ -136,11 +119,11 @@ pub type ChunkFn<'a, W = ()> = dyn FnMut(&[(u32, u32)], &[W]) + 'a;
 /// // A SNAP-style `u v` edge list, replayed by reopening the file: the
 /// // graph is built in two sequential scans with no edge buffering.
 /// let src = EdgeListSource::new(std::path::PathBuf::from("web-graph.txt"));
-/// assert_eq!(EdgeSource::<()>::num_vertices(&src), 0); // unknown up front
+/// assert_eq!(src.num_vertices(), 0); // unknown up front
 /// let g = build_compact(&src)?;
 /// # Ok::<(), std::io::Error>(())
 /// ```
-pub trait EdgeSource<W: EdgeWeight = ()>: Sync {
+pub trait EdgeSource<W = ()>: Sync {
     /// Vertex count known *a priori* (a declared header `n`, a generator
     /// parameter, …). Return 0 when unknown: the builder sizes the graph
     /// as `max(num_vertices(), max id seen + 1)`, so declared isolated
@@ -162,7 +145,7 @@ pub trait EdgeSource<W: EdgeWeight = ()>: Sync {
         0
     }
 
-    /// Stream the pairs (and their weights), invoking `emit` with
+    /// Stream the pairs, invoking `emit` with
     /// consecutive chunks. Must be deterministic: every call yields the
     /// same sequence. Implementations that produce edges one at a time
     /// can wrap `emit` in an [`EdgeSink`] to get the chunking for free.
@@ -181,7 +164,7 @@ pub trait EdgeSource<W: EdgeWeight = ()>: Sync {
     /// Stream partition `part` of `parts` (`part < parts`, for *any*
     /// `parts ≥ 1`, not just [`parts()`](Self::parts)). The contract:
     /// concatenating partitions `0..parts` in order yields exactly the
-    /// pairs and weights of [`replay`](Self::replay), and a source whose
+    /// pairs of [`replay`](Self::replay), and a source whose
     /// `parts()` exceeds 1 emits only ids below
     /// [`num_vertices`](Self::num_vertices) — concurrent partitions
     /// cannot grow `n`, so the builder rejects such an id with
@@ -207,30 +190,26 @@ pub(crate) fn part_range(len: usize, part: usize, parts: usize) -> std::ops::Ran
 
 /// Chunking adapter for [`EdgeSource::replay`] implementations: push
 /// edges one at a time, and they are flushed to the underlying callback
-/// in [`CHUNK_EDGES`]-sized chunks (plus a final partial chunk on drop),
-/// pairs and weights kept in lock-step.
-pub struct EdgeSink<'a, W: EdgeWeight = ()> {
+/// in [`CHUNK_EDGES`]-sized chunks (plus a final partial chunk on drop).
+pub struct EdgeSink<'a> {
     pairs: Vec<(u32, u32)>,
-    weights: Vec<W>,
-    emit: &'a mut ChunkFn<'a, W>,
+    emit: &'a mut ChunkFn<'a>,
 }
 
-impl<'a, W: EdgeWeight> EdgeSink<'a, W> {
+impl<'a> EdgeSink<'a> {
     /// Wrap a chunk callback in an edge-at-a-time interface.
-    pub fn new(emit: &'a mut ChunkFn<'a, W>) -> Self {
+    pub fn new(emit: &'a mut ChunkFn<'a>) -> Self {
         Self {
             pairs: Vec::with_capacity(CHUNK_EDGES),
-            weights: Vec::with_capacity(if W::IS_UNIT { 0 } else { CHUNK_EDGES }),
             emit,
         }
     }
 
-    /// Add one raw weighted edge (self-loops and duplicates are fine —
-    /// the builder cleans them).
+    /// Add one raw pair (self-loops and duplicates are fine — the builder
+    /// cleans them).
     #[inline]
-    pub fn push_weighted(&mut self, u: u32, v: u32, w: W) {
+    pub fn push(&mut self, u: u32, v: u32) {
         self.pairs.push((u, v));
-        self.weights.push(w);
         if self.pairs.len() == CHUNK_EDGES {
             self.flush();
         }
@@ -239,22 +218,13 @@ impl<'a, W: EdgeWeight> EdgeSink<'a, W> {
     /// Flush any buffered edges to the callback.
     pub fn flush(&mut self) {
         if !self.pairs.is_empty() {
-            (self.emit)(&self.pairs, &self.weights);
+            (self.emit)(&self.pairs, &[]);
             self.pairs.clear();
-            self.weights.clear();
         }
     }
 }
 
-impl EdgeSink<'_, ()> {
-    /// Add one raw unweighted pair.
-    #[inline]
-    pub fn push(&mut self, u: u32, v: u32) {
-        self.push_weighted(u, v, ());
-    }
-}
-
-impl<W: EdgeWeight> Drop for EdgeSink<'_, W> {
+impl Drop for EdgeSink<'_> {
     fn drop(&mut self) {
         self.flush();
     }
@@ -267,8 +237,7 @@ pub struct BuildStats {
     /// Wall-clock time of the whole ingestion (both passes + finalize).
     pub ingest: Duration,
     /// Peak bytes of build-side allocations (count/cursor/offset arrays,
-    /// the scatter arrays — neighbor and, when weighted, weight —
-    /// compaction scratch) plus the source's
+    /// the neighbor scatter array, compaction scratch) plus the source's
     /// [`buffered_bytes`](EdgeSource::buffered_bytes).
     pub build_bytes_peak: usize,
     /// Raw pairs streamed per replay (before de-loop/dedup).
@@ -282,10 +251,6 @@ pub struct BuildStats {
     pub raw_arcs: usize,
     /// Directed arcs in the finished graph (`2m`).
     pub arcs: usize,
-    /// Bytes per edge payload (`size_of::<W>()`; 0 for unweighted
-    /// builds) — folded into the arc-list baseline so weighted builds are
-    /// compared against what a weighted arc list would have cost.
-    pub weight_width: usize,
 }
 
 impl BuildStats {
@@ -297,15 +262,14 @@ impl BuildStats {
     /// What the retired arc-list path would have allocated transiently for
     /// the same input: an 8-byte buffered pair per raw edge plus an
     /// 8-byte `u64` entry per symmetrized arc (self-loops were buffered
-    /// but never expanded into arcs), each widened by the payload when
-    /// the build is weighted. Lower bound on its peak — useful as the
-    /// baseline the streaming build must beat.
+    /// but never expanded into arcs). Lower bound on its peak — useful as
+    /// the baseline the streaming build must beat.
     pub fn arc_list_baseline_bytes(&self) -> usize {
-        self.raw_edges * (8 + self.weight_width) + self.raw_arcs * (8 + self.weight_width)
+        8 * (self.raw_edges + self.raw_arcs)
     }
 }
 
-/// Build the default [`CompactCsr`] from an unweighted source.
+/// Build the default [`CompactCsr`] from a source.
 pub fn build_compact<S: EdgeSource + ?Sized>(src: &S) -> io::Result<CompactCsr> {
     build_compact_with_stats(src).map(|(g, _)| g)
 }
@@ -317,54 +281,13 @@ pub fn build_compact_with_stats<S: EdgeSource + ?Sized>(
     build_compact_with_offset_limit(src, u32::MAX as usize)
 }
 
-/// Build a [`WeightedCsr`] from a weighted source through the same
-/// two-pass engine: weights are scattered in pass 2 through the shared
-/// per-vertex cursors, co-permuted by the per-vertex sort, and duplicate
-/// arcs keep the max weight. The structural arrays are bit-identical to
-/// the unweighted build of the same pair stream.
-pub fn build_weighted<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
-    src: &S,
-) -> io::Result<WeightedCsr<W>> {
-    build_weighted_with_stats(src).map(|(g, _)| g)
-}
-
-/// [`build_weighted`] returning the [`BuildStats`] instrumentation too.
-pub fn build_weighted_with_stats<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
-    src: &S,
-) -> io::Result<(WeightedCsr<W>, BuildStats)> {
-    build_weighted_with_offset_limit(src, u32::MAX as usize)
-}
-
-/// [`build_compact_with_stats`] with an explicit `u32` offset limit. The
-/// builders pass `u32::MAX`; tests pass a small limit (0 always goes
-/// wide), forcing the 8-byte fallback on small graphs so the
-/// `u32 → usize` boundary is exercisable without 4-billion-arc inputs.
-#[doc(hidden)]
-pub fn build_compact_with_offset_limit<S: EdgeSource + ?Sized>(
-    src: &S,
-    u32_limit: usize,
-) -> io::Result<(CompactCsr, BuildStats)> {
-    let (g, _unit_weights, stats) = build_raw::<(), S>(src, u32_limit)?;
-    Ok((g, stats))
-}
-
-/// Weighted sibling of [`build_compact_with_offset_limit`].
-#[doc(hidden)]
-pub fn build_weighted_with_offset_limit<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
-    src: &S,
-    u32_limit: usize,
-) -> io::Result<(WeightedCsr<W>, BuildStats)> {
-    let (g, weights, stats) = build_raw::<W, S>(src, u32_limit)?;
-    Ok((WeightedCsr::from_parts(g, weights), stats))
-}
-
 // ---------------------------------------------------------------------
 // The two-pass core
 // ---------------------------------------------------------------------
 
 /// Finished CSR rows as the engine produces them: width-resolved
-/// offsets, neighbors, and the neighbor-parallel weights.
-type Rows<W> = (Offsets, Vec<u32>, Vec<W>);
+/// offsets and neighbors.
+type Rows = (Offsets, Vec<u32>);
 
 /// Running high-water mark of build-side allocations, threaded through
 /// every phase of one build.
@@ -501,15 +424,17 @@ impl<T> SharedMut<T> {
     }
 }
 
-/// The engine: two replays, no arc list. `u32_limit` is the largest arc
-/// total the `u32` offset width may address (the real boundary is
-/// `u32::MAX`; tests shrink it to reach the wide path cheaply). Returns
-/// the graph plus the neighbor-parallel weights array (empty logical
-/// content for `W = ()`, which allocates nothing).
-fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
+/// The engine behind every build — two replays, no arc list — as
+/// [`build_compact_with_stats`] with an explicit `u32` offset limit:
+/// `u32_limit` is the largest arc total the `u32` offset width may
+/// address. The builders pass `u32::MAX`; tests pass a small limit (0
+/// always goes wide), forcing the 8-byte fallback on small graphs so the
+/// `u32 → usize` boundary is exercisable without 4-billion-arc inputs.
+#[doc(hidden)]
+pub fn build_compact_with_offset_limit<S: EdgeSource + ?Sized>(
     src: &S,
     u32_limit: usize,
-) -> io::Result<(CompactCsr, Vec<W>, BuildStats)> {
+) -> io::Result<(CompactCsr, BuildStats)> {
     let t0 = Instant::now();
     let mut peak = Peak::default();
     peak.alloc(src.buffered_bytes());
@@ -542,7 +467,7 @@ fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
                 peak.alloc((counts.capacity() - old_cap) * 4);
             }
         },
-        |counts, chunk, _| {
+        |counts, chunk| {
             for &(u, v) in chunk {
                 let (ui, vi) = (u as usize, v as usize);
                 if ui.max(vi) >= counts.len() {
@@ -572,12 +497,12 @@ fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     drop(count_span);
 
     // ---- pass 2 + finish, at the narrowest width addressing `total` ---
-    let (offsets, neighbors, weights) = if total < u32_limit {
-        let (offsets, neighbors, weights) = scatter::<u32, W, S>(src, counts, total, &mut peak)?;
-        finish(offsets, neighbors, weights, u32_limit, &mut peak)
+    let (offsets, neighbors) = if total < u32_limit {
+        let (offsets, neighbors) = scatter::<u32, S>(src, counts, total, &mut peak)?;
+        finish(offsets, neighbors, u32_limit, &mut peak)
     } else {
-        let (offsets, neighbors, weights) = scatter::<usize, W, S>(src, counts, total, &mut peak)?;
-        finish(offsets, neighbors, weights, u32_limit, &mut peak)
+        let (offsets, neighbors) = scatter::<usize, S>(src, counts, total, &mut peak)?;
+        finish(offsets, neighbors, u32_limit, &mut peak)
     };
     let stats = BuildStats {
         ingest: t0.elapsed(),
@@ -586,9 +511,8 @@ fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
         hinted_edges: src.edge_hint(),
         raw_arcs: total,
         arcs: neighbors.len(),
-        weight_width: std::mem::size_of::<W>(),
     };
-    Ok((CompactCsr::from_offsets(offsets, neighbors), weights, stats))
+    Ok((CompactCsr::from_offsets(offsets, neighbors), stats))
 }
 
 /// Partitions the replay driver runs per pool strand: a few more than
@@ -596,59 +520,37 @@ fn build_raw<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
 /// still balance by stealing.
 const PARTS_PER_WORKER: usize = 4;
 
-fn weights_chunk_err() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        "weighted EdgeSource emitted a weights chunk shorter or longer than its pair chunk",
-    )
-}
-
 /// The replay driver behind both builder passes: replays `src` once over
 /// the `pgc-par` pool and hands each raw pair to `body` exactly once — in
-/// sub-slices of the source's chunks, with the matching weights (possibly
-/// empty when `W::IS_UNIT`), concurrently. Returns the raw pair count.
+/// sub-slices of the source's chunks, concurrently. Returns the raw pair
+/// count.
 ///
 /// A one-part source replays sequentially and each chunk fans out with
 /// `for_each_chunk`; before that, `grow` sees the whole chunk with
 /// exclusive access to `state` (the count pass grows `n` there). A
 /// source with more [`parts`](EdgeSource::parts) replays
 /// `min(parts, 4 × width)` partitions as pool tasks and never calls
-/// `grow`, so `body` must reject ids `state` cannot hold. A weights chunk
-/// whose length differs from its pair chunk is `InvalidData` on both
-/// paths.
-fn replay_with<W, S, T>(
+/// `grow`, so `body` must reject ids `state` cannot hold.
+fn replay_with<S, T>(
     src: &S,
     state: &mut T,
     mut grow: impl FnMut(&mut T, &[(u32, u32)]),
-    body: impl Fn(&T, &[(u32, u32)], &[W]) + Sync,
+    body: impl Fn(&T, &[(u32, u32)]) + Sync,
 ) -> io::Result<usize>
 where
-    W: EdgeWeight,
-    S: EdgeSource<W> + ?Sized,
+    S: EdgeSource + ?Sized,
     T: Sync,
 {
     let parts = src.parts().min(PARTS_PER_WORKER * pgc_par::current_width());
     if parts <= 1 {
         let mut raw = 0usize;
-        let mut malformed = false;
-        src.replay(&mut |chunk, wchunk| {
-            if !W::IS_UNIT && wchunk.len() != chunk.len() {
-                malformed = true;
-                return;
-            }
+        src.replay(&mut |chunk, _| {
             raw += chunk.len();
             grow(state, chunk);
             let state = &*state;
-            for_each_chunk(chunk.len(), |r| {
-                let weights = if W::IS_UNIT { &[] } else { &wchunk[r.clone()] };
-                body(state, &chunk[r], weights);
-            });
+            for_each_chunk(chunk.len(), |r| body(state, &chunk[r]));
         })?;
-        return if malformed {
-            Err(weights_chunk_err())
-        } else {
-            Ok(raw)
-        };
+        return Ok(raw);
     }
     let state = &*state;
     pgc_par::map_reduce_chunks(
@@ -657,18 +559,10 @@ where
         |range| {
             let mut raw = 0usize;
             for part in range {
-                let mut malformed = false;
-                src.replay_part(part, parts, &mut |chunk, wchunk| {
-                    if !W::IS_UNIT && wchunk.len() != chunk.len() {
-                        malformed = true;
-                        return;
-                    }
+                src.replay_part(part, parts, &mut |chunk, _| {
                     raw += chunk.len();
-                    body(state, chunk, wchunk);
+                    body(state, chunk);
                 })?;
-                if malformed {
-                    return Err(weights_chunk_err());
-                }
             }
             Ok(raw)
         },
@@ -695,10 +589,10 @@ fn hold<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One worker's staging buffers for pass 2, reused batch after batch.
 #[derive(Default)]
-struct Stage<W> {
-    /// The batch's arcs as `(row − bucket base, target, weight)`, grouped
-    /// into one run per bucket.
-    arcs: Vec<(u32, u32, W)>,
+struct Stage {
+    /// The batch's arcs as `(row − bucket base, target)`, grouped into
+    /// one run per bucket.
+    arcs: Vec<(u32, u32)>,
     /// Per bucket: the batch's arc count, then the fill position of its
     /// run; all zero between batches.
     fill: Vec<u32>,
@@ -706,17 +600,17 @@ struct Stage<W> {
     touched: Vec<usize>,
 }
 
-impl<W: EdgeWeight> Stage<W> {
+impl Stage {
     fn new(buckets: usize) -> Self {
         Self {
-            arcs: vec![(0, 0, W::default()); 2 * STAGE_PAIRS],
+            arcs: vec![(0, 0); 2 * STAGE_PAIRS],
             fill: vec![0; buckets],
             touched: Vec::with_capacity(buckets.min(2 * STAGE_PAIRS)),
         }
     }
 
     fn bytes(&self) -> usize {
-        self.arcs.capacity() * std::mem::size_of::<(u32, u32, W)>()
+        self.arcs.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.fill.capacity() * 4
             + self.touched.capacity() * std::mem::size_of::<usize>()
     }
@@ -726,9 +620,9 @@ impl<W: EdgeWeight> Stage<W> {
 /// At most `cap` (the pool width) ever exist: a worker that finds them
 /// all on loan waits for one, so the staging memory is bounded by width
 /// × one stage however many threads the pool lends the pass.
-struct Stages<W> {
+struct Stages {
     /// Idle stages, and how many the pass has made.
-    free: Mutex<(Vec<Stage<W>>, usize)>,
+    free: Mutex<(Vec<Stage>, usize)>,
     returned: Condvar,
     cap: usize,
     buckets: usize,
@@ -737,12 +631,12 @@ struct Stages<W> {
 /// A stage on loan to one replay body. Dropping it — unwinding included,
 /// so a panicking body cannot leave the others waiting — returns it,
 /// cleared if the body stopped mid-batch.
-struct Lease<'a, W: EdgeWeight> {
-    stages: &'a Stages<W>,
-    stage: Stage<W>,
+struct Lease<'a> {
+    stages: &'a Stages,
+    stage: Stage,
 }
 
-impl<W: EdgeWeight> Drop for Lease<'_, W> {
+impl Drop for Lease<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.stage.fill.fill(0);
@@ -755,7 +649,7 @@ impl<W: EdgeWeight> Drop for Lease<'_, W> {
     }
 }
 
-impl<W: EdgeWeight> Stages<W> {
+impl Stages {
     fn new(cap: usize, buckets: usize) -> Self {
         Self {
             free: Mutex::new((Vec::new(), 0)),
@@ -765,7 +659,7 @@ impl<W: EdgeWeight> Stages<W> {
         }
     }
 
-    fn lease(&self) -> Lease<'_, W> {
+    fn lease(&self) -> Lease<'_> {
         let mut free = hold(&self.free);
         let stage = loop {
             if let Some(stage) = free.0.pop() {
@@ -800,7 +694,7 @@ impl<W: EdgeWeight> Stages<W> {
 /// Pass 2 at a fixed offset width: prefix-sum the degree counts, then
 /// replay the source once and store each directed arc `a → b` of every
 /// non-loop pair (both directions) in row `a`: its cursor claims the next
-/// slot, which takes `b` and the pair's weight.
+/// slot, which takes `b`.
 ///
 /// Rows fall into buckets of [`BUCKET_ROWS`], one lock each, and a
 /// cursor is only read and advanced under its bucket's lock — a plain
@@ -816,12 +710,12 @@ impl<W: EdgeWeight> Stages<W> {
 /// does not end exactly at the next row's offset means the replay
 /// diverged from the counted one: a file edited between scans, a
 /// non-deterministic generator, a dropped or extra pair.
-fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
+fn scatter<O: ScatterWord, S: EdgeSource + ?Sized>(
     src: &S,
     counts: Vec<u32>,
     total: usize,
     peak: &mut Peak,
-) -> io::Result<(Vec<O>, Vec<u32>, Vec<W>)> {
+) -> io::Result<(Vec<O>, Vec<u32>)> {
     let n = counts.len();
     let word = std::mem::size_of::<O>();
     let _scatter_span = pgc_obs::span!("ingest.scatter");
@@ -834,24 +728,19 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     peak.free(counts_bytes);
 
     // Cursors start at each row's offset; neighbors come zeroed from the
-    // allocator, the weights array default-initialized (for `W = ()` it
-    // is a zero-sized no-allocation vector). Neighbor slots are plain
-    // words viewed as atomics only for the duration of the parallel
-    // scatter; weight slots are written raw.
+    // allocator. Neighbor slots are plain words viewed as atomics only for
+    // the duration of the parallel scatter.
     let mut cursor_words: Vec<O> = offsets[..n].to_vec();
     peak.alloc(cursor_words.capacity() * word);
     let mut neighbors: Vec<u32> = vec![0; total];
     peak.alloc(neighbors.capacity() * 4);
-    let mut weights: Vec<W> = vec![W::default(); total];
-    peak.alloc(weights.capacity() * std::mem::size_of::<W>());
     let buckets = n.div_ceil(BUCKET_ROWS).max(1);
     let locks: Vec<Mutex<()>> = (0..buckets).map(|_| Mutex::new(())).collect();
-    let stages = Stages::<W>::new(pgc_par::current_width(), buckets);
+    let stages = Stages::new(pgc_par::current_width(), buckets);
     let diverged = AtomicBool::new(false);
     {
         let cursors = O::as_cursors(&mut cursor_words);
         let slots = u32::as_cursors(&mut neighbors);
-        let wslots = SharedMut(weights.as_mut_ptr());
         let (offsets, diverged, locks, stages) = (&offsets, &diverged, &locks, &stages);
         // The arcs of one raw pair as `(row, target)`: none for a loop. A
         // pass-2 replay that grew (a file appended to between the two
@@ -868,7 +757,7 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
             }
         };
         // Store one arc in `row`; the caller holds the row's bucket lock.
-        let place = |row: usize, target: u32, weight: W| {
+        let place = |row: usize, target: u32| {
             // Bound the slot by its own row's end, not the array's: an
             // overfilled row must not spill into the next row's slots.
             let Some(slot) = cursors[row].claim(offsets[row + 1].to_usize()) else {
@@ -876,24 +765,16 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
                 return;
             };
             slots[slot].store(target, Ordering::Relaxed);
-            if !W::IS_UNIT {
-                // SAFETY: `slot` lies in `row`'s range, which no other
-                // row's cursor reaches, and `row`'s cursor handed it out
-                // once, under the bucket lock this caller holds; so no
-                // other writer can hold the same slot.
-                unsafe { wslots.write(slot, weight) };
-            }
         };
         // Bound by name and called from a forwarding closure: passed to
         // `replay_with` directly, this body compiled to a larger function
         // that built R-MAT 18/16 about 3% slower.
-        let body = |chunk: &[(u32, u32)], wchunk: &[W]| {
-            let weight = |i: usize| if W::IS_UNIT { W::default() } else { wchunk[i] };
+        let body = |chunk: &[(u32, u32)]| {
             if buckets == 1 {
                 let _held = hold(&locks[0]);
-                for (i, &(u, v)) in chunk.iter().enumerate() {
+                for &(u, v) in chunk {
                     for (row, target) in arcs_of(u, v).into_iter().flatten() {
-                        place(row, target, weight(i));
+                        place(row, target);
                     }
                 }
                 return;
@@ -904,7 +785,7 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
                 fill,
                 touched,
             } = &mut lease.stage;
-            for (k, batch) in chunk.chunks(STAGE_PAIRS).enumerate() {
+            for batch in chunk.chunks(STAGE_PAIRS) {
                 for &(u, v) in batch {
                     for (row, _) in arcs_of(u, v).into_iter().flatten() {
                         let b = row / BUCKET_ROWS;
@@ -920,11 +801,10 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
                     fill[b] = run_start;
                     run_start += count;
                 }
-                for (i, &(u, v)) in batch.iter().enumerate() {
+                for &(u, v) in batch {
                     for (row, target) in arcs_of(u, v).into_iter().flatten() {
                         let b = row / BUCKET_ROWS;
-                        let w = weight(k * STAGE_PAIRS + i);
-                        arcs[fill[b] as usize] = ((row % BUCKET_ROWS) as u32, target, w);
+                        arcs[fill[b] as usize] = ((row % BUCKET_ROWS) as u32, target);
                         fill[b] += 1;
                     }
                 }
@@ -933,8 +813,8 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
                     let hi = fill[b] as usize;
                     let base = b * BUCKET_ROWS;
                     let _held = hold(&locks[b]);
-                    for &(rel, target, w) in &arcs[lo..hi] {
-                        place(base + rel as usize, target, w);
+                    for &(rel, target) in &arcs[lo..hi] {
+                        place(base + rel as usize, target);
                     }
                     fill[b] = 0;
                     lo = hi;
@@ -942,12 +822,7 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
                 touched.clear();
             }
         };
-        replay_with(
-            src,
-            &mut (),
-            |_, _| {},
-            |_, chunk, wchunk| body(chunk, wchunk),
-        )?;
+        replay_with(src, &mut (), |_, _| {}, |_, chunk| body(chunk))?;
     }
     // Record the stages and the bucket locks they took turns under at
     // their high-water, then release them: they die with the pass. A
@@ -982,156 +857,93 @@ fn scatter<O: ScatterWord, W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     let cursor_bytes = cursor_words.capacity() * word;
     drop(cursor_words);
     peak.free(cursor_bytes);
-    Ok((offsets, neighbors, weights))
+    Ok((offsets, neighbors))
 }
 
 /// The finish of the engine: sort each scattered row in place (rows of
-/// at least [`PAR_SORT_MIN_LEN`] arcs with the parallel sort), dedup it —
-/// weights co-permuted, duplicate arcs folded by
-/// [`EdgeWeight::merge_parallel`] — and compact only if duplicates were
-/// dropped, re-deciding the offset width from the post-dedup total. On
-/// return `peak` charges the returned arrays in place of the scattered
-/// ones.
-fn finish<O: ScatterWord, W: EdgeWeight>(
+/// at least [`PAR_SORT_MIN_LEN`] arcs with the parallel sort), dedup it,
+/// and compact only if duplicates were dropped, re-deciding the offset
+/// width from the post-dedup total. On return `peak` charges the returned
+/// arrays in place of the scattered ones.
+fn finish<O: ScatterWord>(
     offsets: Vec<O>,
     mut neighbors: Vec<u32>,
-    mut weights: Vec<W>,
     u32_limit: usize,
     peak: &mut Peak,
-) -> Rows<W> {
+) -> Rows {
     let n = offsets.len() - 1;
     let total = neighbors.len();
     let _sort_span = pgc_obs::span!("ingest.sort");
     let mut deduped: Vec<u32> = vec![0; n];
     peak.alloc(n * 4);
-    // Weighted builds use one co-sort scratch buffer per worker range;
-    // their summed final capacities are exactly the scratch bytes that
-    // coexisted at this phase's peak (capacities only grow), so they are
-    // charged into the accounting below rather than hidden.
-    let scratch_bytes = AtomicUsize::new(0);
     {
         let nb = SharedMut(neighbors.as_mut_ptr());
-        let ws = SharedMut(weights.as_mut_ptr());
         let dd = SharedMut(deduped.as_mut_ptr());
         let offsets = &offsets;
-        let scratch_bytes = &scratch_bytes;
         for_each_chunk(n, |range| {
-            // One reusable co-sort scratch per worker range (weighted
-            // builds only; never filled on the unit path).
-            let mut scratch: Vec<(u32, W)> = Vec::new();
             for v in range {
                 let lo = offsets[v].to_usize();
                 let hi = offsets[v + 1].to_usize();
                 // SAFETY: CSR ranges of distinct vertices are disjoint,
                 // and `for_each_chunk` hands out disjoint vertex ranges.
                 let list = unsafe { nb.slice(lo, hi) };
-                if W::IS_UNIT {
-                    // The pre-generic unweighted path, bit for bit.
-                    // Hub adjacencies (scale-free graphs concentrate a
-                    // large share of all arcs on a few vertices) would
-                    // serialize the whole phase on one worker; fork their
-                    // sorts too.
-                    if list.len() >= PAR_SORT_MIN_LEN {
-                        list.par_sort_unstable();
-                    } else {
-                        list.sort_unstable();
-                    }
-                    let mut out = 0usize;
-                    for i in 0..list.len() {
-                        if i == 0 || list[i] != list[i - 1] {
-                            list[out] = list[i];
-                            out += 1;
-                        }
-                    }
-                    // SAFETY: one writer per vertex slot.
-                    unsafe { dd.write(v, out as u32) };
+                // Hub adjacencies (scale-free graphs concentrate a large
+                // share of all arcs on a few vertices) would serialize the
+                // whole phase on one worker; fork their sorts too.
+                if list.len() >= PAR_SORT_MIN_LEN {
+                    list.par_sort_unstable();
                 } else {
-                    // SAFETY: same disjoint vertex range as `list`.
-                    let wl = unsafe { ws.slice(lo, hi) };
-                    if list.len() >= PAR_SORT_MIN_LEN {
-                        scratch.clear();
-                        scratch.extend(list.iter().copied().zip(wl.iter().copied()));
-                        scratch.par_sort_unstable_by_key(|&(k, _)| k);
-                        for (i, &(k, p)) in scratch.iter().enumerate() {
-                            list[i] = k;
-                            wl[i] = p;
-                        }
-                    } else {
-                        co_sort_by_key(list, wl, &mut scratch);
-                    }
-                    // Dedup keeping the max weight of each duplicate
-                    // group (order-insensitive, so the scatter's thread
-                    // schedule cannot leak into the result).
-                    let mut out = 0usize;
-                    for i in 0..list.len() {
-                        if out == 0 || list[i] != list[out - 1] {
-                            list[out] = list[i];
-                            wl[out] = wl[i];
-                            out += 1;
-                        } else {
-                            wl[out - 1] = wl[out - 1].merge_parallel(wl[i]);
-                        }
-                    }
-                    // SAFETY: one writer per vertex slot.
-                    unsafe { dd.write(v, out as u32) };
+                    list.sort_unstable();
                 }
-            }
-            if !W::IS_UNIT {
-                scratch_bytes.fetch_add(
-                    scratch.capacity() * std::mem::size_of::<(u32, W)>(),
-                    Ordering::Relaxed,
-                );
+                let mut out = 0usize;
+                for i in 0..list.len() {
+                    if i == 0 || list[i] != list[i - 1] {
+                        list[out] = list[i];
+                        out += 1;
+                    }
+                }
+                // SAFETY: one writer per vertex slot.
+                unsafe { dd.write(v, out as u32) };
             }
         });
     }
-    // Record the sort-phase scratch high-water (0 for unit payloads),
-    // then release it: the buffers died with their workers.
-    let sort_scratch = scratch_bytes.load(Ordering::Relaxed);
-    peak.alloc(sort_scratch);
-    peak.free(sort_scratch);
     let kept = reduce_sum_u64(&deduped, |&d| d as u64) as usize;
     if kept == total {
-        // No duplicates anywhere: the scatter arrays are already the
-        // final neighbor/weight arrays and the pass-2 offsets are exact.
+        // No duplicates anywhere: the scatter array is already the final
+        // neighbor array and the pass-2 offsets are exact.
         peak.free(n * 4);
-        return (O::pack(offsets), neighbors, weights);
+        return (O::pack(offsets), neighbors);
     }
 
     // ---- compaction: close the gaps dedup left -----------------------
     let fin = if kept < u32_limit {
-        compact_lists::<O, u32, W>(&offsets, &neighbors, &weights, &deduped, kept, peak)
+        compact_lists::<O, u32>(&offsets, &neighbors, &deduped, kept, peak)
     } else {
-        compact_lists::<O, usize, W>(&offsets, &neighbors, &weights, &deduped, kept, peak)
+        compact_lists::<O, usize>(&offsets, &neighbors, &deduped, kept, peak)
     };
     peak.free(n * 4); // `deduped`
     peak.free((n + 1) * std::mem::size_of::<O>()); // scatter offsets
     peak.free(total * 4); // neighbor scatter array
-    peak.free(total * std::mem::size_of::<W>()); // weight scatter array
     fin
 }
 
-/// Copy the deduped prefixes of each row (and its weights) into dense
-/// final arrays, re-deciding the offset width from the post-dedup arc
-/// total.
-fn compact_lists<O: ScatterWord, F: ScatterWord, W: EdgeWeight>(
+/// Copy the deduped prefix of each row into a dense final array,
+/// re-deciding the offset width from the post-dedup arc total.
+fn compact_lists<O: ScatterWord, F: ScatterWord>(
     offsets: &[O],
     neighbors: &[u32],
-    weights: &[W],
     deduped: &[u32],
     kept: usize,
     peak: &mut Peak,
-) -> Rows<W> {
+) -> Rows {
     let n = deduped.len();
     let (fin_offsets, sum) = offsets_from_counts::<F>(deduped);
     debug_assert_eq!(sum, kept);
     peak.alloc((n + 1) * std::mem::size_of::<F>());
     let mut fin: Vec<u32> = vec![0; kept];
     peak.alloc(kept * 4);
-    let mut fin_weights: Vec<W> = vec![W::default(); kept];
-    peak.alloc(kept * std::mem::size_of::<W>());
     {
         let fb = SharedMut(fin.as_mut_ptr());
-        let fw = SharedMut(fin_weights.as_mut_ptr());
         let fin_offsets = &fin_offsets;
         for_each_chunk(n, |range| {
             for v in range {
@@ -1142,15 +954,10 @@ fn compact_lists<O: ScatterWord, F: ScatterWord, W: EdgeWeight>(
                 // disjoint.
                 unsafe { fb.slice(dst_lo, dst_lo + d) }
                     .copy_from_slice(&neighbors[src_lo..src_lo + d]);
-                if !W::IS_UNIT {
-                    // SAFETY: same disjoint destination ranges.
-                    unsafe { fw.slice(dst_lo, dst_lo + d) }
-                        .copy_from_slice(&weights[src_lo..src_lo + d]);
-                }
             }
         });
     }
-    (F::pack(fin_offsets), fin, fin_weights)
+    (F::pack(fin_offsets), fin)
 }
 
 #[cfg(test)]
@@ -1164,12 +971,10 @@ mod tests {
         IdOutOfRange,
         /// Emits one pair fewer on every replay after the first.
         ShortAfterFirst,
-        /// Emits one weight fewer than pairs.
-        WeightsShort,
     }
 
-    /// A weighted source of four partitions over 8 vertices (a cycle),
-    /// honest except for partition 2.
+    /// A source of four partitions over 8 vertices (a cycle), honest
+    /// except for partition 2.
     struct Hostile {
         breach: Breach,
         calls: AtomicUsize,
@@ -1184,7 +989,7 @@ mod tests {
         }
     }
 
-    impl EdgeSource<f32> for Hostile {
+    impl EdgeSource for Hostile {
         fn num_vertices(&self) -> usize {
             8
         }
@@ -1193,38 +998,25 @@ mod tests {
             4
         }
 
-        fn replay(&self, emit: &mut ChunkFn<'_, f32>) -> io::Result<()> {
+        fn replay(&self, emit: &mut ChunkFn<'_>) -> io::Result<()> {
             (0..4).try_for_each(|p| self.replay_part(p, 4, emit))
         }
 
-        fn replay_part(
-            &self,
-            part: usize,
-            parts: usize,
-            emit: &mut ChunkFn<'_, f32>,
-        ) -> io::Result<()> {
+        fn replay_part(&self, part: usize, parts: usize, emit: &mut ChunkFn<'_>) -> io::Result<()> {
             for block in part_range(4, part, parts) {
                 let b = block as u32;
                 let mut pairs = vec![(2 * b, 2 * b + 1), (2 * b + 1, (2 * b + 2) % 8)];
-                let mut weights = vec![1.0; 2];
                 if block == 2 {
                     match self.breach {
-                        Breach::IdOutOfRange => {
-                            pairs.push((5, 9));
-                            weights.push(1.0);
-                        }
+                        Breach::IdOutOfRange => pairs.push((5, 9)),
                         Breach::ShortAfterFirst => {
                             if self.calls.fetch_add(1, Ordering::Relaxed) > 0 {
                                 pairs.pop();
-                                weights.pop();
                             }
-                        }
-                        Breach::WeightsShort => {
-                            weights.pop();
                         }
                     }
                 }
-                emit(&pairs, &weights);
+                emit(&pairs, &[]);
             }
             Ok(())
         }
@@ -1235,11 +1027,10 @@ mod tests {
         for (breach, msg) in [
             (Breach::IdOutOfRange, "num_vertices"),
             (Breach::ShortAfterFirst, "diverged"),
-            (Breach::WeightsShort, "weights chunk"),
         ] {
             for width in [1, 2, 8] {
                 let src = Hostile::new(breach);
-                let err = pgc_par::install(width, || build_weighted(&src)).unwrap_err();
+                let err = pgc_par::install(width, || build_compact(&src)).unwrap_err();
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{breach:?}");
                 assert!(err.to_string().contains(msg), "{breach:?}: {err}");
             }
@@ -1286,26 +1077,6 @@ mod tests {
             // Tiny chunks on purpose: exercise chunk-boundary handling.
             for chunk in self.pairs.chunks(3) {
                 emit(chunk, &[]);
-            }
-            Ok(())
-        }
-    }
-
-    /// Weighted in-memory source over a triple slice.
-    struct WVecSource {
-        n: usize,
-        edges: Vec<(u32, u32, f32)>,
-    }
-
-    impl EdgeSource<f32> for WVecSource {
-        fn num_vertices(&self) -> usize {
-            self.n
-        }
-
-        fn replay(&self, emit: &mut ChunkFn<'_, f32>) -> io::Result<()> {
-            let mut sink = EdgeSink::new(emit);
-            for &(u, v, w) in &self.edges {
-                sink.push_weighted(u, v, w);
             }
             Ok(())
         }
@@ -1394,7 +1165,6 @@ mod tests {
         let (g, stats) = build_compact_with_stats(&src).unwrap();
         assert_eq!(stats.raw_edges, raw);
         assert_eq!(stats.arcs, g.num_arcs());
-        assert_eq!(stats.weight_width, 0, "unit payload is zero-sized");
         assert!(stats.build_bytes_peak > 0);
         assert!(
             stats.build_bytes_peak < stats.arc_list_baseline_bytes(),
@@ -1403,120 +1173,6 @@ mod tests {
             stats.arc_list_baseline_bytes()
         );
         assert!(stats.ingest_ms() >= 0.0);
-    }
-
-    #[test]
-    fn weighted_build_symmetrizes_and_keeps_max_on_duplicates() {
-        let src = WVecSource {
-            n: 4,
-            edges: vec![
-                (0, 1, 2.0),
-                (1, 0, 5.0), // duplicate of {0,1}: max wins
-                (2, 3, 1.5),
-                (3, 3, 9.0), // self-loop: dropped, weight and all
-                (0, 1, 3.0),
-            ],
-        };
-        let g = build_weighted(&src).unwrap();
-        assert_eq!(g.n(), 4);
-        assert_eq!(g.m(), 2);
-        assert_eq!(g.edge_weight(0, 1), Some(5.0));
-        assert_eq!(g.edge_weight(1, 0), Some(5.0), "weights are symmetric");
-        assert_eq!(g.edge_weight(2, 3), Some(1.5));
-        assert_eq!(g.edge_weight(3, 3), None);
-        assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn weighted_structure_is_bit_identical_to_unweighted() {
-        let edges: Vec<(u32, u32, f32)> = (0..600u32)
-            .map(|i| (i % 37, (i * 11 + 3) % 37, (i % 13) as f32))
-            .collect();
-        let wsrc = WVecSource {
-            n: 37,
-            edges: edges.clone(),
-        };
-        let usrc = VecSource {
-            n: 37,
-            pairs: edges.iter().map(|&(u, v, _)| (u, v)).collect(),
-        };
-        let (wg, wstats) = build_weighted_with_stats(&wsrc).unwrap();
-        let ug = build_compact(&usrc).unwrap();
-        assert_eq!(wg.structure(), &ug);
-        assert_eq!(wstats.weight_width, 4);
-        assert!(
-            wstats.build_bytes_peak < wstats.arc_list_baseline_bytes(),
-            "weighted streaming peak {} must beat the weighted arc-list baseline {}",
-            wstats.build_bytes_peak,
-            wstats.arc_list_baseline_bytes()
-        );
-    }
-
-    #[test]
-    fn weighted_forced_wide_matches_small() {
-        let edges: Vec<(u32, u32, f32)> = (0..50u32)
-            .map(|i| (i % 9, (i * 5 + 2) % 9, i as f32 * 0.5))
-            .collect();
-        let src = WVecSource { n: 9, edges };
-        let small = build_weighted(&src).unwrap();
-        let (wide, _) = build_weighted_with_offset_limit(&src, 1).unwrap();
-        assert_eq!(
-            wide.structure().offset_width(),
-            std::mem::size_of::<usize>()
-        );
-        assert_eq!(csr_arrays(wide.structure()), csr_arrays(small.structure()));
-        for v in 0..9u32 {
-            assert_eq!(wide.neighbor_weights(v), small.neighbor_weights(v));
-        }
-    }
-
-    #[test]
-    fn weighted_peak_charges_weights_and_hub_sort_scratch() {
-        // A star: the hub's adjacency is one huge list, so the weighted
-        // sort scratch is ~8 bytes per arc — it must show up in the
-        // "exact peak" accounting, not vanish as hidden worker scratch.
-        let n = 4_000u32;
-        let edges: Vec<(u32, u32, f32)> = (1..n).map(|v| (0, v, v as f32)).collect();
-        let wsrc = WVecSource {
-            n: n as usize,
-            edges,
-        };
-        let usrc = VecSource {
-            n: n as usize,
-            pairs: (1..n).map(|v| (0, v)).collect(),
-        };
-        let (_, wstats) = build_weighted_with_stats(&wsrc).unwrap();
-        let (_, ustats) = build_compact_with_stats(&usrc).unwrap();
-        let arcs = 2 * (n as usize - 1);
-        // Weighted peak exceeds the unweighted peak by at least the
-        // weights scatter array (4 B/arc) plus the hub's co-sort scratch
-        // ((4+4) B per hub arc; more if several workers carried scratch).
-        assert!(
-            wstats.build_bytes_peak >= ustats.build_bytes_peak + arcs * 4 + (n as usize - 1) * 8,
-            "weighted peak {} vs unweighted {} misses weights/scratch",
-            wstats.build_bytes_peak,
-            ustats.build_bytes_peak
-        );
-    }
-
-    #[test]
-    fn malformed_weights_chunk_is_an_error() {
-        struct Lying;
-
-        impl EdgeSource<f32> for Lying {
-            fn num_vertices(&self) -> usize {
-                3
-            }
-
-            fn replay(&self, emit: &mut ChunkFn<'_, f32>) -> io::Result<()> {
-                emit(&[(0, 1), (1, 2)], &[1.0]); // one weight short
-                Ok(())
-            }
-        }
-
-        let err = build_weighted(&Lying).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("weights chunk"), "{err}");
     }
 
     #[test]
@@ -1557,18 +1213,18 @@ mod tests {
         calls: AtomicUsize,
     }
 
-    impl<W: EdgeWeight> EdgeSource<W> for Cycle {
+    impl EdgeSource for Cycle {
         fn num_vertices(&self) -> usize {
             self.n as usize
         }
 
-        fn replay(&self, emit: &mut ChunkFn<'_, W>) -> io::Result<()> {
+        fn replay(&self, emit: &mut ChunkFn<'_>) -> io::Result<()> {
             let moved = self.calls.fetch_add(1, Ordering::Relaxed) >= self.honest;
             let k = self.n / 2;
             let mut sink = EdgeSink::new(emit);
             for u in 0..self.n {
                 let shift = if moved && u == k { 2 } else { 1 };
-                sink.push_weighted(u, (u + shift) % self.n, W::default());
+                sink.push(u, (u + shift) % self.n);
             }
             Ok(())
         }
@@ -1584,16 +1240,9 @@ mod tests {
                 honest: 1,
                 calls: AtomicUsize::new(0),
             };
-            let errs = pgc_par::install(width, || {
-                [
-                    build_compact(&cycle()).unwrap_err(),
-                    build_weighted::<f32, _>(&cycle()).unwrap_err(),
-                ]
-            });
-            for err in errs {
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "width {width}");
-                assert!(err.to_string().contains("diverged"), "width {width}: {err}");
-            }
+            let err = pgc_par::install(width, || build_compact(&cycle())).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "width {width}");
+            assert!(err.to_string().contains("diverged"), "width {width}: {err}");
         }
     }
 
@@ -1607,8 +1256,7 @@ mod tests {
             let rows = n as usize;
             let arrays = 4 * (rows + 1) + 4 * rows + 4 * 2 * rows;
             let buckets = rows.div_ceil(BUCKET_ROWS);
-            let stage =
-                Stage::<()>::new(buckets).bytes() + buckets * std::mem::size_of::<Mutex<()>>();
+            let stage = Stage::new(buckets).bytes() + buckets * std::mem::size_of::<Mutex<()>>();
             for width in [1, 2, 4] {
                 let src = Cycle {
                     n,
@@ -1666,10 +1314,7 @@ mod tests {
     fn sink_flushes_on_chunk_boundary_and_drop() {
         let mut chunks: Vec<usize> = Vec::new();
         {
-            let mut emit = |c: &[(u32, u32)], w: &[()]| {
-                assert_eq!(c.len(), w.len(), "sink keeps pairs and weights aligned");
-                chunks.push(c.len());
-            };
+            let mut emit = |c: &[(u32, u32)], _: &[()]| chunks.push(c.len());
             let mut sink = EdgeSink::new(&mut emit);
             for i in 0..(CHUNK_EDGES + 5) {
                 sink.push(i as u32 % 11, (i as u32 + 1) % 11);

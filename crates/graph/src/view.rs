@@ -2,8 +2,8 @@
 //!
 //! Every algorithm in the workspace is written against [`GraphView`], not a
 //! concrete CSR struct, so alternative storage layouts ([`crate::CompactCsr`]
-//! with 4-byte offsets, the zero-copy [`crate::InducedView`], or any future
-//! weighted/streaming representation) can be threaded through the whole
+//! with 4-byte offsets, the delta-varint [`crate::CompressedCsr`], the
+//! zero-copy [`crate::InducedView`]) can be threaded through the whole
 //! stack — orderings, colorers, mining, the cache simulator — without
 //! touching a single algorithm.
 //!
@@ -13,7 +13,6 @@
 //! order for merge intersections and on iteration determinism for
 //! bit-identical colorings across representations.
 
-use crate::weight::EdgeWeight;
 use std::ops::Range;
 
 /// Issue a best-effort read-prefetch hint for the cache line holding
@@ -77,12 +76,6 @@ pub struct GraphMemory {
     /// Bytes of any auxiliary structures (masks, remaps, decode scratch)
     /// a view carries on top of the arrays it borrows.
     pub aux_bytes: usize,
-    /// Bytes of the edge-payload (weights) array, when the representation
-    /// carries one ([`crate::WeightedCsr`]). Kept separate from
-    /// [`aux_bytes`](Self::aux_bytes) so tables can show the weighted
-    /// surcharge next to the paper's structural budget; always 0 for
-    /// unweighted layouts and for the zero-sized `()` payload.
-    pub weight_bytes: usize,
 }
 
 impl GraphMemory {
@@ -105,23 +98,19 @@ impl GraphMemory {
         self.encoded_bytes + self.encoded_mapped_bytes
     }
 
-    /// Offsets + neighbors + heap-owned encoded + auxiliary + weight
-    /// bytes: the process-heap charge. An `mmap`-served arena is
+    /// Offsets + neighbors + heap-owned encoded + auxiliary bytes: the
+    /// process-heap charge. An `mmap`-served arena is
     /// excluded (page cache, not heap) — see
     /// [`structural_bytes`](Self::structural_bytes) for the
     /// representation as traversed.
     pub fn total_bytes(&self) -> usize {
-        self.offset_bytes()
-            + self.neighbor_bytes()
-            + self.encoded_bytes
-            + self.aux_bytes
-            + self.weight_bytes
+        self.offset_bytes() + self.neighbor_bytes() + self.encoded_bytes + self.aux_bytes
     }
 
     /// Bytes of the structural graph storage actually backing this
     /// representation's traversal: offsets + raw neighbors + encoded
     /// neighbors (whether heap-owned or `mmap`-served) + auxiliary
-    /// structures — everything except the edge payload. This is the
+    /// structures. This is the
     /// number the harness prints as `graph_MiB`, so compact and
     /// compressed rows (including snapshot-loaded zero-copy arenas) are
     /// comparable.
@@ -150,7 +139,6 @@ impl GraphMemory {
 /// Implementations: [`crate::CompactCsr`] (the default; 4-byte offsets
 /// when `2m < u32::MAX`, machine-word offsets otherwise),
 /// [`crate::CompressedCsr`] (delta-varint block-encoded adjacencies),
-/// [`crate::WeightedCsr`] (a `CompactCsr` plus a weights array),
 /// [`crate::MappedSnapshot`] (zero-copy over an `mmap`ed snapshot) and
 /// [`crate::InducedView`] (zero-copy induced subgraph of any other
 /// view).
@@ -240,7 +228,7 @@ pub trait GraphView: Sync {
     }
 
     /// Storage footprint of this representation: offset and neighbor
-    /// widths and counts, encoded, auxiliary and weight bytes.
+    /// widths and counts, encoded and auxiliary bytes.
     fn memory_footprint(&self) -> GraphMemory;
 
     /// Per-thread scratch bytes a traversal of this view needs beyond the
@@ -252,119 +240,6 @@ pub trait GraphView: Sync {
     #[inline]
     fn decode_scratch_bytes(&self) -> usize {
         0
-    }
-}
-
-/// A [`GraphView`] whose edges carry a payload (an [`EdgeWeight`]).
-///
-/// The weighted extension of the representation-generic interface: the
-/// structure is still exactly the `GraphView` contract (sorted, simple,
-/// symmetric adjacencies — so every unweighted algorithm runs unchanged on
-/// a weighted view), and [`weighted_neighbors`](Self::weighted_neighbors)
-/// additionally yields each neighbor's edge weight in the same sorted
-/// order. Weights are symmetric: `w(u, v) == w(v, u)`.
-///
-/// Implementations: [`crate::WeightedCsr`] (struct-of-arrays weights next
-/// to a [`crate::CompactCsr`]), [`crate::InducedView`] over any weighted
-/// base (zero-copy passthrough), and the unweighted CSR types themselves
-/// with the unit payload `W = ()` — where every weight reads as `1.0`, so
-/// weighted workloads (matching weight, weighted density) collapse to
-/// their unweighted meanings.
-pub trait WeightedView: GraphView {
-    /// The edge payload type.
-    type Weight: EdgeWeight;
-
-    /// Iterator over `(neighbor, weight)` pairs of one vertex, in the
-    /// same strictly-ascending neighbor order as
-    /// [`GraphView::neighbors`].
-    type WeightedNeighbors<'a>: Iterator<Item = (u32, Self::Weight)> + 'a
-    where
-        Self: 'a;
-
-    /// The sorted neighbors of `v`, with their edge weights.
-    fn weighted_neighbors(&self, v: u32) -> Self::WeightedNeighbors<'_>;
-
-    /// Weight of edge `{u, v}`, `None` if absent. The default scans
-    /// `N(u)`; slice-backed implementations override with a binary
-    /// search.
-    fn edge_weight(&self, u: u32, v: u32) -> Option<Self::Weight> {
-        self.weighted_neighbors(u)
-            .find(|&(x, _)| x == v)
-            .map(|(_, w)| w)
-    }
-
-    /// Weighted degree `Σ_{u ∈ N(v)} w(v, u)` (unit weights: the plain
-    /// degree).
-    fn weighted_degree(&self, v: u32) -> f64 {
-        self.weighted_neighbors(v).map(|(_, w)| w.to_f64()).sum()
-    }
-
-    /// Total edge weight `W(G) = Σ_{{u,v} ∈ E} w(u, v)` (unit weights:
-    /// `m`).
-    fn total_weight(&self) -> f64 {
-        (0..self.n() as u32)
-            .map(|v| self.weighted_degree(v))
-            .sum::<f64>()
-            / 2.0
-    }
-
-    /// Iterate undirected weighted edges `(u, v, w)` with `u < v`.
-    fn weighted_edges(&self) -> WeightedEdgeIter<'_, Self>
-    where
-        Self: Sized,
-    {
-        WeightedEdgeIter {
-            g: self,
-            v: 0,
-            inner: None,
-        }
-    }
-}
-
-/// Iterator behind [`WeightedView::weighted_edges`]: each undirected edge
-/// once, as `(u, v, w)` with `u < v`, in ascending `(u, v)` order.
-pub struct WeightedEdgeIter<'g, G: WeightedView> {
-    g: &'g G,
-    v: u32,
-    inner: Option<G::WeightedNeighbors<'g>>,
-}
-
-impl<G: WeightedView> Iterator for WeightedEdgeIter<'_, G> {
-    type Item = (u32, u32, G::Weight);
-
-    fn next(&mut self) -> Option<(u32, u32, G::Weight)> {
-        loop {
-            if let Some(it) = &mut self.inner {
-                for (u, w) in it.by_ref() {
-                    if self.v < u {
-                        return Some((self.v, u, w));
-                    }
-                }
-                self.inner = None;
-                self.v += 1;
-            }
-            if (self.v as usize) >= self.g.n() {
-                return None;
-            }
-            self.inner = Some(self.g.weighted_neighbors(self.v));
-        }
-    }
-}
-
-/// Adapter giving any unweighted neighbor iterator unit weights — how the
-/// plain CSR types satisfy [`WeightedView`] with `Weight = ()`.
-pub struct UnitWeights<I>(pub I);
-
-impl<I: Iterator<Item = u32>> Iterator for UnitWeights<I> {
-    type Item = (u32, ());
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, ())> {
-        self.0.next().map(|u| (u, ()))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
     }
 }
 
@@ -455,7 +330,6 @@ mod tests {
             encoded_bytes: 5,
             encoded_mapped_bytes: 7,
             aux_bytes: 3,
-            weight_bytes: 16,
         };
         assert_eq!(m.offset_bytes(), 44);
         assert_eq!(m.neighbor_bytes(), 80);
@@ -463,32 +337,6 @@ mod tests {
         // Traversed representation counts the mapped arena…
         assert_eq!(m.structural_bytes(), 139);
         // …heap accounting does not.
-        assert_eq!(m.total_bytes(), 148);
-    }
-
-    #[test]
-    fn unweighted_csr_is_a_unit_weighted_view() {
-        let g = from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-        fn weighted_stats<G: WeightedView>(g: &G) -> (f64, f64, Vec<(u32, f64)>) {
-            (
-                g.total_weight(),
-                g.weighted_degree(2),
-                g.weighted_neighbors(2)
-                    .map(|(u, w)| (u, w.to_f64()))
-                    .collect(),
-            )
-        }
-        let (total, wdeg, nbrs) = weighted_stats(&g);
-        assert_eq!(total, g.m() as f64, "unit total weight is m");
-        assert_eq!(wdeg, g.degree(2) as f64);
-        assert_eq!(nbrs, vec![(0, 1.0), (1, 1.0), (3, 1.0)]);
-        assert_eq!(g.edge_weight(0, 1), Some(()));
-        assert_eq!(WeightedView::edge_weight(&g, 0, 3), None);
-        assert_eq!(
-            g.weighted_edges()
-                .map(|(u, v, _)| (u, v))
-                .collect::<Vec<_>>(),
-            g.edges().collect::<Vec<_>>()
-        );
+        assert_eq!(m.total_bytes(), 132);
     }
 }

@@ -103,10 +103,7 @@ fn graph_mib<G: GraphView>(g: &G) -> f64 {
 /// `load_ms`, encoded neighbor-arena MiB and the compact÷encoded
 /// neighbor-byte ratio (how many times smaller the delta-varint arena is
 /// than the raw `u32` neighbor array it replaced).
-fn compression_detail<W: pgc_graph::EdgeWeight>(
-    g: &pgc_graph::CompressedCsr<W>,
-    load_ms: f64,
-) -> LayoutDetail {
+fn compression_detail(g: &pgc_graph::CompressedCsr, load_ms: f64) -> LayoutDetail {
     let encoded = g.encoded_bytes().max(1);
     let compact = g.num_arcs() * std::mem::size_of::<u32>();
     LayoutDetail::Compressed {
@@ -154,7 +151,7 @@ fn compressed_snapshot_load_ms(g: &pgc_graph::CompressedCsr, tag: &str) -> f64 {
     let timed = (|| -> std::io::Result<f64> {
         pgc_graph::write_compressed_snapshot(g, &path)?;
         let t0 = std::time::Instant::now();
-        let loaded = pgc_graph::load_compressed_snapshot::<()>(&path)?;
+        let loaded = pgc_graph::load_compressed_snapshot(&path)?;
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(loaded.n(), g.n(), "compressed snapshot load mismatch");
         Ok(dt)
@@ -953,53 +950,6 @@ pub fn mining(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Weighted workloads (PR 5's weighted graph layer): per suite graph —
-/// generated with replay-exact seeded `f32` weights — the greedy-matching
-/// weight and cardinality, the weighted densest-subgraph density, their
-/// run times, and the weights' memory surcharge next to the structural
-/// graph bytes.
-pub fn weighted(cfg: &ExpConfig) -> Table {
-    use pgc_graph::WeightedView;
-    let mut t = Table::new(&[
-        "graph",
-        "n",
-        "m",
-        "total_w",
-        "match_edges",
-        "match_weight",
-        "match_ms",
-        "wdensest_density",
-        "wdensest_verts",
-        "densest_ms",
-        "weight_MiB",
-    ]);
-    let eps = 0.1;
-    for sg in suite(cfg.scale).into_iter().take(6) {
-        let g = pgc_graph::gen::generate_weighted::<f32>(&sg.spec, cfg.seed);
-        let (matching, match_time) =
-            timed_best(cfg.reps, || pgc_mining::greedy_weighted_matching(&g));
-        pgc_mining::verify_matching(&g, &matching).expect("harness matching must be valid");
-        let (dense, densest_time) = timed_best(cfg.reps, || {
-            pgc_mining::approx_weighted_densest_subgraph(&g, eps)
-        });
-        let fp = g.memory_footprint();
-        t.row(vec![
-            sg.name.to_string(),
-            g.n().to_string(),
-            g.m().to_string(),
-            format!("{:.1}", g.total_weight()),
-            matching.len().to_string(),
-            format!("{:.1}", matching.total_weight),
-            ms(match_time),
-            format!("{:.2}", dense.density),
-            dense.vertices.len().to_string(),
-            ms(densest_time),
-            format!("{:.2}", fp.weight_bytes as f64 / (1024.0 * 1024.0)),
-        ]);
-    }
-    t
-}
-
 /// Run `f` `reps + 1` times (first run discarded as warm-up, like
 /// `best_of`), returning the last result and the minimum wall-clock.
 fn timed_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, std::time::Duration) {
@@ -1253,22 +1203,6 @@ mod tests {
     fn table2_smoke() {
         let t = table2(&smoke_cfg());
         assert_eq!(t.rows.len(), 4 * 9);
-    }
-
-    #[test]
-    fn weighted_table_reports_positive_workloads() {
-        let t = weighted(&smoke_cfg());
-        assert_eq!(t.rows.len(), 6);
-        for row in &t.rows {
-            let total_w: f64 = row[3].parse().unwrap();
-            let match_w: f64 = row[5].parse().unwrap();
-            let density: f64 = row[7].parse().unwrap();
-            let weight_mib: f64 = row[10].parse().unwrap();
-            assert!(total_w > 0.0, "{row:?}");
-            assert!(match_w > 0.0 && match_w <= total_w, "{row:?}");
-            assert!(density > 0.0, "{row:?}");
-            assert!(weight_mib > 0.0, "f32 weights occupy real bytes: {row:?}");
-        }
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //!   table3       algorithm comparison with quality bounds
 //!   ablations    design-choice ablations (sorting, push/pull, batching)
 //!   mining       ADG beyond coloring: densest subgraph, coreness, cliques
-//!   weighted     weighted workloads: greedy matching + weighted densest
 //!   colorsum     deterministic digest of every coloring (no timings) —
 //!                byte-identical across runs and across obs/no-op builds
 //!   check        verify every proven color bound on the whole suite
@@ -26,12 +25,12 @@
 //!                (skipped, exit 0, when the machine lacks the cores)
 //!   all          everything above, in order
 //!   snapshot     convert a text graph to a binary .pgcs snapshot:
-//!                pgc snapshot <input> <output> [--weighted] [--compress]
+//!                pgc snapshot <input> <output> [--compress]
 //!                (input format by extension: .col DIMACS, .mtx Matrix
-//!                Market, else whitespace edge list; --weighted keeps f64
-//!                edge weights; --compress writes the v2 delta-varint
-//!                neighbor section. Every reader also accepts .pgcs input,
-//!                so this doubles as a snapshot integrity check.)
+//!                Market, else whitespace edge list; --compress writes the
+//!                v2 delta-varint neighbor section. Every reader also
+//!                accepts .pgcs input, so this doubles as a snapshot
+//!                integrity check.)
 //!                pgc snapshot <file.pgcs> --info verifies a snapshot's
 //!                checksums and prints its header + per-section byte
 //!                breakdown without converting anything.
@@ -65,9 +64,9 @@ use pgc_harness::table::Table;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pgc <fig1|fig2-strong|fig2-weak|fig3|fig4|fig5|table2|table3|ablations|mining|weighted|colorsum|fork-heavy|check|check-scaling|all> \
+        "usage: pgc <fig1|fig2-strong|fig2-weak|fig3|fig4|fig5|table2|table3|ablations|mining|colorsum|fork-heavy|check|check-scaling|all> \
          [--scale 0|1|2] [--seed N] [--reps R] [--threads T[,T..]] [--compressed] [--csv] [--trace FILE.json] [--report FILE.jsonl]\n\
-         \x20      pgc snapshot <input> <output> [--weighted] [--compress]\n\
+         \x20      pgc snapshot <input> <output> [--compress]\n\
          \x20      pgc snapshot <file.pgcs> --info\n\
          \x20      pgc report <a.jsonl> [b.jsonl] [--csv]"
     );
@@ -169,7 +168,7 @@ fn snapshot_info(path: &std::path::Path) -> ! {
     }
 }
 
-/// `pgc snapshot <input> <output> [--weighted] [--compress]`: parse a
+/// `pgc snapshot <input> <output> [--compress]`: parse a
 /// text graph (format sniffed from the extension) and write it back as a
 /// versioned, checksummed binary snapshot that every reader and
 /// experiment can re-open via the magic-sniffing fast path. `--compress`
@@ -178,10 +177,9 @@ fn snapshot_info(path: &std::path::Path) -> ! {
 /// snapshot.
 fn snapshot_command(args: &[String]) -> ! {
     let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let weighted = args.iter().any(|a| a == "--weighted");
     let compress = args.iter().any(|a| a == "--compress");
     let info = args.iter().any(|a| a == "--info");
-    let known = ["--weighted", "--compress", "--info"];
+    let known = ["--compress", "--info"];
     if args
         .iter()
         .any(|a| a.starts_with("--") && !known.contains(&a.as_str()))
@@ -189,7 +187,7 @@ fn snapshot_command(args: &[String]) -> ! {
         usage();
     }
     if info {
-        if positional.len() != 1 || weighted || compress {
+        if positional.len() != 1 || compress {
             usage();
         }
         snapshot_info(std::path::Path::new(positional[0]));
@@ -207,49 +205,26 @@ fn snapshot_command(args: &[String]) -> ! {
         .unwrap_or("")
         .to_ascii_lowercase();
     let result = (|| -> std::io::Result<(usize, usize, u64)> {
-        if weighted {
-            let g: pgc_graph::WeightedCsr<f64> = match ext.as_str() {
-                "mtx" => pgc_graph::io::read_weighted_matrix_market_path(input)?,
-                "col" => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "DIMACS .col files carry no edge weights; drop --weighted",
-                    ))
-                }
-                _ => pgc_graph::io::read_weighted_edge_list_path(input)?,
-            };
-            let bytes = if compress {
-                pgc_graph::write_compressed_snapshot(
-                    &pgc_graph::CompressedCsr::from_weighted(&g),
-                    output,
-                )?
-            } else {
-                pgc_graph::write_weighted_snapshot(&g, output)?
-            };
-            Ok((g.n(), g.m(), bytes))
+        let g = match ext.as_str() {
+            "col" => pgc_graph::io::read_dimacs_col_path(input)?,
+            "mtx" => pgc_graph::io::read_matrix_market_path(input)?,
+            _ => pgc_graph::io::read_edge_list_path(input)?,
+        };
+        let bytes = if compress {
+            pgc_graph::write_compressed_snapshot(
+                &pgc_graph::CompressedCsr::from_compact(&g),
+                output,
+            )?
         } else {
-            let g = match ext.as_str() {
-                "col" => pgc_graph::io::read_dimacs_col_path(input)?,
-                "mtx" => pgc_graph::io::read_matrix_market_path(input)?,
-                _ => pgc_graph::io::read_edge_list_path(input)?,
-            };
-            let bytes = if compress {
-                pgc_graph::write_compressed_snapshot(
-                    &pgc_graph::CompressedCsr::from_compact(&g),
-                    output,
-                )?
-            } else {
-                pgc_graph::write_snapshot(&g, output)?
-            };
-            Ok((g.n(), g.m(), bytes))
-        }
+            pgc_graph::write_snapshot(&g, output)?
+        };
+        Ok((g.n(), g.m(), bytes))
     })();
     match result {
         Ok((n, m, bytes)) => {
             println!(
-                "wrote {} ({bytes} bytes): n={n} m={m}{}{}",
+                "wrote {} ({bytes} bytes): n={n} m={m}{}",
                 output.display(),
-                if weighted { " weighted(f64)" } else { "" },
                 if compress { " compressed(v2)" } else { "" }
             );
             std::process::exit(0);
@@ -399,10 +374,6 @@ fn run_command(command: &str, cfg: &exp::ExpConfig, csv: bool) -> i32 {
             "ADG beyond coloring (densest/coreness/cliques)",
             &exp::mining(cfg),
         ),
-        "weighted" => emit(
-            "Weighted workloads (matching + weighted densest)",
-            &exp::weighted(cfg),
-        ),
         "colorsum" => emit("Deterministic coloring digest", &exp::colorsum(cfg)),
         "fork-heavy" => emit(
             "Fork-heavy scheduler scaling",
@@ -480,10 +451,6 @@ fn run_command(command: &str, cfg: &exp::ExpConfig, csv: bool) -> i32 {
             emit(
                 "ADG beyond coloring (densest/coreness/cliques)",
                 &exp::mining(cfg),
-            );
-            emit(
-                "Weighted workloads (matching + weighted densest)",
-                &exp::weighted(cfg),
             );
             emit("Deterministic coloring digest", &exp::colorsum(cfg));
             emit("Quality-bound check", &exp::check_guarantees(cfg));

@@ -12,9 +12,8 @@
 //! endpoint levels (the level at which the edge leaves the active
 //! subgraph); suffix sums then give `m(U_ℓ)` for every level in O(ρ̄).
 
-use pgc_graph::{EdgeWeight, GraphView, InducedView, WeightedView};
+use pgc_graph::{GraphView, InducedView};
 use pgc_order::{adg, AdgOptions, Levels, VertexOrdering};
-use rayon::prelude::*;
 
 /// Output of [`approx_densest_subgraph`].
 #[derive(Clone, Debug)]
@@ -102,173 +101,6 @@ pub fn densest_view<G: GraphView>(g: &G, epsilon: f64) -> (InducedView<'_, G>, D
     (view, result)
 }
 
-// ---------------------------------------------------------------------
-// Weighted densest subgraph (PR 5: weighted graph layer)
-// ---------------------------------------------------------------------
-
-/// Output of [`approx_weighted_densest_subgraph`].
-#[derive(Clone, Debug)]
-pub struct WeightedDensestResult {
-    /// Vertices of the chosen subgraph (a weighted-peel suffix).
-    pub vertices: Vec<u32>,
-    /// Total weight of the edges induced by `vertices`.
-    pub total_weight: f64,
-    /// Weighted density `total_weight / |vertices|`.
-    pub density: f64,
-    /// The level whose suffix was chosen.
-    pub level: usize,
-}
-
-/// Batched **weighted-degree peel**: repeatedly remove, as one level,
-/// every active vertex whose weighted degree is at most `(1+ε)` times the
-/// active average weighted degree `2·W(U)/|U|`. This is ADG's loop with
-/// degrees replaced by weighted degrees (Bahmani-style batching of
-/// Charikar's weighted peeling); at least the below-average vertices go
-/// each round, so the level count is O(log n / log(1+ε)+…) like ADG's.
-///
-/// Weights are assumed non-negative (readers can produce negative
-/// weights; callers peeling those should shift them first — density
-/// maximization with mixed signs is not what this approximation bounds).
-///
-/// The returned [`Levels`] plugs into the same consumers as ADG's:
-/// [`Levels::suffix_view`] hands back any suffix as a zero-copy
-/// [`InducedView`].
-pub fn weighted_peel_levels<G: WeightedView>(g: &G, epsilon: f64) -> Levels {
-    let n = g.n();
-    let mut rank = vec![0u32; n];
-    let mut seq: Vec<u32> = Vec::with_capacity(n);
-    let mut offsets = vec![0usize];
-    let mut active: Vec<u32> = (0..n as u32).collect();
-    // Active-subgraph weighted degrees, recomputed per round over the
-    // shrinking vertex set (the pull update: O(Σ_i vol(U_i)) total work,
-    // the same geometric series ADG's Lemma 2 bounds).
-    let mut alive = vec![true; n];
-    let mut level = 0u32;
-    while !active.is_empty() {
-        let alive_ref = &alive;
-        let wdeg: Vec<f64> = active
-            .par_iter()
-            .map(|&v| {
-                g.weighted_neighbors(v)
-                    .filter(|&(u, _)| alive_ref[u as usize])
-                    .map(|(_, w)| w.to_f64())
-                    .sum()
-            })
-            .collect();
-        let total: f64 = wdeg.iter().sum();
-        let threshold = (1.0 + epsilon) * (total / active.len() as f64);
-        let mut kept: Vec<u32> = Vec::new();
-        let mut removed_any = false;
-        for (&v, &d) in active.iter().zip(&wdeg) {
-            if d <= threshold {
-                rank[v as usize] = level;
-                alive[v as usize] = false;
-                seq.push(v);
-                removed_any = true;
-            } else {
-                kept.push(v);
-            }
-        }
-        if !removed_any {
-            // Some vertex is always at or below the average, but ε = 0
-            // plus float rounding can leave the threshold a hair under a
-            // uniform weighted degree: close out by removing everything
-            // rather than looping forever.
-            for &v in &kept {
-                rank[v as usize] = level;
-                alive[v as usize] = false;
-                seq.push(v);
-            }
-            kept.clear();
-        }
-        offsets.push(seq.len());
-        active = kept;
-        level += 1;
-    }
-    Levels { rank, seq, offsets }
-}
-
-/// Weighted density of the best suffix of a level ordering: one O(m)
-/// pass assigns each edge's weight to the lower endpoint level, suffix
-/// sums give `W(U_ℓ)` per level.
-pub fn weighted_best_suffix<G: WeightedView>(g: &G, levels: &Levels) -> WeightedDensestResult {
-    let num = levels.num_levels();
-    if num == 0 || g.n() == 0 {
-        return WeightedDensestResult {
-            vertices: Vec::new(),
-            total_weight: 0.0,
-            density: 0.0,
-            level: 0,
-        };
-    }
-    let mut weight_leaving = vec![0.0f64; num];
-    for (u, v, w) in g.weighted_edges() {
-        let l = levels.rank[u as usize].min(levels.rank[v as usize]) as usize;
-        weight_leaving[l] += w.to_f64();
-    }
-    let mut w_suffix = vec![0.0f64; num + 1];
-    let mut acc = 0.0f64;
-    for (slot, &leaving) in w_suffix[..num].iter_mut().zip(&weight_leaving).rev() {
-        acc += leaving;
-        *slot = acc;
-    }
-    let n_total = g.n();
-    let mut best = (0usize, 0.0f64);
-    let mut removed_before = 0usize;
-    for (l, &w_l) in w_suffix[..num].iter().enumerate() {
-        let verts = n_total - removed_before;
-        let density = w_l / verts as f64;
-        if density > best.1 {
-            best = (l, density);
-        }
-        removed_before += levels.level(l).len();
-    }
-    let (level, density) = best;
-    let vertices: Vec<u32> = levels.seq[levels.offsets[level]..].to_vec();
-    WeightedDensestResult {
-        total_weight: w_suffix[level],
-        density,
-        level,
-        vertices,
-    }
-}
-
-/// Approximate **weighted** densest subgraph: weighted-degree peel with
-/// accuracy ε, then the densest suffix.
-///
-/// Guarantee (Charikar's argument with weights + batch slack): for
-/// non-negative weights the returned weighted density is at least
-/// `ρ*_w / (2(1+ε))` where `ρ*_w = max_U W(U)/|U|` — consider the first
-/// peeled vertex of an optimal `U*`: its weighted degree inside `U*` is
-/// ≥ ρ*_w, and the peel only removes vertices with weighted degree
-/// ≤ (1+ε)·2·W(U)/|U| = 2(1+ε)·density(U) in the suffix it leaves.
-pub fn approx_weighted_densest_subgraph<G: WeightedView>(
-    g: &G,
-    epsilon: f64,
-) -> WeightedDensestResult {
-    weighted_best_suffix(g, &weighted_peel_levels(g, epsilon))
-}
-
-/// [`approx_weighted_densest_subgraph`] returning the chosen subgraph as
-/// a zero-copy weighted [`InducedView`] (via [`Levels::suffix_view`]) —
-/// the view passes the base's weights through, so downstream analysis
-/// (re-peeling, matching the dense core) stays weight-aware without
-/// materializing `G[U]`.
-pub fn weighted_densest_view<G: WeightedView>(
-    g: &G,
-    epsilon: f64,
-) -> (InducedView<'_, G>, WeightedDensestResult) {
-    let levels = weighted_peel_levels(g, epsilon);
-    let result = weighted_best_suffix(g, &levels);
-    let view = if levels.num_levels() == 0 {
-        InducedView::new(g, &[])
-    } else {
-        levels.suffix_view(g, result.level)
-    };
-    debug_assert!((view.total_weight() - result.total_weight).abs() < 1e-6);
-    (view, result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,99 +172,6 @@ mod tests {
             .count();
         assert_eq!(m, r.edges);
         assert!((r.density - m as f64 / r.vertices.len() as f64).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_peel_finds_heavy_core() {
-        use pgc_graph::builder::from_weighted_edges;
-        // A light clique (K10, weight 1 edges) and a heavy clique (K6,
-        // weight 50 edges), bridged: unweighted density prefers K10
-        // (4.5 > 2.5 edges/vertex), but weight makes K6 the densest
-        // (125.0 vs ≤ 11.7 weight/vertex) — only a weighted peel sees it.
-        let mut edges: Vec<(u32, u32, f64)> = Vec::new();
-        for u in 0..10u32 {
-            for v in (u + 1)..10 {
-                edges.push((u, v, 1.0));
-            }
-        }
-        for u in 10..16u32 {
-            for v in (u + 1)..16 {
-                edges.push((u, v, 50.0));
-            }
-        }
-        edges.push((9, 10, 1.0)); // bridge
-        let g = from_weighted_edges(16, &edges);
-        let r = approx_weighted_densest_subgraph(&g, 0.05);
-        for v in 10..16u32 {
-            assert!(r.vertices.contains(&v), "heavy-clique vertex {v} missing");
-        }
-        assert!(
-            r.density > 100.0,
-            "weighted density {} should reflect the heavy core",
-            r.density
-        );
-        // The zero-copy view agrees with the reported result.
-        let (view, r2) = weighted_densest_view(&g, 0.05);
-        assert_eq!(r2.vertices.len(), view.n());
-        assert!((view.total_weight() - r2.total_weight).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_density_consistent_with_recount() {
-        let g = pgc_graph::gen::generate_weighted::<f32>(
-            &GraphSpec::BarabasiAlbert { n: 400, attach: 5 },
-            9,
-        );
-        let r = approx_weighted_densest_subgraph(&g, 0.1);
-        let mut inside = vec![false; g.n()];
-        for &v in &r.vertices {
-            inside[v as usize] = true;
-        }
-        let w: f64 = g
-            .weighted_edges()
-            .filter(|&(u, v, _)| inside[u as usize] && inside[v as usize])
-            .map(|(_, _, w)| w as f64)
-            .sum();
-        assert!((w - r.total_weight).abs() < 1e-6);
-        assert!((r.density - w / r.vertices.len() as f64).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unit_weights_recover_charikar_bound() {
-        // With W = () the weighted peel is a plain batched min-degree
-        // peel: the 2(1+ε) density guarantee must hold against d/2.
-        let eps = 0.1;
-        for (i, spec) in [
-            GraphSpec::BarabasiAlbert { n: 600, attach: 6 },
-            GraphSpec::ErdosRenyi { n: 500, m: 2500 },
-        ]
-        .iter()
-        .enumerate()
-        {
-            let g = generate(spec, i as u64);
-            let d = degeneracy(&g).degeneracy as f64;
-            let r = approx_weighted_densest_subgraph(&g, eps);
-            let lower = (d / 2.0) / (2.0 * (1.0 + eps));
-            assert!(
-                r.density + 1e-9 >= lower,
-                "{spec:?}: weighted-unit density {} < guarantee {lower}",
-                r.density
-            );
-        }
-    }
-
-    #[test]
-    fn weighted_peel_handles_epsilon_zero_and_uniform_weights() {
-        use pgc_graph::builder::from_weighted_edges;
-        // Uniform weights + ε = 0 is the rounding corner the peel guards.
-        let g = from_weighted_edges(
-            4,
-            &[(0u32, 1u32, 2.0f64), (1, 2, 2.0), (2, 3, 2.0), (3, 0, 2.0)],
-        );
-        let levels = weighted_peel_levels(&g, 0.0);
-        assert_eq!(levels.seq.len(), 4, "every vertex peeled exactly once");
-        let r = weighted_best_suffix(&g, &levels);
-        assert!(r.density > 0.0);
     }
 
     #[test]

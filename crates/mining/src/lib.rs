@@ -19,27 +19,14 @@
 //!   the recursion's candidate-set size,
 //! * [`triangles`] — parallel **triangle counting** (forward algorithm)
 //!   whose inner loop is the shared adaptive sorted-set intersection
-//!   kernel from `pgc-primitives`,
-//! * [`matching`] — parallel greedy **weighted matching**
-//!   (locally-dominant rounds over a sort-by-weight rank; deterministic
-//!   ½-approximation) over any
-//!   [`WeightedView`](pgc_graph::WeightedView),
-//! * [`densest`] also hosts the **weighted densest subgraph**: a
-//!   weighted-degree batched peel (ADG's loop with weighted degrees)
-//!   whose best suffix is `2(1+ε)`-approximate for non-negative weights,
-//!   returned as a zero-copy weighted suffix view.
+//!   kernel from `pgc-primitives`.
 
 pub mod cliques;
 pub mod coreness;
 pub mod densest;
-pub mod matching;
 pub mod triangles;
 
 pub use cliques::{count_maximal_cliques, max_clique_size, maximal_cliques};
 pub use coreness::{approx_coreness, kcore_view};
-pub use densest::{
-    approx_densest_subgraph, approx_weighted_densest_subgraph, densest_view, weighted_best_suffix,
-    weighted_densest_view, weighted_peel_levels, DensestResult, WeightedDensestResult,
-};
-pub use matching::{greedy_weighted_matching, verify_matching, Matching, UNMATCHED};
+pub use densest::{approx_densest_subgraph, densest_view, DensestResult};
 pub use triangles::{count_triangles, global_clustering, triangle_counts};

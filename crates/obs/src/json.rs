@@ -42,6 +42,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         };
@@ -187,6 +188,7 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -339,11 +341,10 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. `pos` sits on a char
+                    // boundary: it only ever advances past ASCII bytes or
+                    // whole scalars.
+                    let c = self.src[self.pos..].chars().next().unwrap();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -38,6 +38,8 @@
 //! }
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 pub mod chrome;
 pub mod histogram;
 pub mod json;

@@ -27,6 +27,8 @@
 //!   section (anchored 64-value blocks, unrolled block decode,
 //!   gallop-style [`varint::Decoder::skip_to`] seeks).
 
+#![warn(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 pub mod bitmap;
 pub mod intersect;
 pub mod join;
@@ -42,4 +44,4 @@ pub use reduce::{
     count, offsets_from_counts, prefix_sum_exclusive, reduce_max, reduce_sum_u64, OffsetWord,
 };
 pub use rng::{hash_mix, random_permutation, Rng, SplitMix64};
-pub use sort::{co_sort_by_key, counting_sort_by_key, radix_sort_pairs};
+pub use sort::{counting_sort_by_key, radix_sort_pairs};

@@ -87,33 +87,6 @@ pub fn sort_pairs_std(pairs: &mut [(u32, u32)]) {
     pairs.sort_unstable();
 }
 
-/// Co-sort `keys` ascending while applying the identical permutation to a
-/// parallel `payload` slice — the weight-aware counterpart of
-/// [`radix_sort_pairs`] used by the payload-generic CSR builder: neighbor
-/// ids are the keys, edge weights (or any per-arc payload) ride along.
-///
-/// `scratch` is caller-provided so tight per-vertex loops can reuse one
-/// allocation; it is cleared and refilled on every call. Equal keys keep a
-/// deterministic-but-unspecified payload order (callers that merge
-/// duplicates must use an order-insensitive fold, e.g. max).
-///
-/// # Panics
-///
-/// If `keys.len() != payload.len()`.
-pub fn co_sort_by_key<P: Copy>(keys: &mut [u32], payload: &mut [P], scratch: &mut Vec<(u32, P)>) {
-    assert_eq!(keys.len(), payload.len(), "key/payload length mismatch");
-    if keys.len() <= 1 {
-        return;
-    }
-    scratch.clear();
-    scratch.extend(keys.iter().copied().zip(payload.iter().copied()));
-    scratch.sort_unstable_by_key(|&(k, _)| k);
-    for (i, &(k, p)) in scratch.iter().enumerate() {
-        keys[i] = k;
-        payload[i] = p;
-    }
-}
-
 /// Which integer sort to use for the §V-B batch ordering; evaluated as a
 /// design choice in §VI-J.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -192,29 +165,6 @@ mod tests {
             v.iter().map(|p| p.0).collect::<Vec<_>>(),
             vec![0, (1 << 16) - 1, 1 << 16, u32::MAX]
         );
-    }
-
-    #[test]
-    fn co_sort_applies_one_permutation_to_both_slices() {
-        let mut keys = vec![5u32, 1, 9, 1, 3];
-        let mut payload = vec![50.0f64, 10.0, 90.0, 11.0, 30.0];
-        let mut scratch = Vec::new();
-        co_sort_by_key(&mut keys, &mut payload, &mut scratch);
-        assert_eq!(keys, vec![1, 1, 3, 5, 9]);
-        // Each payload still travels with its key (the two 1-keys may swap
-        // order, but carry the {10, 11} pair between them).
-        assert_eq!(payload[2..], [30.0, 50.0, 90.0]);
-        let mut ones = [payload[0], payload[1]];
-        ones.sort_by(f64::total_cmp);
-        assert_eq!(ones, [10.0, 11.0]);
-        // Scratch is reusable and trivial inputs are no-ops.
-        let mut empty: [u32; 0] = [];
-        let mut no_payload: [u8; 0] = [];
-        co_sort_by_key(&mut empty, &mut no_payload, &mut Vec::new());
-        let mut one = [7u32];
-        let mut one_p = [(); 1];
-        co_sort_by_key(&mut one, &mut one_p, &mut Vec::new());
-        assert_eq!(one, [7]);
     }
 
     #[test]

@@ -150,13 +150,19 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u32 {
 /// The caller must guarantee at least 5 readable bytes at `*pos`.
 #[inline]
 unsafe fn read_varint_unchecked(bytes: &[u8], pos: &mut usize) -> u32 {
+    debug_assert!(bytes.len().saturating_sub(*pos) >= 5);
     let mut p = *pos;
-    let mut b = *bytes.get_unchecked(p);
+    // SAFETY: the caller guarantees 5 readable bytes at `*pos`, so byte
+    // `p = *pos` is in bounds.
+    let mut b = unsafe { *bytes.get_unchecked(p) };
     p += 1;
     let mut x = (b & 0x7f) as u32;
     let mut shift = 7u32;
     while b >= 0x80 && shift < 35 {
-        b = *bytes.get_unchecked(p);
+        // SAFETY: the `shift < 35` cap allows at most 4 reads after the
+        // first, so `p < *pos + 5`, inside the 5 bytes the caller
+        // guarantees.
+        b = unsafe { *bytes.get_unchecked(p) };
         p += 1;
         x |= ((b & 0x7f) as u32) << shift;
         shift += 7;

@@ -7,11 +7,9 @@
 //! This facade crate re-exports the workspace members:
 //!
 //! * [`primitives`] — work–depth compute primitives (§II-D),
-//! * [`graph`] — CSR graphs, payload-generic streaming two-pass ingestion
-//!   (`graph::stream::EdgeSource<W>` with `W = ()` as the zero-cost
-//!   unweighted case), weighted graphs (`graph::WeightedCsr` behind
-//!   `graph::WeightedView`), generators, I/O, exact degeneracy
-//!   (§II-A/B),
+//! * [`graph`] — CSR graphs, streaming two-pass ingestion
+//!   (`graph::stream::EdgeSource`), generators, I/O, binary snapshots,
+//!   exact degeneracy (§II-A/B),
 //! * [`order`] — vertex orderings incl. the ADG approximate degeneracy
 //!   ordering, the paper's contribution #1 (§III),
 //! * [`color`] — the coloring algorithms: JP-X / JP-ADG (§IV-A), SIM-COL &
@@ -23,8 +21,7 @@
 //! * [`cachesim`] — the software cache simulator substituting for the
 //!   paper's PAPI hardware-counter measurements (Fig. 4),
 //! * [`mining`] — "ADG beyond coloring" (§VIII): approximate densest
-//!   subgraph (unweighted and weighted-degree peel), coreness estimation,
-//!   maximal cliques, parallel greedy weighted matching,
+//!   subgraph, coreness estimation, maximal cliques, triangle counting,
 //! * [`obs`] — observability: the lock-free span/counter recorder behind
 //!   the `pgc --trace` flag, mergeable log₂ latency histograms, and the
 //!   Chrome-trace / JSONL report exporters (`--report`, `pgc report`).

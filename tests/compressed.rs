@@ -209,7 +209,7 @@ fn v2_snapshot_round_trips_and_rejects_corruption() {
     let back = pgc::graph::load_snapshot(&path).unwrap();
     assert_eq!(back, g);
     // …and the zero-copy compressed view of the same file.
-    let z = pgc::graph::load_compressed_snapshot::<()>(&path).unwrap();
+    let z = pgc::graph::load_compressed_snapshot(&path).unwrap();
     assert_eq!(z.n(), g.n());
     for v in g.vertices() {
         assert!(
@@ -232,7 +232,7 @@ fn v2_snapshot_round_trips_and_rejects_corruption() {
     for cut in [8, 63, 64, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..cut]).unwrap();
         assert!(
-            pgc::graph::load_compressed_snapshot::<()>(&path).is_err(),
+            pgc::graph::load_compressed_snapshot(&path).is_err(),
             "truncation at {cut} accepted"
         );
     }
@@ -241,7 +241,7 @@ fn v2_snapshot_round_trips_and_rejects_corruption() {
         bad[flip] ^= 0x10;
         std::fs::write(&path, &bad).unwrap();
         assert!(
-            pgc::graph::load_compressed_snapshot::<()>(&path).is_err(),
+            pgc::graph::load_compressed_snapshot(&path).is_err(),
             "bit flip at {flip} accepted"
         );
         assert!(

@@ -3,8 +3,9 @@
 //! The format's contract, pinned from outside the crate:
 //!
 //! 1. **Round-trip fidelity** — write → load reproduces the exact CSR
-//!    (offsets, neighbors, weights) for arbitrary graphs, through both the
-//!    owned loader and the zero-copy mmap view.
+//!    (offsets, neighbors) for arbitrary graphs, through both the owned
+//!    loader and the zero-copy mmap view; files written with a weights
+//!    section by older builds still load as their structure.
 //! 2. **Algorithm transparency** — all 21 coloring algorithms and the
 //!    mining kernels produce bit-identical output on a snapshot-loaded
 //!    graph vs the originally built one. A snapshot is a representation
@@ -15,15 +16,15 @@
 
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, verify, Algorithm, Params};
-use pgc::graph::builder::{from_edges, from_weighted_edges};
+use pgc::graph::builder::from_edges;
 use pgc::graph::gen::{generate, GraphSpec, SpecSource};
 use pgc::graph::snapshot::{
     inspect_snapshot, is_snapshot, load_compressed_snapshot, load_snapshot, load_snapshot_bytes,
-    load_weighted_snapshot_bytes, write_compressed_snapshot, write_compressed_snapshot_to,
-    write_snapshot, write_snapshot_to, write_weighted_snapshot_to, MappedSnapshot, SNAPSHOT_EXT,
+    write_compressed_snapshot, write_compressed_snapshot_to, write_snapshot, write_snapshot_to,
+    MappedSnapshot, SNAPSHOT_EXT,
 };
-use pgc::graph::stream::{build_compact_with_offset_limit, build_weighted_with_offset_limit};
-use pgc::graph::{CompactCsr, CompressedCsr, GraphView, WeightedView};
+use pgc::graph::stream::build_compact_with_offset_limit;
+use pgc::graph::{CompactCsr, CompressedCsr, GraphView};
 use pgc::mining;
 use proptest::prelude::*;
 use std::io::ErrorKind;
@@ -93,22 +94,6 @@ proptest! {
         assert_same_graph(&g, &back);
     }
 
-    /// Weighted round-trip preserves the weight array bit-for-bit.
-    #[test]
-    fn weighted_snapshot_round_trips((n, edges) in arb_edges(40, 150)) {
-        let weighted: Vec<(u32, u32, f64)> = edges
-            .iter()
-            .enumerate()
-            .map(|(i, &(u, v))| (u, v, (i as f64).mul_add(0.5, 1.0)))
-            .collect();
-        let g = from_weighted_edges(n, &weighted);
-        let mut bytes = Vec::new();
-        write_weighted_snapshot_to(&g, &mut bytes).unwrap();
-        let back = load_weighted_snapshot_bytes::<f64>(&bytes).unwrap();
-        assert_same_graph(g.structure(), back.structure());
-        prop_assert_eq!(g.raw_weights(), back.raw_weights());
-    }
-
     /// Truncating the byte stream at any point is rejected as
     /// `InvalidData` (or `UnexpectedEof` inside the header read) — never
     /// a silently wrong graph.
@@ -158,7 +143,7 @@ fn all_algorithms_identical_on_snapshot_loaded_graphs() {
         let built = generate(spec, 7);
         with_snapshot_file(&built, &format!("algos-{i}"), |path| {
             let loaded = load_snapshot(path).unwrap();
-            let mapped = MappedSnapshot::<()>::open(path).unwrap();
+            let mapped = MappedSnapshot::open(path).unwrap();
             assert_same_graph(&built, &loaded);
             assert_same_graph(&built, &mapped);
             let params = Params {
@@ -226,10 +211,10 @@ fn wide_offsets_survive_v1_and_v2_snapshots() {
             let loaded = load_snapshot(path).unwrap();
             assert_eq!(loaded.offset_width(), 8);
             assert_colors_like(&small, &loaded, "load_snapshot");
-            let z = load_compressed_snapshot::<()>(path).unwrap();
+            let z = load_compressed_snapshot(path).unwrap();
             assert_colors_like(&small, &z, "load_compressed_snapshot");
             // v2 neighbors are an encoded arena: only v1 maps in place.
-            match MappedSnapshot::<()>::open(path) {
+            match MappedSnapshot::open(path) {
                 Ok(mapped) => {
                     assert_eq!(version, 1);
                     assert_colors_like(&small, &mapped, "MappedSnapshot");
@@ -274,29 +259,6 @@ fn mining_identical_on_snapshot_loaded_graphs() {
     });
 }
 
-/// The mmap view stays weight-aware: a weighted snapshot opened as
-/// `MappedSnapshot<f64>` serves the same weights as the owned graph.
-#[test]
-fn mapped_weighted_view_matches_owned() {
-    let weighted: Vec<(u32, u32, f64)> = (0..400u32)
-        .map(|i| (i % 50, (i * 7 + 1) % 50, f64::from(i) * 0.25 + 1.0))
-        .filter(|&(u, v, _)| u != v)
-        .collect();
-    let g = from_weighted_edges(50, &weighted);
-    let path = std::env::temp_dir().join(format!(
-        "pgc-test-{}-wmap.{SNAPSHOT_EXT}",
-        std::process::id()
-    ));
-    pgc::graph::write_weighted_snapshot(&g, &path).unwrap();
-    let mapped = MappedSnapshot::<f64>::open(&path).unwrap();
-    for v in g.structure().vertices() {
-        let owned: Vec<(u32, f64)> = g.weighted_neighbors(v).collect();
-        let viewed: Vec<(u32, f64)> = mapped.weighted_neighbors(v).collect();
-        assert_eq!(owned, viewed, "weighted adjacency mismatch at v={v}");
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
 /// `read_*_path` sniffs the snapshot magic: feeding a `.pgcs` file to the
 /// generic text reader transparently takes the binary path.
 #[test]
@@ -335,9 +297,9 @@ fn pinned_v1_fixture_stays_byte_identical_and_loads() {
 
     let loaded = load_snapshot(&dir.join("tiny-v1.pgcs")).unwrap();
     assert_same_graph(&g, &loaded);
-    let z = pgc::graph::load_compressed_snapshot::<()>(&dir.join("tiny-v1.pgcs")).unwrap();
+    let z = pgc::graph::load_compressed_snapshot(&dir.join("tiny-v1.pgcs")).unwrap();
     assert_same_graph(&g, &z.to_compact());
-    let mapped = MappedSnapshot::<()>::open(&dir.join("tiny-v1.pgcs")).unwrap();
+    let mapped = MappedSnapshot::open(&dir.join("tiny-v1.pgcs")).unwrap();
     assert_same_graph(&g, &mapped);
 
     let params = Params::default();
@@ -371,7 +333,7 @@ fn pinned_v2_fixture_stays_byte_identical_and_loads() {
     assert_eq!(inspect_snapshot(&path).unwrap().version, 2);
     let loaded = load_snapshot(&path).unwrap();
     assert_same_graph(&g, &loaded);
-    let z = load_compressed_snapshot::<()>(&path).unwrap();
+    let z = load_compressed_snapshot(&path).unwrap();
     assert_same_graph(&g, &z);
 
     let params = Params::default();
@@ -390,31 +352,101 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Weighted pin: `tiny.mtx` is a pattern file, so the fixtures carry no
-/// weights section. These digests pin the v1 and v2 bytes of a small
-/// `f64`-weighted generated graph, at both offset widths, so the weights
-/// section and the 8-byte offset encoding cannot drift either.
+/// Read-compat pin for files written with a weights section:
+/// `tests/fixtures/er60-f64-v{1,2}.pgcs` are the v1 and v2 snapshots
+/// (4-byte offsets) of ER 60/240, seed 5, carrying `f64` edge weights
+/// (kind 3, width 8), as builds with a weighted payload wrote them. Every
+/// loader must still accept them as their structure, skipping the
+/// weights section, and the kind/width check must still reject a header
+/// whose pair is unknown or inconsistent. The unweighted digests of the
+/// same graph pin both offset widths of the writers.
 #[test]
-fn pinned_weighted_snapshot_digests() {
-    let src = SpecSource::new(GraphSpec::ErdosRenyi { n: 60, m: 240 }, 5);
+fn pinned_weighted_fixtures_load_as_structure() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let spec = GraphSpec::ErdosRenyi { n: 60, m: 240 };
+    let g = generate(&spec, 5);
+    let v1 = dir.join("er60-f64-v1.pgcs");
+    let v2 = dir.join("er60-f64-v2.pgcs");
+    let digest = |p: &Path| {
+        let bytes = std::fs::read(p).unwrap();
+        (bytes.len(), fnv1a(&bytes))
+    };
+    assert_eq!(digest(&v1), (5688, 0xc4ee5e11ea34f3e0));
+    assert_eq!(digest(&v2), (4896, 0x198711ded56e822d));
+
+    for path in [&v1, &v2] {
+        let info = inspect_snapshot(path).unwrap();
+        assert_eq!((info.weight_kind, info.weight_width), (3, 8), "{path:?}");
+        assert_eq!(info.weight_bytes, 8 * g.num_arcs(), "{path:?}");
+        assert_eq!(load_snapshot(path).unwrap(), g, "{path:?}");
+        assert_eq!(
+            load_compressed_snapshot(path).unwrap().to_compact(),
+            g,
+            "{path:?}"
+        );
+        assert_eq!(
+            pgc::graph::io::read_edge_list_path(path).unwrap(),
+            g,
+            "{path:?}"
+        );
+    }
+    assert_eq!(MappedSnapshot::open(&v1).unwrap().to_compact(), g);
+
+    // Re-seal the v1 header with an inconsistent kind/width pair, then
+    // with an unknown kind: both are InvalidData, not a misread layout.
+    let pristine = std::fs::read(&v1).unwrap();
+    for (kind, width) in [(3u8, 4u8), (7, 8)] {
+        let mut bytes = pristine.clone();
+        bytes[13] = kind;
+        bytes[14] = width;
+        let ck = (0..7).fold(0xcbf2_9ce4_8422_2325u64, |h, i| {
+            let word = u64::from_ne_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
+            (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        bytes[56..64].copy_from_slice(&ck.to_ne_bytes());
+        let err = load_snapshot_bytes(&bytes).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            ErrorKind::InvalidData,
+            "kind {kind} width {width}"
+        );
+        with_temp_path(&format!("kind{kind}"), |path| {
+            std::fs::write(path, &bytes).unwrap();
+            for err in [
+                load_snapshot(path).unwrap_err(),
+                MappedSnapshot::open(path).err().unwrap(),
+                load_compressed_snapshot(path).unwrap_err(),
+                inspect_snapshot(path).unwrap_err(),
+            ] {
+                assert_eq!(
+                    err.kind(),
+                    ErrorKind::InvalidData,
+                    "kind {kind} width {width}"
+                );
+            }
+        });
+    }
+
+    // (bytes, FNV-1a) of the unweighted v1 then v2 files, 4-byte then
+    // 8-byte offsets.
+    let src = SpecSource::new(spec, 5);
     let mut digests = Vec::new();
     for limit in [u32::MAX as usize, 0] {
-        let (g, _) = build_weighted_with_offset_limit::<f64, _>(&src, limit).unwrap();
+        let (g, _) = build_compact_with_offset_limit(&src, limit).unwrap();
         let mut v1 = Vec::new();
-        write_weighted_snapshot_to(&g, &mut v1).unwrap();
+        write_snapshot_to(&g, &mut v1).unwrap();
         let mut v2 = Vec::new();
-        write_compressed_snapshot_to(&CompressedCsr::from_weighted(&g), &mut v2).unwrap();
+        write_compressed_snapshot_to(&CompressedCsr::from_compact(&g), &mut v2).unwrap();
         digests.push((v1.len(), fnv1a(&v1)));
         digests.push((v2.len(), fnv1a(&v2)));
     }
-    // (bytes, FNV-1a) for v1 then v2, 4-byte then 8-byte offsets.
     assert_eq!(
         digests,
         [
-            (5688, 0xc4ee5e11ea34f3e0),
-            (4896, 0x198711ded56e822d),
-            (5928, 0x4d565dbb778f0de2),
-            (5136, 0xf1fbb0e01f186c0a),
+            (2104, 0xc79a587904f4abfb),
+            (1312, 0x9f781a392296bfa0),
+            (2344, 0x8fd0893e2983ed00),
+            (1552, 0x34addc2a968d93e2),
         ]
     );
 }

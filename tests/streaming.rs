@@ -22,9 +22,8 @@
 //! and it pins the partitioned replay down two more:
 //!
 //! 6. for every partitioning source, the in-order concatenation of
-//!    `replay_part(p, P)` equals `replay()` pair for pair and weight for
-//!    weight at any `P`, and the raw R-MAT stream keeps its recorded
-//!    digest,
+//!    `replay_part(p, P)` equals `replay()` pair for pair at any `P`, and
+//!    the raw R-MAT stream keeps its recorded digest,
 //! 7. partitioned parallel builds equal a build from the same stream
 //!    replayed sequentially, at several pool widths.
 //!
@@ -32,29 +31,26 @@
 //!
 //! 8. a build costs exactly two full replays of its source, on the
 //!    partitioned and the one-part path alike,
-//! 9. a weighted hub row long enough for the parallel sort, with
-//!    duplicate pairs of different weights, equals the arc-list oracle,
-//!    the max weight kept per arc.
+//! 9. a hub row long enough for the parallel sort, with duplicate pairs,
+//!    equals the arc-list oracle.
 //!
 //! and the staged scatter, whose runs are bucketed by 4,096 rows, one
 //! more:
 //!
 //! 10. graphs spanning several buckets equal the arc-list oracle on every
-//!     build path — partitioned, sequential, one-part, buffered weighted
-//!     and forced-wide — at several pool widths.
+//!     build path — partitioned, sequential, one-part, buffered and
+//!     forced-wide — at several pool widths.
 
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, verify, Algorithm, Params};
 use pgc::graph::builder::from_edges;
 use pgc::graph::gen::{generate, generate_with_stats, GraphSpec, SpecSource};
 use pgc::graph::stream::{
-    build_compact, build_compact_with_offset_limit, build_compact_with_stats, build_weighted,
-    build_weighted_with_offset_limit, ChunkFn, EdgeSource,
+    build_compact, build_compact_with_offset_limit, build_compact_with_stats, ChunkFn, EdgeSource,
 };
-use pgc::graph::{CompactCsr, EdgeListBuilder, EdgeWeight, GraphView, WeightedCsr};
+use pgc::graph::{CompactCsr, EdgeListBuilder, GraphView};
 use pgc_harness::experiments::with_threads;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The retired arc-list pipeline, kept as the oracle: materialize both
@@ -79,21 +75,6 @@ fn reference_arrays(n: usize, edges: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
     }
     let neighbors: Vec<u32> = arcs.iter().map(|&a| a as u32).collect();
     (offsets, neighbors)
-}
-
-/// The oracle's weights in the CSR order of [`reference_arrays`]: each
-/// arc keeps the max weight over its duplicates.
-fn reference_weights(edges: &[(u32, u32, f32)]) -> Vec<f32> {
-    let mut best: BTreeMap<(u32, u32), f32> = BTreeMap::new();
-    for &(u, v, w) in edges {
-        if u != v {
-            for arc in [(u, v), (v, u)] {
-                let kept = best.entry(arc).or_insert(w);
-                *kept = kept.max(w);
-            }
-        }
-    }
-    best.into_values().collect()
 }
 
 /// Strategy: raw edge list + vertex count (loops/dups exercised on
@@ -294,17 +275,11 @@ fn path_readers_equal_buffered_readers() {
     assert_eq!(via_path, g, "declared n preserved through streaming");
 }
 
-/// Everything `src` emits, as flat pair and weight lists: one `replay()`
+/// Everything `src` emits, as one flat pair list: one `replay()`
 /// (`parts = None`) or the partitions `0..P` of `replay_part` in order.
-fn emitted<W: EdgeWeight, S: EdgeSource<W>>(
-    src: &S,
-    parts: Option<usize>,
-) -> (Vec<(u32, u32)>, Vec<W>) {
-    let (mut pairs, mut weights) = (Vec::new(), Vec::new());
-    let mut emit = |c: &[(u32, u32)], w: &[W]| {
-        pairs.extend_from_slice(c);
-        weights.extend_from_slice(w);
-    };
+fn emitted<S: EdgeSource>(src: &S, parts: Option<usize>) -> Vec<(u32, u32)> {
+    let mut pairs = Vec::new();
+    let mut emit = |c: &[(u32, u32)], _: &[()]| pairs.extend_from_slice(c);
     match parts {
         None => src.replay(&mut emit).unwrap(),
         Some(p) => {
@@ -313,28 +288,21 @@ fn emitted<W: EdgeWeight, S: EdgeSource<W>>(
             }
         }
     }
-    (pairs, weights)
+    pairs
 }
 
 /// Assert the partitions of `src` concatenate to its replay at
-/// P ∈ {1, 2, 3, 7, 64, > m}, for unit and `f32` payloads.
-fn assert_parts_concatenate<S: EdgeSource + EdgeSource<f32>>(src: &S, what: &str) {
-    let (pairs, _) = emitted::<(), _>(src, None);
-    let (wpairs, weights) = emitted::<f32, _>(src, None);
+/// P ∈ {1, 2, 3, 7, 64, > m}.
+fn assert_parts_concatenate<S: EdgeSource>(src: &S, what: &str) {
+    let pairs = emitted(src, None);
     assert!(!pairs.is_empty(), "{what}: empty stream proves nothing");
-    assert_eq!(pairs, wpairs, "{what}: weighted replay changed the pairs");
-    assert_eq!(weights.len(), pairs.len(), "{what}");
-    let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for p in [1, 2, 3, 7, 64, pairs.len() + 5] {
-        assert_eq!(emitted::<(), _>(src, Some(p)).0, pairs, "{what}: P = {p}");
-        let (pp, pw) = emitted::<f32, _>(src, Some(p));
-        assert_eq!(pp, pairs, "{what}: weighted P = {p}");
-        assert_eq!(bits(&pw), bits(&weights), "{what}: weights at P = {p}");
+        assert_eq!(emitted(src, Some(p)), pairs, "{what}: P = {p}");
     }
 }
 
 /// (6a) Generator partitions jump the RNG to their first edge and
-/// reproduce the sequential stream, weights hashed by global index.
+/// reproduce the sequential stream.
 #[test]
 fn generator_partitions_concatenate_to_replay() {
     for spec in [
@@ -350,7 +318,7 @@ fn generator_partitions_concatenate_to_replay() {
     }
     // Sequential families stay whole: partition 0 carries everything.
     let ba = SpecSource::new(GraphSpec::BarabasiAlbert { n: 300, attach: 4 }, 2);
-    assert_eq!(EdgeSource::<()>::parts(&ba), 1);
+    assert_eq!(ba.parts(), 1);
     assert_parts_concatenate(&ba, "BA");
 }
 
@@ -358,21 +326,11 @@ fn generator_partitions_concatenate_to_replay() {
 #[test]
 fn edge_list_builder_partitions_concatenate_to_replay() {
     let src = SpecSource::new(GraphSpec::ErdosRenyi { n: 300, m: 2_000 }, 4);
-    let (pairs, weights) = emitted::<f32, _>(&src, None);
-    let mut b = EdgeListBuilder::<f32>::with_capacity(300, pairs.len());
-    b.extend_weighted_edges(pairs.iter().zip(&weights).map(|(&(u, v), &w)| (u, v, w)));
-    let (bw_pairs, bw) = emitted::<f32, _>(&b, None);
-    assert_eq!((bw_pairs, bw), (pairs.clone(), weights));
-    for p in [1, 2, 3, 7, 64, pairs.len() + 5] {
-        let (pp, pw) = emitted::<f32, _>(&b, Some(p));
-        assert_eq!(pp, pairs, "P = {p}");
-        assert_eq!(pw.len(), pairs.len(), "P = {p}");
-    }
-    let mut u = EdgeListBuilder::new(300);
-    u.extend_edges(pairs.iter().copied());
-    for p in [1, 2, 7, pairs.len() + 5] {
-        assert_eq!(emitted::<(), _>(&u, Some(p)).0, pairs, "unit P = {p}");
-    }
+    let pairs = emitted(&src, None);
+    let mut b = EdgeListBuilder::with_capacity(300, pairs.len());
+    b.extend_edges(pairs.iter().copied());
+    assert_eq!(emitted(&b, None), pairs);
+    assert_parts_concatenate(&b, "EdgeListBuilder");
 }
 
 /// (6c) The raw R-MAT 14/8 seed-7 pair stream, FNV-1a over each pair's
@@ -396,31 +354,28 @@ fn rmat_pair_stream_digest_is_pinned() {
         }
         h
     };
-    let (pairs, _) = emitted::<(), _>(&src, None);
+    let pairs = emitted(&src, None);
     assert_eq!(pairs.len(), 131_072);
     assert_eq!(fnv(&pairs), 0xb41b_87d5_2f61_8786);
-    assert_eq!(
-        fnv(&emitted::<(), _>(&src, Some(7)).0),
-        0xb41b_87d5_2f61_8786
-    );
+    assert_eq!(fnv(&emitted(&src, Some(7))), 0xb41b_87d5_2f61_8786);
 }
 
 /// A source that hides its partitions: the builder replays it on the
 /// sequential one-part path — the oracle for partitioned builds.
 struct Sequential<'a>(&'a SpecSource);
 
-impl<W: EdgeWeight> EdgeSource<W> for Sequential<'_> {
+impl EdgeSource for Sequential<'_> {
     fn num_vertices(&self) -> usize {
-        EdgeSource::<W>::num_vertices(self.0)
+        self.0.num_vertices()
     }
 
-    fn replay(&self, emit: &mut ChunkFn<'_, W>) -> std::io::Result<()> {
+    fn replay(&self, emit: &mut ChunkFn<'_>) -> std::io::Result<()> {
         self.0.replay(emit)
     }
 }
 
 /// (7) Partitioned builds of an R-MAT 16/16 source equal the sequential
-/// oracle, unweighted and `f32`-weighted, at widths 1, 2 and 8.
+/// oracle at widths 1, 2 and 8.
 #[test]
 fn partitioned_builds_equal_sequential_oracle() {
     let spec = GraphSpec::Rmat {
@@ -428,21 +383,11 @@ fn partitioned_builds_equal_sequential_oracle() {
         edge_factor: 16,
     };
     let src = SpecSource::new(spec, 5);
-    assert!(
-        EdgeSource::<()>::parts(&src) > 8,
-        "the source must partition"
-    );
+    assert!(src.parts() > 8, "the source must partition");
     let oracle = with_threads(1, || build_compact(&Sequential(&src)).unwrap());
-    let woracle: WeightedCsr<f32> = with_threads(1, || build_weighted(&Sequential(&src)).unwrap());
     for t in [1, 2, 8] {
-        let (g, wg) = with_threads(t, || {
-            (
-                build_compact(&src).unwrap(),
-                build_weighted::<f32, _>(&src).unwrap(),
-            )
-        });
-        assert!(g == oracle, "unweighted build differs at width {t}");
-        assert!(wg == woracle, "weighted build differs at width {t}");
+        let g = with_threads(t, || build_compact(&src).unwrap());
+        assert!(g == oracle, "build differs at width {t}");
     }
 }
 
@@ -498,7 +443,7 @@ fn build_makes_exactly_two_replays() {
         },
         9,
     );
-    assert!(EdgeSource::<()>::parts(&er) > 1 && EdgeSource::<()>::parts(&ba) == 1);
+    assert!(er.parts() > 1 && ba.parts() == 1);
     for src in [&er, &ba] {
         let counted = Counting {
             inner: src,
@@ -509,43 +454,32 @@ fn build_makes_exactly_two_replays() {
     }
 }
 
-/// Every weight of `g`, in CSR order./// Every weight of `g`, in CSR order.
-fn csr_weights(g: &WeightedCsr<f32>) -> Vec<f32> {
-    g.vertices()
-        .flat_map(|v| g.neighbor_weights(v).iter().copied())
-        .collect()
-}
-
 /// (9) One hub adjacent to every other vertex (degree > 16,384, the
-/// parallel-sort threshold) plus a ring, both with duplicate pairs of
-/// different weights: the build keeps the max weight per arc and equals
-/// the arc-list oracle at widths 1, 2 and 4.
+/// parallel-sort threshold) plus a ring, both with duplicate pairs in
+/// either direction: the build equals the arc-list oracle at widths 1, 2
+/// and 4.
 #[test]
-fn weighted_hub_rows_equal_arc_list_oracle() {
+fn hub_rows_equal_arc_list_oracle() {
     let n = 40_000u32;
-    let mut edges: Vec<(u32, u32, f32)> = (1..n).map(|v| (0, v, (v % 97) as f32)).collect();
-    edges.extend((1..n).step_by(3).map(|v| (v, 0, (v % 89) as f32 + 0.5)));
-    edges.extend((1..n).map(|v| (v, v % (n - 1) + 1, (v % 13) as f32)));
-    edges.extend((1..n).step_by(5).map(|v| (v % (n - 1) + 1, v, 20.0)));
-    let mut b = EdgeListBuilder::<f32>::with_capacity(n as usize, edges.len());
-    b.extend_weighted_edges(edges.iter().copied());
-    let pairs: Vec<(u32, u32)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
+    let mut pairs: Vec<(u32, u32)> = (1..n).map(|v| (0, v)).collect();
+    pairs.extend((1..n).step_by(3).map(|v| (v, 0)));
+    pairs.extend((1..n).map(|v| (v, v % (n - 1) + 1)));
+    pairs.extend((1..n).step_by(5).map(|v| (v % (n - 1) + 1, v)));
+    let mut b = EdgeListBuilder::with_capacity(n as usize, pairs.len());
+    b.extend_edges(pairs.iter().copied());
     let (offsets, neighbors) = reference_arrays(n as usize, &pairs);
-    let weights = reference_weights(&edges);
     for t in [1, 2, 4] {
-        let g: WeightedCsr<f32> = with_threads(t, || build_weighted(&b).unwrap());
+        let g = with_threads(t, || build_compact(&b).unwrap());
         assert!(g.max_degree() as usize > 1 << 14);
-        assert_eq!(g.edge_weight(4, 0), Some(4.5), "the larger duplicate wins");
-        assert_arrays_match(g.structure(), &offsets, &neighbors);
-        assert_eq!(csr_weights(&g), weights, "weights at width {t}");
+        assert_arrays_match(&g, &offsets, &neighbors);
     }
 }
 
 /// (10) Graphs spanning several scatter buckets (4,096 rows each) equal
 /// the arc-list oracle at widths 1, 2 and 4: R-MAT 14/8 on the
 /// partitioned and the sequential replay, BA 20k/5 on the one-part
-/// replay, a buffered weighted list with self-loops and duplicate pairs
-/// of different weights (the max wins), and the forced-wide offsets.
+/// replay, a buffered list with self-loops and duplicate pairs, and the
+/// forced-wide offsets.
 #[test]
 fn multi_bucket_builds_equal_arc_list_oracle() {
     let rmat = SpecSource::new(
@@ -562,16 +496,12 @@ fn multi_bucket_builds_equal_arc_list_oracle() {
         },
         3,
     );
-    assert!(EdgeSource::<()>::parts(&rmat) > 1 && EdgeSource::<()>::parts(&ba) == 1);
-    let oracle = |src: &SpecSource| {
-        let n = EdgeSource::<()>::num_vertices(src);
-        reference_arrays(n, &emitted::<(), _>(src, None).0)
-    };
+    assert!(rmat.parts() > 1 && ba.parts() == 1);
+    let oracle = |src: &SpecSource| reference_arrays(src.num_vertices(), &emitted(src, None));
     let (rmat_ref, ba_ref) = (oracle(&rmat), oracle(&ba));
 
-    // Pseudo-random pairs over three-plus buckets, each repeated with a
-    // different weight (and every tenth with the same one), plus a
-    // self-loop every seventh vertex.
+    // Pseudo-random pairs over three-plus buckets, each repeated in the
+    // other direction, plus a self-loop every seventh vertex.
     let n = 3 * 4_096 + 7;
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
     let mut next = || {
@@ -580,21 +510,14 @@ fn multi_bucket_builds_equal_arc_list_oracle() {
         x ^= x << 17;
         (x % n as u64) as u32
     };
-    let mut edges: Vec<(u32, u32, f32)> = (0..40_000)
-        .map(|i| (next(), next(), (i % 17) as f32))
-        .collect();
-    let dups: Vec<_> = edges
-        .iter()
-        .enumerate()
-        .map(|(i, &(u, v, w))| (v, u, if i % 10 == 0 { w } else { (i % 23) as f32 }))
-        .collect();
-    edges.extend(dups);
-    edges.extend((0..n as u32).step_by(7).map(|v| (v, v, 99.0)));
-    let mut list = EdgeListBuilder::<f32>::with_capacity(n, edges.len());
-    list.extend_weighted_edges(edges.iter().copied());
-    let pairs: Vec<(u32, u32)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
-    let (list_offsets, list_neighbors) = reference_arrays(n, &pairs);
-    let list_weights = reference_weights(&edges);
+    let mut pairs: Vec<(u32, u32)> = (0..40_000).map(|_| (next(), next())).collect();
+    let dups: Vec<_> = pairs.iter().map(|&(u, v)| (v, u)).collect();
+    pairs.extend(dups);
+    pairs.extend((0..n as u32).step_by(7).map(|v| (v, v)));
+    let mut list = EdgeListBuilder::with_capacity(n, pairs.len());
+    list.extend_edges(pairs.iter().copied());
+    let list_ref = reference_arrays(n, &pairs);
+    let (_, list_neighbors) = &list_ref;
     assert!(
         list_neighbors.len() < 2 * pairs.len(),
         "duplicates exercised"
@@ -619,6 +542,12 @@ fn multi_bucket_builds_equal_arc_list_oracle() {
                     &rmat_ref,
                 ),
                 (build_compact(&ba).unwrap(), "BA one part", &ba_ref),
+                (build_compact(&list).unwrap(), "list", &list_ref),
+                (
+                    build_compact_with_offset_limit(&list, 0).unwrap().0,
+                    "list wide",
+                    &list_ref,
+                ),
             ] {
                 assert_eq!(&csr_offsets(&g), offsets, "{what} offsets at width {t}");
                 assert_eq!(
@@ -626,12 +555,6 @@ fn multi_bucket_builds_equal_arc_list_oracle() {
                     &neighbors[..],
                     "{what} neighbors at width {t}"
                 );
-            }
-            let mono: WeightedCsr<f32> = build_weighted(&list).unwrap();
-            let (wide, _) = build_weighted_with_offset_limit::<f32, _>(&list, 0).unwrap();
-            for (g, what) in [(&mono, "list"), (&wide, "list wide")] {
-                assert_arrays_match(g.structure(), &list_offsets, &list_neighbors);
-                assert_eq!(csr_weights(g), list_weights, "{what} weights at width {t}");
             }
         });
     }
