@@ -18,7 +18,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pgc_graph::gen::{GraphSpec, SpecSource};
 use pgc_graph::io::{read_edge_list, write_edge_list};
 use pgc_graph::stream::{build_compact, build_compact_with_stats, ChunkFn, EdgeSource};
-use pgc_graph::{EdgeListBuilder, GraphView as _};
+use pgc_graph::EdgeListBuilder;
 use std::hint::black_box;
 
 fn ingest(c: &mut Criterion) {
@@ -244,12 +244,6 @@ fn ingest_snapshot(c: &mut Criterion) {
     write_edge_list(&g, &mut text).unwrap();
     let mut snap = Vec::new();
     pgc_graph::snapshot::write_snapshot_to(&g, &mut snap).unwrap();
-    let path = std::env::temp_dir().join(format!(
-        "pgc-bench-{}.{}",
-        std::process::id(),
-        pgc_graph::snapshot::SNAPSHOT_EXT
-    ));
-    std::fs::write(&path, &snap).unwrap();
 
     let mut group = c.benchmark_group("ingest/snapshot");
     group.sample_size(10);
@@ -261,15 +255,6 @@ fn ingest_snapshot(c: &mut Criterion) {
     });
     group.bench_function("snapshot-load", |b| {
         b.iter(|| black_box(pgc_graph::snapshot::load_snapshot_bytes(&snap).unwrap().m()))
-    });
-    group.bench_function("snapshot-mmap-open", |b| {
-        b.iter(|| {
-            black_box(
-                pgc_graph::snapshot::MappedSnapshot::open(&path)
-                    .unwrap()
-                    .num_arcs(),
-            )
-        })
     });
     group.finish();
 
@@ -290,7 +275,6 @@ fn ingest_snapshot(c: &mut Criterion) {
     let t_snap = min_secs(&mut || {
         black_box(pgc_graph::snapshot::load_snapshot_bytes(&snap).unwrap().m());
     });
-    let _ = std::fs::remove_file(&path);
     assert!(
         t_text >= 10.0 * t_snap,
         "snapshot load regressed: text parse {:.1} ms vs snapshot load {:.1} ms ({:.1}x < 10x)",

@@ -12,6 +12,8 @@
 //! Like `tests/speedup.rs`, the ≥1.5× assertion self-skips on machines
 //! with fewer than 4 cores; the measurements still run and print.
 
+#![warn(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 use std::time::{Duration, Instant};
 
 const WORKERS: usize = 4;
@@ -28,6 +30,9 @@ mod mutex_registry {
         data: *const (),
         execute_fn: unsafe fn(*const ()),
     }
+    // SAFETY: a JobRef leaves the queue exactly once (popped by one
+    // worker or reclaimed by its owner), and `join` keeps its pointee
+    // alive until it has run.
     unsafe impl Send for JobRef {}
 
     struct StackJob<F, R> {
@@ -35,12 +40,21 @@ mod mutex_registry {
         result: UnsafeCell<Option<R>>,
         done: AtomicBool,
     }
+    // SAFETY: `func`/`result` are touched by the job's single executor,
+    // and the owner reads `result` only after `done` is set (release/
+    // acquire).
     unsafe impl<F: Send, R: Send> Sync for StackJob<F, R> {}
 
     impl<F: FnOnce() -> R + Send, R: Send> StackJob<F, R> {
+        /// # Safety
+        /// `data` must point at a live `StackJob<F, R>`, run at most once.
         unsafe fn execute(data: *const ()) {
+            // SAFETY: `data` is a live `StackJob<F, R>` (the caller's
+            // contract); `join` blocks on `done` before it drops the job.
             let job = unsafe { &*(data as *const Self) };
+            // SAFETY: the single execution has `func` to itself.
             let func = unsafe { (*job.func.get()).take().unwrap() };
+            // SAFETY: the owner reads `result` only after `done` is set.
             unsafe { *job.result.get() = Some(func()) };
             job.done.store(true, Ordering::Release);
         }
@@ -67,6 +81,9 @@ mod mutex_registry {
                                 q = r.work.wait(q).unwrap();
                             }
                         };
+                        // SAFETY: popped under the queue lock, so this is the
+                        // job's single execution, and its owner waits on
+                        // `done` before releasing it.
                         unsafe { (job.execute_fn)(job.data) };
                     }
                 });
@@ -119,6 +136,8 @@ mod mutex_registry {
                 // parking (cheaper than the old condvar for the bench).
                 let stolen = r.queue.lock().unwrap().pop_front();
                 match stolen {
+                    // SAFETY: popped under the queue lock, as in the
+                    // worker loop.
                     Some(j) => unsafe { (j.execute_fn)(j.data) },
                     None => std::thread::yield_now(),
                 }

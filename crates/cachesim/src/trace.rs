@@ -23,8 +23,8 @@
 //! | degrees D | 4 B | `0x5_0000_0000` |
 //!
 //! A compressed representation ([`pgc_graph::CompressedCsr`], footprint
-//! `encoded_len() > 0` — the arena length regardless of whether it is
-//! heap-owned or served zero-copy from an `mmap`ed snapshot) streams its
+//! `encoded_bytes > 0` — the arena length, whether the graph was encoded
+//! in memory or loaded from a v2 snapshot) streams its
 //! delta-varint arena instead of a raw `u32` array, so its neighbor
 //! stride is the arena's mean bytes per arc — the simulator shows the
 //! bandwidth side of compression the same way it shows `CompactCsr`'s
@@ -67,10 +67,7 @@ impl Layout {
         // compact 4-byte entries (the host array is the base graph's).
         let fp = g.memory_footprint();
         let w = fp.offset_width.max(4) as u64;
-        // `encoded_len()`, not `encoded_bytes`: a snapshot-loaded arena
-        // is mmap-backed (0 heap-owned bytes) but is still the
-        // representation being traversed.
-        let encoded = fp.encoded_len() as u64;
+        let encoded = fp.encoded_bytes as u64;
         let neighbor_stride = if encoded > 0 && acc > 0 {
             encoded.div_ceil(acc).max(1)
         } else {
@@ -497,12 +494,10 @@ mod tests {
     }
 
     #[test]
-    fn mapped_compressed_snapshot_keeps_encoded_stride() {
-        // A snapshot-loaded compressed graph owns no heap arena bytes
-        // (the arena is served from the mmap), but the simulator must
-        // still lay it out with the encoded stride — regression for
-        // keying the detection off heap-owned bytes only, which silently
-        // fell back to the raw 4-byte stride.
+    fn snapshot_loaded_compressed_keeps_encoded_stride() {
+        // A compressed graph loaded from a v2 snapshot is laid out with
+        // the same encoded stride as the one it was written from, never
+        // the raw 4-byte stride.
         let g = generate(
             &GraphSpec::Rmat {
                 scale: 10,
@@ -517,8 +512,7 @@ mod tests {
         pgc_graph::write_compressed_snapshot(&z, &path).unwrap();
         let m = pgc_graph::load_compressed_snapshot(&path).unwrap();
         let fp = m.memory_footprint();
-        assert_eq!(fp.encoded_bytes, 0, "mapped arena owns no heap bytes");
-        assert_eq!(fp.encoded_len(), z.encoded_bytes());
+        assert_eq!(fp.encoded_bytes, z.encoded_bytes());
         let (lz, lm) = (Layout::of(&z), Layout::of(&m));
         assert_eq!(lm.neighbor_stride, lz.neighbor_stride);
         assert!(

@@ -79,7 +79,7 @@ impl Instrumentation {
 /// A graph-coloring algorithm behind the uniform interface, generic over
 /// the graph representation: every implementation colors any
 /// [`GraphView`] — the default [`CompactCsr`](pgc_graph::CompactCsr), the
-/// compressed and snapshot-backed layouts, or a zero-copy
+/// compressed layout, or a zero-copy
 /// [`InducedView`](pgc_graph::InducedView) — with bit-identical output for
 /// the same abstract graph.
 ///

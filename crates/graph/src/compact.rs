@@ -282,7 +282,6 @@ impl GraphView for CompactCsr {
             neighbor_width: std::mem::size_of::<u32>(),
             neighbor_count: self.neighbors.len(),
             encoded_bytes: 0,
-            encoded_mapped_bytes: 0,
             aux_bytes: 0,
         }
     }

@@ -14,8 +14,8 @@
 //! * `offsets` — decoded arc positions (`n + 1`, width-adaptive like
 //!   [`CompactCsr`]): O(1) degrees,
 //! * `byte_offsets` — each vertex's byte range inside the arena,
-//! * `arena` — the concatenated encoded runs, either heap-owned or
-//!   borrowed zero-copy from an `mmap`ed v2 snapshot
+//! * `arena` — the concatenated encoded runs, as built by the encoder or
+//!   read verbatim from a v2 snapshot
 //!   ([`crate::snapshot::load_compressed_snapshot`]).
 //!
 //! Iteration decodes one 64-value block at a time into a scratch buffer
@@ -29,13 +29,11 @@
 
 use crate::compact::{CompactCsr, Offsets};
 use crate::csr::degree_extremes;
-use crate::snapshot::Backing;
 use crate::stream::SharedMut;
 use crate::view::{prefetch_read, GraphMemory, GraphView};
 use pgc_primitives::varint;
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::sync::Arc;
 
 /// Scratch-ring slots per thread for [`CompressedCsr::with_neighbor_slice`]
 /// — depth 2 covers the nested two-operand probes of `intersect`-family
@@ -53,99 +51,37 @@ thread_local! {
         const { RefCell::new([Some(Vec::new()), Some(Vec::new())]) };
 }
 
-/// The encoded byte arena: heap-owned, or borrowed from an `mmap`ed v2
-/// snapshot (zero copy — the page cache is the storage).
-pub(crate) enum Arena {
-    Owned(Vec<u8>),
-    Mapped {
-        backing: Arc<Backing>,
-        start: usize,
-        len: usize,
-    },
-}
-
-impl Arena {
-    #[inline]
-    pub(crate) fn bytes(&self) -> &[u8] {
-        match self {
-            Arena::Owned(v) => v,
-            Arena::Mapped {
-                backing,
-                start,
-                len,
-            } => &backing.bytes()[*start..*start + *len],
-        }
-    }
-
-    /// Heap bytes the arena itself owns (0 when mmap-backed: the pages
-    /// belong to the page cache, not this process's heap budget).
-    fn owned_bytes(&self) -> usize {
-        match self {
-            Arena::Owned(v) => v.len(),
-            Arena::Mapped { .. } => 0,
-        }
-    }
-
-    /// Arena bytes served zero-copy from an `mmap` (0 when heap-owned) —
-    /// the complement of [`owned_bytes`](Self::owned_bytes), so the two
-    /// always sum to the arena length.
-    fn mapped_bytes(&self) -> usize {
-        match self {
-            Arena::Owned(_) => 0,
-            Arena::Mapped { len, .. } => *len,
-        }
-    }
-}
-
-impl Clone for Arena {
-    fn clone(&self) -> Self {
-        match self {
-            Arena::Owned(v) => Arena::Owned(v.clone()),
-            Arena::Mapped {
-                backing,
-                start,
-                len,
-            } => Arena::Mapped {
-                backing: Arc::clone(backing),
-                start: *start,
-                len: *len,
-            },
-        }
-    }
-}
-
-impl PartialEq for Arena {
-    fn eq(&self, other: &Self) -> bool {
-        self.bytes() == other.bytes()
-    }
-}
-impl Eq for Arena {}
-
-impl std::fmt::Debug for Arena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Arena::Owned(v) => write!(f, "Arena::Owned({} B)", v.len()),
-            Arena::Mapped { len, .. } => write!(f, "Arena::Mapped({len} B)"),
-        }
-    }
-}
-
 /// Immutable, undirected, simple graph whose adjacencies live
 /// delta-varint-encoded in one contiguous byte arena. Same abstract
 /// contract as [`CompactCsr`] — sorted strictly-ascending symmetric
 /// adjacencies, cached Δ/δ, deterministic iteration — at a fraction of
 /// the neighbor bytes. Lossless converters go both ways
 /// ([`from_compact`](Self::from_compact) / [`to_compact`](Self::to_compact)).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct CompressedCsr {
     /// Decoded arc positions (`n + 1`), same meaning as [`CompactCsr`]'s.
     offsets: Offsets,
     /// Byte position of each vertex's encoded run inside the arena
     /// (`n + 1`).
     byte_offsets: Offsets,
-    arena: Arena,
+    /// The concatenated encoded runs.
+    arena: Vec<u8>,
     max_deg: u32,
     min_deg: u32,
+}
+
+/// Prints the arena's length, not its bytes, so a failed assertion on a
+/// large graph stays readable.
+impl std::fmt::Debug for CompressedCsr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompressedCsr")
+            .field("offsets", &self.offsets)
+            .field("byte_offsets", &self.byte_offsets)
+            .field("arena_len", &self.arena.len())
+            .field("max_deg", &self.max_deg)
+            .field("min_deg", &self.min_deg)
+            .finish()
+    }
 }
 
 impl CompressedCsr {
@@ -162,7 +98,7 @@ impl CompressedCsr {
     /// harness's peak-memory column reflects the conversion it ran.
     pub fn from_compact_with_stats(g: &CompactCsr, stats: &mut crate::stream::BuildStats) -> Self {
         let (c, converter_peak) = Self::encode(g);
-        let src = g.memory_footprint().total_bytes();
+        let src = g.memory_footprint().structural_bytes();
         stats.build_bytes_peak = stats.build_bytes_peak.max(src + converter_peak);
         c
     }
@@ -203,7 +139,7 @@ impl CompressedCsr {
         let graph = Self {
             offsets: g.raw_offsets().clone(),
             byte_offsets: Offsets::narrow(byte_offsets),
-            arena: Arena::Owned(arena),
+            arena,
             max_deg: g.max_degree(),
             min_deg: g.min_degree(),
         };
@@ -211,12 +147,12 @@ impl CompressedCsr {
     }
 
     /// Assemble from already-encoded parts — the snapshot loader's entry
-    /// point (`arena` may borrow the mmap). The caller is responsible
-    /// for having validated the decoded shape.
+    /// point. The caller is responsible for having validated the decoded
+    /// shape.
     pub(crate) fn from_encoded_parts(
         offsets: Offsets,
         byte_offsets: Offsets,
-        arena: Arena,
+        arena: Vec<u8>,
     ) -> Self {
         let n = offsets.len().saturating_sub(1);
         let (max_deg, min_deg) = degree_extremes(n, |i| offsets.get(i));
@@ -275,7 +211,7 @@ impl CompressedCsr {
     /// Total encoded neighbor bytes (the arena length).
     #[inline]
     pub fn encoded_bytes(&self) -> usize {
-        self.arena.bytes().len()
+        self.arena.len()
     }
 
     /// A block decoder positioned at `v`'s encoded run.
@@ -283,7 +219,7 @@ impl CompressedCsr {
     pub fn decoder(&self, v: u32) -> varint::Decoder<'_> {
         let s = self.byte_offsets.get(v as usize);
         let e = self.byte_offsets.get(v as usize + 1);
-        varint::Decoder::new(&self.arena.bytes()[s..e], self.degree(v) as usize)
+        varint::Decoder::new(&self.arena[s..e], self.degree(v) as usize)
     }
 
     /// Strictly check that `v`'s encoded run is structurally well-formed
@@ -293,7 +229,7 @@ impl CompressedCsr {
     pub fn validate_encoded_run(&self, v: u32) -> bool {
         let s = self.byte_offsets.get(v as usize);
         let e = self.byte_offsets.get(v as usize + 1);
-        varint::validate_run(&self.arena.bytes()[s..e], self.degree(v) as usize)
+        varint::validate_run(&self.arena[s..e], self.degree(v) as usize)
     }
 
     /// Decode `v`'s full adjacency and hand it to `f` as a sorted slice,
@@ -357,7 +293,7 @@ impl CompressedCsr {
     }
 
     pub(crate) fn arena_bytes(&self) -> &[u8] {
-        self.arena.bytes()
+        &self.arena
     }
 }
 
@@ -453,7 +389,7 @@ impl GraphView for CompressedCsr {
 
     #[inline]
     fn prefetch_neighbors(&self, v: u32) {
-        let bytes = self.arena.bytes();
+        let bytes = &self.arena;
         let s = self.byte_offsets.get(v as usize);
         if s < bytes.len() {
             prefetch_read(&bytes[s]);
@@ -467,8 +403,7 @@ impl GraphView for CompressedCsr {
             // No raw neighbor array — the arena is the adjacency store.
             neighbor_width: 4,
             neighbor_count: 0,
-            encoded_bytes: self.arena.owned_bytes(),
-            encoded_mapped_bytes: self.arena.mapped_bytes(),
+            encoded_bytes: self.arena.len(),
             aux_bytes: self.byte_offsets.width() * self.byte_offsets.len()
                 + self.decode_scratch_budget(),
         }

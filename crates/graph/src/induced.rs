@@ -201,7 +201,6 @@ impl<'g, G: GraphView> GraphView for InducedView<'g, G> {
             neighbor_width: 0,
             neighbor_count: 0,
             encoded_bytes: 0,
-            encoded_mapped_bytes: 0,
             aux_bytes: std::mem::size_of::<u32>()
                 * (self.members.len() + self.local_of.len() + self.degrees.len()),
         }

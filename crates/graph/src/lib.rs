@@ -23,9 +23,10 @@
 //! * [`io`] — plain edge-list and DIMACS `.col` readers/writers so real
 //!   datasets can be used when available,
 //! * [`snapshot`] — the versioned, checksummed binary snapshot format
-//!   (arrays verbatim behind a 64-byte header) with buffered and
-//!   mmap-backed zero-copy loaders ([`MappedSnapshot`]); the text readers
-//!   sniff its magic so snapshots transparently take the fast path,
+//!   (arrays verbatim behind a 64-byte header) with one loader per
+//!   representation ([`load_snapshot`], [`load_compressed_snapshot`]);
+//!   the text readers sniff its magic so snapshots transparently take
+//!   the fast path,
 //! * [`compressed`] — [`CompressedCsr`], delta-varint block-encoded
 //!   adjacencies in one contiguous byte arena (≥2× fewer neighbor bytes
 //!   on the generator families) behind the same [`GraphView`] contract,
@@ -55,7 +56,7 @@ pub use degeneracy::{degeneracy, DegeneracyInfo};
 pub use induced::InducedView;
 pub use snapshot::{
     inspect_snapshot, load_compressed_snapshot, load_snapshot, write_compressed_snapshot,
-    write_snapshot, MappedSnapshot, SnapshotInfo,
+    write_snapshot, SnapshotInfo,
 };
 pub use stream::{BuildStats, EdgeSink, EdgeSource};
 pub use view::{prefetch_read, GraphMemory, GraphView};

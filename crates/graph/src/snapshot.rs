@@ -5,16 +5,16 @@
 //! the full decode cost of its input. A snapshot stores the CSR arrays
 //! **verbatim** behind a checksummed 64-byte header, so loading is a
 //! sequential read plus one checksum pass — memory-bandwidth-bound, an
-//! order of magnitude faster than parsing — and [`MappedSnapshot`] skips
-//! even the copy by `mmap`ing the file and serving [`GraphView`]
-//! straight from the page cache.
+//! order of magnitude faster than parsing. Every loader reads the file
+//! into owned memory and runs the same checks.
 //!
 //! ## On-disk layout (version 1)
 //!
 //! All fields and arrays are **native-endian**; the header carries an
 //! endianness marker so a foreign-endian file is rejected instead of
-//! decoded wrong. Every section is zero-padded to an 8-byte boundary so
-//! the mmap path can cast `u64` offsets in place.
+//! decoded wrong. Every section is zero-padded to an 8-byte boundary;
+//! the padding is part of the format and is covered by the payload
+//! checksum.
 //!
 //! ```text
 //! byte  0  ┌────────────────────────────────────────────────┐
@@ -69,17 +69,17 @@
 //! Both loaders sniff the version: [`load_snapshot`] decodes a v2 file
 //! into a [`CompactCsr`] transparently (so every `read_*_path` entry
 //! point accepts either version), while [`load_compressed_snapshot`]
-//! serves the arena **zero-copy** from the `mmap` — only the two offset
-//! arrays are copied out. Version 1 files are written and read
-//! byte-identically to before.
+//! keeps a v2 file's arena as it is, without decoding it, and encodes a
+//! v1 file. Version 1 files are written and read byte-identically to
+//! before.
 
 use crate::compact::{CompactCsr, Offsets};
-use crate::compressed::{Arena, CompressedCsr};
+use crate::compressed::CompressedCsr;
 #[cfg(debug_assertions)]
 use crate::csr::validate_csr_arrays;
 use crate::csr::validate_csr_shape;
 use crate::stream::SharedMut;
-use crate::view::{prefetch_read, GraphMemory, GraphView};
+use crate::view::GraphView;
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -686,7 +686,7 @@ pub fn load_snapshot(path: &Path) -> std::io::Result<CompactCsr> {
 }
 
 // ---------------------------------------------------------------------
-// Compressed (v2) load — zero-copy arena
+// Compressed (v2) load — the arena kept encoded
 // ---------------------------------------------------------------------
 
 /// Release-build validation of a compressed load: every adjacency's
@@ -740,49 +740,32 @@ fn validate_compressed(g: &CompressedCsr, n: usize) -> std::io::Result<()> {
     Ok(())
 }
 
-fn open_backing(path: &Path) -> std::io::Result<Backing> {
-    #[cfg(unix)]
-    {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len() as usize;
-        match mm::Mapping::map(&file, len) {
-            Ok(m) => Ok(Backing::Mapped(m)),
-            Err(_) => Ok(Backing::Owned(AlignedBytes::read_from(path)?)),
-        }
-    }
-    #[cfg(not(unix))]
-    {
-        Ok(Backing::Owned(AlignedBytes::read_from(path)?))
-    }
-}
-
 /// Load a snapshot into a [`CompressedCsr`], verifying checksums and the
-/// full CSR contract. A version-2 file is served **zero-copy**: the
-/// encoded arena stays in the `mmap` (page-cache-backed) and only the
-/// two offset arrays are copied out. A version-1 file is materialized and
-/// losslessly encoded, so either version works.
+/// full CSR contract. A version-2 file keeps its encoded arena as it is
+/// (no decode, no re-encode): the file is read once and only the two
+/// offset arrays are copied out of it. A version-1 file is materialized
+/// and losslessly encoded, so either version works.
 pub fn load_compressed_snapshot(path: &Path) -> std::io::Result<CompressedCsr> {
-    let backing = open_backing(path)?;
-    let (header, layout) = verify(backing.bytes())?;
+    let mut bytes = read_file(path)?;
+    let (header, layout) = verify(&bytes)?;
     if !header.compressed() {
-        let g = materialize(backing.bytes(), &header, &layout)?;
+        let g = materialize(&bytes, &header, &layout)?;
         return Ok(CompressedCsr::from_compact(&g));
     }
     let n = header.n as usize;
     let arcs = header.num_arcs as usize;
-    let bytes = backing.bytes();
-    let offsets = read_offsets(bytes, &header, &layout)?;
+    let offsets = read_offsets(&bytes, &header, &layout)?;
     let get = |i: usize| offsets.get(i);
     if (0..n).any(|i| get(i) > get(i + 1)) || get(n) != arcs {
         return Err(bad("snapshot offsets are not monotone".into()));
     }
-    let byte_offsets = Offsets::narrow(read_byte_offsets(bytes, &header, &layout)?);
-    let arena = Arena::Mapped {
-        backing: std::sync::Arc::new(backing),
-        start: layout.nbr_start,
-        len: layout.nbr_len,
-    };
-    let g = CompressedCsr::from_encoded_parts(offsets, byte_offsets, arena);
+    let byte_offsets = Offsets::narrow(read_byte_offsets(&bytes, &header, &layout)?);
+    // The file buffer becomes the arena: drop what follows it, shift it
+    // to the front, and release the rest.
+    bytes.truncate(layout.nbr_start + layout.nbr_len);
+    bytes.drain(..layout.nbr_start);
+    bytes.shrink_to_fit();
+    let g = CompressedCsr::from_encoded_parts(offsets, byte_offsets, bytes);
     validate_compressed(&g, n)?;
     if GraphView::max_degree(&g) != header.max_deg || GraphView::min_degree(&g) != header.min_deg {
         return Err(bad(format!(
@@ -881,291 +864,6 @@ pub fn inspect_snapshot(path: &Path) -> std::io::Result<SnapshotInfo> {
     })
 }
 
-// ---------------------------------------------------------------------
-// mmap-backed zero-copy load
-// ---------------------------------------------------------------------
-
-#[cfg(unix)]
-pub(crate) mod mm {
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    /// A read-only private file mapping (raw `mmap`, unmapped on drop).
-    pub struct Mapping {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ and never mutated, and `munmap`
-    // on drop may run on any thread.
-    unsafe impl Send for Mapping {}
-    // SAFETY: every access through a shared `Mapping` is a read of
-    // memory that nothing writes.
-    unsafe impl Sync for Mapping {}
-
-    impl Mapping {
-        pub fn map(file: &File, len: usize) -> std::io::Result<Self> {
-            if len == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "cannot map an empty file",
-                ));
-            }
-            // SAFETY: a fresh PROT_READ/MAP_PRIVATE mapping of a file we
-            // hold open; failure is reported via MAP_FAILED.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(std::io::Error::last_os_error());
-            }
-            Ok(Self {
-                ptr: ptr as *const u8,
-                len,
-            })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            // SAFETY: the mapping covers len bytes for self's lifetime.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            // SAFETY: exactly the region returned by mmap.
-            unsafe { munmap(self.ptr as *mut core::ffi::c_void, self.len) };
-        }
-    }
-}
-
-/// 8-byte-aligned owned byte buffer — the non-unix (or mmap-failure)
-/// fallback backing store, aligned so the in-place casts stay valid.
-pub(crate) struct AlignedBytes {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl AlignedBytes {
-    fn read_from(path: &Path) -> std::io::Result<Self> {
-        let mut f = File::open(path)?;
-        let len = f.metadata()?.len() as usize;
-        let mut words = vec![0u64; len.div_ceil(8)];
-        // SAFETY: the Vec<u64> owns at least `len` writable bytes.
-        let buf = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len) };
-        f.read_exact(buf)?;
-        Ok(Self { words, len })
-    }
-
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: words owns >= len bytes.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
-    }
-}
-
-pub(crate) enum Backing {
-    #[cfg(unix)]
-    Mapped(mm::Mapping),
-    Owned(AlignedBytes),
-}
-
-impl Backing {
-    pub(crate) fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            Backing::Mapped(m) => m.bytes(),
-            Backing::Owned(b) => b.bytes(),
-        }
-    }
-}
-
-/// A snapshot served **in place**: the offsets and neighbors arrays are
-/// borrowed straight from an `mmap`ed file (page-cache-backed, zero copy)
-/// and exposed through [`GraphView`], so every algorithm in the workspace
-/// runs on it unchanged.
-///
-/// `open` verifies both checksums and the CSR invariants before handing
-/// the view out — one sequential pass over the mapping, after which
-/// traversal is as fast as an owned [`CompactCsr`]. On non-unix hosts
-/// (or if `mmap` fails) it transparently falls back to an owned aligned
-/// buffer with identical semantics. A weights section, if the file has
-/// one, is skipped.
-pub struct MappedSnapshot {
-    backing: Backing,
-    small_offsets: bool,
-    off_start: usize,
-    nbr_start: usize,
-    n: usize,
-    num_arcs: usize,
-    max_deg: u32,
-    min_deg: u32,
-}
-
-impl MappedSnapshot {
-    /// Map `path` and verify it end to end (checksums + CSR invariants).
-    pub fn open(path: &Path) -> std::io::Result<Self> {
-        Self::from_backing(open_backing(path)?)
-    }
-
-    fn from_backing(backing: Backing) -> std::io::Result<Self> {
-        let (header, layout) = verify(backing.bytes())?;
-        if header.compressed() {
-            return Err(bad(
-                "compressed (v2) snapshot cannot be served as raw in-place arrays; \
-                 use load_compressed_snapshot or load_snapshot"
-                    .into(),
-            ));
-        }
-        let s = Self {
-            small_offsets: header.offset_width == 4,
-            off_start: layout.off_start,
-            nbr_start: layout.nbr_start,
-            n: header.n as usize,
-            num_arcs: header.num_arcs as usize,
-            max_deg: header.max_deg,
-            min_deg: header.min_deg,
-            backing,
-        };
-        // Same validation policy as the owned loader: linear shape sweep
-        // always, symmetry cross-check in debug builds.
-        validate_csr_shape(s.n + 1, |i| s.offset(i), s.neighbor_array())
-            .map_err(|e| bad(format!("snapshot holds an invalid CSR: {e}")))?;
-        #[cfg(debug_assertions)]
-        validate_csr_arrays(s.n + 1, |i| s.offset(i), s.neighbor_array())
-            .map_err(|e| bad(format!("snapshot holds an invalid CSR: {e}")))?;
-        Ok(s)
-    }
-
-    #[inline]
-    fn offset(&self, i: usize) -> usize {
-        let bytes = self.backing.bytes();
-        if self.small_offsets {
-            // SAFETY: section bounds checked at open; base is 8-aligned.
-            let o = unsafe {
-                std::slice::from_raw_parts(
-                    bytes.as_ptr().add(self.off_start) as *const u32,
-                    self.n + 1,
-                )
-            };
-            o[i] as usize
-        } else {
-            // SAFETY: section bounds checked at open; base is 8-aligned.
-            let o = unsafe {
-                std::slice::from_raw_parts(
-                    bytes.as_ptr().add(self.off_start) as *const u64,
-                    self.n + 1,
-                )
-            };
-            o[i] as usize
-        }
-    }
-
-    /// The whole neighbor array, borrowed from the mapping.
-    #[inline]
-    pub fn neighbor_array(&self) -> &[u32] {
-        let bytes = self.backing.bytes();
-        // SAFETY: section bounds checked at open; 4-aligned by layout.
-        unsafe {
-            std::slice::from_raw_parts(
-                bytes.as_ptr().add(self.nbr_start) as *const u32,
-                self.num_arcs,
-            )
-        }
-    }
-
-    /// Sorted neighbor slice of `v`, borrowed from the mapping.
-    #[inline]
-    pub fn neighbor_slice(&self, v: u32) -> &[u32] {
-        &self.neighbor_array()[self.offset(v as usize)..self.offset(v as usize + 1)]
-    }
-
-    /// Copy into an owned [`CompactCsr`] (e.g. to outlive the file).
-    pub fn to_compact(&self) -> CompactCsr {
-        let offsets: Vec<usize> = (0..=self.n).map(|i| self.offset(i)).collect();
-        CompactCsr::from_raw(offsets, self.neighbor_array().to_vec())
-    }
-}
-
-impl GraphView for MappedSnapshot {
-    type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, u32>>;
-
-    #[inline]
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn num_arcs(&self) -> usize {
-        self.num_arcs
-    }
-
-    #[inline]
-    fn degree(&self, v: u32) -> u32 {
-        (self.offset(v as usize + 1) - self.offset(v as usize)) as u32
-    }
-
-    #[inline]
-    fn neighbors(&self, v: u32) -> Self::Neighbors<'_> {
-        self.neighbor_slice(v).iter().copied()
-    }
-
-    #[inline]
-    fn max_degree(&self) -> u32 {
-        self.max_deg
-    }
-
-    #[inline]
-    fn min_degree(&self) -> u32 {
-        self.min_deg
-    }
-
-    fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.neighbor_slice(u).binary_search(&v).is_ok()
-    }
-
-    #[inline]
-    fn prefetch_neighbors(&self, v: u32) {
-        let r = self.offset(v as usize);
-        if r < self.num_arcs {
-            prefetch_read(&self.neighbor_array()[r]);
-        }
-    }
-
-    fn memory_footprint(&self) -> GraphMemory {
-        GraphMemory {
-            offset_width: if self.small_offsets { 4 } else { 8 },
-            offset_count: self.n + 1,
-            neighbor_width: 4,
-            neighbor_count: self.num_arcs,
-            encoded_bytes: 0,
-            encoded_mapped_bytes: 0,
-            aux_bytes: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1229,32 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn mapped_view_agrees_with_owned() {
-        let g = generate(
-            &GraphSpec::Rmat {
-                scale: 8,
-                edge_factor: 8,
-            },
-            11,
-        );
-        let dir = std::env::temp_dir().join(format!("pgc-snap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.pgcs");
-        write_snapshot(&g, &path).unwrap();
-        let m = MappedSnapshot::open(&path).unwrap();
-        assert_eq!(m.n(), g.n());
-        assert_eq!(m.num_arcs(), g.num_arcs());
-        assert_eq!(GraphView::max_degree(&m), g.max_degree());
-        assert_eq!(GraphView::min_degree(&m), g.min_degree());
-        for v in g.vertices() {
-            assert_eq!(m.neighbor_slice(v), g.neighbors(v));
-        }
-        assert_eq!(m.to_compact(), g);
-        assert!(m.has_edge(g.edges().next().unwrap().0, g.edges().next().unwrap().1));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn compressed_snapshot_round_trips() {
         let g = generate(
             &GraphSpec::Rmat {
@@ -1276,24 +948,17 @@ mod tests {
         // Transparent decode path: the plain loader accepts v2.
         assert_eq!(load_snapshot(&path).unwrap(), g);
 
-        // Zero-copy path: arena served from the mapping.
+        // Arena path: the v2 arena is kept encoded, byte for byte.
         let c = load_compressed_snapshot(&path).unwrap();
+        assert_eq!(c, CompressedCsr::from_compact(&g));
         assert_eq!(c.to_compact(), g);
         let fp = GraphView::memory_footprint(&c);
-        assert_eq!(fp.encoded_bytes, 0, "mapped arena is page-cache, not heap");
         assert!(c.encoded_bytes() > 0);
+        assert_eq!(fp.encoded_bytes, c.encoded_bytes());
         assert_eq!(
-            fp.encoded_mapped_bytes,
-            c.encoded_bytes(),
-            "representation length must stay visible for mapped arenas"
+            fp.structural_bytes(),
+            fp.offset_bytes() + c.encoded_bytes() + fp.aux_bytes
         );
-        assert_eq!(fp.encoded_len(), c.encoded_bytes());
-        // Traversed representation counts the mapped arena; the heap
-        // charge does not.
-        assert_eq!(fp.structural_bytes(), fp.total_bytes() + fp.encoded_len());
-
-        // A raw-array in-place view cannot serve a v2 file.
-        assert!(MappedSnapshot::open(&path).is_err());
 
         // v1 files feed the compressed loader too (materialize + encode).
         let v1_path = dir.join("g1.pgcs");
@@ -1348,7 +1013,7 @@ mod tests {
         let err = load_snapshot_bytes(&buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("malformed varint run"), "{err}");
-        // Zero-copy path (load_compressed_snapshot → validate_compressed).
+        // Arena path (load_compressed_snapshot → validate_compressed).
         let dir = std::env::temp_dir().join(format!("pgc-snapbad-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.pgcs");

@@ -52,27 +52,15 @@ pub struct GraphMemory {
     pub neighbor_width: usize,
     /// Number of stored neighbor entries (`2m` for undirected CSR).
     pub neighbor_count: usize,
-    /// Bytes of **heap-owned** compressed (encoded) neighbor storage,
-    /// when the representation stores adjacencies as packed bytes
-    /// instead of raw `u32` entries ([`crate::CompressedCsr`]'s
-    /// delta-varint arena). Kept separate from
-    /// [`neighbor_bytes`](Self::neighbor_bytes) so tables can print the
-    /// compression ratio against the paper's `2m` word budget; always 0
-    /// for array-backed layouts — and also 0 when the arena is served
-    /// zero-copy from an `mmap`, which lands in
-    /// [`encoded_mapped_bytes`](Self::encoded_mapped_bytes) instead.
+    /// Bytes of compressed (encoded) neighbor storage, when the
+    /// representation stores adjacencies as packed bytes instead of raw
+    /// `u32` entries ([`crate::CompressedCsr`]'s delta-varint arena).
+    /// Kept separate from [`neighbor_bytes`](Self::neighbor_bytes) so
+    /// tables can print the compression ratio against the paper's `2m`
+    /// word budget; always 0 for array-backed layouts, so
+    /// `encoded_bytes > 0` identifies a representation whose neighbor
+    /// traversal streams packed bytes rather than `u32` slots.
     pub encoded_bytes: usize,
-    /// Bytes of the encoded neighbor arena served zero-copy from an
-    /// `mmap` (page cache, not this process's heap) — the
-    /// [`crate::snapshot::load_compressed_snapshot`] fast path. An arena
-    /// is entirely heap-owned or entirely mapped, so the representation's
-    /// encoded length regardless of backing is
-    /// [`encoded_len`](Self::encoded_len); consumers that model the
-    /// traversed layout (the cache simulator, the harness's `graph_MiB`
-    /// column) must use that, while heap accounting
-    /// ([`total_bytes`](Self::total_bytes)) charges only
-    /// [`encoded_bytes`](Self::encoded_bytes).
-    pub encoded_mapped_bytes: usize,
     /// Bytes of any auxiliary structures (masks, remaps, decode scratch)
     /// a view carries on top of the arrays it borrows.
     pub aux_bytes: usize,
@@ -89,33 +77,12 @@ impl GraphMemory {
         self.neighbor_width * self.neighbor_count
     }
 
-    /// Length of the encoded neighbor representation regardless of
-    /// backing: heap-owned plus `mmap`-served arena bytes (an arena is
-    /// entirely one or the other). 0 for raw-array layouts, so
-    /// `encoded_len() > 0` identifies a representation whose neighbor
-    /// traversal streams packed bytes rather than `u32` slots.
-    pub fn encoded_len(&self) -> usize {
-        self.encoded_bytes + self.encoded_mapped_bytes
-    }
-
-    /// Offsets + neighbors + heap-owned encoded + auxiliary bytes: the
-    /// process-heap charge. An `mmap`-served arena is
-    /// excluded (page cache, not heap) — see
-    /// [`structural_bytes`](Self::structural_bytes) for the
-    /// representation as traversed.
-    pub fn total_bytes(&self) -> usize {
-        self.offset_bytes() + self.neighbor_bytes() + self.encoded_bytes + self.aux_bytes
-    }
-
-    /// Bytes of the structural graph storage actually backing this
-    /// representation's traversal: offsets + raw neighbors + encoded
-    /// neighbors (whether heap-owned or `mmap`-served) + auxiliary
-    /// structures. This is the
-    /// number the harness prints as `graph_MiB`, so compact and
-    /// compressed rows (including snapshot-loaded zero-copy arenas) are
+    /// Bytes of the structural graph storage: offsets + raw neighbors +
+    /// encoded neighbors + auxiliary structures. This is the number the
+    /// harness prints as `graph_MiB`, so compact and compressed rows are
     /// comparable.
     pub fn structural_bytes(&self) -> usize {
-        self.offset_bytes() + self.neighbor_bytes() + self.encoded_len() + self.aux_bytes
+        self.offset_bytes() + self.neighbor_bytes() + self.encoded_bytes + self.aux_bytes
     }
 }
 
@@ -138,8 +105,7 @@ impl GraphMemory {
 ///
 /// Implementations: [`crate::CompactCsr`] (the default; 4-byte offsets
 /// when `2m < u32::MAX`, machine-word offsets otherwise),
-/// [`crate::CompressedCsr`] (delta-varint block-encoded adjacencies),
-/// [`crate::MappedSnapshot`] (zero-copy over an `mmap`ed snapshot) and
+/// [`crate::CompressedCsr`] (delta-varint block-encoded adjacencies) and
 /// [`crate::InducedView`] (zero-copy induced subgraph of any other
 /// view).
 pub trait GraphView: Sync {
@@ -328,15 +294,10 @@ mod tests {
             neighbor_width: 4,
             neighbor_count: 20,
             encoded_bytes: 5,
-            encoded_mapped_bytes: 7,
             aux_bytes: 3,
         };
         assert_eq!(m.offset_bytes(), 44);
         assert_eq!(m.neighbor_bytes(), 80);
-        assert_eq!(m.encoded_len(), 12);
-        // Traversed representation counts the mapped arena…
-        assert_eq!(m.structural_bytes(), 139);
-        // …heap accounting does not.
-        assert_eq!(m.total_bytes(), 132);
+        assert_eq!(m.structural_bytes(), 44 + 80 + 5 + 3);
     }
 }

@@ -141,7 +141,7 @@ fn snapshot_load_ms(g: &CompactCsr, tag: &str) -> f64 {
 }
 
 /// [`snapshot_load_ms`] for the compressed representation: writes a v2
-/// (compressed-section) snapshot and times the zero-copy compressed load.
+/// (compressed-section) snapshot and times the compressed load, which keeps the arena encoded.
 fn compressed_snapshot_load_ms(g: &pgc_graph::CompressedCsr, tag: &str) -> f64 {
     let path = std::env::temp_dir().join(format!(
         "pgc-fig2c-{}-{tag}.{}",

@@ -74,6 +74,8 @@
 //! the next: the phase boundary is a synchronization point, exactly the
 //! CRCW model the paper assumes.
 
+#![warn(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 mod deque;
 
 pub mod loops;

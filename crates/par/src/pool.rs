@@ -185,6 +185,9 @@ pub(crate) struct JobRef {
 unsafe impl Send for JobRef {}
 
 impl JobRef {
+    /// # Safety
+    /// `data` must be what `execute_fn` expects, and must stay alive
+    /// until the job has run (or be dropped unexecuted).
     pub(crate) unsafe fn new(data: *const (), execute_fn: unsafe fn(*const ())) -> Self {
         Self { data, execute_fn }
     }
@@ -192,7 +195,9 @@ impl JobRef {
     /// # Safety
     /// Must be called at most once, while the pointee is alive.
     pub(crate) unsafe fn execute(self) {
-        (self.execute_fn)(self.data)
+        // SAFETY: the caller runs this job at most once while its pointee
+        // is alive, which is exactly what `execute_fn` requires of `data`.
+        unsafe { (self.execute_fn)(self.data) }
     }
 
     /// Explode into two machine words for per-word atomic deque slots.
@@ -245,13 +250,25 @@ where
     /// The returned ref must not outlive `self`, and the caller must keep
     /// `self` alive until the latch fires.
     unsafe fn as_job_ref(&self) -> JobRef {
+        // SAFETY: `data` points at `self` and `execute` casts it back to
+        // `Self`; the caller keeps `self` alive until the latch fires,
+        // which `execute` does last.
         unsafe { JobRef::new(self as *const Self as *const (), Self::execute) }
     }
 
+    /// # Safety
+    /// `data` must come from [`as_job_ref`](Self::as_job_ref) on a live
+    /// job, and the job must run at most once.
     unsafe fn execute(data: *const ()) {
+        // SAFETY: `data` is a live `StackJob<F, R>` (the caller's
+        // contract), and its owner keeps it alive until the latch fires.
         let job = unsafe { &*(data as *const Self) };
+        // SAFETY: this is the job's single execution, so nothing else
+        // touches `func`; the owner reads `result` only after the latch.
         let func = unsafe { (*job.func.get()).take().expect("job executed twice") };
         let result = with_width_raw(job.width, || catch_unwind(AssertUnwindSafe(func)));
+        // SAFETY: as above, the executor has `result` to itself until
+        // `latch.set()` publishes it (release).
         unsafe { *job.result.get() = Some(result) };
         job.latch.set();
         // `job` may be destroyed by its (probing) owner from here on —
@@ -985,11 +1002,13 @@ mod tests {
         }
         let inj = Injector::new();
         assert!(inj.is_empty());
-        // SAFETY: token jobs executed at most once below.
         for i in 0..INJECTOR_CAP {
+            // SAFETY: token jobs are never executed; `bump` reads `data`
+            // only as an integer, so any pointer value is valid for it.
             assert!(inj.push(unsafe { JobRef::new(i as *const (), bump) }));
         }
         // Full: the next push must decline rather than block or clobber.
+        // SAFETY: as above, a token job that is never executed.
         assert!(!inj.push(unsafe { JobRef::new(std::ptr::null(), bump) }));
         for expect in 0..INJECTOR_CAP {
             let job = inj.pop().expect("queue should still hold jobs");
@@ -998,6 +1017,7 @@ mod tests {
         assert!(inj.pop().is_none());
         // Wrap around a lap to exercise the sequence recycling.
         for i in 0..10 {
+            // SAFETY: as above, a token job that is never executed.
             assert!(inj.push(unsafe { JobRef::new(i as *const (), bump) }));
         }
         for expect in 0..10 {

@@ -79,8 +79,9 @@ impl<'scope> Scope<'scope> {
             }
             scope.task_done();
         });
-        // Lifetime erasure: the task cannot outlive the scope because the
-        // scope owner blocks on `pending` before returning.
+        // SAFETY: lifetime erasure only — the layout is unchanged, and the
+        // task cannot outlive 'scope because the scope owner blocks on
+        // `pending` before returning.
         let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
         let raw = Box::into_raw(Box::new(task));
         // SAFETY: `execute_heap_task` reconstructs and consumes the unique
@@ -138,6 +139,9 @@ impl<T> SendConst<T> {
     }
 }
 
+/// # Safety
+/// `data` must be the pointer `spawn` made with `Box::into_raw`, and this
+/// must be its only execution.
 unsafe fn execute_heap_task(data: *const ()) {
     // SAFETY: `data` is the unique Box<Box<dyn FnOnce...>> made in `spawn`.
     let task = unsafe { Box::from_raw(data as *mut Box<dyn FnOnce() + Send + 'static>) };

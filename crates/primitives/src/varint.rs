@@ -209,14 +209,18 @@ impl<'a> Decoder<'a> {
         (self.remaining > 0).then(|| u32_at(self.bytes, self.pos))
     }
 
-    /// Decode the next block into `out` (which must hold at least
-    /// [`BLOCK`] values or the block's count, whichever is smaller);
-    /// returns the number of values produced, 0 once exhausted.
+    /// Decode the next block into `out`; returns the number of values
+    /// produced, 0 once exhausted.
+    ///
+    /// # Panics
+    /// If `out` is shorter than the block's count ([`BLOCK`] or the
+    /// values remaining, whichever is smaller).
     pub fn next_block_into(&mut self, out: &mut [u32]) -> usize {
         if self.remaining == 0 {
             return 0;
         }
         let cnt = self.remaining.min(BLOCK);
+        let out = &mut out[..cnt];
         let bytes = self.bytes;
         let anchor = u32_at(bytes, self.pos);
         let mut p = self.pos + BLOCK_HEADER;
@@ -231,7 +235,9 @@ impl<'a> Decoder<'a> {
         // a plain subtraction would wrap and license reads past the
         // slice.
         while cnt - i >= 8 && bytes.len().saturating_sub(p) >= 40 {
-            // SAFETY: ≥ 40 bytes remain and each capped varint reads ≤ 5.
+            // SAFETY: ≥ 40 bytes remain and each capped varint reads ≤ 5;
+            // `cnt - i >= 8` makes `i + k < cnt == out.len()` for every
+            // `k < 8`, so each write is in bounds.
             unsafe {
                 for k in 0..8 {
                     let d = read_varint_unchecked(bytes, &mut p);
@@ -293,6 +299,9 @@ impl<'a> Decoder<'a> {
 
     /// Decode everything remaining into `out`, whose length must equal
     /// [`remaining`](Self::remaining).
+    ///
+    /// # Panics
+    /// If `out` is shorter than [`remaining`](Self::remaining).
     pub fn decode_into_slice(&mut self, out: &mut [u32]) {
         debug_assert_eq!(out.len(), self.remaining);
         let mut at = 0usize;
@@ -418,6 +427,28 @@ mod tests {
             let values: Vec<u32> = (0..n as u32).map(|i| i * 3 + 1).collect();
             round_trip(&values);
         }
+    }
+
+    /// A 64-value run: one full block.
+    fn full_block() -> Vec<u8> {
+        let values: Vec<u32> = (0..BLOCK as u32).map(|i| i * 3 + 1).collect();
+        let mut buf = Vec::new();
+        encode_into(&values, &mut buf);
+        buf
+    }
+
+    #[test]
+    #[should_panic]
+    fn next_block_into_short_out_panics() {
+        let buf = full_block();
+        Decoder::new(&buf, BLOCK).next_block_into(&mut [0u32; 4]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn decode_into_slice_short_out_panics() {
+        let buf = full_block();
+        Decoder::new(&buf, BLOCK).decode_into_slice(&mut [0u32; 10]);
     }
 
     #[test]

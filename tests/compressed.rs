@@ -208,7 +208,7 @@ fn v2_snapshot_round_trips_and_rejects_corruption() {
     // Transparent load back to raw arrays…
     let back = pgc::graph::load_snapshot(&path).unwrap();
     assert_eq!(back, g);
-    // …and the zero-copy compressed view of the same file.
+    // …and the compressed graph loaded from the same file.
     let z = pgc::graph::load_compressed_snapshot(&path).unwrap();
     assert_eq!(z.n(), g.n());
     for v in g.vertices() {

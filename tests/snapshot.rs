@@ -3,9 +3,10 @@
 //! The format's contract, pinned from outside the crate:
 //!
 //! 1. **Round-trip fidelity** — write → load reproduces the exact CSR
-//!    (offsets, neighbors) for arbitrary graphs, through both the owned
-//!    loader and the zero-copy mmap view; files written with a weights
-//!    section by older builds still load as their structure.
+//!    (offsets, neighbors) for arbitrary graphs, through both loaders
+//!    (`load_snapshot` into a `CompactCsr`, `load_compressed_snapshot`
+//!    into a `CompressedCsr`); files written with a weights section by
+//!    older builds still load as their structure.
 //! 2. **Algorithm transparency** — all 21 coloring algorithms and the
 //!    mining kernels produce bit-identical output on a snapshot-loaded
 //!    graph vs the originally built one. A snapshot is a representation
@@ -21,7 +22,7 @@ use pgc::graph::gen::{generate, GraphSpec, SpecSource};
 use pgc::graph::snapshot::{
     inspect_snapshot, is_snapshot, load_compressed_snapshot, load_snapshot, load_snapshot_bytes,
     write_compressed_snapshot, write_compressed_snapshot_to, write_snapshot, write_snapshot_to,
-    MappedSnapshot, SNAPSHOT_EXT,
+    SNAPSHOT_EXT,
 };
 use pgc::graph::stream::build_compact_with_offset_limit;
 use pgc::graph::{CompactCsr, CompressedCsr, GraphView};
@@ -128,8 +129,8 @@ proptest! {
     }
 }
 
-/// All 21 algorithms produce bit-identical colorings on the built graph,
-/// the snapshot-loaded copy, and the zero-copy mmap view.
+/// All 21 algorithms produce bit-identical colorings on the built graph
+/// and the snapshot-loaded copy.
 #[test]
 fn all_algorithms_identical_on_snapshot_loaded_graphs() {
     let specs = [
@@ -143,9 +144,7 @@ fn all_algorithms_identical_on_snapshot_loaded_graphs() {
         let built = generate(spec, 7);
         with_snapshot_file(&built, &format!("algos-{i}"), |path| {
             let loaded = load_snapshot(path).unwrap();
-            let mapped = MappedSnapshot::open(path).unwrap();
             assert_same_graph(&built, &loaded);
-            assert_same_graph(&built, &mapped);
             let params = Params {
                 seed: 42,
                 ..Params::default()
@@ -153,18 +152,11 @@ fn all_algorithms_identical_on_snapshot_loaded_graphs() {
             for algo in Algorithm::all() {
                 let a = run(&built, algo, &params);
                 let b = run(&loaded, algo, &params);
-                let c = run(&mapped, algo, &params);
                 verify::assert_proper(&built, &a.colors);
                 assert_eq!(
                     a.colors,
                     b.colors,
                     "{} differs between built and snapshot-loaded graphs",
-                    algo.name()
-                );
-                assert_eq!(
-                    a.colors,
-                    c.colors,
-                    "{} differs between built and mmap-viewed graphs",
                     algo.name()
                 );
                 assert_eq!(a.num_colors, b.num_colors);
@@ -213,17 +205,6 @@ fn wide_offsets_survive_v1_and_v2_snapshots() {
             assert_colors_like(&small, &loaded, "load_snapshot");
             let z = load_compressed_snapshot(path).unwrap();
             assert_colors_like(&small, &z, "load_compressed_snapshot");
-            // v2 neighbors are an encoded arena: only v1 maps in place.
-            match MappedSnapshot::open(path) {
-                Ok(mapped) => {
-                    assert_eq!(version, 1);
-                    assert_colors_like(&small, &mapped, "MappedSnapshot");
-                }
-                Err(e) => {
-                    assert_eq!(version, 2, "v1 must map: {e}");
-                    assert_eq!(e.kind(), ErrorKind::InvalidData);
-                }
-            }
         });
     }
 }
@@ -280,7 +261,7 @@ fn text_readers_sniff_snapshot_magic() {
 /// snapshot of the Petersen graph in `tests/fixtures/tiny.mtx`. The v1
 /// writer must keep producing those exact bytes (the compressed v2 path
 /// is opt-in, never a silent format change), the pinned file must keep
-/// loading — through the raw, compressed-capable, and mmap loaders —
+/// loading — through the raw and compressed-capable loaders —
 /// and every algorithm must color it exactly like the text-parsed graph.
 #[test]
 fn pinned_v1_fixture_stays_byte_identical_and_loads() {
@@ -299,8 +280,6 @@ fn pinned_v1_fixture_stays_byte_identical_and_loads() {
     assert_same_graph(&g, &loaded);
     let z = pgc::graph::load_compressed_snapshot(&dir.join("tiny-v1.pgcs")).unwrap();
     assert_same_graph(&g, &z.to_compact());
-    let mapped = MappedSnapshot::open(&dir.join("tiny-v1.pgcs")).unwrap();
-    assert_same_graph(&g, &mapped);
 
     let params = Params::default();
     for algo in Algorithm::all() {
@@ -315,7 +294,7 @@ fn pinned_v1_fixture_stays_byte_identical_and_loads() {
 /// `tests/fixtures/tiny-v2.pgcs` is the committed v2 snapshot of the same
 /// Petersen graph (`pgc snapshot tiny.mtx tiny-v2.pgcs --compress`). The
 /// v2 writer must keep producing those exact bytes, and the pinned file
-/// must keep loading through the decoding and zero-copy arena loaders.
+/// must keep loading through the decoding and the arena-keeping loaders.
 #[test]
 fn pinned_v2_fixture_stays_byte_identical_and_loads() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -390,7 +369,6 @@ fn pinned_weighted_fixtures_load_as_structure() {
             "{path:?}"
         );
     }
-    assert_eq!(MappedSnapshot::open(&v1).unwrap().to_compact(), g);
 
     // Re-seal the v1 header with an inconsistent kind/width pair, then
     // with an unknown kind: both are InvalidData, not a misread layout.
@@ -414,7 +392,6 @@ fn pinned_weighted_fixtures_load_as_structure() {
             std::fs::write(path, &bytes).unwrap();
             for err in [
                 load_snapshot(path).unwrap_err(),
-                MappedSnapshot::open(path).err().unwrap(),
                 load_compressed_snapshot(path).unwrap_err(),
                 inspect_snapshot(path).unwrap_err(),
             ] {

@@ -246,7 +246,7 @@ fn generator_build_peak_beats_arc_list_baseline() {
     );
     // And the finished graph is a fraction of what ingestion used to cost.
     let fp = g.memory_footprint();
-    assert!(fp.total_bytes() < stats.arc_list_baseline_bytes());
+    assert!(fp.structural_bytes() < stats.arc_list_baseline_bytes());
 }
 
 /// (5) File-backed readers (two sequential scans, no buffering) agree
