@@ -247,20 +247,6 @@ pub fn generate_with_stats(spec: &GraphSpec, seed: u64) -> (CompactCsr, BuildSta
         .expect("generator replay cannot fail")
 }
 
-/// [`generate`] into the delta-varint representation (the harness's
-/// `--compressed` path): build the compact graph through the streaming
-/// engine, then encode it, charging the converter's transient
-/// allocations into `build_bytes_peak` so the peak-memory column
-/// reflects the conversion that actually ran.
-pub fn generate_compressed_with_stats(
-    spec: &GraphSpec,
-    seed: u64,
-) -> (crate::compressed::CompressedCsr, BuildStats) {
-    let (g, mut stats) = generate_with_stats(spec, seed);
-    let c = crate::compressed::CompressedCsr::from_compact_with_stats(&g, &mut stats);
-    (c, stats)
-}
-
 /// Run one seeded generation, pushing raw edges `edges` (by global edge
 /// index) into `push`. Only the partitionable families (see
 /// [`SpecSource::partitioned_edges`]) honor the range; the others are

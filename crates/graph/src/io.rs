@@ -15,18 +15,22 @@
 //! ([`crate::stream`]) ingests a file with **two sequential scans and no
 //! edge buffering**. The [`Reopen`] trait abstracts "give me a fresh
 //! reader over the same bytes" — a path reopens the file, a byte slice
-//! rewinds for free — so the same parser serves the streaming
-//! [`read_edge_list_path`]-style entry points and the buffered
-//! [`read_edge_list`]-style `BufRead` compatibility APIs (which slurp the
-//! input once, then stream over the in-memory bytes: text is the only
-//! buffer, never a decoded arc list).
+//! rewinds for free — so the same parser serves the streaming file
+//! opener [`read_graph`] and the buffered [`read_edge_list`]-style
+//! `BufRead` compatibility APIs (which slurp the input once, then stream
+//! over the in-memory bytes: text is the only buffer, never a decoded
+//! arc list).
+//!
+//! [`read_graph`] is the one way to open a graph file: it loads a binary
+//! snapshot ([`crate::snapshot`]) when the file starts with the snapshot
+//! magic and otherwise picks the text parser by extension.
 //!
 //! ## The byte-level fast path
 //!
-//! Text parsing dominates `read_*_path` ingest (each scan must decode
-//! every line), so the readers never materialize `String` lines: a single
-//! reusable buffer is filled by `read_until(b'\n')` and vertex ids are
-//! decoded by a branch-lean ASCII-decimal loop (`parse_u32_ascii`) —
+//! Text parsing dominates [`read_graph`]'s text ingest (each scan must
+//! decode every line), so the readers never materialize `String` lines:
+//! a single reusable buffer is filled by `read_until(b'\n')` and vertex
+//! ids are decoded by a branch-lean ASCII-decimal loop (`parse_u32_ascii`) —
 //! no per-line allocation, no UTF-8 validation, no generic
 //! `str::parse` machinery on the hot path. `benches/ingest.rs` measures
 //! the gain against the old `String`-lines parser.
@@ -211,11 +215,6 @@ impl<R: Reopen> DimacsSource<R> {
         }
         let (n, m) = header.ok_or_else(|| bad("missing 'p edge' header".into()))?;
         Ok(Self { input, n, m })
-    }
-
-    /// Declared vertex count from the `p edge` header.
-    pub fn declared_n(&self) -> usize {
-        self.n
     }
 }
 
@@ -417,14 +416,13 @@ impl<R: Reopen> EdgeSource for MatrixMarketSource<R> {
 }
 
 // ---------------------------------------------------------------------
-// Streaming entry points (two sequential file scans, no buffering)
+// The file opener (two sequential file scans, no buffering)
 // ---------------------------------------------------------------------
 
 /// Sniff the first bytes of `path` for the binary-snapshot magic
-/// ([`crate::snapshot`]). `Ok(true)` means the file is a snapshot and
-/// every `read_*_path` entry point takes the fast binary path; a short
-/// or unreadable prefix is simply "not a snapshot" (text parsing will
-/// produce its own error if the file is truly unreadable).
+/// ([`crate::snapshot`]). A short or unreadable prefix is simply "not a
+/// snapshot" (text parsing will produce its own error if the file is
+/// truly unreadable).
 fn sniff_snapshot(path: &Path) -> bool {
     let mut prefix = [0u8; 8];
     match File::open(path).and_then(|mut f| f.read_exact(&mut prefix)) {
@@ -433,34 +431,27 @@ fn sniff_snapshot(path: &Path) -> bool {
     }
 }
 
-/// Read a SNAP-style edge list from a file with two sequential scans and
-/// no edge buffering. A binary snapshot (sniffed by magic) loads on the
-/// fast path instead, regardless of extension.
-pub fn read_edge_list_path(path: &Path) -> std::io::Result<CompactCsr> {
+/// Open a graph file. A binary snapshot of either version (sniffed by its
+/// magic, whatever the name) loads through
+/// [`crate::snapshot::load_snapshot`]. Otherwise the extension picks the
+/// text parser, case-insensitively: `.col` is DIMACS, `.mtx` is Matrix
+/// Market, anything else is an edge list. Text is built with two
+/// sequential scans of the file and no edge buffering.
+pub fn read_graph(path: &Path) -> std::io::Result<CompactCsr> {
     if sniff_snapshot(path) {
         return crate::snapshot::load_snapshot(path);
     }
-    build_compact(&EdgeListSource::new(path.to_path_buf()))
-}
-
-/// Read DIMACS `.col` from a file with two sequential scans and no edge
-/// buffering. A binary snapshot (sniffed by magic) loads on the fast
-/// path instead.
-pub fn read_dimacs_col_path(path: &Path) -> std::io::Result<CompactCsr> {
-    if sniff_snapshot(path) {
-        return crate::snapshot::load_snapshot(path);
+    let ext = path
+        .extension()
+        .and_then(|e| e.to_str())
+        .unwrap_or("")
+        .to_ascii_lowercase();
+    let input = path.to_path_buf();
+    match ext.as_str() {
+        "col" => build_compact(&DimacsSource::new(input)?),
+        "mtx" => build_compact(&MatrixMarketSource::new(input)?),
+        _ => build_compact(&EdgeListSource::new(input)),
     }
-    build_compact(&DimacsSource::new(path.to_path_buf())?)
-}
-
-/// Read a Matrix Market coordinate file with two sequential scans and no
-/// edge buffering. A binary snapshot (sniffed by magic) loads on the
-/// fast path instead.
-pub fn read_matrix_market_path(path: &Path) -> std::io::Result<CompactCsr> {
-    if sniff_snapshot(path) {
-        return crate::snapshot::load_snapshot(path);
-    }
-    build_compact(&MatrixMarketSource::new(path.to_path_buf())?)
 }
 
 // ---------------------------------------------------------------------
@@ -479,8 +470,8 @@ fn slurp<R: BufRead>(mut reader: R) -> std::io::Result<Vec<u8>> {
 
 /// Parse a SNAP-style edge list: one `u v` pair per line; lines starting
 /// with `#` or `%` are comments. Vertex ids may be sparse; the graph is
-/// sized by the maximum id + 1. Prefer [`read_edge_list_path`] for files:
-/// it streams in two scans instead of buffering the text. Like every
+/// sized by the maximum id + 1. Prefer [`read_graph`] for files: it
+/// streams in two scans instead of buffering the text. Like every
 /// two-pass ingestion, the text is *parsed* twice (count + scatter) —
 /// the price of never holding a decoded edge list.
 pub fn read_edge_list<R: BufRead>(reader: R) -> std::io::Result<CompactCsr> {
@@ -489,16 +480,15 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> std::io::Result<CompactCsr> {
 }
 
 /// Parse DIMACS `.col`: `c` comments, one `p edge <n> <m>` line, `e u v`
-/// edges with **1-based** vertex ids. Prefer [`read_dimacs_col_path`] for
-/// files.
+/// edges with **1-based** vertex ids. Prefer [`read_graph`] for files.
 pub fn read_dimacs_col<R: BufRead>(reader: R) -> std::io::Result<CompactCsr> {
     let bytes = slurp(reader)?;
     build_compact(&DimacsSource::new(&bytes[..])?)
 }
 
 /// Parse a Matrix Market pattern/coordinate file (`%%MatrixMarket matrix
-/// coordinate ...`) as an undirected graph. Prefer
-/// [`read_matrix_market_path`] for files.
+/// coordinate ...`) as an undirected graph. Prefer [`read_graph`] for
+/// files.
 pub fn read_matrix_market<R: BufRead>(reader: R) -> std::io::Result<CompactCsr> {
     let bytes = slurp(reader)?;
     build_compact(&MatrixMarketSource::new(&bytes[..])?)
@@ -725,6 +715,36 @@ mod tests {
     }
 
     #[test]
+    fn read_graph_picks_the_parser_by_extension() {
+        let dir = std::env::temp_dir().join(format!("pgc-readgraph-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = generate(&GraphSpec::Cycle { n: 12 }, 0);
+        let (mut col, mut list) = (Vec::new(), Vec::new());
+        write_dimacs_col(&g, &mut col).unwrap();
+        write_edge_list(&g, &mut list).unwrap();
+        let mtx = "%%MatrixMarket matrix coordinate pattern general\n12 12 1\n1 12\n";
+        let read = |name: &str, bytes: &[u8]| {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            read_graph(&path)
+        };
+        // Case-insensitive; anything else is an edge list.
+        for (name, bytes) in [
+            ("g.col", &col),
+            ("g.COL", &col),
+            ("g.txt", &list),
+            ("g", &list),
+        ] {
+            assert_eq!(read(name, bytes).unwrap(), g, "{name}");
+        }
+        let m = read("g.Mtx", mtx.as_bytes()).unwrap();
+        assert_eq!((m.n(), m.m()), (12, 1));
+        // The name, not the content, picks the text parser.
+        assert!(read("col.txt", &col).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn sources_replay_identically() {
         // The bit-for-bit replay contract the two-pass builder relies on.
         let text = "p edge 5 3\ne 1 2\ne 4 5\ne 2 3\n".as_bytes();
@@ -735,6 +755,6 @@ mod tests {
         src.replay(&mut |c, _| b.extend_from_slice(c)).unwrap();
         assert_eq!(a, b);
         assert_eq!(a, vec![(0, 1), (3, 4), (1, 2)]);
-        assert_eq!(src.declared_n(), 5);
+        assert_eq!(src.num_vertices(), 5);
     }
 }

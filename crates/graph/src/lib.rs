@@ -20,13 +20,16 @@
 //! * [`gen`] — seeded synthetic generators standing in for the paper's
 //!   SNAP/KONECT/WebGraph datasets (Table V) and the Kronecker weak-scaling
 //!   workloads (§VI-F); see DESIGN.md §5 for the substitution argument,
-//! * [`io`] — plain edge-list and DIMACS `.col` readers/writers so real
-//!   datasets can be used when available,
+//! * [`io`] — edge-list, DIMACS `.col` and Matrix Market readers and
+//!   writers so real datasets can be used when available, behind one
+//!   file opener ([`io::read_graph`]) that also sniffs the snapshot
+//!   magic,
 //! * [`snapshot`] — the versioned, checksummed binary snapshot format
 //!   (arrays verbatim behind a 64-byte header) with one loader per
-//!   representation ([`load_snapshot`], [`load_compressed_snapshot`]);
-//!   the text readers sniff its magic so snapshots transparently take
-//!   the fast path,
+//!   representation ([`load_snapshot`], [`load_compressed_snapshot`])
+//!   and one decoder per on-disk version,
+//! * [`transform`] — [`transform::induced_subgraph`], an induced
+//!   subgraph copied out as a relabeled [`CompactCsr`],
 //! * [`compressed`] — [`CompressedCsr`], delta-varint block-encoded
 //!   adjacencies in one contiguous byte arena (≥2× fewer neighbor bytes
 //!   on the generator families) behind the same [`GraphView`] contract,

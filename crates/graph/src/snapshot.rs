@@ -45,9 +45,8 @@
 //! truncated, bit-flipped, or foreign file fails loudly — never a
 //! silently wrong graph.
 //!
-//! The text readers ([`crate::io`]) sniff the magic, so a `.pgcs` file
-//! can be handed to any `read_*_path` entry point and transparently
-//! takes the fast path.
+//! [`crate::io::read_graph`] sniffs the magic, so a `.pgcs` file of
+//! either version opens through the same call as a text graph.
 //!
 //! ## On-disk layout (version 2, compressed neighbors)
 //!
@@ -66,19 +65,20 @@
 //! weights       num_arcs × weight_width (absent if 0)
 //! ```
 //!
-//! Both loaders sniff the version: [`load_snapshot`] decodes a v2 file
-//! into a [`CompactCsr`] transparently (so every `read_*_path` entry
-//! point accepts either version), while [`load_compressed_snapshot`]
-//! keeps a v2 file's arena as it is, without decoding it, and encodes a
-//! v1 file. Version 1 files are written and read byte-identically to
-//! before.
+//! Each version has one decoder. A v1 file's raw arrays are copied out
+//! and shape-checked. A v2 file's two offset arrays are copied out, the
+//! file buffer becomes the arena, and every encoded run is validated and
+//! shape-checked through the block decoder. Both loaders accept either
+//! version: [`load_snapshot`] decodes a v2 arena into a [`CompactCsr`]
+//! ([`CompressedCsr::to_compact`]), and [`load_compressed_snapshot`]
+//! keeps a v2 arena encoded and encodes a v1 file. Version 1 files are
+//! written and read byte-identically to before.
 
 use crate::compact::{CompactCsr, Offsets};
 use crate::compressed::CompressedCsr;
 #[cfg(debug_assertions)]
 use crate::csr::validate_csr_arrays;
 use crate::csr::validate_csr_shape;
-use crate::stream::SharedMut;
 use crate::view::GraphView;
 use std::borrow::Cow;
 use std::fs::File;
@@ -568,47 +568,6 @@ fn read_byte_offsets(
     Ok(bo)
 }
 
-/// Decode a v2 arena into a raw neighbor array (parallel, each vertex
-/// into its disjoint output range). `get`/`bo` must already be verified
-/// monotone and in bounds. Each run's block structure is strictly
-/// validated against its declared degree before decoding, so a
-/// corrupt-but-checksum-valid file (truncated run, lying `dlen`) errors
-/// instead of decoding garbage or panicking.
-fn decode_arena(
-    n: usize,
-    arcs: usize,
-    get: &(impl Fn(usize) -> usize + Sync),
-    bo: &[usize],
-    arena: &[u8],
-) -> std::io::Result<Vec<u32>> {
-    use rayon::prelude::*;
-    if (0..n).any(|i| get(i) > get(i + 1)) || get(n) != arcs {
-        return Err(bad("snapshot offsets are not monotone".into()));
-    }
-    let mut neighbors = vec![0u32; arcs];
-    let ptr = SharedMut(neighbors.as_mut_ptr());
-    let ok = (0..n).into_par_iter().all(|v| {
-        let (s, e) = (get(v), get(v + 1));
-        let run = &arena[bo[v]..bo[v + 1]];
-        if !pgc_primitives::varint::validate_run(run, e - s) {
-            return false;
-        }
-        let mut dec = pgc_primitives::varint::Decoder::new(run, e - s);
-        // SAFETY: per-vertex arc ranges are disjoint (monotone offsets).
-        let out = unsafe { ptr.slice(s, e) };
-        dec.decode_into_slice(out);
-        true
-    });
-    if !ok {
-        return Err(bad(
-            "compressed snapshot holds a malformed varint run (length or block \
-             structure disagrees with the declared degree)"
-                .into(),
-        ));
-    }
-    Ok(neighbors)
-}
-
 /// Copy the offsets section out into an [`Offsets`] array.
 fn read_offsets(bytes: &[u8], header: &Header, layout: &SectionLayout) -> std::io::Result<Offsets> {
     let n = header.n as usize;
@@ -620,28 +579,33 @@ fn read_offsets(bytes: &[u8], header: &Header, layout: &SectionLayout) -> std::i
     }
 }
 
+/// The header's Δ/δ must match the loaded arrays'.
+fn check_degree_extremes(header: &Header, max_deg: u32, min_deg: u32) -> std::io::Result<()> {
+    if max_deg != header.max_deg || min_deg != header.min_deg {
+        return Err(bad(format!(
+            "snapshot degree extremes (Δ={}, δ={}) disagree with arrays (Δ={max_deg}, δ={min_deg})",
+            header.max_deg, header.min_deg
+        )));
+    }
+    Ok(())
+}
+
+/// The v1 decoder: copy the raw arrays out of a verified file.
 fn materialize(
     bytes: &[u8],
     header: &Header,
     layout: &SectionLayout,
 ) -> std::io::Result<CompactCsr> {
     let n = header.n as usize;
-    let arcs = header.num_arcs as usize;
     let offsets = read_offsets(bytes, header, layout)?;
     let get = |i: usize| match &offsets {
         Offsets::Small(o) => o[i] as usize,
         Offsets::Wide(o) => o[i],
     };
-    let neighbors: Vec<u32> = if header.compressed() {
-        let bo = read_byte_offsets(bytes, header, layout)?;
-        let arena = &bytes[layout.nbr_start..layout.nbr_start + layout.nbr_len];
-        decode_arena(n, arcs, &get, &bo, arena)?
-    } else {
-        vec_from_bytes(
-            &bytes[layout.nbr_start..layout.nbr_start + layout.nbr_len],
-            arcs,
-        )
-    };
+    let neighbors: Vec<u32> = vec_from_bytes(
+        &bytes[layout.nbr_start..layout.nbr_start + layout.nbr_len],
+        header.num_arcs as usize,
+    );
     // Always: the O(n + m) shape sweep (monotone offsets, sorted in-range
     // loop-free adjacencies). Debug builds add the O(m log Δ) symmetry
     // cross-check; in release the payload checksum vouches for the writer,
@@ -652,55 +616,25 @@ fn materialize(
     validate_csr_arrays(n + 1, get, &neighbors)
         .map_err(|e| bad(format!("snapshot holds an invalid CSR: {e}")))?;
     let g = CompactCsr::from_offsets(offsets, neighbors);
-    if g.max_degree() != header.max_deg || g.min_degree() != header.min_deg {
-        return Err(bad(format!(
-            "snapshot degree extremes (Δ={}, δ={}) disagree with arrays (Δ={}, δ={})",
-            header.max_deg,
-            header.min_deg,
-            g.max_degree(),
-            g.min_degree()
-        )));
-    }
+    check_degree_extremes(header, g.max_degree(), g.min_degree())?;
     Ok(g)
 }
 
-/// Load a graph from in-memory snapshot bytes, verifying both checksums
-/// and all CSR invariants. A file with a weights section loads as its
-/// structure (the section is skipped).
-pub fn load_snapshot_bytes(bytes: &[u8]) -> std::io::Result<CompactCsr> {
-    let (header, layout) = verify(bytes)?;
-    materialize(bytes, &header, &layout)
-}
-
-fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
-    let mut f = File::open(path)?;
-    let mut bytes = Vec::with_capacity(f.metadata().map(|m| m.len() as usize).unwrap_or(0) + 1);
-    f.read_to_end(&mut bytes)?;
-    Ok(bytes)
-}
-
-/// Load a graph from a snapshot file (one sequential read, fully
-/// verified).
-pub fn load_snapshot(path: &Path) -> std::io::Result<CompactCsr> {
-    load_snapshot_bytes(&read_file(path)?)
-}
-
-// ---------------------------------------------------------------------
-// Compressed (v2) load — the arena kept encoded
-// ---------------------------------------------------------------------
-
-/// Release-build validation of a compressed load: every adjacency's
-/// encoded run is structurally well-formed
-/// ([`pgc_primitives::varint::validate_run`], so truncated or mis-framed
-/// runs error instead of panicking or decoding garbage) and decodes to
-/// the right count of strictly-ascending, in-range, loop-free ids — the
+/// Release-build validation of a v2 load: every adjacency's encoded run
+/// is structurally well-formed ([`pgc_primitives::varint::validate_run`],
+/// so truncated or mis-framed runs error instead of panicking or
+/// decoding garbage) and decodes to the right count of
+/// strictly-ascending, in-range, loop-free ids — the
 /// [`crate::csr::validate_csr_shape`] contract, run through the decoder.
 /// Debug builds add the symmetry cross-check.
 fn validate_compressed(g: &CompressedCsr, n: usize) -> std::io::Result<()> {
     use rayon::prelude::*;
-    let ok = (0..n as u32).into_par_iter().all(|v| {
+    let fault = (0..n as u32).into_par_iter().find_map_any(|v| {
         if !g.validate_encoded_run(v) {
-            return false;
+            return Some(
+                "holds a malformed varint run (length or block structure disagrees \
+                 with the declared degree)",
+            );
         }
         let mut dec = g.decoder(v);
         let mut buf = [0u32; pgc_primitives::varint::BLOCK];
@@ -713,18 +647,17 @@ fn validate_compressed(g: &CompressedCsr, n: usize) -> std::io::Result<()> {
             }
             for &x in &buf[..c] {
                 if x as usize >= n || x == v || prev.is_some_and(|p| p >= x) {
-                    return false;
+                    return Some("holds an invalid CSR: adjacency fails the shape sweep");
                 }
                 prev = Some(x);
             }
             count += c;
         }
-        count == g.degree(v) as usize
+        (count != g.degree(v) as usize)
+            .then_some("holds an invalid CSR: adjacency fails the shape sweep")
     });
-    if !ok {
-        return Err(bad(
-            "compressed snapshot holds an invalid CSR: adjacency fails the shape sweep".into(),
-        ));
+    if let Some(fault) = fault {
+        return Err(bad(format!("compressed snapshot {fault}")));
     }
     #[cfg(debug_assertions)]
     {
@@ -740,43 +673,86 @@ fn validate_compressed(g: &CompressedCsr, n: usize) -> std::io::Result<()> {
     Ok(())
 }
 
+/// The v2 decoder: copy the two offset arrays out of a verified file and
+/// keep its arena encoded. An owned file buffer becomes the arena; a
+/// borrowed one has only its arena section copied.
+fn load_arena(
+    bytes: Cow<'_, [u8]>,
+    header: &Header,
+    layout: &SectionLayout,
+) -> std::io::Result<CompressedCsr> {
+    let n = header.n as usize;
+    let offsets = read_offsets(&bytes, header, layout)?;
+    if (0..n).any(|i| offsets.get(i) > offsets.get(i + 1))
+        || offsets.get(n) != header.num_arcs as usize
+    {
+        return Err(bad("snapshot offsets are not monotone".into()));
+    }
+    let byte_offsets = Offsets::narrow(read_byte_offsets(&bytes, header, layout)?);
+    let arena_range = layout.nbr_start..layout.nbr_start + layout.nbr_len;
+    let arena = match bytes {
+        Cow::Borrowed(b) => b[arena_range].to_vec(),
+        // Drop what follows the arena, shift it to the front, and release
+        // the rest.
+        Cow::Owned(mut b) => {
+            b.truncate(arena_range.end);
+            b.drain(..arena_range.start);
+            b.shrink_to_fit();
+            b
+        }
+    };
+    let g = CompressedCsr::from_encoded_parts(offsets, byte_offsets, arena);
+    validate_compressed(&g, n)?;
+    check_degree_extremes(header, GraphView::max_degree(&g), GraphView::min_degree(&g))?;
+    Ok(g)
+}
+
+/// Verify `bytes` and load them as a [`CompactCsr`]: v1 through
+/// [`materialize`], v2 through [`load_arena`] and one decode.
+fn load_compact(bytes: Cow<'_, [u8]>) -> std::io::Result<CompactCsr> {
+    let (header, layout) = verify(&bytes)?;
+    if header.compressed() {
+        Ok(load_arena(bytes, &header, &layout)?.to_compact())
+    } else {
+        materialize(&bytes, &header, &layout)
+    }
+}
+
+/// Load a graph from in-memory snapshot bytes (either version), verifying
+/// both checksums and all CSR invariants. A file with a weights section
+/// loads as its structure (the section is skipped).
+pub fn load_snapshot_bytes(bytes: &[u8]) -> std::io::Result<CompactCsr> {
+    load_compact(Cow::Borrowed(bytes))
+}
+
+fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
+    let mut f = File::open(path)?;
+    let mut bytes = Vec::with_capacity(f.metadata().map(|m| m.len() as usize).unwrap_or(0) + 1);
+    f.read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// Load a graph from a snapshot file of either version (one sequential
+/// read, fully verified).
+pub fn load_snapshot(path: &Path) -> std::io::Result<CompactCsr> {
+    load_compact(Cow::Owned(read_file(path)?))
+}
+
 /// Load a snapshot into a [`CompressedCsr`], verifying checksums and the
 /// full CSR contract. A version-2 file keeps its encoded arena as it is
 /// (no decode, no re-encode): the file is read once and only the two
 /// offset arrays are copied out of it. A version-1 file is materialized
 /// and losslessly encoded, so either version works.
 pub fn load_compressed_snapshot(path: &Path) -> std::io::Result<CompressedCsr> {
-    let mut bytes = read_file(path)?;
+    let bytes = read_file(path)?;
     let (header, layout) = verify(&bytes)?;
-    if !header.compressed() {
-        let g = materialize(&bytes, &header, &layout)?;
-        return Ok(CompressedCsr::from_compact(&g));
+    if header.compressed() {
+        load_arena(Cow::Owned(bytes), &header, &layout)
+    } else {
+        Ok(CompressedCsr::from_compact(&materialize(
+            &bytes, &header, &layout,
+        )?))
     }
-    let n = header.n as usize;
-    let arcs = header.num_arcs as usize;
-    let offsets = read_offsets(&bytes, &header, &layout)?;
-    let get = |i: usize| offsets.get(i);
-    if (0..n).any(|i| get(i) > get(i + 1)) || get(n) != arcs {
-        return Err(bad("snapshot offsets are not monotone".into()));
-    }
-    let byte_offsets = Offsets::narrow(read_byte_offsets(&bytes, &header, &layout)?);
-    // The file buffer becomes the arena: drop what follows it, shift it
-    // to the front, and release the rest.
-    bytes.truncate(layout.nbr_start + layout.nbr_len);
-    bytes.drain(..layout.nbr_start);
-    bytes.shrink_to_fit();
-    let g = CompressedCsr::from_encoded_parts(offsets, byte_offsets, bytes);
-    validate_compressed(&g, n)?;
-    if GraphView::max_degree(&g) != header.max_deg || GraphView::min_degree(&g) != header.min_deg {
-        return Err(bad(format!(
-            "snapshot degree extremes (Δ={}, δ={}) disagree with arrays (Δ={}, δ={})",
-            header.max_deg,
-            header.min_deg,
-            GraphView::max_degree(&g),
-            GraphView::min_degree(&g)
-        )));
-    }
-    Ok(g)
 }
 
 // ---------------------------------------------------------------------
@@ -1009,17 +985,93 @@ mod tests {
         buf[40..48].copy_from_slice(&payload.to_ne_bytes());
         let ck = hash_section(FNV_OFFSET, &buf[..56]);
         buf[56..64].copy_from_slice(&ck.to_ne_bytes());
-        // Decode path (materialize → decode_arena).
+        // Decoding loader (arena path, then `to_compact`).
         let err = load_snapshot_bytes(&buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("malformed varint run"), "{err}");
-        // Arena path (load_compressed_snapshot → validate_compressed).
+        // Arena-keeping loader.
         let dir = std::env::temp_dir().join(format!("pgc-snapbad-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.pgcs");
         std::fs::write(&path, &buf).unwrap();
         let err = load_compressed_snapshot(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A v2 file whose rows are the given encoded runs (`(degree,
+    /// bytes)`), written by the v2 writer, which seals both checksums.
+    fn v2_file_of_runs(runs: &[(usize, Vec<u8>)]) -> Vec<u8> {
+        let (mut offsets, mut byte_offsets, mut arena) = (vec![0], vec![0], Vec::new());
+        for (deg, run) in runs {
+            offsets.push(offsets.last().unwrap() + deg);
+            arena.extend_from_slice(run);
+            byte_offsets.push(arena.len());
+        }
+        let g = CompressedCsr::from_encoded_parts(
+            Offsets::narrow(offsets),
+            Offsets::narrow(byte_offsets),
+            arena,
+        );
+        let mut buf = Vec::new();
+        write_compressed_snapshot_to(&g, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn checksum_valid_shape_faults_rejected_by_every_loader() {
+        // Re-sealed v2 files, each an otherwise empty 70-vertex graph
+        // whose row 0 breaks the CSR shape. A self-loop and an id >= n
+        // sit in well-formed varint runs, so only the shape sweep through
+        // the decoder catches them. A descending pair cannot: inside a
+        // block the deltas only ascend, and `validate_run` requires each
+        // block's anchor to exceed the previous block's last value, so
+        // it reports the run as malformed.
+        use pgc_primitives::varint::{encode_into, validate_run};
+        let n = 70u32;
+        let enc = |values: &[u32]| {
+            let mut out = Vec::new();
+            encode_into(values, &mut out);
+            out
+        };
+        let ascending: Vec<u32> = (2..66).collect();
+        let faults = [
+            ("self-loop", 2, enc(&[0, 1]), "shape sweep"),
+            ("id >= n", 2, enc(&[1, n]), "shape sweep"),
+            // A full 64-value block ending at 65, then a block anchored at 1.
+            (
+                "descending pair",
+                65,
+                [enc(&ascending), enc(&[1])].concat(),
+                "malformed varint run",
+            ),
+        ];
+        let dir = std::env::temp_dir().join(format!("pgc-snapshape-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (what, deg, run, expect) in faults {
+            assert_eq!(validate_run(&run, deg), expect == "shape sweep", "{what}");
+            let mut runs = vec![(deg, run)];
+            runs.resize(n as usize, (0, Vec::new()));
+            let buf = v2_file_of_runs(&runs);
+            assert!(verify(&buf).is_ok(), "{what}: both checksums are valid");
+            let path = dir.join("shape.pgcs");
+            std::fs::write(&path, &buf).unwrap();
+            let results = [
+                load_snapshot_bytes(&buf).map(drop),
+                load_snapshot(&path).map(drop),
+                load_compressed_snapshot(&path).map(drop),
+                crate::io::read_graph(&path).map(drop),
+            ];
+            for (i, r) in results.into_iter().enumerate() {
+                let err = r.expect_err(what);
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "{what}, loader {i}"
+                );
+                assert!(err.to_string().contains(expect), "{what}: {err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,9 +1,7 @@
-//! Graph transformations: induced subgraphs, relabeling, connected
-//! components, degree histograms.
+//! Graph transformations: induced subgraphs.
 //!
-//! These support the evaluation pipeline (extracting cores/components from
-//! generated graphs) and downstream users working with real datasets whose
-//! ids are sparse or that contain small disconnected debris.
+//! [`induced_subgraph`] extracts a vertex subset as a relabeled graph;
+//! the mining layer's coreness check uses it on each core.
 
 use crate::builder::EdgeListBuilder;
 use crate::compact::CompactCsr;
@@ -33,79 +31,10 @@ pub fn induced_subgraph<G: GraphView>(g: &G, vertices: &[u32]) -> (CompactCsr, V
     (b.build(), vertices.to_vec())
 }
 
-/// Connected components by BFS. Returns `(component_id_per_vertex,
-/// component_count)`.
-pub fn connected_components<G: GraphView>(g: &G) -> (Vec<u32>, u32) {
-    let n = g.n();
-    let mut comp = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut queue: Vec<u32> = Vec::new();
-    for s in 0..n as u32 {
-        if comp[s as usize] != u32::MAX {
-            continue;
-        }
-        comp[s as usize] = next;
-        queue.clear();
-        queue.push(s);
-        while let Some(v) = queue.pop() {
-            for u in g.neighbors(v) {
-                if comp[u as usize] == u32::MAX {
-                    comp[u as usize] = next;
-                    queue.push(u);
-                }
-            }
-        }
-        next += 1;
-    }
-    (comp, next)
-}
-
-/// The largest connected component as a relabeled graph plus the
-/// `new_id -> old_id` map. Useful for road-network-like datasets with
-/// disconnected debris.
-pub fn largest_component<G: GraphView>(g: &G) -> (CompactCsr, Vec<u32>) {
-    let (comp, k) = connected_components(g);
-    if k == 0 {
-        return (CompactCsr::empty(0), Vec::new());
-    }
-    let mut sizes = vec![0usize; k as usize];
-    for &c in &comp {
-        sizes[c as usize] += 1;
-    }
-    let big = (0..k).max_by_key(|&c| sizes[c as usize]).unwrap();
-    let members: Vec<u32> = (0..g.n() as u32)
-        .filter(|&v| comp[v as usize] == big)
-        .collect();
-    induced_subgraph(g, &members)
-}
-
-/// Histogram of vertex degrees: `hist[d]` = number of vertices of degree
-/// `d` (length `Δ + 1`).
-pub fn degree_histogram<G: GraphView>(g: &G) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() as usize + 1];
-    for v in g.vertices() {
-        hist[g.degree(v) as usize] += 1;
-    }
-    hist
-}
-
-/// Relabel vertices by a permutation: `perm[old] = new`. Preserves the
-/// edge set; used to study order-sensitivity (e.g. cache traces under
-/// different layouts).
-pub fn relabel<G: GraphView>(g: &G, perm: &[u32]) -> CompactCsr {
-    assert_eq!(perm.len(), g.n());
-    let mut b = EdgeListBuilder::with_capacity(g.n(), g.m());
-    for (u, v) in g.edges() {
-        b.add_edge(perm[u as usize], perm[v as usize]);
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::from_edges;
-    use crate::gen::{generate, GraphSpec};
 
     #[test]
     fn induced_subgraph_keeps_internal_edges_only() {
@@ -124,57 +53,5 @@ mod tests {
     fn induced_subgraph_rejects_duplicates() {
         let g = from_edges(3, &[(0, 1)]);
         induced_subgraph(&g, &[1, 1]);
-    }
-
-    #[test]
-    fn components_counts() {
-        // Two triangles plus an isolated vertex: 3 components.
-        let g = from_edges(7, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
-        let (comp, k) = connected_components(&g);
-        assert_eq!(k, 3);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[0], comp[2]);
-        assert_ne!(comp[0], comp[3]);
-        assert_ne!(comp[3], comp[6]);
-    }
-
-    #[test]
-    fn largest_component_extraction() {
-        let g = from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]);
-        let (big, map) = largest_component(&g);
-        assert_eq!(big.n(), 3);
-        assert_eq!(big.m(), 3);
-        let mut m = map.clone();
-        m.sort_unstable();
-        assert_eq!(m, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn largest_component_of_empty() {
-        let (big, map) = largest_component(&CompactCsr::empty(0));
-        assert_eq!(big.n(), 0);
-        assert!(map.is_empty());
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let g = generate(&GraphSpec::BarabasiAlbert { n: 500, attach: 4 }, 2);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), g.n());
-        // Weighted sum = 2m.
-        let wsum: usize = hist.iter().enumerate().map(|(d, &c)| d * c).sum();
-        assert_eq!(wsum, g.num_arcs());
-    }
-
-    #[test]
-    fn relabel_preserves_structure() {
-        let g = generate(&GraphSpec::Cycle { n: 20 }, 0);
-        let perm: Vec<u32> = (0..20u32).map(|v| (v + 7) % 20).collect();
-        let h = relabel(&g, &perm);
-        assert_eq!(h.n(), g.n());
-        assert_eq!(h.m(), g.m());
-        for (u, v) in g.edges() {
-            assert!(h.has_edge(perm[u as usize], perm[v as usize]));
-        }
     }
 }

@@ -8,10 +8,12 @@ use crate::profiles::performance_profiles;
 use crate::report::{best_of_with_latency, fmt_opt, run_record};
 use crate::table::{ms, Table};
 use pgc_core::{best_of, run, Algorithm, Instrumentation, Params};
-use pgc_graph::gen::{generate_with_stats, suite, GraphSpec, SuiteGraph};
-use pgc_graph::{BuildStats, CompactCsr, GraphView};
+use pgc_graph::gen::{generate, generate_with_stats, suite, GraphSpec, SuiteGraph};
+use pgc_graph::{BuildStats, CompactCsr, CompressedCsr, GraphView};
 use pgc_obs::report::RunRecord;
 use pgc_order::{compute, max_back_degree, AdgOptions, OrderingKind, UpdateStyle};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Shared experiment configuration.
 #[derive(Clone, Debug)]
@@ -25,8 +27,8 @@ pub struct ExpConfig {
     pub reps: usize,
     /// Thread counts for the scaling experiments.
     pub threads: Vec<usize>,
-    /// Build the fig2 workloads as a [`pgc_graph::CompressedCsr`]
-    /// (`--compressed` / `PGC_COMPRESSED`): delta-varint block-encoded
+    /// Build the fig2 workloads as a [`CompressedCsr`] (`--compressed`):
+    /// delta-varint block-encoded
     /// adjacencies, measured through the same generic round loops, instead
     /// of the default [`CompactCsr`].
     pub compressed: bool,
@@ -68,10 +70,6 @@ impl ExpConfig {
         if let Some(list) = var("PGC_THREADS").and_then(|s| parse_thread_list(&s)) {
             self.threads = list;
         }
-        if let Some(v) = var("PGC_COMPRESSED") {
-            let v = v.trim();
-            self.compressed = !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false");
-        }
         self
     }
 }
@@ -99,39 +97,71 @@ fn graph_mib<G: GraphView>(g: &G) -> f64 {
     g.memory_footprint().structural_bytes() as f64 / (1024.0 * 1024.0)
 }
 
-/// The compressed-representation detail for the fig2 tables: the snapshot
-/// `load_ms`, encoded neighbor-arena MiB and the compact÷encoded
-/// neighbor-byte ratio (how many times smaller the delta-varint arena is
-/// than the raw `u32` neighbor array it replaced).
-fn compression_detail(g: &pgc_graph::CompressedCsr, load_ms: f64) -> LayoutDetail {
-    let encoded = g.encoded_bytes().max(1);
-    let compact = g.num_arcs() * std::mem::size_of::<u32>();
-    LayoutDetail::Compressed {
-        load_ms,
-        encoded_mib: g.encoded_bytes() as f64 / (1024.0 * 1024.0),
-        ratio: compact as f64 / encoded as f64,
-    }
-}
-
 /// Peak build-side allocation of a streaming ingestion, in MiB.
 fn build_peak_mib(stats: &BuildStats) -> f64 {
     stats.build_bytes_peak as f64 / (1024.0 * 1024.0)
 }
 
+/// The two fig2 steps that differ per representation: the conversion
+/// after the streaming build, and the snapshot write and load behind
+/// `load_ms`.
+trait Fig2Graph: GraphView + Send + Sized {
+    /// Convert the streamed build, charging the conversion's transient
+    /// allocations into `stats`.
+    fn from_build(g: CompactCsr, stats: &mut BuildStats) -> Self;
+    /// Write `self` to `path` as this representation's snapshot version.
+    fn write_snapshot(&self, path: &Path) -> std::io::Result<u64>;
+    /// Load a snapshot into this representation.
+    fn load_snapshot(path: &Path) -> std::io::Result<Self>;
+}
+
+impl Fig2Graph for CompactCsr {
+    fn from_build(g: CompactCsr, _: &mut BuildStats) -> Self {
+        g
+    }
+    fn write_snapshot(&self, path: &Path) -> std::io::Result<u64> {
+        pgc_graph::write_snapshot(self, path)
+    }
+    fn load_snapshot(path: &Path) -> std::io::Result<Self> {
+        pgc_graph::load_snapshot(path)
+    }
+}
+
+impl Fig2Graph for CompressedCsr {
+    fn from_build(g: CompactCsr, stats: &mut BuildStats) -> Self {
+        CompressedCsr::from_compact_with_stats(&g, stats)
+    }
+    fn write_snapshot(&self, path: &Path) -> std::io::Result<u64> {
+        pgc_graph::write_compressed_snapshot(self, path)
+    }
+    fn load_snapshot(path: &Path) -> std::io::Result<Self> {
+        pgc_graph::load_compressed_snapshot(path)
+    }
+}
+
+/// Generate `spec` through the streaming two-pass builder as a `G`.
+fn build<G: Fig2Graph>(spec: &GraphSpec, seed: u64) -> (G, BuildStats) {
+    let (g, mut stats) = generate_with_stats(spec, seed);
+    (G::from_build(g, &mut stats), stats)
+}
+
 /// Time a binary-snapshot load of `g` — the `load_ms` companion to
 /// `ingest_ms` in the fig2 tables: what re-opening this graph from its
 /// `.pgcs` snapshot costs instead of re-running the streaming ingest.
-/// The snapshot is written to a temp file and removed afterwards.
-fn snapshot_load_ms(g: &CompactCsr, tag: &str) -> f64 {
+/// The snapshot is written to a temp file, unique per call so concurrent
+/// sweeps never share one, and removed afterwards.
+fn snapshot_load_ms<G: Fig2Graph>(g: &G, tag: &str) -> f64 {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
-        "pgc-fig2-{}-{tag}.{}",
+        "pgc-fig2-{}-{}-{tag}.{}",
         std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed),
         pgc_graph::snapshot::SNAPSHOT_EXT
     ));
     let timed = (|| -> std::io::Result<f64> {
-        pgc_graph::write_snapshot(g, &path)?;
+        g.write_snapshot(&path)?;
         let t0 = std::time::Instant::now();
-        let loaded = pgc_graph::load_snapshot(&path)?;
+        let loaded = G::load_snapshot(&path)?;
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(loaded.n(), g.n(), "snapshot load mismatch");
         Ok(dt)
@@ -140,35 +170,32 @@ fn snapshot_load_ms(g: &CompactCsr, tag: &str) -> f64 {
     timed.expect("snapshot round-trip in harness")
 }
 
-/// [`snapshot_load_ms`] for the compressed representation: writes a v2
-/// (compressed-section) snapshot and times the compressed load, which keeps the arena encoded.
-fn compressed_snapshot_load_ms(g: &pgc_graph::CompressedCsr, tag: &str) -> f64 {
-    let path = std::env::temp_dir().join(format!(
-        "pgc-fig2c-{}-{tag}.{}",
-        std::process::id(),
-        pgc_graph::snapshot::SNAPSHOT_EXT
-    ));
-    let timed = (|| -> std::io::Result<f64> {
-        pgc_graph::write_compressed_snapshot(g, &path)?;
-        let t0 = std::time::Instant::now();
-        let loaded = pgc_graph::load_compressed_snapshot(&path)?;
-        let dt = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(loaded.n(), g.n(), "compressed snapshot load mismatch");
-        Ok(dt)
-    })();
-    let _ = std::fs::remove_file(&path);
-    timed.expect("compressed snapshot round-trip in harness")
+/// Fill a fig2 record's representation columns: the snapshot `load_ms`,
+/// and for a compressed graph (non-zero `encoded_bytes`) the encoded
+/// arena MiB and the compact÷encoded neighbor-byte ratio (how many times
+/// smaller the delta-varint arena is than the raw `u32` neighbor array
+/// it replaced).
+fn with_layout<G: GraphView>(rec: RunRecord, g: &G, load_ms: f64) -> RunRecord {
+    let rec = rec.with_load_ms(load_ms);
+    let encoded = g.memory_footprint().encoded_bytes;
+    if encoded == 0 {
+        return rec;
+    }
+    let compact = g.num_arcs() * std::mem::size_of::<u32>();
+    rec.with_compressed(
+        encoded as f64 / (1024.0 * 1024.0),
+        compact as f64 / encoded as f64,
+    )
 }
 
 /// Generate every suite graph once, through the streaming two-pass
-/// builder, keeping its ingest-time/peak-bytes instrumentation for the
-/// fig2-style tables.
-fn load_suite(cfg: &ExpConfig) -> Vec<(SuiteGraph, CompactCsr, BuildStats)> {
+/// builder.
+fn load_suite(cfg: &ExpConfig) -> Vec<(SuiteGraph, CompactCsr)> {
     suite(cfg.scale)
         .into_iter()
         .map(|sg| {
-            let (g, stats) = generate_with_stats(&sg.spec, cfg.seed);
-            (sg, g, stats)
+            let g = generate(&sg.spec, cfg.seed);
+            (sg, g)
         })
         .collect()
 }
@@ -283,7 +310,7 @@ pub fn fig1(cfg: &ExpConfig) -> Table {
         "rounds",
         "conflicts",
     ]);
-    for (sg, g, _) in load_suite(cfg) {
+    for (sg, g) in load_suite(cfg) {
         let (jpr, jpr_hist) = best_of_with_latency(cfg.reps, || run(&g, Algorithm::JpR, &params));
         for algo in Algorithm::fig1_set() {
             let (r, hist) = if algo == Algorithm::JpR {
@@ -332,11 +359,22 @@ fn scaling_algorithms() -> Vec<Algorithm> {
 /// Fig. 2 (middle/right): strong scaling on the h-bai and s-pok proxies.
 /// Each row reports its speedup over the single-thread baseline of the
 /// same (graph, algorithm) pair — the paper's scaling axis. With
-/// `cfg.compressed` (`--compressed` / `PGC_COMPRESSED`) the workloads are
-/// built as [`pgc_graph::CompressedCsr`]s and the generic `run()` registry
-/// loops decode delta-varint blocks on the fly; the trailing
-/// `encoded_MiB`/`ratio` columns are filled only then.
+/// `cfg.compressed` (`--compressed`) the workloads are built as
+/// [`CompressedCsr`]s and the generic `run()` registry loops decode
+/// delta-varint blocks on the fly; the trailing `encoded_MiB`/`ratio`
+/// columns are filled only then.
 pub fn fig2_strong(cfg: &ExpConfig) -> Table {
+    if cfg.compressed {
+        fig2_strong_on::<CompressedCsr>(cfg)
+    } else {
+        fig2_strong_on::<CompactCsr>(cfg)
+    }
+}
+
+/// [`fig2_strong`] on representation `G`: one row per graph × algorithm ×
+/// pool width, with the per-width ingest stats threaded into both the
+/// table and the run records.
+fn fig2_strong_on<G: Fig2Graph>(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(&[
         "graph",
         "algorithm",
@@ -351,142 +389,90 @@ pub fn fig2_strong(cfg: &ExpConfig) -> Table {
         "encoded_MiB",
         "ratio",
     ]);
+    let params = &cfg.params();
     for sg in suite(cfg.scale)
         .into_iter()
         .filter(|sg| sg.name == "h-bai" || sg.name == "s-pok")
     {
+        let (g, _) = build::<G>(&sg.spec, cfg.seed);
+        let g = &g;
+        let load_ms = snapshot_load_ms(g, sg.name);
         // Ingestion is part of the scaling story too: re-measure the
         // streaming build once per pool width so each row's ingest_ms
         // was actually produced at that row's thread count (generation
         // is deterministic, so the graph itself is unchanged).
-        if cfg.compressed {
-            let (g, _) = pgc_graph::gen::generate_compressed_with_stats(&sg.spec, cfg.seed);
-            let load_ms = compressed_snapshot_load_ms(&g, sg.name);
-            let ingest_at: Vec<(usize, BuildStats)> = cfg
-                .threads
-                .iter()
-                .map(|&threads| {
-                    let stats = with_threads(threads, || {
-                        pgc_graph::gen::generate_compressed_with_stats(&sg.spec, cfg.seed)
+        let ingest_at: Vec<(usize, BuildStats)> = cfg
+            .threads
+            .iter()
+            .map(|&threads| {
+                let stats = with_threads(threads, || build::<G>(&sg.spec, cfg.seed)).1;
+                (threads, stats)
+            })
+            .collect();
+        for algo in scaling_algorithms() {
+            let (base, base_hist) = with_threads(1, || {
+                best_of_with_latency(cfg.reps, || run(g, algo, params))
+            });
+            for &(threads, stats) in &ingest_at {
+                let (r, hist) = if threads == 1 {
+                    (base.clone(), base_hist)
+                } else {
+                    with_threads(threads, || {
+                        best_of_with_latency(cfg.reps, || run(g, algo, params))
                     })
-                    .1;
-                    (threads, stats)
-                })
-                .collect();
-            let detail = compression_detail(&g, load_ms);
-            strong_rows(&mut t, cfg, sg.name, &g, &ingest_at, detail);
-        } else {
-            let (g, _) = generate_with_stats(&sg.spec, cfg.seed);
-            let load_ms = snapshot_load_ms(&g, sg.name);
-            let ingest_at: Vec<(usize, BuildStats)> = cfg
-                .threads
-                .iter()
-                .map(|&threads| {
-                    (
-                        threads,
-                        with_threads(threads, || generate_with_stats(&sg.spec, cfg.seed)).1,
-                    )
-                })
-                .collect();
-            let detail = LayoutDetail::Compact { load_ms };
-            strong_rows(&mut t, cfg, sg.name, &g, &ingest_at, detail);
+                };
+                let speedup =
+                    base.total_time().as_secs_f64() / r.total_time().as_secs_f64().max(1e-9);
+                // The row's key width is the *requested* pool width of the
+                // sweep; the record's derived columns carry everything the
+                // table prints.
+                let rec = with_layout(
+                    run_record("fig2-strong", sg.name, &r)
+                        .with_threads(threads)
+                        .with_graph_size(g.n(), g.m())
+                        .with_graph_mib(graph_mib(g))
+                        .with_build(stats.ingest_ms(), build_peak_mib(&stats))
+                        .with_latency(hist.summary()),
+                    g,
+                    load_ms,
+                );
+                t.row(vec![
+                    rec.graph.clone(),
+                    rec.algorithm.clone(),
+                    rec.threads.to_string(),
+                    format!("{:.2}", rec.total_ms),
+                    format!("{speedup:.2}"),
+                    rec.colors.to_string(),
+                    fmt_opt(rec.graph_mib),
+                    fmt_opt(rec.ingest_ms),
+                    fmt_opt(rec.load_ms),
+                    fmt_opt(rec.build_peak_mib),
+                    fmt_opt(rec.encoded_mib),
+                    fmt_opt(rec.compress_ratio),
+                ]);
+                crate::report::record(rec);
+            }
         }
     }
     t
 }
 
-/// What a fig2 row measured beyond the columns every layout has: the
-/// snapshot load time, plus the arena size and ratio of a compressed
-/// graph.
-#[derive(Clone, Copy)]
-enum LayoutDetail {
-    Compact {
-        load_ms: f64,
-    },
-    Compressed {
-        load_ms: f64,
-        encoded_mib: f64,
-        ratio: f64,
-    },
-}
-
-impl LayoutDetail {
-    /// Fill the layout's columns of `rec`.
-    fn apply(self, rec: RunRecord) -> RunRecord {
-        match self {
-            LayoutDetail::Compact { load_ms } => rec.with_load_ms(load_ms),
-            LayoutDetail::Compressed {
-                load_ms,
-                encoded_mib,
-                ratio,
-            } => rec
-                .with_load_ms(load_ms)
-                .with_compressed(encoded_mib, ratio),
-        }
-    }
-}
-
-/// The representation-generic inner sweep of [`fig2_strong`]: one row per
-/// algorithm × pool width over `g`, with the per-width ingest stats and
-/// the layout's `detail` threaded into both the table and the run records.
-fn strong_rows<G: GraphView>(
-    t: &mut Table,
-    cfg: &ExpConfig,
-    name: &str,
-    g: &G,
-    ingest_at: &[(usize, BuildStats)],
-    detail: LayoutDetail,
-) {
-    let params = &cfg.params();
-    for algo in scaling_algorithms() {
-        let (base, base_hist) = with_threads(1, || {
-            best_of_with_latency(cfg.reps, || run(g, algo, params))
-        });
-        for &(threads, stats) in ingest_at {
-            let (r, hist) = if threads == 1 {
-                (base.clone(), base_hist)
-            } else {
-                with_threads(threads, || {
-                    best_of_with_latency(cfg.reps, || run(g, algo, params))
-                })
-            };
-            let speedup = base.total_time().as_secs_f64() / r.total_time().as_secs_f64().max(1e-9);
-            // The row's key width is the *requested* pool width of the
-            // sweep; the record's derived columns carry everything the
-            // table prints.
-            let rec = detail.apply(
-                run_record("fig2-strong", name, &r)
-                    .with_threads(threads)
-                    .with_graph_size(g.n(), g.m())
-                    .with_graph_mib(graph_mib(g))
-                    .with_build(stats.ingest_ms(), build_peak_mib(&stats))
-                    .with_latency(hist.summary()),
-            );
-            t.row(vec![
-                rec.graph.clone(),
-                rec.algorithm.clone(),
-                rec.threads.to_string(),
-                format!("{:.2}", rec.total_ms),
-                format!("{speedup:.2}"),
-                rec.colors.to_string(),
-                fmt_opt(rec.graph_mib),
-                fmt_opt(rec.ingest_ms),
-                fmt_opt(rec.load_ms),
-                fmt_opt(rec.build_peak_mib),
-                fmt_opt(rec.encoded_mib),
-                fmt_opt(rec.compress_ratio),
-            ]);
-            crate::report::record(rec);
-        }
-    }
-}
-
 /// Fig. 2 (left): weak scaling on Kronecker graphs — edges/vertex grows
 /// with the thread count ("1+1 … 32+32" in the paper). With
 /// `cfg.compressed`, each Kronecker workload is built as a
-/// [`pgc_graph::CompressedCsr`] and the trailing `encoded_MiB`/`ratio`
-/// columns are filled (as in [`fig2_strong`]).
+/// [`CompressedCsr`] and the trailing `encoded_MiB`/`ratio` columns are
+/// filled (as in [`fig2_strong`]).
 pub fn fig2_weak(cfg: &ExpConfig) -> Table {
+    if cfg.compressed {
+        fig2_weak_on::<CompressedCsr>(cfg)
+    } else {
+        fig2_weak_on::<CompactCsr>(cfg)
+    }
+}
+
+/// [`fig2_weak`] on representation `G`: one row per edge factor ×
+/// scaling algorithm, at the row's pool width.
+fn fig2_weak_on<G: Fig2Graph>(cfg: &ExpConfig) -> Table {
     let scale = 12 + cfg.scale as u32 * 2;
     let mut t = Table::new(&[
         "edge_factor",
@@ -503,6 +489,7 @@ pub fn fig2_weak(cfg: &ExpConfig) -> Table {
         "encoded_MiB",
         "ratio",
     ]);
+    let params = &cfg.params();
     for (ef, threads) in [(1usize, 1usize), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32)] {
         let spec = GraphSpec::Rmat {
             scale,
@@ -511,64 +498,42 @@ pub fn fig2_weak(cfg: &ExpConfig) -> Table {
         // Ingest at the row's width too: weak scaling is about growing
         // the workload with the threads, and the streaming build is part
         // of the measured pipeline.
-        if cfg.compressed {
-            let (g, stats) = with_threads(threads, || {
-                pgc_graph::gen::generate_compressed_with_stats(&spec, cfg.seed)
+        let (g, stats) = with_threads(threads, || build::<G>(&spec, cfg.seed));
+        let g = &g;
+        let load_ms = snapshot_load_ms(g, &format!("weak-ef{ef}"));
+        for algo in scaling_algorithms() {
+            let (r, hist) = with_threads(threads, || {
+                best_of_with_latency(cfg.reps, || run(g, algo, params))
             });
-            let load_ms = compressed_snapshot_load_ms(&g, &format!("weak-ef{ef}"));
-            let detail = compression_detail(&g, load_ms);
-            weak_rows(&mut t, cfg, ef, threads, &g, stats, detail);
-        } else {
-            let (g, stats) = with_threads(threads, || generate_with_stats(&spec, cfg.seed));
-            let load_ms = snapshot_load_ms(&g, &format!("weak-ef{ef}"));
-            let detail = LayoutDetail::Compact { load_ms };
-            weak_rows(&mut t, cfg, ef, threads, &g, stats, detail);
+            let rec = with_layout(
+                run_record("fig2-weak", &format!("kron-ef{ef}"), &r)
+                    .with_threads(threads)
+                    .with_graph_size(g.n(), g.m())
+                    .with_graph_mib(graph_mib(g))
+                    .with_build(stats.ingest_ms(), build_peak_mib(&stats))
+                    .with_latency(hist.summary()),
+                g,
+                load_ms,
+            );
+            t.row(vec![
+                ef.to_string(),
+                rec.threads.to_string(),
+                rec.n.to_string(),
+                rec.m.to_string(),
+                fmt_opt(rec.graph_mib),
+                fmt_opt(rec.ingest_ms),
+                fmt_opt(rec.load_ms),
+                fmt_opt(rec.build_peak_mib),
+                rec.algorithm.clone(),
+                format!("{:.2}", rec.total_ms),
+                rec.colors.to_string(),
+                fmt_opt(rec.encoded_mib),
+                fmt_opt(rec.compress_ratio),
+            ]);
+            crate::report::record(rec);
         }
     }
     t
-}
-
-/// The representation-generic inner loop of [`fig2_weak`]: one row per
-/// scaling algorithm over `g` at the row's pool width.
-fn weak_rows<G: GraphView>(
-    t: &mut Table,
-    cfg: &ExpConfig,
-    ef: usize,
-    threads: usize,
-    g: &G,
-    stats: BuildStats,
-    detail: LayoutDetail,
-) {
-    let params = &cfg.params();
-    for algo in scaling_algorithms() {
-        let (r, hist) = with_threads(threads, || {
-            best_of_with_latency(cfg.reps, || run(g, algo, params))
-        });
-        let rec = detail.apply(
-            run_record("fig2-weak", &format!("kron-ef{ef}"), &r)
-                .with_threads(threads)
-                .with_graph_size(g.n(), g.m())
-                .with_graph_mib(graph_mib(g))
-                .with_build(stats.ingest_ms(), build_peak_mib(&stats))
-                .with_latency(hist.summary()),
-        );
-        t.row(vec![
-            ef.to_string(),
-            rec.threads.to_string(),
-            rec.n.to_string(),
-            rec.m.to_string(),
-            fmt_opt(rec.graph_mib),
-            fmt_opt(rec.ingest_ms),
-            fmt_opt(rec.load_ms),
-            fmt_opt(rec.build_peak_mib),
-            rec.algorithm.clone(),
-            format!("{:.2}", rec.total_ms),
-            rec.colors.to_string(),
-            fmt_opt(rec.encoded_mib),
-            fmt_opt(rec.compress_ratio),
-        ]);
-        crate::report::record(rec);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -586,9 +551,9 @@ pub fn fig3(cfg: &ExpConfig) -> Table {
         "colors",
         "adg_iterations",
     ]);
-    for (sg, g, _) in load_suite(cfg)
+    for (sg, g) in load_suite(cfg)
         .into_iter()
-        .filter(|(sg, _, _)| sg.name == "h-bai" || sg.name == "v-usa")
+        .filter(|(sg, _)| sg.name == "h-bai" || sg.name == "v-usa")
     {
         for eps in [0.01, 0.03, 0.1, 0.3, 1.0] {
             let mut params = cfg.params();
@@ -626,9 +591,9 @@ pub fn fig4(cfg: &ExpConfig) -> Table {
         "l3_miss_frac",
         "stall_frac",
     ]);
-    for (sg, g, _) in load_suite(cfg)
+    for (sg, g) in load_suite(cfg)
         .into_iter()
-        .filter(|(sg, _, _)| sg.name == "h-bai" || sg.name == "h-wdb")
+        .filter(|(sg, _)| sg.name == "h-bai" || sg.name == "h-wdb")
     {
         for algo in [
             Algorithm::Itr,
@@ -667,7 +632,7 @@ pub fn fig5(cfg: &ExpConfig) -> Table {
     let algos = Algorithm::fig1_set();
     let names: Vec<String> = algos.iter().map(|a| a.name().to_string()).collect();
     let mut values: Vec<Vec<f64>> = Vec::new();
-    for (_, g, _) in load_suite(cfg) {
+    for (_, g) in load_suite(cfg) {
         values.push(
             algos
                 .iter()
@@ -720,7 +685,7 @@ pub fn table2(cfg: &ExpConfig) -> Table {
         ),
         (OrderingKind::Adg(AdgOptions::median()), "4.00".into()),
     ];
-    for (sg, g, _) in load_suite(cfg).into_iter().take(4) {
+    for (sg, g) in load_suite(cfg).into_iter().take(4) {
         let d = pgc_graph::degeneracy::degeneracy(&g).degeneracy;
         for (kind, guarantee) in &kinds {
             let mut instr = Instrumentation::default();
@@ -781,7 +746,7 @@ pub fn table3(cfg: &ExpConfig) -> Table {
         "conflicts",
         "total_ms",
     ]);
-    for (sg, g, _) in load_suite(cfg).into_iter().take(4) {
+    for (sg, g) in load_suite(cfg).into_iter().take(4) {
         let info = pgc_graph::degeneracy::degeneracy(&g);
         let (d, delta) = (info.degeneracy, g.max_degree());
         for algo in Algorithm::all() {
@@ -865,14 +830,9 @@ pub fn ablations(cfg: &ExpConfig) -> Table {
         ));
         v
     };
-    for (sg, g, _) in load_suite(cfg).into_iter().take(4) {
+    for (sg, g) in load_suite(cfg).into_iter().take(4) {
         for (name, params) in &variants {
-            let algo = if name.starts_with("JP-ADG-M") {
-                Algorithm::JpAdgM
-            } else {
-                Algorithm::JpAdg
-            };
-            let r = best_of(cfg.reps, || run(&g, algo, params));
+            let r = best_of(cfg.reps, || run(&g, Algorithm::JpAdg, params));
             t.row(vec![
                 sg.name.to_string(),
                 name.clone(),
@@ -923,7 +883,7 @@ pub fn mining(cfg: &ExpConfig) -> Table {
         "num_cliques",
     ]);
     let eps = 0.1;
-    for (sg, g, _) in load_suite(cfg).into_iter().take(6) {
+    for (sg, g) in load_suite(cfg).into_iter().take(6) {
         let info = pgc_graph::degeneracy::degeneracy(&g);
         let d = info.degeneracy;
         let dense = pgc_mining::approx_densest_subgraph(&g, eps);
@@ -975,7 +935,7 @@ fn timed_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, std::time::Durati
 pub fn colorsum(cfg: &ExpConfig) -> Table {
     let params = cfg.params();
     let mut t = Table::new(&["graph", "algorithm", "colors", "fnv64"]);
-    for (sg, g, _) in load_suite(cfg) {
+    for (sg, g) in load_suite(cfg) {
         for algo in Algorithm::all() {
             let r = run(&g, algo, &params);
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1001,7 +961,7 @@ pub fn colorsum(cfg: &ExpConfig) -> Table {
 pub fn check_guarantees(cfg: &ExpConfig) -> Table {
     let params = cfg.params();
     let mut t = Table::new(&["graph", "d", "algorithm", "colors", "bound", "ok"]);
-    for (sg, g, _) in load_suite(cfg) {
+    for (sg, g) in load_suite(cfg) {
         let d = pgc_graph::degeneracy::degeneracy(&g).degeneracy;
         for algo in [
             Algorithm::JpSl,
@@ -1081,31 +1041,6 @@ mod tests {
         let mono = fig2_strong(&smoke_cfg());
         assert_eq!(mono.rows[0][enc_at], "-");
         assert_eq!(mono.rows[0][ratio_at], "-");
-    }
-
-    #[test]
-    fn env_overrides_pick_up_compressed() {
-        // Injected lookup, not std::env::set_var: the environment is
-        // process-global and mutating it would race with any concurrent
-        // test that reads these variables.
-        let compressed = |val: Option<&str>| {
-            let val = val.map(str::to_string);
-            ExpConfig::default()
-                .with_overrides(|k| {
-                    if k == "PGC_COMPRESSED" {
-                        val.clone()
-                    } else {
-                        None
-                    }
-                })
-                .compressed
-        };
-        assert!(compressed(Some("1")));
-        assert!(compressed(Some("true")));
-        assert!(!compressed(Some("0")));
-        assert!(!compressed(Some("false")));
-        assert!(!compressed(Some("  ")));
-        assert!(!compressed(None));
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //!                pgc snapshot <input> <output> [--compress]
 //!                (input format by extension: .col DIMACS, .mtx Matrix
 //!                Market, else whitespace edge list; --compress writes the
-//!                v2 delta-varint neighbor section. Every reader also
-//!                accepts .pgcs input, so this doubles as a snapshot
-//!                integrity check.)
+//!                v2 delta-varint neighbor section. A .pgcs input of
+//!                either version is sniffed by its magic and loaded, so
+//!                this also converts between versions and doubles as a
+//!                snapshot integrity check.)
 //!                pgc snapshot <file.pgcs> --info verifies a snapshot's
 //!                checksums and prints its header + per-section byte
 //!                breakdown without converting anything.
@@ -53,10 +54,10 @@
 //! comma-separated list. A single-integer `PGC_THREADS` additionally sets
 //! the default pool width for every other command (see `pgc-par`).
 //!
-//! `--compressed` (or `PGC_COMPRESSED=1`, flag wins) builds the fig2
-//! workloads as a delta-varint `CompressedCsr` instead; the tables then
-//! fill the trailing `encoded_MiB`/`ratio` columns and the run records
-//! carry `encoded_mib`/`compress_ratio`.
+//! `--compressed` builds the fig2 workloads as a delta-varint
+//! `CompressedCsr` instead; the tables then fill the trailing
+//! `encoded_MiB`/`ratio` columns and the run records carry
+//! `encoded_mib`/`compress_ratio`.
 
 use pgc_harness::experiments as exp;
 use pgc_harness::report as rep;
@@ -168,13 +169,12 @@ fn snapshot_info(path: &std::path::Path) -> ! {
     }
 }
 
-/// `pgc snapshot <input> <output> [--compress]`: parse a
-/// text graph (format sniffed from the extension) and write it back as a
-/// versioned, checksummed binary snapshot that every reader and
-/// experiment can re-open via the magic-sniffing fast path. `--compress`
-/// writes the v2 delta-varint neighbor section instead of raw arrays;
-/// `pgc snapshot <file.pgcs> --info` verifies and describes an existing
-/// snapshot.
+/// `pgc snapshot <input> <output> [--compress]`: open a graph with
+/// [`pgc_graph::io::read_graph`] (a snapshot by its magic, else text by
+/// extension) and write it back as a versioned, checksummed binary
+/// snapshot. `--compress` writes the v2 delta-varint neighbor section
+/// instead of raw arrays; `pgc snapshot <file.pgcs> --info` verifies and
+/// describes an existing snapshot.
 fn snapshot_command(args: &[String]) -> ! {
     let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     let compress = args.iter().any(|a| a == "--compress");
@@ -199,17 +199,8 @@ fn snapshot_command(args: &[String]) -> ! {
         std::path::Path::new(positional[0]),
         std::path::Path::new(positional[1]),
     );
-    let ext = input
-        .extension()
-        .and_then(|e| e.to_str())
-        .unwrap_or("")
-        .to_ascii_lowercase();
     let result = (|| -> std::io::Result<(usize, usize, u64)> {
-        let g = match ext.as_str() {
-            "col" => pgc_graph::io::read_dimacs_col_path(input)?,
-            "mtx" => pgc_graph::io::read_matrix_market_path(input)?,
-            _ => pgc_graph::io::read_edge_list_path(input)?,
-        };
+        let g = pgc_graph::io::read_graph(input)?;
         let bytes = if compress {
             pgc_graph::write_compressed_snapshot(
                 &pgc_graph::CompressedCsr::from_compact(&g),

@@ -240,8 +240,8 @@ fn mining_identical_on_snapshot_loaded_graphs() {
     });
 }
 
-/// `read_*_path` sniffs the snapshot magic: feeding a `.pgcs` file to the
-/// generic text reader transparently takes the binary path.
+/// `io::read_graph` sniffs the snapshot magic: a `.pgcs` file opens
+/// through the same call as a text graph and takes the binary path.
 #[test]
 fn text_readers_sniff_snapshot_magic() {
     let built = generate(
@@ -252,7 +252,7 @@ fn text_readers_sniff_snapshot_magic() {
         3,
     );
     with_snapshot_file(&built, "sniff", |path| {
-        let via_reader = pgc::graph::io::read_edge_list_path(path).unwrap();
+        let via_reader = pgc::graph::io::read_graph(path).unwrap();
         assert_same_graph(&built, &via_reader);
     });
 }
@@ -266,7 +266,7 @@ fn text_readers_sniff_snapshot_magic() {
 #[test]
 fn pinned_v1_fixture_stays_byte_identical_and_loads() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let g = pgc::graph::io::read_matrix_market_path(&dir.join("tiny.mtx")).unwrap();
+    let g = pgc::graph::io::read_graph(&dir.join("tiny.mtx")).unwrap();
 
     let mut fresh = Vec::new();
     write_snapshot_to(&g, &mut fresh).unwrap();
@@ -298,7 +298,7 @@ fn pinned_v1_fixture_stays_byte_identical_and_loads() {
 #[test]
 fn pinned_v2_fixture_stays_byte_identical_and_loads() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let g = pgc::graph::io::read_matrix_market_path(&dir.join("tiny.mtx")).unwrap();
+    let g = pgc::graph::io::read_graph(&dir.join("tiny.mtx")).unwrap();
 
     let mut fresh = Vec::new();
     write_compressed_snapshot_to(&CompressedCsr::from_compact(&g), &mut fresh).unwrap();
@@ -363,11 +363,7 @@ fn pinned_weighted_fixtures_load_as_structure() {
             g,
             "{path:?}"
         );
-        assert_eq!(
-            pgc::graph::io::read_edge_list_path(path).unwrap(),
-            g,
-            "{path:?}"
-        );
+        assert_eq!(pgc::graph::io::read_graph(path).unwrap(), g, "{path:?}");
     }
 
     // Re-seal the v1 header with an inconsistent kind/width pair, then

@@ -249,8 +249,9 @@ fn generator_build_peak_beats_arc_list_baseline() {
     assert!(fp.structural_bytes() < stats.arc_list_baseline_bytes());
 }
 
-/// (5) File-backed readers (two sequential scans, no buffering) agree
-/// with the in-memory compatibility readers on every format.
+/// (5) The file opener (two sequential scans, no buffering) picks the
+/// parser by extension and agrees with the in-memory compatibility
+/// readers on every format.
 #[test]
 fn path_readers_equal_buffered_readers() {
     use pgc::graph::io;
@@ -262,7 +263,7 @@ fn path_readers_equal_buffered_readers() {
     let snap = dir.join("streaming_roundtrip.txt");
     std::fs::write(&snap, &text).unwrap();
     assert_eq!(
-        io::read_edge_list_path(&snap).unwrap(),
+        io::read_graph(&snap).unwrap(),
         io::read_edge_list(&text[..]).unwrap()
     );
 
@@ -270,7 +271,7 @@ fn path_readers_equal_buffered_readers() {
     io::write_dimacs_col(&g, &mut col).unwrap();
     let dimacs = dir.join("streaming_roundtrip.col");
     std::fs::write(&dimacs, &col).unwrap();
-    let via_path = io::read_dimacs_col_path(&dimacs).unwrap();
+    let via_path = io::read_graph(&dimacs).unwrap();
     assert_eq!(via_path, io::read_dimacs_col(&col[..]).unwrap());
     assert_eq!(via_path, g, "declared n preserved through streaming");
 }
