@@ -4,6 +4,8 @@
 //! are sized so a full `cargo bench` completes in minutes on one core;
 //! `pgc` (the harness binary) runs the same experiments at full scale.
 
+#![forbid(unsafe_code)]
+
 use pgc_graph::gen::{generate, GraphSpec};
 use pgc_graph::CompactCsr;
 

@@ -106,16 +106,6 @@ impl Cache {
         false
     }
 
-    /// Access a `size`-byte object starting at `addr` (touches every line
-    /// it spans; counts one access per line).
-    pub fn access_range(&mut self, addr: u64, size: u64) {
-        let first = addr >> self.line_shift;
-        let last = (addr + size.max(1) - 1) >> self.line_shift;
-        for line in first..=last {
-            self.access(line << self.line_shift);
-        }
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -200,15 +190,6 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
         z ^ (z >> 31)
-    }
-
-    #[test]
-    fn access_range_spans_lines() {
-        let mut c = tiny();
-        c.access_range(60, 8); // straddles the 0/64 line boundary
-        assert_eq!(c.stats().accesses, 2);
-        assert!(c.access(0));
-        assert!(c.access(64));
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! memory in batch-local patterns comparable to their baselines, i.e. their
 //! quality gains do not come at the price of extra memory pressure.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod trace;
 

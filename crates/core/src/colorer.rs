@@ -1,18 +1,12 @@
-//! The uniform dispatch layer: every coloring algorithm in the workspace is
-//! a [`Colorer`], and [`colorer`] maps an [`Algorithm`] tag to its
-//! implementation. The [`run`](crate::run) facade is a thin wrapper over
-//! this registry, so the harness, the benches, and any future backend drive
-//! exactly the same code path.
-//!
-//! [`Instrumentation`] is the shared measurement record (the quantities the
-//! paper reports: ordering/coloring wall time, outer rounds, conflicts).
-//! Algorithm implementations fill it via the [`Instrumentation::ordering`] /
+//! The shared measurement record of a coloring run. [`Instrumentation`]
+//! holds the quantities the paper reports (ordering/coloring wall time,
+//! outer rounds, conflicts); [`run`](crate::run) and the DEC drivers fill
+//! it via the [`Instrumentation::ordering`] /
 //! [`Instrumentation::coloring`] phase timers instead of hand-rolling
-//! `Instant::now()` pairs, and experiment drivers reuse
-//! [`best_of`] for the paper's best-of-reps-after-warm-up protocol.
+//! `Instant::now()` pairs, and experiment drivers reuse [`best_of`] for
+//! the paper's best-of-reps-after-warm-up protocol.
 
-use crate::{Algorithm, ColoringRun, Params};
-use pgc_graph::GraphView;
+use crate::ColoringRun;
 use std::time::{Duration, Instant};
 
 /// Measurements of one coloring execution (times, rounds, conflicts).
@@ -76,43 +70,6 @@ impl Instrumentation {
     }
 }
 
-/// A graph-coloring algorithm behind the uniform interface, generic over
-/// the graph representation: every implementation colors any
-/// [`GraphView`] — the default [`CompactCsr`](pgc_graph::CompactCsr), the
-/// compressed layout, or a zero-copy
-/// [`InducedView`](pgc_graph::InducedView) — with bit-identical output for
-/// the same abstract graph.
-///
-/// Implementations live next to their engines (`greedy`, `jp`, `simcol`,
-/// `speculative`, `dec`); [`colorer`] wires the [`Algorithm`] tags to them.
-pub trait Colorer<G: GraphView> {
-    /// The registry tag this instance implements.
-    fn algorithm(&self) -> Algorithm;
-
-    /// Color `g`, returning the coloring plus its [`Instrumentation`].
-    fn color(&self, g: &G, params: &Params) -> ColoringRun;
-}
-
-/// The `Algorithm → Box<dyn Colorer<G>>` registry.
-///
-/// Every variant resolves to exactly one implementation; the match is
-/// exhaustive, so adding a variant without registering it is a compile
-/// error.
-pub fn colorer<G: GraphView>(algo: Algorithm) -> Box<dyn Colorer<G>> {
-    use Algorithm::*;
-    match algo {
-        GreedyFf | GreedyLf | GreedySl | GreedyId | GreedySd => {
-            Box::new(crate::greedy::Greedy::new(algo))
-        }
-        JpFf | JpR | JpLf | JpLlf | JpSl | JpSll | JpAsl | JpAdg | JpAdgM => {
-            Box::new(crate::jp::Jp::new(algo))
-        }
-        SimCol => Box::new(crate::simcol::SimCol),
-        Itr | ItrB | ItrAsl => Box::new(crate::speculative::Speculative::new(algo)),
-        DecAdg | DecAdgM | DecAdgItr => Box::new(crate::dec::Dec::new(algo)),
-    }
-}
-
 /// The paper's measurement protocol: run once to warm up (discarded), then
 /// `reps` measured runs, keeping the one with the smallest total time.
 #[must_use]
@@ -133,31 +90,8 @@ pub fn best_of(reps: usize, mut f: impl FnMut() -> ColoringRun) -> ColoringRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, Params};
     use pgc_graph::gen::{generate, GraphSpec};
-
-    #[test]
-    fn registry_covers_every_algorithm() {
-        for algo in Algorithm::all() {
-            assert_eq!(
-                colorer::<pgc_graph::CompactCsr>(algo).algorithm(),
-                algo,
-                "{}",
-                algo.name()
-            );
-        }
-    }
-
-    #[test]
-    fn registry_and_facade_agree() {
-        let g = generate(&GraphSpec::BarabasiAlbert { n: 400, attach: 5 }, 11);
-        let params = Params::default();
-        for algo in Algorithm::all() {
-            let via_registry = colorer(algo).color(&g, &params);
-            let via_facade = crate::run(&g, algo, &params);
-            assert_eq!(via_registry.colors, via_facade.colors, "{}", algo.name());
-            assert_eq!(via_registry.algorithm, algo);
-        }
-    }
 
     #[test]
     fn phase_timers_accumulate() {

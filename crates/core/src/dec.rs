@@ -29,7 +29,7 @@
 //! vertices outside the partition always carry `tent == UNCOLORED`, which
 //! no draw can equal (see [`crate::simcol`]).
 
-use crate::colorer::{Colorer, Instrumentation};
+use crate::colorer::Instrumentation;
 use crate::simcol::{palette_layout, ConstraintAdjacency, SimColEngine, SimColStats};
 use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
 use pgc_graph::GraphView;
@@ -39,38 +39,6 @@ use pgc_primitives::bitmap::AtomicBitmap;
 use pgc_primitives::{offsets_from_counts, random_permutation};
 use rayon::prelude::*;
 use std::sync::atomic::AtomicU32;
-
-/// [`Colorer`] for the decomposition contributions: DEC-ADG, DEC-ADG-M,
-/// and DEC-ADG-ITR.
-pub struct Dec {
-    algo: Algorithm,
-}
-
-impl Dec {
-    pub fn new(algo: Algorithm) -> Self {
-        use Algorithm::*;
-        assert!(
-            matches!(algo, DecAdg | DecAdgM | DecAdgItr),
-            "not a DEC-ADG algorithm: {algo:?}"
-        );
-        Self { algo }
-    }
-}
-
-impl<G: GraphView> Colorer<G> for Dec {
-    fn algorithm(&self) -> Algorithm {
-        self.algo
-    }
-
-    fn color(&self, g: &G, params: &Params) -> ColoringRun {
-        match self.algo {
-            Algorithm::DecAdg => dec_adg(g, self.algo, ThresholdRule::Average, params),
-            Algorithm::DecAdgM => dec_adg(g, self.algo, ThresholdRule::Median, params),
-            Algorithm::DecAdgItr => dec_adg_itr(g, params),
-            _ => unreachable!("checked in Dec::new"),
-        }
-    }
-}
 
 /// The ADG options of a DEC run: the JP-ADG ones at another rule and ε,
 /// without JP's fused predecessor counts, which DEC never reads.

@@ -6,54 +6,9 @@
 //! ID and SD re-prioritize dynamically as vertices get colored — they are
 //! the best-quality (and inherently sequential) baselines of the paper.
 
-use crate::colorer::{Colorer, Instrumentation};
-use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
+use crate::UNCOLORED;
 use pgc_graph::GraphView;
 use pgc_primitives::FixedBitmap;
-
-/// [`Colorer`] for the five sequential Greedy baselines
-/// (FF/LF/SL/ID/SD). Ordered variants charge their ordering to
-/// `Instrumentation::ordering_time`; the dynamic ID/SD orders are part of
-/// the coloring scan itself.
-pub struct Greedy {
-    algo: Algorithm,
-}
-
-impl Greedy {
-    pub fn new(algo: Algorithm) -> Self {
-        use Algorithm::*;
-        assert!(
-            matches!(algo, GreedyFf | GreedyLf | GreedySl | GreedyId | GreedySd),
-            "not a greedy algorithm: {algo:?}"
-        );
-        Self { algo }
-    }
-}
-
-impl<G: GraphView> Colorer<G> for Greedy {
-    fn algorithm(&self) -> Algorithm {
-        self.algo
-    }
-
-    fn color(&self, g: &G, params: &Params) -> ColoringRun {
-        let mut instr = Instrumentation::default();
-        let colors = match self.algo {
-            Algorithm::GreedyFf => instr.coloring(|| greedy_first_fit(g)),
-            Algorithm::GreedyLf | Algorithm::GreedySl => {
-                let kind = self
-                    .algo
-                    .ordering_kind(params)
-                    .expect("ordered greedy variants have an ordering");
-                let ord = instr.ordering(|| pgc_order::compute(g, &kind, params.seed));
-                instr.coloring(|| greedy_by_priority(g, &ord.rho))
-            }
-            Algorithm::GreedyId => instr.coloring(|| greedy_incidence_degree(g)),
-            Algorithm::GreedySd => instr.coloring(|| greedy_saturation_degree(g)),
-            _ => unreachable!("checked in Greedy::new"),
-        };
-        ColoringRun::new(self.algo, colors, instr)
-    }
-}
 
 /// Greedy over an explicit vertex sequence.
 pub fn greedy_in_sequence<G: GraphView>(g: &G, seq: impl IntoIterator<Item = u32>) -> Vec<u32> {

@@ -23,49 +23,12 @@
 //! pass over decreasing ρ. The round count of a level-by-level schedule,
 //! `|P|`, comes from [`dag_longest_path`] without coloring anything.
 
-use crate::colorer::{Colorer, Instrumentation};
-use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
+use crate::UNCOLORED;
 use pgc_graph::GraphView;
 use pgc_primitives::JoinCounters;
 use rayon::prelude::*;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering as AtOrd};
-
-/// [`Colorer`] for the Jones–Plassmann family: any `Algorithm` whose
-/// [`ordering_kind`](Algorithm::ordering_kind) yields the JP priority
-/// function (JP-FF/R/LF/LLF/SL/SLL/ASL/ADG/ADG-M).
-pub struct Jp {
-    algo: Algorithm,
-}
-
-impl Jp {
-    pub fn new(algo: Algorithm) -> Self {
-        assert!(algo.is_jp(), "not a JP algorithm: {algo:?}");
-        Self { algo }
-    }
-}
-
-impl<G: GraphView> Colorer<G> for Jp {
-    fn algorithm(&self) -> Algorithm {
-        self.algo
-    }
-
-    fn color(&self, g: &G, params: &Params) -> ColoringRun {
-        let kind = self
-            .algo
-            .ordering_kind(params)
-            .expect("JP algorithms have an ordering");
-        let mut instr = Instrumentation::default();
-        let ord = instr.ordering(|| pgc_order::compute(g, &kind, params.seed));
-        let colors = instr.coloring(|| match &ord.pred_counts {
-            // §V-C: the ordering fused JP's Part-1 DAG construction.
-            Some(counts) => jp_color_with_counts(g, &ord.rho, counts),
-            None => jp_color(g, &ord.rho),
-        });
-        instr.record_rounds(ord.stats.iterations, 0);
-        ColoringRun::new(self.algo, colors, instr)
-    }
-}
 
 /// Number of predecessors (higher-priority neighbors) per vertex — the
 /// initial `count[]` of Alg. 3 (line 11).

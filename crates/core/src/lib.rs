@@ -16,11 +16,13 @@
 //!   (Table III class 2 quality baselines).
 //! * [`verify`] — proper-coloring verification and quality-bound oracles.
 //!
-//! Dispatch is uniform: every algorithm is a [`Colorer`] (see [`colorer()`]
-//! for the `Algorithm → Box<dyn Colorer>` registry), and the [`run`] facade
-//! resolves an [`Algorithm`] tag through that registry. A run returns a
-//! [`ColoringRun`] carrying the coloring plus the shared [`Instrumentation`]
-//! record (times, rounds, conflicts) the paper reports.
+//! Dispatch is one `match`: [`run`] maps an [`Algorithm`] tag straight
+//! to its engine, on any [`GraphView`] representation. A run returns a
+//! [`ColoringRun`] carrying the coloring plus the shared
+//! [`Instrumentation`] record (times, rounds, conflicts) the paper
+//! reports.
+
+#![forbid(unsafe_code)]
 
 pub mod colorer;
 pub mod dec;
@@ -33,7 +35,7 @@ pub mod simcol;
 pub mod speculative;
 pub mod verify;
 
-pub use colorer::{best_of, colorer, Colorer, Instrumentation};
+pub use colorer::{best_of, Instrumentation};
 
 use pgc_graph::GraphView;
 use pgc_order::{AdgOptions, OrderingKind, SortAlgo, ThresholdRule, UpdateStyle};
@@ -307,10 +309,63 @@ impl ColoringRun {
     }
 }
 
-/// Run `algo` on `g` with the given parameters, through the [`colorer()`]
-/// registry. Accepts any [`GraphView`] representation.
+/// Run `algo` on `g` with the given parameters. Accepts any [`GraphView`]
+/// representation, with bit-identical output for the same abstract graph.
+///
+/// An algorithm built on a vertex ordering
+/// ([`Algorithm::ordering_kind`]) charges it to the ordering phase: the
+/// JP family's priorities, the LF/SL greedy sequences and ITR-ASL's
+/// conflict winners. The DEC variants time their own ADG decomposition.
 pub fn run<G: GraphView>(g: &G, algo: Algorithm, params: &Params) -> ColoringRun {
-    colorer(algo).color(g, params)
+    use Algorithm::*;
+    let mut instr = Instrumentation::default();
+    let ord = algo
+        .ordering_kind(params)
+        .map(|kind| instr.ordering(|| pgc_order::compute(g, &kind, params.seed)));
+    let colors = match algo {
+        GreedyFf => instr.coloring(|| greedy::greedy_first_fit(g)),
+        GreedyId => instr.coloring(|| greedy::greedy_incidence_degree(g)),
+        GreedySd => instr.coloring(|| greedy::greedy_saturation_degree(g)),
+        GreedyLf | GreedySl => {
+            let ord = ord.expect("ordered greedy variants have an ordering");
+            instr.coloring(|| greedy::greedy_by_priority(g, &ord.rho))
+        }
+        JpFf | JpR | JpLf | JpLlf | JpSl | JpSll | JpAsl | JpAdg | JpAdgM => {
+            let ord = ord.expect("JP algorithms have an ordering");
+            let colors = instr.coloring(|| match &ord.pred_counts {
+                // §V-C: the ordering fused JP's Part-1 DAG construction.
+                Some(counts) => jp::jp_color_with_counts(g, &ord.rho, counts),
+                None => jp::jp_color(g, &ord.rho),
+            });
+            instr.record_rounds(ord.stats.iterations, 0);
+            colors
+        }
+        Itr | ItrB | ItrAsl => {
+            // ITR-ASL's conflict winners come from its ordering, the
+            // others' from a random permutation.
+            let priority: Vec<u64> = match ord {
+                Some(ord) => ord.rho,
+                None => pgc_primitives::random_permutation(g.n(), params.seed ^ 0x17B)
+                    .into_iter()
+                    .map(|p| p as u64)
+                    .collect(),
+            };
+            let batch = if algo == ItrB { params.itrb_batch } else { 0 };
+            let out = instr.coloring(|| speculative::itr(g, &priority, batch, params.seed));
+            instr.record_rounds(out.rounds, out.conflicts);
+            out.colors
+        }
+        SimCol => {
+            let (colors, stats) =
+                instr.coloring(|| simcol::sim_col(g, params.simcol_mu, params.seed));
+            instr.record_rounds(stats.rounds, stats.retries);
+            colors
+        }
+        DecAdg => return dec::dec_adg(g, algo, ThresholdRule::Average, params),
+        DecAdgM => return dec::dec_adg(g, algo, ThresholdRule::Median, params),
+        DecAdgItr => return dec::dec_adg_itr(g, params),
+    };
+    ColoringRun::new(algo, colors, instr)
 }
 
 #[cfg(test)]

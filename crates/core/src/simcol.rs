@@ -42,36 +42,14 @@
 //! form DEC-ADG-ITR. Standalone SIM-COL is the one-partition case: every
 //! rank 0, so every row is all same-partition neighbors.
 
-use crate::colorer::{Colorer, Instrumentation};
-use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
+use crate::UNCOLORED;
 use pgc_graph::{GraphView, Offsets};
 use pgc_order::Levels;
 use pgc_primitives::bitmap::AtomicBitmap;
 use pgc_primitives::offsets_from_counts;
 use pgc_primitives::rng::uniform_at;
 use rayon::prelude::*;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering as AtOrd};
-
-/// [`Colorer`] for standalone SIM-COL (Alg. 5) on the whole graph, with
-/// palette headroom `params.simcol_mu`.
-pub struct SimCol;
-
-impl<G: GraphView> Colorer<G> for SimCol {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::SimCol
-    }
-
-    fn color(&self, g: &G, params: &Params) -> ColoringRun {
-        let mut instr = Instrumentation::default();
-        let (colors, stats) = instr.coloring(|| sim_col(g, params.simcol_mu, params.seed));
-        instr.record_rounds(stats.rounds, stats.retries);
-        ColoringRun::new(Algorithm::SimCol, colors, instr)
-    }
-}
-
-/// Most vertices one task of the fill sweep handles.
-const FILL_GRAIN: usize = 512;
 
 /// The rank-oriented constraint adjacency of one DEC run (§IV-B): for each
 /// vertex `v`, the `deg_ℓ(v)` neighbors that can ever constrain its color —
@@ -114,7 +92,29 @@ impl ConstraintAdjacency {
         drop(deg);
 
         let mut targets = vec![0u32; total];
-        fill_rows(g, rank, &offsets, &same, 0..n, &mut targets);
+        pgc_par::for_each_chunk_mut(
+            n,
+            &mut targets,
+            |v| offsets[v],
+            |vs, rows| {
+                let base = offsets[vs.start];
+                for v in vs {
+                    let rv = rank[v];
+                    let mut eq = offsets[v] - base;
+                    let mut hi = eq + same[v] as usize;
+                    for u in g.neighbors(v as u32) {
+                        let ru = rank[u as usize];
+                        if ru == rv {
+                            rows[eq] = u;
+                            eq += 1;
+                        } else if ru > rv {
+                            rows[hi] = u;
+                            hi += 1;
+                        }
+                    }
+                }
+            },
+        );
         Self {
             offsets: Offsets::narrow(offsets),
             same,
@@ -153,45 +153,6 @@ impl ConstraintAdjacency {
     pub fn higher_level(&self, v: u32) -> &[u32] {
         let lo = self.offsets.get(v as usize) + self.same[v as usize] as usize;
         &self.targets[lo..self.offsets.get(v as usize + 1)]
-    }
-}
-
-/// The fill sweep over the vertices `vs`, whose rows make up `out`:
-/// halved (splitting `out` at the row boundary) until a piece is at most
-/// [`FILL_GRAIN`] vertices, so every piece writes only its own rows and
-/// pieces run in parallel without atomics.
-fn fill_rows<G: GraphView>(
-    g: &G,
-    rank: &[u32],
-    offsets: &[usize],
-    same: &[u32],
-    vs: Range<usize>,
-    out: &mut [u32],
-) {
-    if vs.len() > FILL_GRAIN {
-        let mid = vs.start + vs.len() / 2;
-        let (lo, hi) = out.split_at_mut(offsets[mid] - offsets[vs.start]);
-        rayon::join(
-            || fill_rows(g, rank, offsets, same, vs.start..mid, lo),
-            || fill_rows(g, rank, offsets, same, mid..vs.end, hi),
-        );
-        return;
-    }
-    let base = offsets[vs.start];
-    for v in vs {
-        let rv = rank[v];
-        let mut eq = offsets[v] - base;
-        let mut hi = eq + same[v] as usize;
-        for u in g.neighbors(v as u32) {
-            let ru = rank[u as usize];
-            if ru == rv {
-                out[eq] = u;
-                eq += 1;
-            } else if ru > rv {
-                out[hi] = u;
-                hi += 1;
-            }
-        }
     }
 }
 

@@ -18,57 +18,14 @@
 //! contribution DEC-ADG-ITR (see [`crate::dec`]) fixes exactly that by
 //! running the same speculation inside ADG partitions.
 
-use crate::colorer::{Colorer, Instrumentation};
-use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
+use crate::UNCOLORED;
 use pgc_graph::GraphView;
-use pgc_primitives::{random_permutation, FixedBitmap};
+use pgc_primitives::FixedBitmap;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering as AtOrd};
 
-/// [`Colorer`] for the speculative baselines: plain ITR, superstep-batched
-/// ITRB (batch size `params.itrb_batch`), and ITR-ASL (conflict winners
-/// from the ASL ordering, charged to ordering time).
-pub struct Speculative {
-    algo: Algorithm,
-}
-
-impl Speculative {
-    pub fn new(algo: Algorithm) -> Self {
-        use Algorithm::*;
-        assert!(
-            matches!(algo, Itr | ItrB | ItrAsl),
-            "not a speculative baseline: {algo:?}"
-        );
-        Self { algo }
-    }
-}
-
-impl<G: GraphView> Colorer<G> for Speculative {
-    fn algorithm(&self) -> Algorithm {
-        self.algo
-    }
-
-    fn color(&self, g: &G, params: &Params) -> ColoringRun {
-        let mut instr = Instrumentation::default();
-        let priority: Vec<u64> = match self.algo.ordering_kind(params) {
-            Some(kind) => instr.ordering(|| pgc_order::compute(g, &kind, params.seed).rho),
-            None => random_permutation(g.n(), params.seed ^ 0x17B)
-                .into_iter()
-                .map(|p| p as u64)
-                .collect(),
-        };
-        let batch = match self.algo {
-            Algorithm::ItrB => params.itrb_batch,
-            _ => 0,
-        };
-        let out = instr.coloring(|| itr(g, &priority, batch, params.seed));
-        instr.record_rounds(out.rounds, out.conflicts);
-        ColoringRun::new(self.algo, out.colors, instr)
-    }
-}
-
 /// Outcome of the speculative loop, before packaging into a
-/// [`ColoringRun`].
+/// [`ColoringRun`](crate::ColoringRun).
 pub struct ItrOutcome {
     /// Final proper coloring.
     pub colors: Vec<u32>,
@@ -179,6 +136,7 @@ mod tests {
     use crate::verify::{assert_proper, num_colors};
     use pgc_graph::gen::{generate, GraphSpec};
     use pgc_graph::CompactCsr;
+    use pgc_primitives::random_permutation;
 
     fn prio(n: usize, seed: u64) -> Vec<u64> {
         random_permutation(n, seed)

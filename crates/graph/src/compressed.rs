@@ -29,7 +29,6 @@
 
 use crate::compact::{CompactCsr, Offsets};
 use crate::csr::degree_extremes;
-use crate::stream::SharedMut;
 use crate::view::{prefetch_read, GraphMemory, GraphView};
 use pgc_primitives::varint;
 use rayon::prelude::*;
@@ -119,18 +118,19 @@ impl CompressedCsr {
             byte_offsets.push(acc);
         }
         let mut arena = vec![0u8; acc];
-        {
-            let ptr = SharedMut(arena.as_mut_ptr());
-            let bo = &byte_offsets;
-            (0..n as u32).into_par_iter().for_each(|v| {
-                let (s, e) = (bo[v as usize], bo[v as usize + 1]);
-                // SAFETY: per-vertex byte ranges are disjoint by
-                // construction (exclusive prefix sums of exact lengths).
-                let out = unsafe { ptr.slice(s, e) };
-                let written = varint::encode_to_slice(g.neighbors(v), out);
-                debug_assert_eq!(written, e - s);
-            });
-        }
+        pgc_par::for_each_chunk_mut(
+            n,
+            &mut arena,
+            |v| byte_offsets[v],
+            |range, runs| {
+                let base = byte_offsets[range.start];
+                for v in range {
+                    let (s, e) = (byte_offsets[v] - base, byte_offsets[v + 1] - base);
+                    let written = varint::encode_to_slice(g.neighbors(v as u32), &mut runs[s..e]);
+                    debug_assert_eq!(written, e - s);
+                }
+            },
+        );
         // Converter peak beyond the (still-resident) source: the length
         // array plus the outputs being built.
         let peak = lens.len() * std::mem::size_of::<usize>()
@@ -171,15 +171,19 @@ impl CompressedCsr {
         let n = self.n();
         let arcs = self.num_arcs();
         let mut neighbors = vec![0u32; arcs];
-        {
-            let ptr = SharedMut(neighbors.as_mut_ptr());
-            (0..n as u32).into_par_iter().for_each(|v| {
-                let r = self.arc_range(v);
-                // SAFETY: arc ranges are disjoint per vertex.
-                let out = unsafe { ptr.slice(r.start, r.end) };
-                self.decoder(v).decode_into_slice(out);
-            });
-        }
+        pgc_par::for_each_chunk_mut(
+            n,
+            &mut neighbors,
+            |v| self.offsets.get(v),
+            |range, rows| {
+                let base = self.offsets.get(range.start);
+                for v in range {
+                    let r = self.arc_range(v as u32);
+                    self.decoder(v as u32)
+                        .decode_into_slice(&mut rows[r.start - base..r.end - base]);
+                }
+            },
+        );
         CompactCsr::from_offsets(self.offsets.clone(), neighbors)
     }
 

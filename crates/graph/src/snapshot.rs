@@ -385,17 +385,13 @@ fn as_bytes<T: Copy>(v: &[T]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(v)) }
 }
 
-/// Copy `count` `T`s out of `bytes` (alignment-free byte copy).
-fn vec_from_bytes<T: Copy + Default>(bytes: &[u8], count: usize) -> Vec<T> {
-    let size = std::mem::size_of::<T>();
-    debug_assert!(bytes.len() >= count * size);
-    let mut v = vec![T::default(); count];
-    // SAFETY: every bit pattern is a valid u32/u64, and the source range
-    // is in bounds by the layout checks.
-    unsafe {
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), v.as_mut_ptr() as *mut u8, count * size);
-    }
-    v
+/// Copy `count` native-endian `N`-byte words out of `bytes` (no alignment
+/// needed), each converted by `from` (`u32::from_ne_bytes`, …).
+fn vec_from_bytes<T, const N: usize>(bytes: &[u8], count: usize, from: fn([u8; N]) -> T) -> Vec<T> {
+    bytes[..count * N]
+        .chunks_exact(N)
+        .map(|word| from(word.try_into().expect("chunks_exact yields N bytes")))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -528,7 +524,7 @@ fn verify(bytes: &[u8]) -> std::io::Result<(Header, SectionLayout)> {
 /// Copy `count` 8-byte on-disk offsets out of `bytes` as `usize`s; one
 /// that exceeds this platform's `usize` is an error naming `what`.
 fn read_wide(bytes: &[u8], count: usize, what: &str) -> std::io::Result<Vec<usize>> {
-    vec_from_bytes::<u64>(bytes, count)
+    vec_from_bytes(bytes, count, u64::from_ne_bytes)
         .into_iter()
         .map(|x| {
             usize::try_from(x).map_err(|_| {
@@ -549,7 +545,7 @@ fn read_byte_offsets(
     let n = header.n as usize;
     let bo_bytes = &bytes[layout.bo_start..layout.bo_start + layout.bo_len];
     let bo: Vec<usize> = if header.byte_offset_width() == 4 {
-        vec_from_bytes::<u32>(bo_bytes, n + 1)
+        vec_from_bytes(bo_bytes, n + 1, u32::from_ne_bytes)
             .into_iter()
             .map(|x| x as usize)
             .collect()
@@ -573,7 +569,11 @@ fn read_offsets(bytes: &[u8], header: &Header, layout: &SectionLayout) -> std::i
     let n = header.n as usize;
     let off_bytes = &bytes[layout.off_start..layout.off_start + layout.off_len];
     if header.offset_width == 4 {
-        Ok(Offsets::Small(vec_from_bytes::<u32>(off_bytes, n + 1)))
+        Ok(Offsets::Small(vec_from_bytes(
+            off_bytes,
+            n + 1,
+            u32::from_ne_bytes,
+        )))
     } else {
         Ok(Offsets::Wide(read_wide(off_bytes, n + 1, "offset")?))
     }
@@ -602,9 +602,10 @@ fn materialize(
         Offsets::Small(o) => o[i] as usize,
         Offsets::Wide(o) => o[i],
     };
-    let neighbors: Vec<u32> = vec_from_bytes(
+    let neighbors = vec_from_bytes(
         &bytes[layout.nbr_start..layout.nbr_start + layout.nbr_len],
         header.num_arcs as usize,
+        u32::from_ne_bytes,
     );
     // Always: the O(n + m) shape sweep (monotone offsets, sorted in-range
     // loop-free adjacencies). Debug builds add the O(m log Δ) symmetry
@@ -623,10 +624,11 @@ fn materialize(
 /// Release-build validation of a v2 load: every adjacency's encoded run
 /// is structurally well-formed ([`pgc_primitives::varint::validate_run`],
 /// so truncated or mis-framed runs error instead of panicking or
-/// decoding garbage) and decodes to the right count of
-/// strictly-ascending, in-range, loop-free ids — the
-/// [`crate::csr::validate_csr_shape`] contract, run through the decoder.
-/// Debug builds add the symmetry cross-check.
+/// decoding garbage), which also guarantees the declared count of
+/// strictly-ascending ids; what the decode adds is the rest of the
+/// [`crate::csr::validate_csr_shape`] contract: no id is the row's own
+/// vertex, and the row's last (largest) id is below `n`. Debug builds add
+/// the symmetry cross-check.
 fn validate_compressed(g: &CompressedCsr, n: usize) -> std::io::Result<()> {
     use rayon::prelude::*;
     let fault = (0..n as u32).into_par_iter().find_map_any(|v| {
@@ -638,22 +640,18 @@ fn validate_compressed(g: &CompressedCsr, n: usize) -> std::io::Result<()> {
         }
         let mut dec = g.decoder(v);
         let mut buf = [0u32; pgc_primitives::varint::BLOCK];
-        let mut prev: Option<u32> = None;
-        let mut count = 0usize;
+        let mut last = None;
         loop {
             let c = dec.next_block_into(&mut buf);
             if c == 0 {
                 break;
             }
-            for &x in &buf[..c] {
-                if x as usize >= n || x == v || prev.is_some_and(|p| p >= x) {
-                    return Some("holds an invalid CSR: adjacency fails the shape sweep");
-                }
-                prev = Some(x);
+            if buf[..c].contains(&v) {
+                return Some("holds an invalid CSR: adjacency fails the shape sweep");
             }
-            count += c;
+            last = Some(buf[c - 1]);
         }
-        (count != g.degree(v) as usize)
+        last.is_some_and(|x| x as usize >= n)
             .then_some("holds an invalid CSR: adjacency fails the shape sweep")
     });
     if let Some(fault) = fault {

@@ -59,11 +59,11 @@
 //! buffered source (partitioned by slice ranges) for API compatibility.
 
 use crate::compact::{CompactCsr, Offsets};
-use pgc_par::for_each_chunk;
+use pgc_par::{for_each_chunk, for_each_chunk_mut};
 use pgc_primitives::{offsets_from_counts, reduce_sum_u64, OffsetWord};
 use rayon::prelude::*;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -308,119 +308,20 @@ impl Peak {
     }
 }
 
-/// A per-row write cursor at one of the two offset widths, viewed as an
-/// atomic so many workers can share the array; each row is only ever
-/// touched under its bucket's lock (see [`scatter`]).
-trait Cursor: Sync + Sized {
-    /// Claim the next slot of this row if it lies below `end`, the row's
-    /// end: a plain load and store, not a read-modify-write, so the
-    /// caller must hold the row's bucket lock.
-    fn claim(&self, end: usize) -> Option<usize>;
-}
-
-impl Cursor for AtomicU32 {
-    #[inline]
-    fn claim(&self, end: usize) -> Option<usize> {
-        let slot = self.load(Ordering::Relaxed);
-        let free = (slot as usize) < end;
-        if free {
-            self.store(slot + 1, Ordering::Relaxed);
-        }
-        free.then_some(slot as usize)
-    }
-}
-
-impl Cursor for AtomicUsize {
-    #[inline]
-    fn claim(&self, end: usize) -> Option<usize> {
-        let slot = self.load(Ordering::Relaxed);
-        let free = slot < end;
-        if free {
-            self.store(slot + 1, Ordering::Relaxed);
-        }
-        free.then_some(slot)
-    }
-}
-
-/// Ties an offset width to its cursor type and to the [`Offsets`]
-/// variant it packs into.
+/// Ties an offset width to the [`Offsets`] variant it packs into.
 trait ScatterWord: OffsetWord {
-    type Cursor: Cursor;
-    /// View a mutable word buffer as atomics for a parallel section,
-    /// without copying — so the big arrays can be allocated as
-    /// `vec![0; len]` (zeroed pages straight from the allocator) instead
-    /// of an element-wise atomic-constructor pass, and used as plain
-    /// words again afterwards.
-    fn as_cursors(words: &mut [Self]) -> &[Self::Cursor];
     fn pack(offsets: Vec<Self>) -> Offsets;
 }
 
 impl ScatterWord for u32 {
-    type Cursor = AtomicU32;
-
-    fn as_cursors(words: &mut [Self]) -> &[Self::Cursor] {
-        // SAFETY: `AtomicU32` has the same size, alignment, and bit
-        // validity as `u32`, and the `&mut` proves exclusive access, which
-        // is then shared only through the atomics for the borrow's
-        // duration.
-        unsafe { std::slice::from_raw_parts(words.as_mut_ptr() as *const AtomicU32, words.len()) }
-    }
-
     fn pack(offsets: Vec<Self>) -> Offsets {
         Offsets::Small(offsets)
     }
 }
 
 impl ScatterWord for usize {
-    type Cursor = AtomicUsize;
-
-    fn as_cursors(words: &mut [Self]) -> &[Self::Cursor] {
-        // SAFETY: `AtomicUsize` has the same size, alignment, and bit
-        // validity as `usize`; exclusivity comes from the `&mut`.
-        unsafe { std::slice::from_raw_parts(words.as_mut_ptr() as *const AtomicUsize, words.len()) }
-    }
-
     fn pack(offsets: Vec<Self>) -> Offsets {
         Offsets::Wide(offsets)
-    }
-}
-
-/// Raw-pointer view over a mutable buffer for parallel writes to
-/// *disjoint* ranges — the crate's one such wrapper. Every use hands
-/// different workers vertex-aligned CSR or arena ranges — or slot
-/// indices claimed from a row's cursor under its bucket lock, bounded by
-/// the row's end — which never overlap.
-pub(crate) struct SharedMut<T>(pub(crate) *mut T);
-
-// SAFETY: the pointer is only dereferenced through the `unsafe` methods
-// below, whose callers guarantee that concurrent accesses touch pairwise
-// disjoint elements; handing it to another thread then moves no more than
-// the `T`s themselves, which are `Send`.
-unsafe impl<T: Send> Send for SharedMut<T> {}
-// SAFETY: as for `Send`: shared use reaches the buffer only through the
-// `unsafe` methods, and their callers keep concurrent ranges disjoint.
-unsafe impl<T: Send> Sync for SharedMut<T> {}
-
-impl<T> SharedMut<T> {
-    /// # Safety
-    ///
-    /// `[lo, hi)` must lie inside the wrapped buffer, and ranges given to
-    /// concurrent callers must be pairwise disjoint.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn slice(&self, lo: usize, hi: usize) -> &mut [T] {
-        // SAFETY: the caller guarantees `[lo, hi)` is in bounds and that no
-        // other live reference overlaps it.
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(lo), hi - lo) }
-    }
-
-    /// # Safety
-    ///
-    /// `i` must lie inside the wrapped buffer and not be read or written
-    /// concurrently.
-    pub(crate) unsafe fn write(&self, i: usize, v: T) {
-        // SAFETY: the caller guarantees `i` is in bounds and exclusively
-        // ours for the write.
-        unsafe { *self.0.add(i) = v };
     }
 }
 
@@ -579,12 +480,38 @@ const BUCKET_ROWS: usize = 1 << 12;
 const STAGE_PAIRS: usize = 1 << 12;
 
 /// Lock one of the scatter pass's mutexes. Recovering a poisoned guard
-/// is sound: every update under them (a cursor claim, a stage list push
+/// is sound: every update under them (an arc placed, a stage list push
 /// or pop) leaves the data valid at every step, a stage comes back
 /// cleared, and the pool re-raises the panicking worker's panic when the
 /// pass joins.
 fn hold<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What one scatter bucket lock guards: the write cursors of its
+/// [`BUCKET_ROWS`] rows, where those rows end, and the neighbor slots
+/// they own, which start at slot `base` of the whole array.
+struct Bucket<'a, O> {
+    cursors: &'a mut [O],
+    ends: &'a [O],
+    slots: &'a mut [u32],
+    base: usize,
+}
+
+impl<O: OffsetWord> Bucket<'_, O> {
+    /// Store `target` in the next free slot of the bucket's row `rel`,
+    /// unless the row is full: an overfilled row must not spill into the
+    /// next row's slots.
+    #[inline]
+    fn place(&mut self, rel: usize, target: u32) -> bool {
+        let slot = self.cursors[rel].to_usize();
+        if slot >= self.ends[rel].to_usize() {
+            return false;
+        }
+        self.slots[slot - self.base] = target;
+        self.cursors[rel] = O::from_usize(slot + 1);
+        true
+    }
 }
 
 /// One worker's staging buffers for pass 2, reused batch after batch.
@@ -696,15 +623,15 @@ impl Stages {
 /// non-loop pair (both directions) in row `a`: its cursor claims the next
 /// slot, which takes `b`.
 ///
-/// Rows fall into buckets of [`BUCKET_ROWS`], one lock each, and a
-/// cursor is only read and advanced under its bucket's lock — a plain
-/// load and store instead of an atomic read-modify-write per arc. Each
-/// worker stages up to [`STAGE_PAIRS`] pairs at a time: it counts their
-/// arcs per bucket, places them as one run per bucket, then applies each
-/// run holding its bucket's lock once. A build of one bucket stages
-/// nothing and applies each chunk in place under that one lock. Stage
-/// buffers are charged to `peak` like the sort scratch and freed when the
-/// pass ends.
+/// Rows fall into buckets of [`BUCKET_ROWS`], and each bucket's lock owns
+/// that bucket's cursors and neighbor slots (a [`Bucket`]): the cursor
+/// and slot arrays are split once, along bucket boundaries, so a cursor is
+/// a plain word read and advanced under its lock. Each worker stages up to
+/// [`STAGE_PAIRS`] pairs at a time: it counts their arcs per bucket,
+/// places them as one run per bucket, then applies each run holding its
+/// bucket's lock once. A build of one bucket stages nothing and applies
+/// each chunk in place under that one lock. Stage buffers are charged to
+/// `peak` like the sort scratch and freed when the pass ends.
 ///
 /// An id at or past `n`, an arc past its row's end, or a row whose cursor
 /// does not end exactly at the next row's offset means the replay
@@ -728,20 +655,37 @@ fn scatter<O: ScatterWord, S: EdgeSource + ?Sized>(
     peak.free(counts_bytes);
 
     // Cursors start at each row's offset; neighbors come zeroed from the
-    // allocator. Neighbor slots are plain words viewed as atomics only for
-    // the duration of the parallel scatter.
+    // allocator.
     let mut cursor_words: Vec<O> = offsets[..n].to_vec();
     peak.alloc(cursor_words.capacity() * word);
     let mut neighbors: Vec<u32> = vec![0; total];
     peak.alloc(neighbors.capacity() * 4);
     let buckets = n.div_ceil(BUCKET_ROWS).max(1);
-    let locks: Vec<Mutex<()>> = (0..buckets).map(|_| Mutex::new(())).collect();
     let stages = Stages::new(pgc_par::current_width(), buckets);
     let diverged = AtomicBool::new(false);
+    let lock_bytes = buckets * std::mem::size_of::<Mutex<Bucket<'_, O>>>();
     {
-        let cursors = O::as_cursors(&mut cursor_words);
-        let slots = u32::as_cursors(&mut neighbors);
-        let (offsets, diverged, locks, stages) = (&offsets, &diverged, &locks, &stages);
+        let (mut cursors, mut slots) = (&mut cursor_words[..], &mut neighbors[..]);
+        let locks: Vec<Mutex<Bucket<'_, O>>> = (0..buckets)
+            .map(|b| {
+                let first = b * BUCKET_ROWS;
+                let rows = cursors.len().min(BUCKET_ROWS);
+                let ends = &offsets[first + 1..=first + rows];
+                let base = offsets[first].to_usize();
+                let len = offsets[first + rows].to_usize() - base;
+                let (bucket_cursors, rest) = std::mem::take(&mut cursors).split_at_mut(rows);
+                cursors = rest;
+                let (bucket_slots, rest) = std::mem::take(&mut slots).split_at_mut(len);
+                slots = rest;
+                Mutex::new(Bucket {
+                    cursors: bucket_cursors,
+                    ends,
+                    slots: bucket_slots,
+                    base,
+                })
+            })
+            .collect();
+        let (diverged, locks, stages) = (&diverged, &locks, &stages);
         // The arcs of one raw pair as `(row, target)`: none for a loop. A
         // pass-2 replay that grew (a file appended to between the two
         // scans) can present ids pass 1 never counted; drop them and
@@ -756,25 +700,21 @@ fn scatter<O: ScatterWord, S: EdgeSource + ?Sized>(
                 [Some((u as usize, v)), Some((v as usize, u))]
             }
         };
-        // Store one arc in `row`; the caller holds the row's bucket lock.
-        let place = |row: usize, target: u32| {
-            // Bound the slot by its own row's end, not the array's: an
-            // overfilled row must not spill into the next row's slots.
-            let Some(slot) = cursors[row].claim(offsets[row + 1].to_usize()) else {
+        // Store one arc in row `rel` of the held bucket.
+        let place = |bucket: &mut Bucket<'_, O>, rel: usize, target: u32| {
+            if !bucket.place(rel, target) {
                 diverged.store(true, Ordering::Relaxed);
-                return;
-            };
-            slots[slot].store(target, Ordering::Relaxed);
+            }
         };
         // Bound by name and called from a forwarding closure: passed to
         // `replay_with` directly, this body compiled to a larger function
         // that built R-MAT 18/16 about 3% slower.
         let body = |chunk: &[(u32, u32)]| {
             if buckets == 1 {
-                let _held = hold(&locks[0]);
+                let mut held = hold(&locks[0]);
                 for &(u, v) in chunk {
                     for (row, target) in arcs_of(u, v).into_iter().flatten() {
-                        place(row, target);
+                        place(&mut held, row, target);
                     }
                 }
                 return;
@@ -811,10 +751,9 @@ fn scatter<O: ScatterWord, S: EdgeSource + ?Sized>(
                 let mut lo = 0;
                 for &b in touched.iter() {
                     let hi = fill[b] as usize;
-                    let base = b * BUCKET_ROWS;
-                    let _held = hold(&locks[b]);
+                    let mut held = hold(&locks[b]);
                     for &(rel, target) in &arcs[lo..hi] {
-                        place(base + rel as usize, target);
+                        place(&mut held, rel as usize, target);
                     }
                     fill[b] = 0;
                     lo = hi;
@@ -829,11 +768,9 @@ fn scatter<O: ScatterWord, S: EdgeSource + ?Sized>(
     // one-bucket build makes no stage and charges nothing for its lock.
     let staged = stages.into_bytes();
     if staged > 0 {
-        let staged = staged + locks.capacity() * std::mem::size_of::<Mutex<()>>();
-        peak.alloc(staged);
-        peak.free(staged);
+        peak.alloc(staged + lock_bytes);
+        peak.free(staged + lock_bytes);
     }
-    drop(locks);
     // A source whose second replay differs from the first (a file edited
     // between the two scans, a non-deterministic generator) trips the
     // flag above or leaves some cursor short of its row's end. Catch it
@@ -874,19 +811,17 @@ fn finish<O: ScatterWord>(
     let n = offsets.len() - 1;
     let total = neighbors.len();
     let _sort_span = pgc_obs::span!("ingest.sort");
-    let mut deduped: Vec<u32> = vec![0; n];
+    let deduped: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     peak.alloc(n * 4);
-    {
-        let nb = SharedMut(neighbors.as_mut_ptr());
-        let dd = SharedMut(deduped.as_mut_ptr());
-        let offsets = &offsets;
-        for_each_chunk(n, |range| {
+    for_each_chunk_mut(
+        n,
+        &mut neighbors,
+        |v| offsets[v].to_usize(),
+        |range, rows| {
+            let base = offsets[range.start].to_usize();
             for v in range {
-                let lo = offsets[v].to_usize();
-                let hi = offsets[v + 1].to_usize();
-                // SAFETY: CSR ranges of distinct vertices are disjoint,
-                // and `for_each_chunk` hands out disjoint vertex ranges.
-                let list = unsafe { nb.slice(lo, hi) };
+                let list =
+                    &mut rows[offsets[v].to_usize() - base..offsets[v + 1].to_usize() - base];
                 // Hub adjacencies (scale-free graphs concentrate a large
                 // share of all arcs on a few vertices) would serialize the
                 // whole phase on one worker; fork their sorts too.
@@ -902,11 +837,12 @@ fn finish<O: ScatterWord>(
                         out += 1;
                     }
                 }
-                // SAFETY: one writer per vertex slot.
-                unsafe { dd.write(v, out as u32) };
+                deduped[v].store(out as u32, Ordering::Relaxed);
             }
-        });
-    }
+        },
+    );
+    // Back to plain words, in place (same allocation).
+    let deduped: Vec<u32> = deduped.into_iter().map(AtomicU32::into_inner).collect();
     let kept = reduce_sum_u64(&deduped, |&d| d as u64) as usize;
     if kept == total {
         // No duplicates anywhere: the scatter array is already the final
@@ -942,27 +878,27 @@ fn compact_lists<O: ScatterWord, F: ScatterWord>(
     peak.alloc((n + 1) * std::mem::size_of::<F>());
     let mut fin: Vec<u32> = vec![0; kept];
     peak.alloc(kept * 4);
-    {
-        let fb = SharedMut(fin.as_mut_ptr());
-        let fin_offsets = &fin_offsets;
-        for_each_chunk(n, |range| {
+    for_each_chunk_mut(
+        n,
+        &mut fin,
+        |v| fin_offsets[v].to_usize(),
+        |range, rows| {
+            let base = fin_offsets[range.start].to_usize();
             for v in range {
                 let src_lo = offsets[v].to_usize();
                 let d = deduped[v] as usize;
-                let dst_lo = fin_offsets[v].to_usize();
-                // SAFETY: destination ranges of distinct vertices are
-                // disjoint.
-                unsafe { fb.slice(dst_lo, dst_lo + d) }
-                    .copy_from_slice(&neighbors[src_lo..src_lo + d]);
+                let dst_lo = fin_offsets[v].to_usize() - base;
+                rows[dst_lo..dst_lo + d].copy_from_slice(&neighbors[src_lo..src_lo + d]);
             }
-        });
-    }
+        },
+    );
     (F::pack(fin_offsets), fin)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     /// How [`Hostile`]'s partition 2 breaks the partition contract.
     #[derive(Clone, Copy, Debug)]
@@ -1256,7 +1192,8 @@ mod tests {
             let rows = n as usize;
             let arrays = 4 * (rows + 1) + 4 * rows + 4 * 2 * rows;
             let buckets = rows.div_ceil(BUCKET_ROWS);
-            let stage = Stage::new(buckets).bytes() + buckets * std::mem::size_of::<Mutex<()>>();
+            let stage = Stage::new(buckets).bytes()
+                + buckets * std::mem::size_of::<Mutex<Bucket<'_, u32>>>();
             for width in [1, 2, 4] {
                 let src = Cycle {
                     n,

@@ -360,7 +360,7 @@ fn scaling_algorithms() -> Vec<Algorithm> {
 /// Each row reports its speedup over the single-thread baseline of the
 /// same (graph, algorithm) pair — the paper's scaling axis. With
 /// `cfg.compressed` (`--compressed`) the workloads are built as
-/// [`CompressedCsr`]s and the generic `run()` registry loops decode
+/// [`CompressedCsr`]s and the generic `run()` loops decode
 /// delta-varint blocks on the fly; the trailing `encoded_MiB`/`ratio`
 /// columns are filled only then.
 pub fn fig2_strong(cfg: &ExpConfig) -> Table {
@@ -754,7 +754,7 @@ pub fn table3(cfg: &ExpConfig) -> Table {
             pgc_core::verify::assert_proper(&g, &r.colors);
             let bound = quality_bound(algo, d, delta, &params);
             // Measured DAG depth, for the JP algorithms (whose depth is the
-            // longest `Gρ` path): reuse the registry's ordering mapping.
+            // longest `Gρ` path): reuse `run`'s ordering mapping.
             let dag_path = if algo.is_jp() {
                 let kind = algo.ordering_kind(&params).expect("JP ordering");
                 let ord = compute(&g, &kind, params.seed);

@@ -5,6 +5,8 @@
 //! `pgc` binary dispatches to these; `pgc-bench` reuses them as criterion
 //! workloads. See EXPERIMENTS.md for paper-vs-measured discussion.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod profiles;
 pub mod report;

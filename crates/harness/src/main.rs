@@ -59,6 +59,8 @@
 //! `encoded_MiB`/`ratio` columns and the run records carry
 //! `encoded_mib`/`compress_ratio`.
 
+#![forbid(unsafe_code)]
+
 use pgc_harness::experiments as exp;
 use pgc_harness::report as rep;
 use pgc_harness::table::Table;

@@ -21,6 +21,8 @@
 //!   whose inner loop is the shared adaptive sorted-set intersection
 //!   kernel from `pgc-primitives`.
 
+#![forbid(unsafe_code)]
+
 pub mod cliques;
 pub mod coreness;
 pub mod densest;

@@ -93,15 +93,6 @@ impl Json {
         }
     }
 
-    /// The bool, if this is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     #[must_use]
     pub fn as_arr(&self) -> Option<&[Json]> {

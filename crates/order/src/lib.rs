@@ -26,6 +26,8 @@
 //! | ADG  | ADG iteration (avg-degree rule) | **2(1+ε)-approx** |
 //! | ADG-M| ADG iteration (median rule) | **4-approx** |
 
+#![forbid(unsafe_code)]
+
 pub mod adg;
 pub mod simple;
 pub mod sll;

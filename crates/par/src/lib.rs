@@ -44,6 +44,12 @@
 //!   *adaptively*: one coarse chunk per strand, subdividing further only
 //!   while the pool's [`steal_count`] is moving, so uncontended runs skip
 //!   the oversubscription overhead entirely.
+//! * **Disjoint row writes** ([`for_each_chunk_mut`]): the fork–join loop
+//!   in which each vertex writes only its own CSR row (the builder's sort
+//!   and compaction, the compressed encoder and decoder, DEC's constraint
+//!   rows). It walks `map_reduce_chunks`' fixed tree and cuts the output
+//!   array along the caller's row starts with `split_at_mut`, so every
+//!   leaf owns a plain `&mut` slice: no atomics, no raw pointers.
 //!
 //! Determinism under stealing, in one sentence: the scheduler only ever
 //! decides *where* a leaf executes, never what a leaf computes nor the
@@ -82,6 +88,8 @@ pub mod loops;
 pub mod pool;
 pub mod scope;
 
-pub use loops::{auto_grain, for_each_chunk, map_reduce_chunks, DEFAULT_MIN_GRAIN};
+pub use loops::{
+    auto_grain, for_each_chunk, for_each_chunk_mut, map_reduce_chunks, DEFAULT_MIN_GRAIN,
+};
 pub use pool::{current_width, default_width, install, join, pool_size, steal_count};
 pub use scope::{scope, Scope};

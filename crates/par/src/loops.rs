@@ -7,6 +7,11 @@
 //! floating-point reduction) is deterministic for a given `len`/`grain`,
 //! independent of scheduling.
 //!
+//! `for_each_chunk_mut` walks the same fixed tree and hands each leaf its
+//! own part of a mutable array, cut along caller-given row starts with
+//! `split_at_mut`: the paper's "each vertex writes only its own CSR row"
+//! loop, safe and without atomics.
+//!
 //! `for_each_chunk` (no results to combine, so no tree to keep fixed)
 //! additionally splits *adaptively*: it always divides down to one chunk
 //! per strand, then keeps splitting toward the fine grain only while the
@@ -124,23 +129,73 @@ pub fn map_reduce_chunks<R: Send>(
     } else {
         grain
     };
-    Some(rec_reduce(0, len, grain, &fold, &combine))
+    Some(rec_fixed(
+        0,
+        len,
+        grain,
+        (),
+        &|(), _, _| ((), ()),
+        &|r, ()| fold(r),
+        &combine,
+    ))
 }
 
-fn rec_reduce<R: Send>(
+/// Parallel for over `0..len` in which index `i` owns the sub-slice
+/// `data[start(i) − start(0) .. start(i + 1) − start(0)]` — a CSR row, an
+/// arena run — and may write it without atomics or `unsafe`: each leaf
+/// range `lo..hi` of [`map_reduce_chunks`]' fixed tree (grain
+/// [`auto_grain`]`(len, DEFAULT_MIN_GRAIN)`) gets `body(lo..hi, rows)`
+/// with `rows = data[start(lo) − start(0) .. start(hi) − start(0)]`, cut
+/// out by `split_at_mut` on the way down. `start` must be monotone, and
+/// `start(len) − start(0)` must equal `data.len()`, or this panics. At
+/// width 1 `body` runs once, over everything.
+pub fn for_each_chunk_mut<T: Send>(
+    len: usize,
+    data: &mut [T],
+    start: impl Fn(usize) -> usize + Sync,
+    body: impl Fn(Range<usize>, &mut [T]) + Sync,
+) {
+    let base = start(0);
+    assert_eq!(
+        start(len) - base,
+        data.len(),
+        "for_each_chunk_mut: start(len) − start(0) must be data.len()"
+    );
+    if len == 0 {
+        return;
+    }
+    rec_fixed(
+        0,
+        len,
+        auto_grain(len, DEFAULT_MIN_GRAIN),
+        data,
+        &|rows, lo, mid| <[T]>::split_at_mut(rows, start(mid) - start(lo)),
+        &body,
+        &|(), ()| (),
+    );
+}
+
+/// The fixed binary tree behind [`map_reduce_chunks`] and
+/// [`for_each_chunk_mut`]: halve `lo..hi` down to `grain`, handing each
+/// half its part of `state` (`split(state, lo, mid)`), fold the leaves
+/// and combine adjacent results on the way back up.
+fn rec_fixed<S: Send, R: Send>(
     lo: usize,
     hi: usize,
     grain: usize,
-    fold: &(impl Fn(Range<usize>) -> R + Sync),
+    state: S,
+    split: &(impl Fn(S, usize, usize) -> (S, S) + Sync),
+    fold: &(impl Fn(Range<usize>, S) -> R + Sync),
     combine: &(impl Fn(R, R) -> R + Sync),
 ) -> R {
     if hi - lo <= grain {
-        return fold(lo..hi);
+        return fold(lo..hi, state);
     }
     let mid = lo + (hi - lo) / 2;
+    let (left, right) = split(state, lo, mid);
     let (a, b) = join(
-        || rec_reduce(lo, mid, grain, fold, combine),
-        || rec_reduce(mid, hi, grain, fold, combine),
+        || rec_fixed(lo, mid, grain, left, split, fold, combine),
+        || rec_fixed(mid, hi, grain, right, split, fold, combine),
     );
     combine(a, b)
 }
@@ -245,6 +300,136 @@ mod tests {
             assert!(max_seen.load(Ordering::Relaxed) <= coarse);
             assert!(min_seen.load(Ordering::Relaxed) >= fine / 2);
         });
+    }
+
+    /// Row `i` of a CSR-like layout is `i % 5` items long, so every fifth
+    /// row is empty.
+    fn ragged_starts(len: usize) -> Vec<usize> {
+        let mut starts = vec![0];
+        for i in 0..len {
+            starts.push(starts[i] + i % 5);
+        }
+        starts
+    }
+
+    #[test]
+    fn for_each_chunk_mut_hands_out_every_row_once_with_its_slice() {
+        // More rows than the grain floor of 1,024, so widths > 1 split.
+        let len = 20_000;
+        let starts = ragged_starts(len);
+        for width in [1usize, 2, 4, 8] {
+            let mut data = vec![0u32; starts[len]];
+            let seen: Vec<AtomicU8> = (0..len).map(|_| AtomicU8::new(0)).collect();
+            let leaves = AtomicUsize::new(0);
+            install(width, || {
+                for_each_chunk_mut(
+                    len,
+                    &mut data,
+                    |i| starts[i],
+                    |r, rows| {
+                        assert_eq!(rows.len(), starts[r.end] - starts[r.start]);
+                        leaves.fetch_add(1, Ordering::Relaxed);
+                        for i in r.clone() {
+                            seen[i].fetch_add(1, Ordering::Relaxed);
+                            let lo = starts[i] - starts[r.start];
+                            for x in &mut rows[lo..lo + i % 5] {
+                                *x += i as u32 + 1;
+                            }
+                        }
+                    },
+                );
+            });
+            assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
+            assert_eq!(
+                leaves.load(Ordering::Relaxed) > 1,
+                width > 1,
+                "width {width}"
+            );
+            for i in 0..len {
+                assert!(
+                    data[starts[i]..starts[i + 1]]
+                        .iter()
+                        .all(|&x| x == i as u32 + 1),
+                    "width {width}, row {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_chunk_mut_takes_an_offset_start_and_empty_rows() {
+        // `start` need not begin at 0, and all-empty rows get empty slices.
+        let calls = AtomicUsize::new(0);
+        install(4, || {
+            for_each_chunk_mut(
+                5_000,
+                &mut [0u8; 0],
+                |_| 7,
+                |_, rows| {
+                    assert!(rows.is_empty());
+                    calls.fetch_add(1, Ordering::Relaxed);
+                },
+            );
+        });
+        assert!(calls.load(Ordering::Relaxed) >= 1);
+        let mut data = [0u8; 3];
+        for_each_chunk_mut(
+            3,
+            &mut data,
+            |i| 10 + i,
+            |r, rows| {
+                for (i, x) in r.zip(rows) {
+                    *x = i as u8;
+                }
+            },
+        );
+        assert_eq!(data, [0, 1, 2]);
+    }
+
+    #[test]
+    fn for_each_chunk_mut_of_nothing_calls_nothing() {
+        let calls = AtomicUsize::new(0);
+        for width in [1usize, 4] {
+            install(width, || {
+                for_each_chunk_mut(
+                    0,
+                    &mut [0u32; 0],
+                    |_| 3,
+                    |_, _| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                    },
+                );
+            });
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn for_each_chunk_mut_width_one_is_a_single_call() {
+        let len = 1 << 16;
+        let starts = ragged_starts(len);
+        let mut data = vec![0u32; starts[len]];
+        let calls = AtomicUsize::new(0);
+        install(1, || {
+            for_each_chunk_mut(
+                len,
+                &mut data,
+                |i| starts[i],
+                |r, rows| {
+                    assert_eq!(r, 0..len);
+                    assert_eq!(rows.len(), starts[len]);
+                    calls.fetch_add(1, Ordering::Relaxed);
+                },
+            );
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be data.len()")]
+    fn for_each_chunk_mut_rejects_a_start_that_does_not_tile_data() {
+        let mut data = [0u32; 10];
+        for_each_chunk_mut(4, &mut data, |i| 2 * i, |_, _| {});
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests: `pgc-par`'s parallel-for and blocked reductions must
+//! Property tests: `pgc-par`'s parallel-for loops and blocked reductions must
 //! match their sequential equivalents on arbitrary inputs, at every width.
 
 use proptest::prelude::*;
@@ -61,6 +61,36 @@ proptest! {
             });
         });
         prop_assert!(marks.iter().all(|m| m.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn chunk_mut_fills_rows_like_the_sequential_loop(
+        degrees in proptest::collection::vec(0usize..8, 0..5000),
+        width in prop_oneof![Just(1usize), Just(2), Just(4)],
+    ) {
+        // Each index writes its own row of a CSR-like array, empty rows
+        // included; the result must not depend on the width.
+        let mut starts = vec![0usize];
+        for &d in &degrees {
+            starts.push(starts[starts.len() - 1] + d);
+        }
+        let mut got = vec![u32::MAX; starts[degrees.len()]];
+        pgc_par::install(width, || {
+            pgc_par::for_each_chunk_mut(degrees.len(), &mut got, |i| starts[i], |r, rows| {
+                let base = starts[r.start];
+                for i in r {
+                    for (k, x) in rows[starts[i] - base..starts[i + 1] - base].iter_mut().enumerate() {
+                        *x = (8 * i + k) as u32;
+                    }
+                }
+            });
+        });
+        let expect: Vec<u32> = degrees
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &d)| (0..d).map(move |k| (8 * i + k) as u32))
+            .collect();
+        prop_assert_eq!(got, expect);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! The paper (§II-D) assumes a small set of classic work–depth primitives:
 //!
-//! * [`reduce`] — `Reduce`, `Count`, and `PrefixSum` with `O(n)` work and
-//!   `O(log n)` depth (realized on rayon's fork–join scheduler),
+//! * [`reduce`] — `Reduce` and `PrefixSum` (as CSR offsets from per-vertex
+//!   counts) with `O(n)` work and `O(log n)` depth (realized on rayon's
+//!   fork–join scheduler),
 //! * [`join`] — `DecrementAndFetch` / `Join` counters used by the
 //!   Jones–Plassmann engine to release a vertex once all its DAG
 //!   predecessors are colored,
@@ -40,8 +41,6 @@ pub mod varint;
 pub use bitmap::{AtomicBitmap, FixedBitmap};
 pub use intersect::{intersect_count, intersect_sorted, intersect_sorted_into, MarkSet};
 pub use join::JoinCounters;
-pub use reduce::{
-    count, offsets_from_counts, prefix_sum_exclusive, reduce_max, reduce_sum_u64, OffsetWord,
-};
+pub use reduce::{offsets_from_counts, reduce_sum_u64, OffsetWord};
 pub use rng::{hash_mix, random_permutation, Rng, SplitMix64};
 pub use sort::{counting_sort_by_key, radix_sort_pairs};

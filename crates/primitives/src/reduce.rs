@@ -1,4 +1,5 @@
-//! `Reduce`, `Count`, and `PrefixSum` (§II-D of the paper).
+//! `Reduce` and `PrefixSum` (§II-D of the paper); the paper's `Count` is
+//! `Reduce` with the indicator operator.
 //!
 //! In the work–depth model these run in `O(n)` work and `O(log n)` depth.
 //! We realize them with rayon's fork–join parallel iterators, whose
@@ -20,71 +21,6 @@ pub fn reduce_sum_u64<T: Sync, F: Fn(&T) -> u64 + Sync>(items: &[T], f: F) -> u6
     } else {
         items.par_iter().map(&f).sum()
     }
-}
-
-/// `Count(S)`: the number of elements satisfying the predicate — the paper's
-/// `Count` is `Reduce` with the indicator operator (§II-D).
-pub fn count<T: Sync, F: Fn(&T) -> bool + Sync>(items: &[T], pred: F) -> usize {
-    reduce_sum_u64(items, |x| pred(x) as u64) as usize
-}
-
-/// Parallel maximum with a default for empty input.
-pub fn reduce_max<T: Sync, F: Fn(&T) -> u64 + Sync>(items: &[T], f: F) -> u64 {
-    if items.len() < SEQ_THRESHOLD {
-        items.iter().map(&f).max().unwrap_or(0)
-    } else {
-        items.par_iter().map(&f).max().unwrap_or(0)
-    }
-}
-
-/// Exclusive prefix sum: `out[i] = Σ_{j<i} input[j]`; returns the total.
-///
-/// Classic two-pass blocked scan: per-block sums in parallel, sequential
-/// scan over `O(P)` block sums, then parallel block fix-up. `O(n)` work,
-/// `O(log n)` depth (the middle pass is over a constant-per-core number of
-/// blocks).
-pub fn prefix_sum_exclusive(input: &[u64], out: &mut Vec<u64>) -> u64 {
-    let n = input.len();
-    out.clear();
-    out.resize(n, 0);
-    if n == 0 {
-        return 0;
-    }
-    if n < SEQ_THRESHOLD {
-        let mut acc = 0u64;
-        for i in 0..n {
-            out[i] = acc;
-            acc += input[i];
-        }
-        return acc;
-    }
-    let num_blocks = rayon::current_num_threads().max(1) * 4;
-    let block = n.div_ceil(num_blocks);
-    // Pass 1: per-block sums.
-    let mut block_sums: Vec<u64> = input
-        .par_chunks(block)
-        .map(|c| c.iter().sum::<u64>())
-        .collect();
-    // Pass 2: sequential exclusive scan of block sums.
-    let mut acc = 0u64;
-    for s in block_sums.iter_mut() {
-        let v = *s;
-        *s = acc;
-        acc += v;
-    }
-    let total = acc;
-    // Pass 3: per-block exclusive scans offset by the block prefix.
-    out.par_chunks_mut(block)
-        .zip(input.par_chunks(block))
-        .zip(block_sums.par_iter())
-        .for_each(|((o, i), &base)| {
-            let mut a = base;
-            for (oj, &ij) in o.iter_mut().zip(i) {
-                *oj = a;
-                a += ij;
-            }
-        });
-    total
 }
 
 /// An offset word width the CSR construction engine can emit: `u32` for
@@ -129,8 +65,9 @@ impl OffsetWord for usize {
 /// construction path in the workspace (`CompactCsr` at both offset
 /// widths, buffered and streaming alike), generic over the offset width
 /// so the `u32` fast path never materializes machine-word offsets.
-/// Same blocked scan as [`prefix_sum_exclusive`]: `O(n)` work,
-/// `O(log n)` depth.
+/// Classic two-pass blocked scan: per-block sums in parallel, a
+/// sequential scan over the `O(P)` block sums, then a parallel block
+/// fix-up. `O(n)` work, `O(log n)` depth.
 pub fn offsets_from_counts<W: OffsetWord>(counts: &[u32]) -> (Vec<W>, usize) {
     let n = counts.len();
     let mut out = vec![W::default(); n + 1];
@@ -174,12 +111,6 @@ pub fn offsets_from_counts<W: OffsetWord>(counts: &[u32]) -> (Vec<W>, usize) {
     (out, total)
 }
 
-/// Convenience: exclusive prefix sum of `u32` degrees into `usize` offsets
-/// (the CSR construction path). Returns the total.
-pub fn prefix_sum_offsets(counts: &[u32]) -> (Vec<usize>, usize) {
-    offsets_from_counts::<usize>(counts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,56 +124,8 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_filter() {
-        let v: Vec<u64> = (0..50_000).collect();
-        assert_eq!(
-            count(&v, |&x| x % 3 == 0),
-            v.iter().filter(|&&x| x % 3 == 0).count()
-        );
-    }
-
-    #[test]
-    fn reduce_max_works() {
-        let v: Vec<u64> = vec![3, 9, 1, 9, 2];
-        assert_eq!(reduce_max(&v, |&x| x), 9);
-        let empty: Vec<u64> = vec![];
-        assert_eq!(reduce_max(&empty, |&x| x), 0);
-        let large: Vec<u64> = (0..60_000).rev().collect();
-        assert_eq!(reduce_max(&large, |&x| x), 59_999);
-    }
-
-    #[test]
-    fn prefix_sum_small() {
-        let input = vec![1u64, 2, 3, 4];
-        let mut out = Vec::new();
-        let total = prefix_sum_exclusive(&input, &mut out);
-        assert_eq!(out, vec![0, 1, 3, 6]);
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn prefix_sum_empty() {
-        let mut out = Vec::new();
-        assert_eq!(prefix_sum_exclusive(&[], &mut out), 0);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn prefix_sum_large_matches_sequential() {
-        let input: Vec<u64> = (0..200_000).map(|i| (i * 7 + 3) % 11).collect();
-        let mut out = Vec::new();
-        let total = prefix_sum_exclusive(&input, &mut out);
-        let mut acc = 0u64;
-        for i in 0..input.len() {
-            assert_eq!(out[i], acc, "mismatch at {i}");
-            acc += input[i];
-        }
-        assert_eq!(total, acc);
-    }
-
-    #[test]
     fn offsets_from_counts_small() {
-        let (offs, total) = prefix_sum_offsets(&[2, 0, 3]);
+        let (offs, total) = offsets_from_counts::<usize>(&[2, 0, 3]);
         assert_eq!(offs, vec![0, 2, 2, 5]);
         assert_eq!(total, 5);
         let (offs32, total32) = offsets_from_counts::<u32>(&[2, 0, 3]);

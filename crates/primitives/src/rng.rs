@@ -85,13 +85,6 @@ impl SplitMix64 {
         (((self.next_u32() as u64) * (bound as u64)) >> 32) as u32
     }
 
-    /// Uniform integer in `[0, bound)` for 64-bit bounds (128-bit widening).
-    #[inline]
-    pub fn below_u64(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        (((self.next_u64() as u128) * (bound as u128)) >> 64) as u64
-    }
-
     /// Uniform float in `[0, 1)`.
     #[inline]
     pub fn f64(&mut self) -> f64 {
@@ -200,14 +193,6 @@ mod tests {
             seen[x as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
-    }
-
-    #[test]
-    fn below_u64_in_range() {
-        let mut rng = SplitMix64::new(9);
-        for _ in 0..1000 {
-            assert!(rng.below_u64(3) < 3);
-        }
     }
 
     #[test]

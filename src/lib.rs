@@ -14,9 +14,8 @@
 //!   ordering, the paper's contribution #1 (§III),
 //! * [`color`] — the coloring algorithms: JP-X / JP-ADG (§IV-A), SIM-COL &
 //!   DEC-ADG (§IV-B), DEC-ADG-ITR (§IV-C), speculative baselines, greedy
-//!   baselines, verification and metrics. Every algorithm is a
-//!   [`color::Colorer`] resolved through the [`color::colorer()`] registry;
-//!   [`color::run`] is the facade over it, and runs report the shared
+//!   baselines, verification and metrics. [`color::run`] maps an
+//!   [`color::Algorithm`] tag to its engine, and runs report the shared
 //!   [`color::Instrumentation`] measurements (times, rounds, conflicts),
 //! * [`cachesim`] — the software cache simulator substituting for the
 //!   paper's PAPI hardware-counter measurements (Fig. 4),
@@ -41,11 +40,14 @@
 //! // JP-ADG guarantees at most 2(1+eps)d + 1 colors.
 //! let d = pgc::graph::degeneracy::degeneracy(&g).degeneracy;
 //! assert!(run.num_colors <= color::verify::bounds::jp_adg(d, 0.01));
-//! // The same execution is reachable as a `Colorer` trait object, which
-//! // is how the harness and benches drive every algorithm uniformly.
-//! let again = color::colorer(Algorithm::JpAdg).color(&g, &Params::default());
+//! // JP is schedule-deterministic: the same graph and parameters give
+//! // the same coloring on any representation, at any width.
+//! let packed = pgc::graph::CompressedCsr::from_compact(&g);
+//! let again = color::run(&packed, Algorithm::JpAdg, &Params::default());
 //! assert_eq!(again.colors, run.colors);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use pgc_cachesim as cachesim;
 pub use pgc_core as color;
