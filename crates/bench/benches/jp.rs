@@ -4,8 +4,7 @@
 //! JP over a total order ρ does `O(n + m)` work, the same as greedy
 //! coloring in decreasing ρ (Hasenplaugh et al., SPAA'14), and the two
 //! colorings are identical. `jp/work` times `greedy_by_priority` and
-//! `jp_color_with_counts` (with the ADG-fused predecessor counts, as
-//! JP-ADG runs it) at width 1 and at the default width, on R-MAT 16/16
+//! `jp_color` (as JP-ADG runs it) at width 1 and at the default width, on R-MAT 16/16
 //! with the ADG ordering computed once up front. The reference row prints
 //! both JP / greedy ratios, min over reps. It asserts that all three
 //! colorings are identical, and nothing about time: the ratios are a
@@ -13,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pgc_core::greedy::greedy_by_priority;
-use pgc_core::jp::jp_color_with_counts;
+use pgc_core::jp::jp_color;
 use pgc_graph::gen::{generate, GraphSpec};
 use pgc_order::{adg, AdgOptions};
 use std::hint::black_box;
@@ -28,7 +27,6 @@ fn jp_work(c: &mut Criterion) {
         7,
     );
     let ord = adg(&g, &AdgOptions::default());
-    let counts = ord.pred_counts.as_ref().expect("ADG fuses the counts");
     let rho = &ord.rho;
     let width = pgc_par::default_width();
 
@@ -41,20 +39,16 @@ fn jp_work(c: &mut Criterion) {
         b.iter(|| black_box(greedy_by_priority(&g, rho).len()))
     });
     group.bench_function("jp-w1", |b| {
-        b.iter(|| pgc_par::install(1, || black_box(jp_color_with_counts(&g, rho, counts).len())))
+        b.iter(|| pgc_par::install(1, || black_box(jp_color(&g, rho).len())))
     });
     group.bench_function(format!("jp-w{width}"), |b| {
-        b.iter(|| {
-            pgc_par::install(width, || {
-                black_box(jp_color_with_counts(&g, rho, counts).len())
-            })
-        })
+        b.iter(|| pgc_par::install(width, || black_box(jp_color(&g, rho).len())))
     });
     group.finish();
 
     let greedy = greedy_by_priority(&g, rho);
-    let jp1 = pgc_par::install(1, || jp_color_with_counts(&g, rho, counts));
-    let jpw = pgc_par::install(width, || jp_color_with_counts(&g, rho, counts));
+    let jp1 = pgc_par::install(1, || jp_color(&g, rho));
+    let jpw = pgc_par::install(width, || jp_color(&g, rho));
     assert_eq!(jp1, greedy, "width-1 JP differs from the greedy pass");
     assert_eq!(jpw, greedy, "width-{width} JP differs from the greedy pass");
 
@@ -71,12 +65,10 @@ fn jp_work(c: &mut Criterion) {
         black_box(greedy_by_priority(&g, rho).len());
     });
     let t_jp1 = min_secs(&mut || {
-        pgc_par::install(1, || black_box(jp_color_with_counts(&g, rho, counts).len()));
+        pgc_par::install(1, || black_box(jp_color(&g, rho).len()));
     });
     let t_jpw = min_secs(&mut || {
-        pgc_par::install(width, || {
-            black_box(jp_color_with_counts(&g, rho, counts).len())
-        });
+        pgc_par::install(width, || black_box(jp_color(&g, rho).len()));
     });
     println!(
         "jp: greedy {:.1} ms, jp width 1 {:.1} ms ({:.2}x), jp width {width} {:.1} ms ({:.2}x)",

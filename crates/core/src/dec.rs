@@ -33,21 +33,12 @@ use crate::colorer::Instrumentation;
 use crate::simcol::{palette_layout, ConstraintAdjacency, SimColEngine, SimColStats};
 use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
 use pgc_graph::GraphView;
-use pgc_order::adg::{adg, AdgOptions};
+use pgc_order::adg::adg;
 use pgc_order::{Levels, ThresholdRule};
 use pgc_primitives::bitmap::AtomicBitmap;
 use pgc_primitives::{offsets_from_counts, random_permutation};
 use rayon::prelude::*;
 use std::sync::atomic::AtomicU32;
-
-/// The ADG options of a DEC run: the JP-ADG ones at another rule and ε,
-/// without JP's fused predecessor counts, which DEC never reads.
-fn dec_adg_options(params: &Params, rule: ThresholdRule, epsilon: f64) -> AdgOptions {
-    AdgOptions {
-        fuse_rank: false,
-        ..params.adg_options(rule, epsilon)
-    }
-}
 
 /// Alg. 4 lines 9–19, shared by every DEC variant and by standalone
 /// SIM-COL (one level): build the run's [`ConstraintAdjacency`] (two host
@@ -115,7 +106,7 @@ pub fn dec_adg<G: GraphView>(
     // Alg. 4 line 8: ADG* with accuracy ε/12 (so the Claim 2 algebra
     // (1+ε/4)·2(1+ε/12) ≤ 2+ε goes through).
     let mut instr = Instrumentation::default();
-    let ord = instr.ordering(|| adg(g, &dec_adg_options(params, rule, eps / 12.0)));
+    let ord = instr.ordering(|| adg(g, &params.adg_options(rule, eps / 12.0)));
     let levels = ord.levels.expect("ADG always produces levels");
     instr.record_rounds(ord.stats.iterations, 0);
 
@@ -143,7 +134,7 @@ pub fn dec_adg_itr<G: GraphView>(g: &G, params: &Params) -> ColoringRun {
     let ord = instr.ordering(|| {
         adg(
             g,
-            &dec_adg_options(params, ThresholdRule::Average, params.epsilon),
+            &params.adg_options(ThresholdRule::Average, params.epsilon),
         )
     });
     let levels = ord.levels.expect("ADG always produces levels");
@@ -296,7 +287,7 @@ mod tests {
         let eps: f64 = 6.0;
         let ord = adg(
             &g,
-            &dec_adg_options(&Params::default(), ThresholdRule::Average, eps / 12.0),
+            &Params::default().adg_options(ThresholdRule::Average, eps / 12.0),
         );
         let rank = ord.levels.unwrap().rank;
         let adj = ConstraintAdjacency::build(&g, &rank);

@@ -110,20 +110,12 @@ fn color_step<G: GraphView>(
 /// rayon task. Each vertex reads its row once, through per-thread scratch.
 /// Returns the coloring.
 pub fn jp_color<G: GraphView>(g: &G, rho: &[u64]) -> Vec<u32> {
-    let counts = predecessor_counts(g, rho);
-    jp_color_with_counts(g, rho, &counts)
-}
-
-/// [`jp_color`] with precomputed predecessor counts — the §V-C fused-rank
-/// fast path: ADG already produced `count[v]` during its UPDATE pass, so
-/// JP's Part 1 (Alg. 3 lines 6–11) is skipped.
-pub fn jp_color_with_counts<G: GraphView>(g: &G, rho: &[u64], counts: &[u32]) -> Vec<u32> {
     assert_eq!(rho.len(), g.n());
-    debug_assert_eq!(counts, &predecessor_counts(g, rho)[..], "bad fused counts");
     let _span = pgc_obs::span!("jp.color");
-    let counters = JoinCounters::from_values(counts);
+    let counts = predecessor_counts(g, rho);
+    let counters = JoinCounters::from_values(&counts);
     let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let roots = roots(counts);
+    let roots = roots(&counts);
     pgc_obs::counter!("roots", roots.len() as u64);
 
     struct Ctx<'a, G: GraphView> {
@@ -280,8 +272,6 @@ mod tests {
         let rho: Vec<u64> = (0..9).map(|v| 100 - v).collect();
         let expect: Vec<u32> = (0..8).chain([0]).collect();
         assert_eq!(jp_color(&g, &rho), expect);
-        let counts = predecessor_counts(&g, &rho);
-        assert_eq!(jp_color_with_counts(&g, &rho, &counts), expect);
         assert_eq!(dag_longest_path(&g, &rho), 9);
     }
 

@@ -26,7 +26,6 @@
 
 pub mod colorer;
 pub mod dec;
-pub mod distance2;
 pub mod greedy;
 pub mod jp;
 pub mod refine;
@@ -247,7 +246,6 @@ impl Params {
             sort_algo: self.adg_sort,
             update: self.adg_update,
             cache_degree_sum: true,
-            fuse_rank: true,
             seed: self.seed,
         }
     }
@@ -332,11 +330,7 @@ pub fn run<G: GraphView>(g: &G, algo: Algorithm, params: &Params) -> ColoringRun
         }
         JpFf | JpR | JpLf | JpLlf | JpSl | JpSll | JpAsl | JpAdg | JpAdgM => {
             let ord = ord.expect("JP algorithms have an ordering");
-            let colors = instr.coloring(|| match &ord.pred_counts {
-                // §V-C: the ordering fused JP's Part-1 DAG construction.
-                Some(counts) => jp::jp_color_with_counts(g, &ord.rho, counts),
-                None => jp::jp_color(g, &ord.rho),
-            });
+            let colors = instr.coloring(|| jp::jp_color(g, &ord.rho));
             instr.record_rounds(ord.stats.iterations, 0);
             colors
         }

@@ -9,7 +9,7 @@
 //! offset-stream bandwidth of the peel/color hot loops — with a
 //! transparent wide (`usize`) fallback for huge graphs.
 
-use crate::csr::{degree_extremes, validate_csr_arrays};
+use crate::csr::{check_csr, degree_extremes};
 use crate::view::{GraphMemory, GraphView};
 use rayon::prelude::*;
 
@@ -78,7 +78,9 @@ pub struct CompactCsr {
 
 impl CompactCsr {
     /// Construct from raw CSR arrays (offsets narrowed to `u32` when they
-    /// fit). Debug builds validate the invariants.
+    /// fit). A trusted constructor: only debug builds check the
+    /// invariants (and panic on a violation); call
+    /// [`validate`](Self::validate) on arrays from an untrusted source.
     pub fn from_raw(offsets: Vec<usize>, neighbors: Vec<u32>) -> Self {
         Self::from_offsets(Offsets::narrow(offsets), neighbors)
     }
@@ -86,7 +88,8 @@ impl CompactCsr {
     /// Construct from an already-width-resolved offset array — the entry
     /// point of the streaming two-pass builder ([`crate::stream`]), which
     /// produces `u32` offsets directly on the fast path instead of
-    /// narrowing a machine-word array after the fact.
+    /// narrowing a machine-word array after the fact. Trusted like
+    /// [`from_raw`](Self::from_raw): the invariant check is debug-only.
     pub(crate) fn from_offsets(offsets: Offsets, neighbors: Vec<u32>) -> Self {
         let n = offsets.len().saturating_sub(1);
         let (max_deg, min_deg) = degree_extremes(n, |i| offsets.get(i));
@@ -101,6 +104,21 @@ impl CompactCsr {
             panic!("invalid CSR: {e}");
         }
         g
+    }
+
+    /// Wrap arrays that [`check_csr`] has already accepted with the
+    /// extremes it returned — the snapshot loader's constructor.
+    pub(crate) fn from_checked(
+        offsets: Offsets,
+        neighbors: Vec<u32>,
+        (max_deg, min_deg): (u32, u32),
+    ) -> Self {
+        Self {
+            offsets,
+            neighbors,
+            max_deg,
+            min_deg,
+        }
     }
 
     /// The empty graph on `n` isolated vertices.
@@ -219,10 +237,13 @@ impl CompactCsr {
         &self.offsets
     }
 
-    /// Check all CSR invariants without copying the graph; returns the
+    /// Check all CSR invariants without copying the graph, in one
+    /// parallel O(n + m) pass — the snapshot loaders' check. Symmetry is
+    /// checked by a multiset fingerprint at a random point: an asymmetric
+    /// graph passes with probability at most m/(2⁶¹ − 2). Returns the
     /// first violation, if any.
     pub fn validate(&self) -> Result<(), String> {
-        validate_csr_arrays(self.offsets.len(), |i| self.offsets.get(i), &self.neighbors)
+        check_csr(&self.offsets, &self.neighbors).map(drop)
     }
 }
 

@@ -3,10 +3,34 @@
 //! Text ingestion is parse-bound (~100 MiB/s through the byte-level
 //! reader; see `benches/ingest.rs`), which makes every experiment re-pay
 //! the full decode cost of its input. A snapshot stores the CSR arrays
-//! **verbatim** behind a checksummed 64-byte header, so loading is a
-//! sequential read plus one checksum pass — memory-bandwidth-bound, an
-//! order of magnitude faster than parsing. Every loader reads the file
-//! into owned memory and runs the same checks.
+//! **verbatim** behind a checksummed 64-byte header, so a load is one
+//! streamed read and one parallel check, an order of magnitude faster
+//! than parsing.
+//!
+//! ## Loading
+//!
+//! Every loader ([`load_snapshot`], [`load_snapshot_bytes`],
+//! [`load_compressed_snapshot`], and so [`crate::io::read_graph`]) runs
+//! one decoder over a byte source of known length:
+//!
+//! 1. The header is decoded and its declared layout checked against the
+//!    source's length, before any array is sized from it.
+//! 2. The sections stream through one fixed 1 MiB buffer, which folds
+//!    the FNV payload checksum and converts each word straight into its
+//!    offset or neighbor array. The file is never held as bytes beside
+//!    the arrays decoded from it, so a v1 load peaks at the graph's own
+//!    size plus the buffer.
+//! 3. One parallel pass checks the full CSR contract in every build:
+//!    offsets monotone, rows strictly ascending, in range and loop-free,
+//!    Δ/δ as the header says, and symmetry. Symmetry is a multiset
+//!    fingerprint over GF(2⁶¹ − 1) at a point drawn at random per load:
+//!    a symmetric graph always passes, and an asymmetric one with
+//!    probability at most m/(2⁶¹ − 2). A v2 load runs the same check on
+//!    its decoded blocks, after validating every encoded run.
+//!
+//! The checksums catch accidents (truncation, bit flips, foreign files);
+//! they are trivially re-sealed, so step 3 is what stands between a
+//! hostile file and the colorers, which all assume symmetric rows.
 //!
 //! ## On-disk layout (version 1)
 //!
@@ -65,20 +89,14 @@
 //! weights       num_arcs × weight_width (absent if 0)
 //! ```
 //!
-//! Each version has one decoder. A v1 file's raw arrays are copied out
-//! and shape-checked. A v2 file's two offset arrays are copied out, the
-//! file buffer becomes the arena, and every encoded run is validated and
-//! shape-checked through the block decoder. Both loaders accept either
-//! version: [`load_snapshot`] decodes a v2 arena into a [`CompactCsr`]
-//! ([`CompressedCsr::to_compact`]), and [`load_compressed_snapshot`]
-//! keeps a v2 arena encoded and encodes a v1 file. Version 1 files are
-//! written and read byte-identically to before.
+//! Both loaders accept either version: [`load_snapshot`] decodes a v2
+//! arena into a [`CompactCsr`] ([`CompressedCsr::to_compact`]), and
+//! [`load_compressed_snapshot`] keeps a v2 arena encoded and encodes a v1
+//! file. Version 1 files are written and read byte-identically to before.
 
 use crate::compact::{CompactCsr, Offsets};
 use crate::compressed::CompressedCsr;
-#[cfg(debug_assertions)]
-use crate::csr::validate_csr_arrays;
-use crate::csr::validate_csr_shape;
+use crate::csr::{check_csr, check_rows};
 use crate::view::GraphView;
 use std::borrow::Cow;
 use std::fs::File;
@@ -300,78 +318,60 @@ impl Header {
         Ok(h)
     }
 
-    /// Byte ranges of the (padded) sections and the expected file
-    /// length. The byte-offsets section is zero-length in v1 layouts;
-    /// in v2 layouts the `nbr` section holds the encoded arena instead
-    /// of a raw `u32` array.
+    /// Unpadded section lengths and the expected file length, all
+    /// checked against overflow (the header is untrusted: its checksum
+    /// is trivially re-sealed). The byte-offsets section is zero-length
+    /// in v1 layouts; in v2 layouts the neighbors section holds the
+    /// encoded arena instead of a raw `u32` array.
     fn layout(&self) -> std::io::Result<SectionLayout> {
-        let n =
-            usize::try_from(self.n).map_err(|_| bad("snapshot n exceeds address space".into()))?;
-        let arcs = usize::try_from(self.num_arcs)
-            .map_err(|_| bad("snapshot num_arcs exceeds address space".into()))?;
-        let pad8 = |x: usize| x.div_ceil(8) * 8;
-        let off_len = (n + 1)
-            .checked_mul(self.offset_width as usize)
-            .ok_or_else(|| bad("snapshot offsets section overflows".into()))?;
-        let bo_len = if self.compressed() {
-            (n + 1)
-                .checked_mul(self.byte_offset_width())
-                .ok_or_else(|| bad("snapshot byte-offsets section overflows".into()))?
+        if self.n > 1 << 32 {
+            return Err(bad(format!(
+                "snapshot declares {} vertices, beyond the u32 id space",
+                self.n
+            )));
+        }
+        let overflow = || bad("snapshot sections overflow the address space".into());
+        let n = usize::try_from(self.n).map_err(|_| overflow())?;
+        let arcs = usize::try_from(self.num_arcs).map_err(|_| overflow())?;
+        let entries = |width: usize| n.checked_add(1)?.checked_mul(width);
+        let off_len = entries(self.offset_width.into());
+        let (bo_len, nbr_len) = if self.compressed() {
+            (
+                entries(self.byte_offset_width()),
+                usize::try_from(self.encoded_len).ok(),
+            )
         } else {
-            0
+            (Some(0), arcs.checked_mul(4))
         };
-        let nbr_len = if self.compressed() {
-            usize::try_from(self.encoded_len)
-                .map_err(|_| bad("snapshot arena exceeds address space".into()))?
-        } else {
-            arcs.checked_mul(4)
-                .ok_or_else(|| bad("snapshot neighbors section overflows".into()))?
-        };
-        let w_len = arcs
-            .checked_mul(self.weight_width as usize)
-            .ok_or_else(|| bad("snapshot weights section overflows".into()))?;
-        let off_start = HEADER_LEN;
-        let bo_start = off_start + pad8(off_len);
-        let nbr_start = bo_start + pad8(bo_len);
-        let w_start = nbr_start + pad8(nbr_len);
-        Ok(SectionLayout {
-            off_start,
-            off_len,
-            bo_start,
-            bo_len,
-            nbr_start,
-            nbr_len,
-            w_start,
-            w_len,
-            total: w_start + pad8(w_len),
-        })
+        let w_len = arcs.checked_mul(self.weight_width.into());
+        let total = [off_len, bo_len, nbr_len, w_len]
+            .into_iter()
+            .try_fold(HEADER_LEN, |t, len| {
+                t.checked_add(len?.checked_next_multiple_of(8)?)
+            });
+        match (off_len, bo_len, nbr_len, w_len, total) {
+            (Some(off_len), Some(bo_len), Some(nbr_len), Some(w_len), Some(total)) => {
+                Ok(SectionLayout {
+                    off_len,
+                    bo_len,
+                    nbr_len,
+                    w_len,
+                    total,
+                })
+            }
+            _ => Err(overflow()),
+        }
     }
 }
 
+/// Unpadded section lengths in file order, and the file length (header
+/// plus the sections, each padded to 8 bytes).
 struct SectionLayout {
-    off_start: usize,
     off_len: usize,
-    bo_start: usize,
     bo_len: usize,
-    nbr_start: usize,
     nbr_len: usize,
-    w_start: usize,
     w_len: usize,
     total: usize,
-}
-
-impl SectionLayout {
-    /// Padded section slices of `bytes` (whose length is `total`), in
-    /// file order: offsets, byte-offsets (empty in v1), neighbors-or-
-    /// arena, weights.
-    fn sections<'a>(&self, bytes: &'a [u8]) -> [&'a [u8]; 4] {
-        [
-            &bytes[self.off_start..self.bo_start],
-            &bytes[self.bo_start..self.nbr_start],
-            &bytes[self.nbr_start..self.w_start],
-            &bytes[self.w_start..self.total],
-        ]
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -383,15 +383,6 @@ fn as_bytes<T: Copy>(v: &[T]) -> &[u8] {
     // SAFETY: T is plain-old-data with no padding; reading its object
     // representation is defined.
     unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(v)) }
-}
-
-/// Copy `count` native-endian `N`-byte words out of `bytes` (no alignment
-/// needed), each converted by `from` (`u32::from_ne_bytes`, …).
-fn vec_from_bytes<T, const N: usize>(bytes: &[u8], count: usize, from: fn([u8; N]) -> T) -> Vec<T> {
-    bytes[..count * N]
-        .chunks_exact(N)
-        .map(|word| from(word.try_into().expect("chunks_exact yields N bytes")))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -495,92 +486,144 @@ pub fn write_compressed_snapshot(g: &CompressedCsr, path: &Path) -> std::io::Res
 }
 
 // ---------------------------------------------------------------------
-// Loading (buffered, fully verified)
+// Loading: one streamed decoder for both versions
 // ---------------------------------------------------------------------
 
-/// Decode the header, check both checksums and the exact file length,
-/// and hand back `(header, layout)`.
-fn verify(bytes: &[u8]) -> std::io::Result<(Header, SectionLayout)> {
-    let header = Header::decode(bytes)?;
-    let layout = header.layout()?;
-    if bytes.len() != layout.total {
+/// Bytes per read of a snapshot's payload. Every section streams through
+/// one buffer of this size straight into its typed array, so a load never
+/// holds the file's bytes beside the arrays decoded from them. A multiple
+/// of 8, so no checksum word or array entry straddles two reads.
+const CHUNK: usize = 1 << 20;
+
+/// A source that ends early is a truncated file.
+fn truncated(e: std::io::Error) -> std::io::Error {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        bad("snapshot truncated: the file ends inside a section".into())
+    } else {
+        e
+    }
+}
+
+/// Read and decode the header of a `len`-byte source, and check `len`
+/// against the layout the header declares, before anything is sized from
+/// the header.
+fn open<R: Read>(src: &mut R, len: u64) -> std::io::Result<(Header, SectionLayout)> {
+    if len < HEADER_LEN as u64 {
         return Err(bad(format!(
-            "snapshot length {} does not match header ({} expected): truncated or trailing bytes",
-            bytes.len(),
-            layout.total
+            "snapshot truncated: {len} bytes, header needs {HEADER_LEN}"
         )));
     }
-    let payload = payload_checksum(&layout.sections(bytes));
-    if payload != header.payload_checksum {
+    let mut bytes = [0u8; HEADER_LEN];
+    src.read_exact(&mut bytes).map_err(truncated)?;
+    let header = Header::decode(&bytes)?;
+    let layout = header.layout()?;
+    if len != layout.total as u64 {
         return Err(bad(format!(
-            "snapshot payload checksum mismatch: stored {:#018x}, computed {payload:#018x} \
-             (corrupt or bit-flipped file)",
-            header.payload_checksum
+            "snapshot length {len} does not match header ({} expected): truncated or trailing bytes",
+            layout.total
         )));
     }
     Ok((header, layout))
 }
 
-/// Copy `count` 8-byte on-disk offsets out of `bytes` as `usize`s; one
-/// that exceeds this platform's `usize` is an error naming `what`.
-fn read_wide(bytes: &[u8], count: usize, what: &str) -> std::io::Result<Vec<usize>> {
-    vec_from_bytes(bytes, count, u64::from_ne_bytes)
-        .into_iter()
-        .map(|x| {
-            usize::try_from(x).map_err(|_| {
-                bad(format!(
-                    "wide snapshot {what} exceeds this platform's usize"
-                ))
-            })
-        })
-        .collect()
+/// A snapshot's payload as it streams in: the source, one chunk buffer,
+/// and the FNV-1a checksum of every payload byte read so far.
+struct Payload<R> {
+    src: R,
+    chunk: Vec<u8>,
+    hash: u64,
 }
 
-/// Copy the v2 byte-offsets section out into plain `usize`s.
-fn read_byte_offsets(
-    bytes: &[u8],
-    header: &Header,
-    layout: &SectionLayout,
-) -> std::io::Result<Vec<usize>> {
-    let n = header.n as usize;
-    let bo_bytes = &bytes[layout.bo_start..layout.bo_start + layout.bo_len];
-    let bo: Vec<usize> = if header.byte_offset_width() == 4 {
-        vec_from_bytes(bo_bytes, n + 1, u32::from_ne_bytes)
-            .into_iter()
-            .map(|x| x as usize)
-            .collect()
-    } else {
-        read_wide(bo_bytes, n + 1, "byte offset")?
-    };
-    // Monotonicity + arena bound, checked before any decode slices it.
-    if bo.first() != Some(&0)
-        || bo.windows(2).any(|w| w[0] > w[1])
-        || bo.last() != Some(&layout.nbr_len)
-    {
-        return Err(bad(
-            "snapshot byte offsets are not monotone within the arena".into(),
-        ));
+impl<R: Read> Payload<R> {
+    /// The payload of an opened source, `len` bytes long.
+    fn new(src: R, len: usize) -> Self {
+        Self {
+            src,
+            chunk: vec![0; CHUNK.min(len)],
+            hash: FNV_OFFSET,
+        }
     }
-    Ok(bo)
-}
 
-/// Copy the offsets section out into an [`Offsets`] array.
-fn read_offsets(bytes: &[u8], header: &Header, layout: &SectionLayout) -> std::io::Result<Offsets> {
-    let n = header.n as usize;
-    let off_bytes = &bytes[layout.off_start..layout.off_start + layout.off_len];
-    if header.offset_width == 4 {
-        Ok(Offsets::Small(vec_from_bytes(
-            off_bytes,
-            n + 1,
-            u32::from_ne_bytes,
-        )))
-    } else {
-        Ok(Offsets::Wide(read_wide(off_bytes, n + 1, "offset")?))
+    /// Read the next section: `len` bytes and their zero padding to 8,
+    /// all hashed. The unpadded bytes go to `sink` one chunk at a time.
+    fn section(&mut self, len: usize, mut sink: impl FnMut(&[u8])) -> std::io::Result<()> {
+        let padded = len.next_multiple_of(8);
+        let mut at = 0;
+        while at < padded {
+            let take = (padded - at).min(CHUNK);
+            let chunk = &mut self.chunk[..take];
+            self.src.read_exact(chunk).map_err(truncated)?;
+            self.hash = hash_section(self.hash, chunk);
+            sink(&chunk[..take.min(len.saturating_sub(at))]);
+            at += take;
+        }
+        Ok(())
+    }
+
+    /// Read, hash and drop the next section.
+    fn skip(&mut self, len: usize) -> std::io::Result<()> {
+        self.section(len, |_| {})
+    }
+
+    /// The next section as `count` native-endian `N`-byte words, each
+    /// converted by `from` (`u32::from_ne_bytes`, …).
+    fn words<T, const N: usize>(
+        &mut self,
+        count: usize,
+        from: fn([u8; N]) -> T,
+    ) -> std::io::Result<Vec<T>> {
+        let mut out = Vec::with_capacity(count);
+        self.section(count * N, |bytes| {
+            out.extend(
+                bytes
+                    .chunks_exact(N)
+                    .map(|word| from(word.try_into().expect("chunks_exact yields N bytes"))),
+            )
+        })?;
+        Ok(out)
+    }
+
+    /// The next section as `count` offsets of `width` bytes: `u32`
+    /// entries as they are, 8-byte ones as `usize`s (an entry beyond this
+    /// platform's `usize` is an error naming `what`).
+    fn offsets(&mut self, width: usize, count: usize, what: &str) -> std::io::Result<Offsets> {
+        if width == 4 {
+            return Ok(Offsets::Small(self.words(count, u32::from_ne_bytes)?));
+        }
+        self.words(count, u64::from_ne_bytes)?
+            .into_iter()
+            .map(|x| {
+                usize::try_from(x).map_err(|_| {
+                    bad(format!(
+                        "wide snapshot {what} exceeds this platform's usize"
+                    ))
+                })
+            })
+            .collect::<std::io::Result<_>>()
+            .map(Offsets::Wide)
+    }
+
+    /// Once every section is read: the payload checksum must match the
+    /// header's, and the source must end here.
+    fn finish(mut self, stored: u64) -> std::io::Result<()> {
+        if self.hash != stored {
+            return Err(bad(format!(
+                "snapshot payload checksum mismatch: stored {stored:#018x}, computed {:#018x} \
+                 (corrupt or bit-flipped file)",
+                self.hash
+            )));
+        }
+        if self.src.read(&mut [0u8; 1])? != 0 {
+            return Err(bad(
+                "snapshot has trailing bytes past its last section".into()
+            ));
+        }
+        Ok(())
     }
 }
 
 /// The header's Δ/δ must match the loaded arrays'.
-fn check_degree_extremes(header: &Header, max_deg: u32, min_deg: u32) -> std::io::Result<()> {
+fn check_degree_extremes(header: &Header, (max_deg, min_deg): (u32, u32)) -> std::io::Result<()> {
     if max_deg != header.max_deg || min_deg != header.min_deg {
         return Err(bad(format!(
             "snapshot degree extremes (Δ={}, δ={}) disagree with arrays (Δ={max_deg}, δ={min_deg})",
@@ -590,167 +633,162 @@ fn check_degree_extremes(header: &Header, max_deg: u32, min_deg: u32) -> std::io
     Ok(())
 }
 
-/// The v1 decoder: copy the raw arrays out of a verified file.
-fn materialize(
-    bytes: &[u8],
-    header: &Header,
-    layout: &SectionLayout,
-) -> std::io::Result<CompactCsr> {
+/// A decoded snapshot, in the representation its version stores.
+enum Loaded {
+    Compact(CompactCsr),
+    Compressed(CompressedCsr),
+}
+
+impl Loaded {
+    fn into_compact(self) -> CompactCsr {
+        match self {
+            Loaded::Compact(g) => g,
+            Loaded::Compressed(c) => c.to_compact(),
+        }
+    }
+
+    fn into_compressed(self) -> CompressedCsr {
+        match self {
+            Loaded::Compact(g) => CompressedCsr::from_compact(&g),
+            Loaded::Compressed(c) => c,
+        }
+    }
+}
+
+/// The rows section of a snapshot: a v1 file's raw neighbor array, or a
+/// v2 file's byte offsets and encoded arena.
+enum Rows {
+    Raw(Vec<u32>),
+    Encoded(Offsets, Vec<u8>),
+}
+
+/// The one snapshot decoder, over a `len`-byte source of either version.
+/// The header is checked against `len` first; then the sections stream
+/// into their arrays, the payload checksum is compared, and one parallel
+/// pass checks the full CSR contract, symmetry included (v1:
+/// [`check_csr`]; v2: [`validate_compressed`]).
+fn decode<R: Read>(mut src: R, len: u64) -> std::io::Result<Loaded> {
+    let (header, layout) = open(&mut src, len)?;
+    let mut payload = Payload::new(src, layout.total - HEADER_LEN);
     let n = header.n as usize;
-    let offsets = read_offsets(bytes, header, layout)?;
-    let get = |i: usize| match &offsets {
-        Offsets::Small(o) => o[i] as usize,
-        Offsets::Wide(o) => o[i],
+    let offsets = payload.offsets(header.offset_width.into(), n + 1, "offset")?;
+    let rows = if header.compressed() {
+        let byte_offsets = payload.offsets(header.byte_offset_width(), n + 1, "byte offset")?;
+        let mut arena = Vec::with_capacity(layout.nbr_len);
+        payload.section(layout.nbr_len, |bytes| arena.extend_from_slice(bytes))?;
+        Rows::Encoded(byte_offsets, arena)
+    } else {
+        Rows::Raw(payload.words(header.num_arcs as usize, u32::from_ne_bytes)?)
     };
-    let neighbors = vec_from_bytes(
-        &bytes[layout.nbr_start..layout.nbr_start + layout.nbr_len],
-        header.num_arcs as usize,
-        u32::from_ne_bytes,
-    );
-    // Always: the O(n + m) shape sweep (monotone offsets, sorted in-range
-    // loop-free adjacencies). Debug builds add the O(m log Δ) symmetry
-    // cross-check; in release the payload checksum vouches for the writer,
-    // which only serializes already-validated graphs.
-    validate_csr_shape(n + 1, get, &neighbors)
-        .map_err(|e| bad(format!("snapshot holds an invalid CSR: {e}")))?;
-    #[cfg(debug_assertions)]
-    validate_csr_arrays(n + 1, get, &neighbors)
-        .map_err(|e| bad(format!("snapshot holds an invalid CSR: {e}")))?;
-    let g = CompactCsr::from_offsets(offsets, neighbors);
-    check_degree_extremes(header, g.max_degree(), g.min_degree())?;
-    Ok(g)
-}
-
-/// Release-build validation of a v2 load: every adjacency's encoded run
-/// is structurally well-formed ([`pgc_primitives::varint::validate_run`],
-/// so truncated or mis-framed runs error instead of panicking or
-/// decoding garbage), which also guarantees the declared count of
-/// strictly-ascending ids; what the decode adds is the rest of the
-/// [`crate::csr::validate_csr_shape`] contract: no id is the row's own
-/// vertex, and the row's last (largest) id is below `n`. Debug builds add
-/// the symmetry cross-check.
-fn validate_compressed(g: &CompressedCsr, n: usize) -> std::io::Result<()> {
-    use rayon::prelude::*;
-    let fault = (0..n as u32).into_par_iter().find_map_any(|v| {
-        if !g.validate_encoded_run(v) {
-            return Some(
-                "holds a malformed varint run (length or block structure disagrees \
-                 with the declared degree)",
-            );
+    // Files older builds wrote with edge weights load as their structure.
+    payload.skip(layout.w_len)?;
+    payload.finish(header.payload_checksum)?;
+    match rows {
+        Rows::Raw(neighbors) => {
+            let extremes = check_csr(&offsets, &neighbors)
+                .map_err(|e| bad(format!("snapshot holds an invalid CSR: {e}")))?;
+            check_degree_extremes(&header, extremes)?;
+            Ok(Loaded::Compact(CompactCsr::from_checked(
+                offsets, neighbors, extremes,
+            )))
         }
-        let mut dec = g.decoder(v);
-        let mut buf = [0u32; pgc_primitives::varint::BLOCK];
-        let mut last = None;
-        loop {
-            let c = dec.next_block_into(&mut buf);
-            if c == 0 {
-                break;
-            }
-            if buf[..c].contains(&v) {
-                return Some("holds an invalid CSR: adjacency fails the shape sweep");
-            }
-            last = Some(buf[c - 1]);
-        }
-        last.is_some_and(|x| x as usize >= n)
-            .then_some("holds an invalid CSR: adjacency fails the shape sweep")
-    });
-    if let Some(fault) = fault {
-        return Err(bad(format!("compressed snapshot {fault}")));
-    }
-    #[cfg(debug_assertions)]
-    {
-        let symmetric = (0..n as u32)
-            .into_par_iter()
-            .all(|v| g.with_neighbor_slice(v, |ns| ns.iter().all(|&u| g.has_edge(u, v))));
-        if !symmetric {
-            return Err(bad(
-                "compressed snapshot holds an invalid CSR: adjacency is not symmetric".into(),
-            ));
+        Rows::Encoded(byte_offsets, arena) => {
+            load_arena(&header, &layout, offsets, byte_offsets, arena).map(Loaded::Compressed)
         }
     }
-    Ok(())
 }
 
-/// The v2 decoder: copy the two offset arrays out of a verified file and
-/// keep its arena encoded. An owned file buffer becomes the arena; a
-/// borrowed one has only its arena section copied.
+/// The v2 half of [`decode`]: check both offset arrays, then every
+/// encoded run ([`validate_compressed`]), and keep the arena encoded.
 fn load_arena(
-    bytes: Cow<'_, [u8]>,
     header: &Header,
     layout: &SectionLayout,
+    offsets: Offsets,
+    byte_offsets: Offsets,
+    arena: Vec<u8>,
 ) -> std::io::Result<CompressedCsr> {
     let n = header.n as usize;
-    let offsets = read_offsets(&bytes, header, layout)?;
-    if (0..n).any(|i| offsets.get(i) > offsets.get(i + 1))
-        || offsets.get(n) != header.num_arcs as usize
-    {
+    let monotone = |o: &Offsets, last: usize| {
+        o.get(0) == 0 && (0..n).all(|i| o.get(i) <= o.get(i + 1)) && o.get(n) == last
+    };
+    if !monotone(&offsets, header.num_arcs as usize) {
         return Err(bad("snapshot offsets are not monotone".into()));
     }
-    let byte_offsets = Offsets::narrow(read_byte_offsets(&bytes, header, layout)?);
-    let arena_range = layout.nbr_start..layout.nbr_start + layout.nbr_len;
-    let arena = match bytes {
-        Cow::Borrowed(b) => b[arena_range].to_vec(),
-        // Drop what follows the arena, shift it to the front, and release
-        // the rest.
-        Cow::Owned(mut b) => {
-            b.truncate(arena_range.end);
-            b.drain(..arena_range.start);
-            b.shrink_to_fit();
-            b
-        }
+    // Monotonicity + arena bound, checked before any decode slices it.
+    if !monotone(&byte_offsets, layout.nbr_len) {
+        return Err(bad(
+            "snapshot byte offsets are not monotone within the arena".into(),
+        ));
+    }
+    let byte_offsets = match byte_offsets {
+        Offsets::Wide(v) => Offsets::narrow(v),
+        small => small,
     };
     let g = CompressedCsr::from_encoded_parts(offsets, byte_offsets, arena);
-    validate_compressed(&g, n)?;
-    check_degree_extremes(header, GraphView::max_degree(&g), GraphView::min_degree(&g))?;
+    let extremes = validate_compressed(&g, n)
+        .map_err(|e| bad(format!("compressed snapshot holds an invalid CSR: {e}")))?;
+    check_degree_extremes(header, extremes)?;
     Ok(g)
 }
 
-/// Verify `bytes` and load them as a [`CompactCsr`]: v1 through
-/// [`materialize`], v2 through [`load_arena`] and one decode.
-fn load_compact(bytes: Cow<'_, [u8]>) -> std::io::Result<CompactCsr> {
-    let (header, layout) = verify(&bytes)?;
-    if header.compressed() {
-        Ok(load_arena(bytes, &header, &layout)?.to_compact())
-    } else {
-        materialize(&bytes, &header, &layout)
-    }
+/// Validation of a v2 load, in every build: each adjacency's encoded run
+/// is structurally well-formed ([`pgc_primitives::varint::validate_run`],
+/// so truncated or mis-framed runs error instead of panicking or decoding
+/// garbage), and the decoded ids go through the same row check and
+/// symmetry fingerprint as a v1 load ([`crate::csr`]), block by block.
+/// Returns the degree extremes.
+fn validate_compressed(g: &CompressedCsr, n: usize) -> Result<(u32, u32), String> {
+    check_rows(n, |v, check| {
+        if !g.validate_encoded_run(v) {
+            check.fail(
+                v,
+                "malformed varint run (length or block structure disagrees with the declared degree)",
+            );
+            return;
+        }
+        check.degree(g.degree(v) as usize);
+        let mut dec = g.decoder(v);
+        let mut buf = [0u32; pgc_primitives::varint::BLOCK];
+        let mut prev = None;
+        loop {
+            let c = dec.next_block_into(&mut buf);
+            if c == 0 || !check.ids(v, prev, &buf[..c]) {
+                return;
+            }
+            prev = Some(buf[c - 1]);
+        }
+    })
 }
 
 /// Load a graph from in-memory snapshot bytes (either version), verifying
 /// both checksums and all CSR invariants. A file with a weights section
 /// loads as its structure (the section is skipped).
 pub fn load_snapshot_bytes(bytes: &[u8]) -> std::io::Result<CompactCsr> {
-    load_compact(Cow::Borrowed(bytes))
+    Ok(decode(bytes, bytes.len() as u64)?.into_compact())
 }
 
-fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
-    let mut f = File::open(path)?;
-    let mut bytes = Vec::with_capacity(f.metadata().map(|m| m.len() as usize).unwrap_or(0) + 1);
-    f.read_to_end(&mut bytes)?;
-    Ok(bytes)
+/// Open `path` with its length, for [`decode`].
+fn open_file(path: &Path) -> std::io::Result<(File, u64)> {
+    let f = File::open(path)?;
+    let len = f.metadata()?.len();
+    Ok((f, len))
 }
 
-/// Load a graph from a snapshot file of either version (one sequential
+/// Load a graph from a snapshot file of either version (one streamed
 /// read, fully verified).
 pub fn load_snapshot(path: &Path) -> std::io::Result<CompactCsr> {
-    load_compact(Cow::Owned(read_file(path)?))
+    let (f, len) = open_file(path)?;
+    Ok(decode(f, len)?.into_compact())
 }
 
 /// Load a snapshot into a [`CompressedCsr`], verifying checksums and the
 /// full CSR contract. A version-2 file keeps its encoded arena as it is
-/// (no decode, no re-encode): the file is read once and only the two
-/// offset arrays are copied out of it. A version-1 file is materialized
-/// and losslessly encoded, so either version works.
+/// (no decode, no re-encode): the arena streams into place once. A
+/// version-1 file is loaded and losslessly encoded, so either version
+/// works.
 pub fn load_compressed_snapshot(path: &Path) -> std::io::Result<CompressedCsr> {
-    let bytes = read_file(path)?;
-    let (header, layout) = verify(&bytes)?;
-    if header.compressed() {
-        load_arena(Cow::Owned(bytes), &header, &layout)
-    } else {
-        Ok(CompressedCsr::from_compact(&materialize(
-            &bytes, &header, &layout,
-        )?))
-    }
+    let (f, len) = open_file(path)?;
+    Ok(decode(f, len)?.into_compressed())
 }
 
 // ---------------------------------------------------------------------
@@ -809,8 +847,12 @@ impl SnapshotInfo {
 /// facts (`pgc snapshot --info`). Verifies both checksums, so a corrupt
 /// file is reported rather than described.
 pub fn inspect_snapshot(path: &Path) -> std::io::Result<SnapshotInfo> {
-    let bytes = read_file(path)?;
-    let (header, layout) = verify(&bytes)?;
+    let (mut f, len) = open_file(path)?;
+    let (header, layout) = open(&mut f, len)?;
+    let payload_len = layout.total - HEADER_LEN;
+    let mut payload = Payload::new(f, payload_len);
+    payload.skip(payload_len)?;
+    payload.finish(header.payload_checksum)?;
     Ok(SnapshotInfo {
         version: if header.compressed() {
             SNAPSHOT_VERSION_COMPRESSED
@@ -848,6 +890,35 @@ mod tests {
         let mut buf = Vec::new();
         write_snapshot_to(g, &mut buf).unwrap();
         buf
+    }
+
+    /// Byte position of section `i` (0 offsets, 1 byte offsets, 2
+    /// neighbors or arena, 3 weights) in a snapshot with a valid header.
+    fn section_start(buf: &[u8], i: usize) -> usize {
+        let layout = Header::decode(buf).unwrap().layout().unwrap();
+        let lens = [layout.off_len, layout.bo_len, layout.nbr_len];
+        HEADER_LEN
+            + lens[..i]
+                .iter()
+                .map(|l| l.next_multiple_of(8))
+                .sum::<usize>()
+    }
+
+    /// Recompute both checksums of an edited snapshot. The payload is
+    /// every byte after the header: its sections are contiguous and each
+    /// a whole number of 8-byte words, so hashing them at once equals
+    /// hashing them one by one.
+    fn reseal(buf: &mut [u8]) {
+        let payload = hash_section(FNV_OFFSET, &buf[HEADER_LEN..]);
+        buf[40..48].copy_from_slice(&payload.to_ne_bytes());
+        let ck = hash_section(FNV_OFFSET, &buf[..56]);
+        buf[56..64].copy_from_slice(&ck.to_ne_bytes());
+    }
+
+    /// Whether both checksums of `buf` hold.
+    fn checksums_valid(buf: &[u8]) -> bool {
+        Header::decode(buf)
+            .is_ok_and(|h| hash_section(FNV_OFFSET, &buf[HEADER_LEN..]) == h.payload_checksum)
     }
 
     #[test]
@@ -972,17 +1043,11 @@ mod tests {
         let c = CompressedCsr::from_compact(&g);
         let mut buf = Vec::new();
         write_compressed_snapshot_to(&c, &mut buf).unwrap();
-        let (_, layout) = verify(&buf).unwrap();
         // Overwrite the first block header's dlen so the run overruns
         // its slice, then re-seal payload + header checksums.
-        buf[layout.nbr_start + 4..layout.nbr_start + 6].copy_from_slice(&u16::MAX.to_le_bytes());
-        let mut payload = FNV_OFFSET;
-        for section in layout.sections(&buf) {
-            payload = hash_section(payload, section);
-        }
-        buf[40..48].copy_from_slice(&payload.to_ne_bytes());
-        let ck = hash_section(FNV_OFFSET, &buf[..56]);
-        buf[56..64].copy_from_slice(&ck.to_ne_bytes());
+        let arena = section_start(&buf, 2);
+        buf[arena + 4..arena + 6].copy_from_slice(&u16::MAX.to_le_bytes());
+        reseal(&mut buf);
         // Decoding loader (arena path, then `to_compact`).
         let err = load_snapshot_bytes(&buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -1051,7 +1116,7 @@ mod tests {
             let mut runs = vec![(deg, run)];
             runs.resize(n as usize, (0, Vec::new()));
             let buf = v2_file_of_runs(&runs);
-            assert!(verify(&buf).is_ok(), "{what}: both checksums are valid");
+            assert!(checksums_valid(&buf), "{what}: both checksums are valid");
             let path = dir.join("shape.pgcs");
             std::fs::write(&path, &buf).unwrap();
             let results = [
@@ -1068,6 +1133,220 @@ mod tests {
                     "{what}, loader {i}"
                 );
                 assert!(err.to_string().contains(expect), "{what}: {err}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every loader on `buf`, from memory and from a file written to
+    /// `dir`: `load_snapshot_bytes`, `load_snapshot`,
+    /// `load_compressed_snapshot` and `io::read_graph`.
+    fn load_everywhere(buf: &[u8], dir: &Path) -> [std::io::Result<()>; 4] {
+        let path = dir.join("probe.pgcs");
+        std::fs::write(&path, buf).unwrap();
+        [
+            load_snapshot_bytes(buf).map(drop),
+            load_snapshot(&path).map(drop),
+            load_compressed_snapshot(&path).map(drop),
+            crate::io::read_graph(&path).map(drop),
+        ]
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("pgc-{tag}-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// `(v, i)`: the first row `v` whose `i`-th neighbor `u` can become
+    /// `u − 1` with the row still strictly ascending and loop-free. The
+    /// edit leaves the arc `v → u − 1` without its reverse.
+    fn asymmetric_edit(g: &CompactCsr) -> (u32, usize) {
+        g.vertices()
+            .find_map(|v| {
+                let row = g.neighbors(v);
+                (0..row.len())
+                    .find(|&i| {
+                        let u = row[i];
+                        u > 0 && u - 1 != v && (i == 0 || row[i - 1] < u - 1)
+                    })
+                    .map(|i| (v, i))
+            })
+            .expect("some row has a gap")
+    }
+
+    #[test]
+    fn resealed_asymmetric_files_rejected_by_every_loader() {
+        use crate::gen::SpecSource;
+        use crate::stream::build_compact_with_offset_limit;
+        use pgc_primitives::varint::encode_into;
+        let spec = GraphSpec::ErdosRenyi { n: 2000, m: 16_000 };
+        let g = generate(&spec, 11);
+        let (v, i) = asymmetric_edit(&g);
+        let arc = g.arc_range(v).start + i;
+        let u = g.raw_neighbors()[arc];
+
+        // v1 at 4- and at 8-byte offsets: patch the id in the neighbors
+        // section and re-seal both checksums.
+        let (wide, _) = build_compact_with_offset_limit(&SpecSource::new(spec, 11), 0).unwrap();
+        assert_eq!(wide.offset_width(), 8);
+        assert_eq!(wide.raw_neighbors(), g.raw_neighbors());
+        let mut files = Vec::new();
+        for graph in [&g, &wide] {
+            let mut buf = snap_bytes(graph);
+            let at = section_start(&buf, 2) + 4 * arc;
+            assert_eq!(buf[at..at + 4], u.to_ne_bytes());
+            buf[at..at + 4].copy_from_slice(&(u - 1).to_ne_bytes());
+            reseal(&mut buf);
+            files.push((format!("v1, {}-byte offsets", graph.offset_width()), buf));
+        }
+        // v2: the same edit, re-encoded; the writer seals the file.
+        let runs: Vec<(usize, Vec<u8>)> = g
+            .vertices()
+            .map(|w| {
+                let mut row = g.neighbors(w).to_vec();
+                if w == v {
+                    row[i] = u - 1;
+                }
+                let mut run = Vec::new();
+                encode_into(&row, &mut run);
+                (row.len(), run)
+            })
+            .collect();
+        files.push(("v2".into(), v2_file_of_runs(&runs)));
+
+        let dir = scratch_dir("snapasym");
+        for (what, buf) in &files {
+            assert!(checksums_valid(buf), "{what}: both checksums are valid");
+            for (k, r) in load_everywhere(buf, &dir).into_iter().enumerate() {
+                let err = r.expect_err(what);
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "{what}, loader {k}"
+                );
+                assert!(
+                    err.to_string().contains("not symmetric"),
+                    "{what}, loader {k}: {err}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn headers_larger_than_their_bytes_fail_before_allocating() {
+        // Each header claims arrays of up to 2^62 bytes, re-sealed; if a
+        // loader sized anything from it before checking the length, the
+        // allocation would abort the test instead of returning Err.
+        let g = generate(&GraphSpec::ErdosRenyi { n: 100, m: 300 }, 3);
+        let v1 = snap_bytes(&g);
+        let mut v2 = Vec::new();
+        write_compressed_snapshot_to(&CompressedCsr::from_compact(&g), &mut v2).unwrap();
+        let lies: [(&[u8], usize, u64, &str); 6] = [
+            (&v1, 16, 1 << 32, "does not match header"),
+            (&v1, 16, (1 << 32) + 1, "u32 id space"),
+            (&v1, 16, u64::MAX, "u32 id space"),
+            (&v1, 24, 1 << 60, "does not match header"),
+            (&v1, 24, u64::MAX, "overflow"),
+            (&v2, 48, 1 << 61, "does not match header"),
+        ];
+        let dir = scratch_dir("snapbig");
+        for (file, at, value, expect) in lies {
+            let mut buf = file.to_vec();
+            buf[at..at + 8].copy_from_slice(&value.to_ne_bytes());
+            let ck = hash_section(FNV_OFFSET, &buf[..56]);
+            buf[56..64].copy_from_slice(&ck.to_ne_bytes());
+            for (k, r) in load_everywhere(&buf, &dir).into_iter().enumerate() {
+                let err = r.expect_err(expect);
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "{expect}, loader {k}"
+                );
+                assert!(err.to_string().contains(expect), "loader {k}: {err}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn weighted_files_load_as_their_structure() {
+        // Files that older builds wrote with an edge-weight section (here
+        // f64, kind 3): every loader skips the section.
+        let g = generate(&GraphSpec::BarabasiAlbert { n: 300, attach: 3 }, 9);
+        let c = CompressedCsr::from_compact(&g);
+        let weights: Vec<u8> = (0..g.num_arcs())
+            .flat_map(|a| (a as f64 * 0.5).to_ne_bytes())
+            .collect();
+        let (offset_width, off) = offset_bytes(g.raw_offsets());
+        let (_, bo) = offset_bytes(c.raw_byte_offsets());
+        let weighted = Header {
+            offset_width,
+            weight_kind: 3,
+            weight_width: 8,
+            n: g.n() as u64,
+            num_arcs: g.num_arcs() as u64,
+            max_deg: g.max_degree(),
+            min_deg: g.min_degree(),
+            ..Header::default()
+        };
+        let mut v1 = Vec::new();
+        let neighbors = as_bytes(g.raw_neighbors());
+        write_sections(weighted, &[&off, neighbors, &weights], &mut v1).unwrap();
+        let mut v2 = Vec::new();
+        let v2_header = Header {
+            flags: FLAG_COMPRESSED,
+            encoded_len: c.arena_bytes().len() as u64,
+            ..weighted
+        };
+        let sections: [&[u8]; 4] = [&off, &bo, c.arena_bytes(), &weights];
+        write_sections(v2_header, &sections, &mut v2).unwrap();
+        let dir = scratch_dir("snapw");
+        for buf in [&v1, &v2] {
+            assert_eq!(load_snapshot_bytes(buf).unwrap(), g);
+            let path = dir.join("w.pgcs");
+            std::fs::write(&path, buf).unwrap();
+            assert_eq!(load_snapshot(&path).unwrap(), g);
+            assert_eq!(load_compressed_snapshot(&path).unwrap(), c);
+            assert_eq!(crate::io::read_graph(&path).unwrap(), g);
+            assert_eq!(
+                inspect_snapshot(&path).unwrap().weight_bytes,
+                8 * g.num_arcs()
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn offsets_must_start_at_zero() {
+        // Three isolated vertices whose offsets all read 1, with one
+        // declared arc: monotone, ending at the arc count, and no row to
+        // check. A v2 file like this once loaded into a `CompressedCsr`
+        // whose `to_compact` panicked.
+        let header = Header {
+            offset_width: 4,
+            flags: FLAG_COMPRESSED,
+            n: 3,
+            num_arcs: 1,
+            ..Header::default()
+        };
+        let ones = as_bytes(&[1u32; 4]).to_vec();
+        let zeros = as_bytes(&[0u32; 4]).to_vec();
+        let mut v2 = Vec::new();
+        write_sections(header, &[&ones, &zeros, &[]], &mut v2).unwrap();
+        let mut v1 = Vec::new();
+        let v1_header = Header { flags: 0, ..header };
+        write_sections(v1_header, &[&ones, as_bytes(&[2u32])], &mut v1).unwrap();
+        let dir = scratch_dir("snapoff0");
+        for (what, buf) in [("v1", &v1), ("v2", &v2)] {
+            for (k, r) in load_everywhere(buf, &dir).into_iter().enumerate() {
+                let err = r.expect_err(what);
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "{what}, loader {k}"
+                );
             }
         }
         std::fs::remove_dir_all(&dir).ok();

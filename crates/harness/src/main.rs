@@ -91,7 +91,12 @@ fn report_command(args: &[String]) -> ! {
     }
     let load = |path: &String| -> Vec<pgc_obs::report::RunRecord> {
         match pgc_obs::report::read_jsonl(path) {
-            Ok(records) => records,
+            Ok(records) => {
+                for w in rep::lossy_warnings(&records) {
+                    eprintln!("pgc report: warning: {path}: {w}");
+                }
+                records
+            }
             Err(e) => {
                 eprintln!("pgc report: {path}: {e}");
                 std::process::exit(1);
@@ -304,8 +309,10 @@ fn main() {
 
     let code = run_command(&command, &cfg, csv);
 
+    let mut dropped = None;
     if let Some(path) = &trace_path {
         let trace = pgc_obs::session_end();
+        dropped = Some(trace.dropped);
         match pgc_obs::chrome::write_trace(&trace, path) {
             Ok(bytes) => eprintln!(
                 "pgc: wrote trace {path}: {} events on {} thread(s), {bytes} bytes{}",
@@ -324,7 +331,13 @@ fn main() {
         }
     }
     if let Some(path) = &report_path {
-        let records = rep::drain_records();
+        let records: Vec<_> = rep::drain_records()
+            .into_iter()
+            .map(|r| match dropped {
+                Some(d) => r.with_dropped_events(d),
+                None => r,
+            })
+            .collect();
         match pgc_obs::report::write_jsonl(&records, path) {
             Ok(()) => eprintln!("pgc: wrote report {path}: {} record(s)", records.len()),
             Err(e) => {

@@ -72,6 +72,22 @@ pub fn fmt_opt(v: Option<f64>) -> String {
     v.map_or_else(|| "-".into(), |v| format!("{v:.2}"))
 }
 
+/// One warning per record whose traced command lost events to ring wrap:
+/// its trace, and every span-derived number, is incomplete.
+#[must_use]
+pub fn lossy_warnings(records: &[RunRecord]) -> Vec<String> {
+    records
+        .iter()
+        .filter_map(|r| match r.dropped_events {
+            Some(d) if d > 0 => Some(format!(
+                "{}: its trace dropped {d} event(s) by ring wrap; span-derived numbers are incomplete",
+                r.key()
+            )),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Render a validated report as the `pgc report <file>` table.
 #[must_use]
 pub fn report_table(records: &[RunRecord]) -> Table {
@@ -231,6 +247,23 @@ mod tests {
         assert_eq!(rec.threads, r.instr.threads);
         assert!((rec.total_ms - r.total_time().as_secs_f64() * 1e3).abs() < 1e-6);
         assert_eq!((rec.n, rec.m), (g.n(), g.m()));
+    }
+
+    #[test]
+    fn lossy_records_are_flagged() {
+        let records = vec![
+            RunRecord::new("fig2-strong", "g", "jp-adg").with_threads(1),
+            RunRecord::new("fig2-strong", "g", "jp-adg")
+                .with_threads(2)
+                .with_dropped_events(0),
+            RunRecord::new("fig2-strong", "g", "itr")
+                .with_threads(2)
+                .with_dropped_events(7_179),
+        ];
+        let warnings = lossy_warnings(&records);
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].starts_with("fig2-strong/g/itr@2: "));
+        assert!(warnings[0].contains("7179"));
     }
 
     #[test]

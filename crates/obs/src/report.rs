@@ -87,6 +87,10 @@ pub struct RunRecord {
     /// Per-repetition latency digest in microseconds, when the run was
     /// repeated.
     pub latency_us: Option<HistogramSummary>,
+    /// Trace events lost to ring wrap ([`crate::Trace::dropped`]), when
+    /// the command ran with `--trace`. Nonzero means the trace, and every
+    /// number derived from its spans, is incomplete.
+    pub dropped_events: Option<u64>,
 }
 
 impl RunRecord {
@@ -176,6 +180,13 @@ impl RunRecord {
         self
     }
 
+    /// Attach the traced command's dropped-event count.
+    #[must_use]
+    pub fn with_dropped_events(mut self, dropped: u64) -> Self {
+        self.dropped_events = Some(dropped);
+        self
+    }
+
     /// The diff/join key: experiment, graph, algorithm, threads.
     #[must_use]
     pub fn key(&self) -> String {
@@ -214,6 +225,9 @@ impl RunRecord {
         opt("build_peak_mib", self.build_peak_mib);
         opt("encoded_mib", self.encoded_mib);
         opt("compress_ratio", self.compress_ratio);
+        if let Some(d) = self.dropped_events {
+            pairs.push(("dropped_events".into(), Json::Num(d as f64)));
+        }
         if let Some(l) = &self.latency_us {
             pairs.push((
                 "latency_us".into(),
@@ -282,6 +296,7 @@ impl RunRecord {
             encoded_mib: f("encoded_mib"),
             compress_ratio: f("compress_ratio"),
             latency_us,
+            dropped_events: u("dropped_events"),
         })
     }
 }
@@ -343,6 +358,7 @@ mod tests {
                 max: 101_000,
                 mean: 95_000.0,
             })
+            .with_dropped_events(7_179)
     }
 
     #[test]
@@ -402,6 +418,25 @@ mod tests {
         let retired: Vec<&String> = old.iter().filter(|k| !fresh.contains(k)).collect();
         assert_eq!(retired.len(), 2, "{retired:?}");
         assert!(fresh.iter().all(|k| old.contains(k)), "{fresh:?}");
+    }
+
+    #[test]
+    fn lines_without_dropped_events_still_parse() {
+        // A line as `pgc --report` wrote it before records carried the
+        // trace's dropped-event count: it loads with the count unknown.
+        const OLD: &str = r#"{"schema":"pgc-report-v1","experiment":"fig1","graph":"er-1k","algorithm":"jp-ff","threads":2,"n":1000,"m":5000,"order_ms":0.5,"color_ms":1.25,"total_ms":1.75,"rounds":4,"conflicts":0,"colors":9}"#;
+        let want = RunRecord::new("fig1", "er-1k", "jp-ff")
+            .with_threads(2)
+            .with_graph_size(1000, 5000)
+            .with_times(0.5, 1.25)
+            .with_quality(9, 4, 0);
+        let back = parse_jsonl(OLD).unwrap();
+        assert_eq!(back, vec![want.clone()]);
+        assert_eq!(back[0].dropped_events, None);
+        assert_eq!(want.to_json(), OLD, "an untraced record writes no count");
+        let traced = want.with_dropped_events(0);
+        assert!(traced.to_json().ends_with(r#""dropped_events":0}"#));
+        assert_eq!(RunRecord::from_json(&traced.to_json()).unwrap(), traced);
     }
 
     #[test]

@@ -30,13 +30,17 @@
 //!   most `PULL_FACTOR`·2m arcs and ADG keeps its O(m) work bound.
 //! * **V-F** — the degree sum Σ_U is maintained incrementally instead of
 //!   recomputed (subtracting the removed degrees and the cut size).
+//!
+//! **V-C** (counting JP's predecessors inside the UPDATE) is left out:
+//! the pull levels need a second pass over their rows in removal order,
+//! and with it ADG took 44–60 ms on R-MAT 18/16 at width 2 against 23–32
+//! ms without, while JP's own in-order count takes 9–12 ms.
 
 use crate::{Levels, OrderingStats, VertexOrdering};
 use pgc_graph::GraphView;
 use pgc_primitives::rng::random_permutation;
 use pgc_primitives::sort::{sort_pairs, SortAlgo};
 use rayon::prelude::*;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering as AtOrd};
 
 /// How the removal threshold is chosen each iteration.
@@ -52,8 +56,8 @@ pub enum ThresholdRule {
     Median,
 }
 
-/// Degree-update style (§V-E). Every style produces identical degrees,
-/// orders and predecessor counts; they differ in which arcs a level scans.
+/// Degree-update style (§V-E). Every style produces identical degrees
+/// and orders; they differ in which arcs a level scans.
 /// Push needs atomics (CRCW) and scans the removed batch's rows; pull needs
 /// only concurrent reads (CREW, Alg. 2) and scans every remaining vertex's
 /// row, which alone is the `O(m + nd)` work of Lemma 5.
@@ -107,9 +111,6 @@ pub struct AdgOptions {
     pub update: UpdateStyle,
     /// Maintain Σ_U incrementally (§V-F) instead of re-reducing.
     pub cache_degree_sum: bool,
-    /// §V-C: fuse JP's DAG construction (predecessor counts) into the
-    /// UPDATE pass, so JP-ADG skips its own Part-1 scan.
-    pub fuse_rank: bool,
     /// Seed for the random tie-break permutation (used when
     /// `sort_batches == false`).
     pub seed: u64,
@@ -124,7 +125,6 @@ impl Default for AdgOptions {
             sort_algo: SortAlgo::Radix,
             update: UpdateStyle::Auto,
             cache_degree_sum: true,
-            fuse_rank: true,
             seed: 0,
         }
     }
@@ -180,7 +180,6 @@ pub fn adg<G: GraphView>(g: &G, opts: &AdgOptions) -> VertexOrdering {
                 offsets: vec![0],
             }),
             stats: OrderingStats::default(),
-            pred_counts: Some(Vec::new()),
         };
     }
 
@@ -189,12 +188,6 @@ pub fn adg<G: GraphView>(g: &G, opts: &AdgOptions) -> VertexOrdering {
     let deg: Vec<AtomicU32> = g.degree_array().into_iter().map(AtomicU32::new).collect();
     // rank[v] = iteration of removal; ACTIVE while v ∈ U.
     let rank: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(ACTIVE)).collect();
-    // §V-C fused JP predecessor counts (rank(v) of Alg. 6), only if asked.
-    let pred: Vec<AtomicU32> = if opts.fuse_rank {
-        (0..n).map(|_| AtomicU32::new(0)).collect()
-    } else {
-        Vec::new()
-    };
 
     // §V-A contiguous representation: order = [removed… | U], `index` points
     // at the first element of U.
@@ -206,9 +199,6 @@ pub fn adg<G: GraphView>(g: &G, opts: &AdgOptions) -> VertexOrdering {
     let mut sum_deg: u64 = g.num_arcs() as u64;
     // vol(U): Σ_U of the *original* degrees, for the push/pull choice.
     let mut vol_u: u64 = sum_deg;
-    // Ranges of `order` holding pulled levels, whose fused counts are
-    // filled in after the loop.
-    let mut pulled: Vec<Range<usize>> = Vec::new();
     let mut stats = OrderingStats::default();
 
     let perm = if opts.sort_batches {
@@ -322,19 +312,11 @@ pub fn adg<G: GraphView>(g: &G, opts: &AdgOptions) -> VertexOrdering {
         let peel = Peel {
             deg: &deg,
             rank: &rank,
-            rho: &rho,
-            pred: opts.fuse_rank.then_some(&pred[..]),
             level,
         };
         let pull = opts.update.pulls(vol_r, vol_u);
         let cut: u64 = if pull {
             pgc_obs::counter!("peel.pulled", 1);
-            if opts.fuse_rank {
-                match pulled.last_mut() {
-                    Some(span) if span.end == index => span.end += r_len,
-                    _ => pulled.push(index..index + r_len),
-                }
-            }
             rest.par_iter().map(|&v| peel.pull(g, v)).sum()
         } else {
             batch.par_iter().map(|&v| peel.push(g, v)).sum()
@@ -350,19 +332,6 @@ pub fn adg<G: GraphView>(g: &G, opts: &AdgOptions) -> VertexOrdering {
     }
 
     let rank_plain: Vec<u32> = rank.into_iter().map(AtomicU32::into_inner).collect();
-    let pred_counts = opts.fuse_rank.then(|| {
-        // The pull UPDATE never scans removed vertices, so a pulled level's
-        // fused counts come from one pass over its rows: branch-free, and
-        // no more work than the push scan it replaced (Alg. 6).
-        for span in pulled {
-            order[span].par_iter().for_each(|&v| {
-                let rv = rho[v as usize];
-                let count = g.neighbors(v).filter(|&u| rho[u as usize] > rv).count();
-                pred[v as usize].store(count as u32, AtOrd::Relaxed);
-            });
-        }
-        pred.into_iter().map(AtomicU32::into_inner).collect()
-    });
     VertexOrdering {
         rho,
         levels: Some(Levels {
@@ -371,7 +340,6 @@ pub fn adg<G: GraphView>(g: &G, opts: &AdgOptions) -> VertexOrdering {
             offsets,
         }),
         stats,
-        pred_counts,
     }
 }
 
@@ -386,37 +354,23 @@ struct Peel<'a> {
     deg: &'a [AtomicU32],
     /// Removal level of each vertex; [`ACTIVE`] while it is in `U`.
     rank: &'a [AtomicU32],
-    /// Priorities, final for every removed vertex.
-    rho: &'a [u64],
-    /// §V-C fused JP predecessor counts, when asked for.
-    pred: Option<&'a [AtomicU32]>,
     /// The level being removed.
     level: u32,
 }
 
 impl Peel<'_> {
     /// Push kernel for a removed vertex `v`: decrement each active
-    /// neighbor and, when fusing, store `v`'s JP predecessor count — its
-    /// active neighbors (removed later) plus same-level neighbors of higher
-    /// priority. Returns the cut arcs.
+    /// neighbor. Returns the cut arcs.
     #[inline]
     fn push<G: GraphView>(&self, g: &G, v: u32) -> u64 {
-        let (mut cut, mut later) = (0u32, 0u32);
-        let rho_v = self.rho[v as usize];
-        let fuse = self.pred.is_some();
+        let mut cut = 0u64;
         for u in g.neighbors(v) {
-            let ru = self.rank[u as usize].load(AtOrd::Relaxed);
-            if ru == ACTIVE {
+            if self.rank[u as usize].load(AtOrd::Relaxed) == ACTIVE {
                 self.deg[u as usize].fetch_sub(1, AtOrd::Relaxed);
                 cut += 1;
-            } else if fuse && ru == self.level && self.rho[u as usize] > rho_v {
-                later += 1;
             }
         }
-        if let Some(pred) = self.pred {
-            pred[v as usize].store(cut + later, AtOrd::Relaxed);
-        }
-        u64::from(cut)
+        cut
     }
 
     /// Pull kernel for a remaining vertex `v`: count its just-removed
@@ -614,8 +568,8 @@ mod tests {
 
     #[test]
     fn push_and_pull_agree() {
-        // Push, pull and the per-level choice give identical orders, levels
-        // and fused counts at every pool width, and only the arcs scanned
+        // Push, pull and the per-level choice give identical orders and
+        // levels at every pool width, and only the arcs scanned
         // differ: the per-level choice never scans more than K·2m.
         let graphs = [
             generate(
@@ -654,7 +608,6 @@ mod tests {
                 for (update, ord) in styles.iter().zip(&runs) {
                     let at = format!("graph {i}, width {width}, {update:?}");
                     assert_eq!(ord.rho, base.rho, "{at}");
-                    assert_eq!(ord.pred_counts, base.pred_counts, "{at}");
                     let levels = ord.levels.as_ref().unwrap();
                     assert_eq!(levels.rank, base_levels.rank, "{at}");
                     assert_eq!(levels.seq, base_levels.seq, "{at}");
@@ -761,60 +714,6 @@ mod tests {
         // Stability: both blocks remain in ascending (original) order.
         assert!(yes.windows(2).all(|w| w[0] < w[1]));
         assert!(no.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn fused_pred_counts_match_definition() {
-        // §V-C: rank(v) must equal |{u in N(v): rho(u) > rho(v)}| for every
-        // update style and both batch-ordering modes.
-        let g = generate(
-            &GraphSpec::Rmat {
-                scale: 9,
-                edge_factor: 8,
-            },
-            6,
-        );
-        for opts in [
-            AdgOptions::default(),
-            AdgOptions {
-                update: UpdateStyle::Push,
-                ..Default::default()
-            },
-            AdgOptions {
-                update: UpdateStyle::Pull,
-                ..Default::default()
-            },
-            AdgOptions {
-                sort_batches: false,
-                seed: 3,
-                ..Default::default()
-            },
-            AdgOptions::median(),
-        ] {
-            let ord = adg(&g, &opts);
-            let counts = ord.pred_counts.as_ref().expect("fused by default");
-            for v in g.vertices() {
-                let expect = g
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&u| ord.rho[u as usize] > ord.rho[v as usize])
-                    .count() as u32;
-                assert_eq!(counts[v as usize], expect, "vertex {v}, {opts:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn fuse_rank_can_be_disabled() {
-        let g = generate(&GraphSpec::Path { n: 50 }, 0);
-        let ord = adg(
-            &g,
-            &AdgOptions {
-                fuse_rank: false,
-                ..Default::default()
-            },
-        );
-        assert!(ord.pred_counts.is_none());
     }
 
     #[test]

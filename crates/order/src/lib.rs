@@ -95,10 +95,6 @@ pub struct VertexOrdering {
     pub levels: Option<Levels>,
     /// Peeling instrumentation (zeroed for O(1)-rank orderings).
     pub stats: OrderingStats,
-    /// §V-C fused DAG construction: `pred_counts[v]` = number of
-    /// neighbors with higher ρ, precomputed during the ordering so JP can
-    /// skip its own Part-1 pass. `None` unless the ordering fused it.
-    pub pred_counts: Option<Vec<u32>>,
 }
 
 impl VertexOrdering {
@@ -292,7 +288,6 @@ mod tests {
             rho,
             levels: None,
             stats: OrderingStats::default(),
-            pred_counts: None,
         };
         assert!(mk(vec![]).is_total());
         assert!(mk(vec![7]).is_total());

@@ -34,7 +34,6 @@ pub fn first_fit<G: GraphView>(g: &G) -> VertexOrdering {
         rho,
         levels: None,
         stats: OrderingStats::default(),
-        pred_counts: None,
     }
 }
 
@@ -45,7 +44,6 @@ pub fn random<G: GraphView>(g: &G, seed: u64) -> VertexOrdering {
         rho: perm.into_iter().map(|p| p as u64).collect(),
         levels: None,
         stats: OrderingStats::default(),
-        pred_counts: None,
     }
 }
 
@@ -61,7 +59,6 @@ pub fn largest_first<G: GraphView>(g: &G, seed: u64) -> VertexOrdering {
         rho,
         levels: None,
         stats: OrderingStats::default(),
-        pred_counts: None,
     }
 }
 
@@ -79,7 +76,6 @@ pub fn largest_log_first<G: GraphView>(g: &G, seed: u64) -> VertexOrdering {
         rho,
         levels: None,
         stats: OrderingStats::default(),
-        pred_counts: None,
     }
 }
 
@@ -108,7 +104,6 @@ pub fn smallest_last<G: GraphView>(g: &G, seed: u64) -> VertexOrdering {
             sum_active: (n as u64) * (n as u64 + 1) / 2,
             update_touches: 2 * g.m() as u64,
         },
-        pred_counts: None,
     }
 }
 

@@ -43,7 +43,6 @@ where
                 offsets: vec![0],
             }),
             stats: OrderingStats::default(),
-            pred_counts: None,
         };
     }
     let deg: Vec<AtomicU32> = g.degree_array().into_iter().map(AtomicU32::new).collect();
@@ -111,7 +110,6 @@ where
             offsets,
         }),
         stats,
-        pred_counts: None,
     }
 }
 

@@ -1,10 +1,10 @@
 //! End-to-end pipelines for the extension modules: coloring → refinement →
-//! balancing, and distance-2 coloring — the §VII-adjacent features composed
-//! through the public facade.
+//! balancing, and clique mining against coloring — features outside the
+//! paper's tables, composed through the public facade.
 
 use parallel_graph_coloring as pgc;
 use pgc::color::refine::{balance_colors, balance_stats, iterated_greedy};
-use pgc::color::{distance2, run, verify, Algorithm, Params};
+use pgc::color::{run, verify, Algorithm, Params};
 use pgc::graph::gen::{generate, GraphSpec};
 
 #[test]
@@ -56,50 +56,6 @@ fn refinement_composes_with_every_parallel_algorithm() {
             algo.name()
         );
     }
-}
-
-#[test]
-fn distance2_pipeline_on_mesh() {
-    // Distance-2 coloring of a grid: a valid frequency assignment where
-    // same-channel nodes are never within 2 hops.
-    let g = generate(&GraphSpec::Grid2d { rows: 40, cols: 40 }, 0);
-    let greedy = distance2::greedy_d2(&g, g.vertices());
-    assert!(distance2::is_proper_d2(&g, &greedy));
-    // Interior grid vertices have 12 distance-≤2 neighbors; the greedy
-    // bound is Δ²+1 = 17 but real usage is near the clique-ish lower
-    // bound 5 (a vertex plus its 4 neighbors are pairwise within 2 hops).
-    let k = verify::num_colors(&greedy);
-    assert!((5..=17).contains(&k), "grid d2 colors = {k}");
-
-    let spec = distance2::speculative_d2(&g, 3);
-    assert!(distance2::is_proper_d2(&g, &spec.colors));
-    // Both are proper distance-1 colorings as well.
-    verify::assert_proper(&g, &greedy);
-    verify::assert_proper(&g, &spec.colors);
-}
-
-#[test]
-fn distance2_matches_square_graph_coloring() {
-    // A distance-2 coloring of G is exactly a distance-1 coloring of G²:
-    // build G² explicitly and cross-verify.
-    let g = generate(&GraphSpec::ErdosRenyi { n: 300, m: 600 }, 9);
-    let mut square_edges: Vec<(u32, u32)> = g.edges().collect();
-    for v in g.vertices() {
-        let nbrs = g.neighbors(v);
-        for i in 0..nbrs.len() {
-            for j in (i + 1)..nbrs.len() {
-                square_edges.push((nbrs[i], nbrs[j]));
-            }
-        }
-    }
-    let g2 = pgc::graph::builder::from_edges(g.n(), &square_edges);
-
-    let d2 = distance2::greedy_d2(&g, g.vertices());
-    verify::assert_proper(&g2, &d2);
-
-    // And conversely: any proper coloring of G² is distance-2 proper on G.
-    let c2 = run(&g2, Algorithm::JpAdg, &Params::default());
-    assert!(distance2::is_proper_d2(&g, &c2.colors));
 }
 
 #[test]

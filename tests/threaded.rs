@@ -100,15 +100,14 @@ fn colorings_are_identical_across_widths() {
     }
 }
 
-/// Oracle for the JP engines: JP with a fixed ρ is the sequential greedy
-/// pass over decreasing ρ, whatever the schedule. Both engine entry points
-/// — with its own predecessor counts and with the ADG-fused ones — must
-/// reproduce `greedy_by_priority` exactly, on both adjacency
-/// representations and at every width.
+/// Oracle for the JP engine: JP with a fixed ρ is the sequential greedy
+/// pass over decreasing ρ, whatever the schedule. It must reproduce
+/// `greedy_by_priority` exactly, on both adjacency representations and at
+/// every width.
 #[test]
 fn jp_engines_equal_sequential_greedy_by_priority() {
     use pgc::color::greedy::greedy_by_priority;
-    use pgc::color::jp::{jp_color, jp_color_with_counts};
+    use pgc::color::jp::jp_color;
     use pgc::graph::{CompressedCsr, GraphView};
     use pgc::order::{compute, AdgOptions, OrderingKind};
 
@@ -116,16 +115,10 @@ fn jp_engines_equal_sequential_greedy_by_priority() {
         let ord = compute(g, kind, 17);
         let oracle = greedy_by_priority(g, &ord.rho);
         verify::assert_proper(g, &oracle);
-        let is_adg = matches!(kind, OrderingKind::Adg(_));
-        assert_eq!(ord.pred_counts.is_some(), is_adg, "{name}: fused counts");
         for t in [1, 2, 4] {
             let ctx = format!("{name}/{} at width {t}", kind.name());
             with_threads(t, || {
                 assert_eq!(jp_color(g, &ord.rho), oracle, "{ctx}: jp_color");
-                if let Some(counts) = &ord.pred_counts {
-                    let c = jp_color_with_counts(g, &ord.rho, counts);
-                    assert_eq!(c, oracle, "{ctx}: jp_color_with_counts");
-                }
             });
         }
     }
