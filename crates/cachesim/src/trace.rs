@@ -160,10 +160,8 @@ fn report(algorithm: Algorithm, stats: CacheStats) -> CacheReport {
 /// Replay the JP coloring schedule: vertices in decreasing-priority order,
 /// each reading its full neighborhood (ρ + colors).
 fn trace_jp<G: GraphView>(g: &G, rho: &[u64], layout: &Layout, cache: &mut Cache) {
-    let mut order: Vec<u32> = (0..g.n() as u32).collect();
-    order.sort_unstable_by_key(|&v| std::cmp::Reverse(rho[v as usize]));
     let mut mem = Mem { cache, layout };
-    for &v in &order {
+    for v in pgc_order::by_decreasing_rho(rho) {
         mem.color_vertex(g, v, true);
     }
 }

@@ -19,7 +19,7 @@ pub struct Instrumentation {
     pub coloring_time: Duration,
     /// Outer parallel rounds: ADG/peeling iterations plus speculative
     /// coloring rounds. A JP run records only its ordering's iterations:
-    /// the asynchronous engine has no rounds.
+    /// its prefix rounds are a schedule detail, seen in `jp.round` spans.
     pub rounds: u32,
     /// Vertices re-colored due to conflicts (speculative algorithms only).
     pub conflicts: u64,

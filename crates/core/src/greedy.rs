@@ -43,9 +43,7 @@ pub fn greedy_first_fit<G: GraphView>(g: &G) -> Vec<u32> {
 
 /// Greedy in decreasing priority (matches JP's semantics: highest ρ first).
 pub fn greedy_by_priority<G: GraphView>(g: &G, rho: &[u64]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..g.n() as u32).collect();
-    order.sort_unstable_by_key(|&v| std::cmp::Reverse(rho[v as usize]));
-    greedy_in_sequence(g, order)
+    greedy_in_sequence(g, pgc_order::by_decreasing_rho(rho))
 }
 
 /// Incidence-degree ordering \[1\]: repeatedly color the vertex with the most

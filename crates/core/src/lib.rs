@@ -330,7 +330,7 @@ pub fn run<G: GraphView>(g: &G, algo: Algorithm, params: &Params) -> ColoringRun
         }
         JpFf | JpR | JpLf | JpLlf | JpSl | JpSll | JpAsl | JpAdg | JpAdgM => {
             let ord = ord.expect("JP algorithms have an ordering");
-            let colors = instr.coloring(|| jp::jp_color(g, &ord.rho));
+            let colors = instr.coloring(|| jp::jp_color_ordering(g, &ord));
             instr.record_rounds(ord.stats.iterations, 0);
             colors
         }

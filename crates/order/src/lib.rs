@@ -33,6 +33,8 @@ pub mod simple;
 pub mod sll;
 
 use pgc_graph::{GraphView, InducedView};
+use rayon::prelude::*;
+use std::cmp::Reverse;
 
 pub use adg::{adg, AdgOptions, ThresholdRule, UpdateStyle};
 pub use pgc_primitives::sort::SortAlgo;
@@ -132,6 +134,40 @@ impl VertexOrdering {
         suspects.sort_unstable();
         suspects.windows(2).all(|w| w[0] != w[1])
     }
+
+    /// The vertices by decreasing ρ, as [`by_decreasing_rho`] returns them.
+    /// A batched ordering whose ρ strictly increases along its level
+    /// sequence (ADG and ADG-M with sorted batches) hands back that
+    /// sequence reversed, at O(n) cost; one parallel pass checks the
+    /// increase, and any other ordering falls back to the sort.
+    pub fn by_decreasing_rho(&self) -> Vec<u32> {
+        if let Some(levels) = &self.levels {
+            let (seq, rho) = (&levels.seq, &self.rho);
+            // Strictly increasing ρ also makes `seq` duplicate-free, so
+            // with n entries it is a permutation.
+            if seq.len() == rho.len()
+                && (1..seq.len())
+                    .into_par_iter()
+                    .all(|i| rho[seq[i - 1] as usize] < rho[seq[i] as usize])
+            {
+                return seq.iter().rev().copied().collect();
+            }
+        }
+        by_decreasing_rho(&self.rho)
+    }
+}
+
+/// The vertices by decreasing ρ, equal priorities by increasing id: the
+/// order in which greedy colors them and JP's predecessors come first.
+/// One parallel sort of `(ρ, v)` pairs.
+pub fn by_decreasing_rho(rho: &[u64]) -> Vec<u32> {
+    let mut keyed: Vec<(u64, u32)> = rho
+        .par_iter()
+        .enumerate()
+        .map(|(v, &r)| (r, v as u32))
+        .collect();
+    keyed.par_sort_unstable_by_key(|&(r, v)| (Reverse(r), v));
+    keyed.par_iter().map(|&(_, v)| v).collect()
 }
 
 /// Which ordering heuristic to run (Table II naming).

@@ -30,9 +30,9 @@
 //!   caller *helps*: own deque first, then the injector, then steals —
 //!   which also makes nested fork–join deadlock-free.
 //! * **Scoped spawning** ([`scope()`]/[`Scope`]): structured task parallelism
-//!   with non-`'static` borrows, used by the asynchronous Jones–Plassmann
-//!   engine. All spawned tasks complete before `scope` returns; panics are
-//!   captured and re-thrown at the scope boundary.
+//!   with non-`'static` borrows. All spawned tasks complete before
+//!   `scope` returns; panics are captured and re-thrown at the scope
+//!   boundary.
 //! * **Blocked loops and reductions** ([`loops`]): `for_each_chunk` /
 //!   `map_reduce_chunks` recursively halve an index range down to a grain
 //!   and `join` the halves — the logarithmic-depth reduction tree the

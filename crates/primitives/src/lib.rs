@@ -9,9 +9,6 @@
 //! * [`reduce`] — `Reduce` and `PrefixSum` (as CSR offsets from per-vertex
 //!   counts) with `O(n)` work and `O(log n)` depth (realized on rayon's
 //!   fork–join scheduler),
-//! * [`join`] — `DecrementAndFetch` / `Join` counters used by the
-//!   Jones–Plassmann engine to release a vertex once all its DAG
-//!   predecessors are colored,
 //! * [`bitmap`] — dense atomic bitmaps for the sets `U` and `R` of the ADG
 //!   algorithm and per-vertex forbidden-color bitmaps `B_v` of DEC-ADG,
 //! * [`sort`] — linear-time counting/radix integer sorts used by the §V-B
@@ -32,7 +29,6 @@
 
 pub mod bitmap;
 pub mod intersect;
-pub mod join;
 pub mod reduce;
 pub mod rng;
 pub mod sort;
@@ -40,7 +36,6 @@ pub mod varint;
 
 pub use bitmap::{AtomicBitmap, FixedBitmap};
 pub use intersect::{intersect_count, intersect_sorted, intersect_sorted_into, MarkSet};
-pub use join::JoinCounters;
 pub use reduce::{offsets_from_counts, reduce_sum_u64, OffsetWord};
 pub use rng::{hash_mix, random_permutation, Rng, SplitMix64};
 pub use sort::{counting_sort_by_key, radix_sort_pairs};

@@ -126,10 +126,16 @@ fn session_is_transparent_and_trace_parses() {
             trace.span_count("peel.round") >= 1,
             "per-round span missing"
         );
-        // One `jp.color` span over the whole JP engine, counting the roots
-        // of `Gρ` it starts from.
+        // One `jp.color` span over the whole JP engine, and one `jp.round`
+        // span per prefix round, each counting the vertices it deferred.
         assert_eq!(trace.span_count("jp.color"), 1, "JP span missing");
-        assert!(trace.counter_total("roots") >= 1, "roots counter missing");
+        assert!(trace.span_count("jp.round") >= 1, "JP round span missing");
+        let deferred_adds = trace
+            .events
+            .iter()
+            .filter(|e| e.kind == pgc::obs::EventKind::Counter && e.name == "deferred")
+            .count();
+        assert!(deferred_adds >= 1, "deferred counter missing");
         // Complete events for both phases made it into the export.
         let has = |name: &str| {
             events.iter().any(|e| {
